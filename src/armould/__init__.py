@@ -108,7 +108,6 @@ from .synthesis import (
     convergence_report,
     linear_rh_synthesize,
     synthesize,
-    theta_apply,
 )
 
 __version__ = "0.1.0"

@@ -13,7 +13,6 @@ import argparse
 import cmath
 import json
 import sys
-from fractions import Fraction
 
 from .moulds import (
     Mould,
@@ -76,7 +75,6 @@ def _emit(payload, fmt: str):
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="armould", description="mould calculus and paralogarithmic synthesis toolkit")
-    parser.add_argument("--threads", type=int, default=1, help="cap on internal parallelism (evaluations are deterministic regardless)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_sh = sub.add_parser("shuffle", help="shuffle or contracting-shuffle two words")
@@ -92,7 +90,7 @@ def main(argv=None) -> int:
     p_mc.add_argument("--kind", required=True, choices=["symmetral", "symmetrel", "alternal", "alternel"])
     p_mc.add_argument("--cap", type=int, default=4)
     p_mc.add_argument("--alphabet", default="1,2")
-    for name, fn in (("mul", None), ("compose", None)):
+    for name in ("mul", "compose"):
         p_mx = msub.add_parser(name, help=f"mould {name} on JSON tables")
         p_mx.add_argument("table1")
         p_mx.add_argument("table2")
@@ -141,7 +139,7 @@ def main(argv=None) -> int:
     p_sy = sub.add_parser("synthesize", help="saddle-node synthesis from invariants")
     p_sy.add_argument("--invariants", required=True, help='JSON file: {"A": {"1": "0.25"}, "H": 1.0}')
     p_sy.add_argument("--c", type=float, required=True)
-    p_sy.add_argument("--caps", default="6,6,4", help="N_u,N_z,R_max")
+    p_sy.add_argument("--caps", default="6,6,4", help="N_u,N_z,R_max (N_z is accepted and ignored)")
     p_sy.add_argument("--z-ray", default="pi", help="ray angle (radians, or 'pi')")
     p_sy.add_argument("--z-moduli", default="2", help="comma list of |z| samples on the ray")
     p_sy.add_argument("--out", default=None, help="write the JSON report here as well")
@@ -163,7 +161,7 @@ def main(argv=None) -> int:
 
     try:
         return _dispatch(args)
-    except (ValueError, KeyError, OSError) as exc:
+    except (ValueError, KeyError, OSError, ArithmeticError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 2
 
@@ -240,8 +238,10 @@ def _dispatch_mould(args) -> int:
         print(str(rep))
         return 0 if rep.passed else 1
     if args.mould_command in ("mul", "compose"):
-        m1 = Mould.from_json(open(args.table1).read())
-        m2 = Mould.from_json(open(args.table2).read())
+        with open(args.table1) as fh:
+            m1 = Mould.from_json(fh.read())
+        with open(args.table2) as fh:
+            m2 = Mould.from_json(fh.read())
         op = mould_mul if args.mould_command == "mul" else mould_compose
         out = op(m1, m2)
         cap = args.cap if args.cap is not None else min(m1.cap, m2.cap)
@@ -325,7 +325,8 @@ def _dispatch_monomial(args) -> int:
 
 
 def _dispatch_synthesize(args) -> int:
-    data = json.loads(open(args.invariants).read())
+    with open(args.invariants) as fh:
+        data = json.load(fh)
     coeffs = {}
     for k, v in data.get("A", {}).items():
         if isinstance(v, str):
@@ -334,12 +335,12 @@ def _dispatch_synthesize(args) -> int:
             coeffs[int(k)] = complex(v)
     growth = float(data.get("H", 1.0))
     inv = InvariantFamily(coeffs, growth_bound=growth)
-    nu, nz, rmax = (int(tok) for tok in args.caps.split(","))
+    nu, _, rmax = (int(tok) for tok in args.caps.split(","))
     theta_ray = cmath.pi if args.z_ray.strip() in ("pi", "PI") else float(args.z_ray)
     moduli = [float(tok) for tok in args.z_moduli.split(",")]
     z_samples = tuple(m * cmath.exp(1j * theta_ray) for m in moduli)
     z_samples = tuple(complex(round(z.real, 12), round(z.imag, 12)) for z in z_samples)
-    cfg = SynthesisConfig(c=args.c, nu=nu, nz=nz, r_max=rmax, z_samples=z_samples)
+    cfg = SynthesisConfig(c=args.c, nu=nu, r_max=rmax, z_samples=z_samples)
     expansions = build_theta(inv, cfg)
     samples = [conjugate_normal_field(e) for e in expansions]
     rows = []
@@ -356,7 +357,7 @@ def _dispatch_synthesize(args) -> int:
     report = {
         "invariants": {str(n): _fnum(a) for n, a in sorted(inv.coefficients.items())},
         "c": _fnum(args.c),
-        "caps": {"nu": nu, "nz": nz, "r_max": rmax},
+        "caps": {"nu": nu, "r_max": rmax},
         "z_samples": [_fnum(z) for z in cfg.z_samples],
         "tolerances": {
             "automorphism": _fnum(args.tol_automorphism),

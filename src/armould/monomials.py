@@ -27,14 +27,14 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .kernels import KernelParams, f_analytic_continuation, f_closed_form_oracle
 from .moulds import Mould, words_of_norm_at_most
 from .quadrature import de_halfline, segment_quad
-from .words import Forest, Tree, Word, contracting_covers, forests_of_norm, letter, word
+from .words import Forest, Tree, Word, contracting_covers, forests_of_norm, letter
 
 CONTRACTION_UNIT = -2j * math.pi
 MOULD_NORMALIZATION = 1.0 / CONTRACTION_UNIT  # per-letter factor -> symmetrel
@@ -54,12 +54,10 @@ class ContourSpec:
     eps: float = 0.05
     multipliers: tuple = (1.0, 2.0, 3.0, 4.0, 5.0, 6.0)
     richardson_levels: int = 2
-    rel_tol: float = 5e-13
-    max_slots: int = 6
 
     def angles(self, r: int, level: int = 0) -> tuple:
         if r > len(self.multipliers):
-            raise ContourError(f"contour spec has {len(self.multipliers)} slots, word needs {r}")
+            raise ContourError(f"contour spec has {len(self.multipliers)} slots, the integral needs {r}")
         eps = self.eps / (2**level)
         out = tuple(eps * m for m in self.multipliers[:r])
         if any(b <= a for a, b in zip(out, out[1:])):
@@ -150,29 +148,75 @@ def _cauchy_fold(values: np.ndarray, y_from: np.ndarray, y_to: np.ndarray) -> np
     return out
 
 
-def _ua_pass(decorations: Sequence[complex], z: complex, c: float, spec: ContourSpec, level: int, z_derivative: bool = False) -> complex:
-    r = len(decorations)
-    if r == 0:
-        return 1.0 + 0.0j
-    tilts = spec.angles(r, level)
-    gap = spec.min_gap(r, level)
-    h = gap / 4.6  # e^{-2 pi gap/h} ~ 3e-13
+def _preorder(f: Forest) -> tuple[tuple, tuple]:
+    """Flat preorder node list of a forest: decorations and, per node, the
+    index of its parent (-1 for a root)."""
+    decs: list[complex] = []
+    parents: list[int] = []
+
+    def walk(t: Tree, parent: int):
+        j = len(decs)
+        decs.append(complex(t.root.value))
+        parents.append(parent)
+        for ch in t.children.trees:
+            walk(ch, j)
+
+    for t in f.trees:
+        walk(t, -1)
+    return tuple(decs), tuple(parents)
+
+
+def _pass(
+    decorations: Sequence[complex],
+    parents: Sequence[int],
+    z: complex,
+    c: float,
+    spec: ContourSpec,
+    level: int,
+    z_derivative: bool = False,
+) -> complex:
+    """One trapezoid evaluation of the iterated integral over a preorder node
+    list: a factor 1/(y_child - y_parent) per edge and 1/(y_root - z) per root
+    (squared for the z-derivative).  Nodes are folded leaves first, each one's
+    children multiplied in preorder; a word is the chain (-1, 0, ..., r-2)."""
+    n = len(decorations)
+    tilts = spec.angles(n, level)
+    h = spec.min_gap(n, level) / 4.6  # e^{-2 pi gap/h} ~ 3e-13
+    scale = c if c > 0 else 1.0
     rays = []
-    for j, om in enumerate(decorations):
-        base = -cmath.phase(om)
-        cos_t = math.cos(tilts[j])
-        scale = c if c > 0 else 1.0
-        t_lo, t_hi = _t_window(c, abs(om), cos_t)
-        n = max(int(math.ceil((t_hi - t_lo) / h)) + 1, 33)
-        rays.append(_ray(scale, base, tilts[j], t_lo, t_hi, n))
-    inner = np.ones_like(rays[r - 1][0])
-    for j in range(r - 1, 0, -1):
+    for om, tilt in zip(decorations, tilts):
+        t_lo, t_hi = _t_window(c, abs(om), math.cos(tilt))
+        npts = max(int(math.ceil((t_hi - t_lo) / h)) + 1, 33)
+        rays.append(_ray(scale, -cmath.phase(om), tilt, t_lo, t_hi, npts))
+    children: list[list[int]] = [[] for _ in range(n)]
+    for j, p in enumerate(parents):
+        if p >= 0:
+            children[p].append(j)
+    folded: dict = {}
+    for j in range(n - 1, -1, -1):
         y, wgt = rays[j]
-        vals = _kernel_values(decorations[j], c, y) * wgt * inner
-        inner = _cauchy_fold(vals, y, rays[j - 1][0])
-    y1, w1 = rays[0]
-    root = (y1 - z) ** 2 if z_derivative else (y1 - z)
-    return complex(np.sum(_kernel_values(decorations[0], c, y1) * w1 * inner / root))
+        vals = _kernel_values(decorations[j], c, y) * wgt
+        for ch in children[j]:
+            vals = vals * folded.pop(ch)
+        p = parents[j]
+        if p >= 0:
+            folded[j] = _cauchy_fold(vals, y, rays[p][0])
+        else:
+            root = (y - z) ** 2 if z_derivative else (y - z)
+            folded[j] = complex(np.sum(vals / root))
+    total = 1.0 + 0.0j
+    for j in sorted(folded):  # only the roots are left, in preorder
+        total *= folded[j]
+    return total
+
+
+def _refined(decorations, parents, z: complex, c: float, spec: ContourSpec, z_derivative: bool = False) -> tuple[complex, float]:
+    """Richardson refinement in the tilt parameter: the finest pass and, as its
+    error, the last refinement delta with a 5e-14 relative floor."""
+    vals = [_pass(decorations, parents, z, c, spec, lvl, z_derivative) for lvl in range(spec.richardson_levels)]
+    value = vals[-1]
+    err = abs(vals[-1] - vals[-2]) if len(vals) >= 2 else abs(value) * 1e-10
+    return value, max(err, abs(value) * 5e-14)
 
 
 _UA_CACHE: dict = {}
@@ -198,13 +242,8 @@ def paralog_Ua_eval(w, z: complex, c: float, spec: ContourSpec | None = None, z_
     hit = _UA_CACHE.get(key)
     if hit is not None:
         return MonomialValue(hit[0], hit[1], spec)
-    vals = [_ua_pass(decs, z, c, spec, lvl, z_derivative) for lvl in range(spec.richardson_levels)]
-    value = vals[-1]
-    if len(vals) >= 2:
-        err = abs(vals[-1] - vals[-2])
-    else:
-        err = abs(value) * 1e-10
-    err = max(err, abs(value) * 5e-14)
+    chain = tuple(range(-1, len(decs) - 1))  # a word is the chain forest
+    value, err = _refined(decs, chain, z, c, spec, z_derivative)
     if len(_UA_CACHE) < _UA_CACHE_MAX:
         _UA_CACHE[key] = (value, err)
     return MonomialValue(value, err, spec)
@@ -223,10 +262,6 @@ def paralog_variants(w, z: complex, c: float, spec: ContourSpec | None = None) -
     uc = MonomialValue(ua.value * mid, ua.error * abs(mid), ua.contour)
     ue = MonomialValue(ua.value * full, ua.error * abs(full), ua.contour)
     return ua, uc, ue
-
-
-def ue_value(w, z: complex, c: float, spec: ContourSpec | None = None) -> MonomialValue:
-    return paralog_variants(w, z, c, spec)[2]
 
 
 # ---------------------------------------------------------------------------
@@ -259,14 +294,9 @@ def paralog_forest_eval(
     nodes = f.node_count
     if nodes == 0:
         return MonomialValue(1.0 + 0.0j, 0.0, spec)
-    if nodes > len(spec.multipliers):
-        raise ContourError(f"forest has {nodes} nodes, contour spec has {len(spec.multipliers)} slots")
-    decs = _node_decorations(f)
+    decs, parents = _preorder(f)
     z = _check_z(z, decs)
-    vals = [_forest_pass(f, z, c, spec, lvl) for lvl in range(spec.richardson_levels)]
-    value = vals[-1]
-    err = abs(vals[-1] - vals[-2]) if len(vals) >= 2 else abs(value) * 1e-10
-    err = max(err, abs(value) * 5e-14)
+    value, err = _refined(decs, parents, z, c, spec)
     out = MonomialValue(value, err, spec, meta={"nodes": nodes})
     if cross_check:
         ref = 0.0 + 0.0j
@@ -285,52 +315,6 @@ def paralog_forest_eval(
                 f"forest fast path and cover-sum reference disagree: {value} vs {ref} (rel {drift:.3e})"
             )
     return out
-
-
-def _node_decorations(f: Forest) -> list[complex]:
-    out: list[complex] = []
-
-    def walk(t: Tree):
-        out.append(complex(t.root.value))
-        for ch in t.children.trees:
-            walk(ch)
-
-    for t in f.trees:
-        walk(t)
-    return out
-
-
-def _forest_pass(f: Forest, z: complex, c: float, spec: ContourSpec, level: int) -> complex:
-    decs = _node_decorations(f)
-    n_nodes = len(decs)
-    tilts = spec.angles(n_nodes, level)
-    gap = spec.min_gap(n_nodes, level)
-    h = gap / 4.6
-    rays = []
-    for j, om in enumerate(decs):
-        base = -cmath.phase(om)
-        scale = c if c > 0 else 1.0
-        t_lo, t_hi = _t_window(c, abs(om), math.cos(tilts[j]))
-        n = max(int(math.ceil((t_hi - t_lo) / h)) + 1, 33)
-        rays.append(_ray(scale, base, tilts[j], t_lo, t_hi, n))
-
-    index = [0]
-
-    def subtree_fold(t: Tree, parent_y: np.ndarray | None) -> np.ndarray | complex:
-        j = index[0]
-        index[0] += 1
-        y, wgt = rays[j]
-        vals = _kernel_values(decs[j], c, y) * wgt
-        for ch in t.children.trees:
-            vals = vals * subtree_fold(ch, y)
-        if parent_y is None:
-            return complex(np.sum(vals / (y - z)))
-        return _cauchy_fold(vals, y, parent_y)
-
-    total = 1.0 + 0.0j
-    for t in f.trees:
-        total *= subtree_fold(t, None)
-    return total
 
 
 # ---------------------------------------------------------------------------

@@ -10,11 +10,9 @@ from __future__ import annotations
 
 import itertools
 import json
-import threading
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from .values import GaussianRational, as_gaussian, format_exact, parse_exact
 from .words import (
@@ -46,7 +44,6 @@ class Mould:
         self.alphabet = tuple(alphabet) if alphabet is not None else None
         self.cap = cap
         self._memo: dict[Word, object] = {}
-        self._lock = threading.Lock()
 
     def value(self, w: Word):
         try:
@@ -56,8 +53,7 @@ class Mould:
         if self.cap is not None and w.length > self.cap:
             raise KeyError(f"mould {self.name or '<anon>'} queried beyond cap {self.cap}: {w}")
         v = self._rule(w)
-        with self._lock:
-            self._memo.setdefault(w, v)
+        self._memo.setdefault(w, v)
         return v
 
     def __call__(self, w: Word):
@@ -93,12 +89,8 @@ class Mould:
     def from_json(cls, text: str, name: str = "") -> "Mould":
         payload = json.loads(text)
         alphabet = [letter(parse_exact(a)) for a in payload["alphabet"]]
-        entries = {parse_word(k): _exact_or_zero(v) for k, v in payload["entries"].items()}
+        entries = {parse_word(k): parse_exact(v) for k, v in payload["entries"].items()}
         return cls.from_table(entries, payload["cap"], alphabet, name=name)
-
-
-def _exact_or_zero(text: str):
-    return parse_exact(text)
 
 
 class ArMould:
@@ -108,7 +100,6 @@ class ArMould:
         self._rule = rule
         self.name = name
         self._memo: dict[Forest, object] = {}
-        self._lock = threading.Lock()
 
     def value(self, f: Forest):
         try:
@@ -116,8 +107,7 @@ class ArMould:
         except KeyError:
             pass
         v = self._rule(f)
-        with self._lock:
-            self._memo.setdefault(f, v)
+        self._memo.setdefault(f, v)
         return v
 
     def __call__(self, f: Forest):
@@ -525,12 +515,6 @@ class AlienWordExpansion:
 
     target: Letter
     terms: dict[Word, object] = field(default_factory=dict)
-
-    def by_norm(self) -> dict:
-        out: dict = {}
-        for w, c in self.terms.items():
-            out.setdefault(format_exact(w.norm), {})[w] = c
-        return out
 
     def __str__(self):
         bits = []

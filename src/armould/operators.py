@@ -7,11 +7,10 @@ so decomposition and Leibniz identities can be checked with equality.
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .series import TruncatedSeries
 from .words import (
@@ -23,8 +22,6 @@ from .words import (
     contracting_covers,
     forests_of_norm,
     letter,
-    linear_extensions,
-    word,
 )
 from .moulds import Mould, ArMould, words_of_norm_at_most
 

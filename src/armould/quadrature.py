@@ -7,36 +7,14 @@ Node tables are cached per rule parameters and shared read-only.
 from __future__ import annotations
 
 import math
-import os
 from functools import lru_cache
-from pathlib import Path
 
 import numpy as np
-
-CACHE_DIR_ENV = "ARMOULD_CACHE_DIR"
-
-
-def _cache_dir() -> Path | None:
-    path = os.environ.get(CACHE_DIR_ENV)
-    if not path:
-        return None
-    p = Path(path)
-    p.mkdir(parents=True, exist_ok=True)
-    return p
 
 
 @lru_cache(maxsize=64)
 def _gauss_legendre(n: int):
-    cache = _cache_dir()
-    if cache is not None:
-        f = cache / f"leggauss_{n}.npz"
-        if f.exists():
-            data = np.load(f)
-            return data["x"], data["w"]
-    x, w = np.polynomial.legendre.leggauss(n)
-    if cache is not None:
-        np.savez(cache / f"leggauss_{n}.npz", x=x, w=w)
-    return x, w
+    return np.polynomial.legendre.leggauss(n)
 
 
 def segment_quad(f, a: complex, b: complex, n: int = 64, pieces: int = 1) -> complex:

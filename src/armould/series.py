@@ -36,10 +36,6 @@ class TruncatedSeries:
     def u_power(cls, k: int, nz: int, nu: int, coeff=1) -> "TruncatedSeries":
         return cls({(0, k): coeff}, nz, nu)
 
-    @classmethod
-    def from_u_poly(cls, poly: dict, nz: int, nu: int) -> "TruncatedSeries":
-        return cls({(0, k): c for k, c in poly.items()}, nz, nu)
-
     def _check(self, other: "TruncatedSeries"):
         if (self.nz, self.nu) != (other.nz, other.nu):
             raise ValueError(f"cap mismatch: {(self.nz, self.nu)} vs {(other.nz, other.nu)}")
@@ -84,15 +80,6 @@ class TruncatedSeries:
 
     def coeff(self, j: int, k: int):
         return self.coeffs.get((j, k), 0)
-
-    def u_coeffs(self) -> dict:
-        """Collapse to u-polynomial (requires no z-dependence)."""
-        out: dict = {}
-        for (j, k), c in self.coeffs.items():
-            if j != 0:
-                raise ValueError("series has z-dependence")
-            out[k] = c
-        return out
 
     def __eq__(self, other):
         if not isinstance(other, TruncatedSeries):

@@ -23,8 +23,7 @@ are the same operator; the acceptance agreement between them is structural.
 from __future__ import annotations
 
 import cmath
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -34,18 +33,16 @@ from .monomials import (
     ContourSpec,
     MOULD_NORMALIZATION,
     paralog_Ua_eval,
-    paralog_variants,
 )
 from .operators import (
     DerivationFamily,
     DiffOperator,
     coarborify_homogeneous,
-    contract_word_sum,
     op_compose_word,
     restricted_norm,
 )
 from .series import TruncatedSeries
-from .words import Forest, Word, forests_of_norm, letter, linear_extensions, word
+from .words import Forest, Word, forests_of_norm, letter
 
 
 class SynthesisError(ValueError):
@@ -84,7 +81,6 @@ class InvariantFamily:
 class SynthesisConfig:
     c: float
     nu: int = 6
-    nz: int = 6
     r_max: int = 4
     z_samples: tuple = (-2.0,)
     contour: ContourSpec = field(default_factory=ContourSpec)
@@ -106,10 +102,6 @@ class ForestTerm:
     kernel: DiffOperator
     aut: int
 
-    @property
-    def tail_weight(self) -> float:
-        return abs(self.mould_value) / self.aut
-
 
 @dataclass
 class NormalizerExpansion:
@@ -124,9 +116,6 @@ class NormalizerExpansion:
 
     def apply(self, f: TruncatedSeries) -> TruncatedSeries:
         return self.operator.apply(f)
-
-    def inverse_apply(self, f: TruncatedSeries) -> TruncatedSeries:
-        return self.inverse_operator().apply(f)
 
     def inverse_operator(self) -> DiffOperator:
         return _invert_tangent_to_identity(self.operator, self.config.nu)
@@ -195,10 +184,7 @@ def build_theta(inv: InvariantFamily, cfg: SynthesisConfig) -> list[NormalizerEx
         terms: list[ForestTerm] = []
         tails: dict = {}
         if support_letters:
-            forests = [
-                f
-                for f in forests_of_norm(support_letters, min(cfg.nu, inv_norm_cap(inv, cfg)), max_nodes=cfg.r_max)
-            ]
+            forests = forests_of_norm(support_letters, cfg.nu, max_nodes=cfg.r_max)
         else:
             forests = []
         for f in forests:
@@ -219,46 +205,6 @@ def build_theta(inv: InvariantFamily, cfg: SynthesisConfig) -> list[NormalizerEx
     return expansions
 
 
-def inv_norm_cap(inv: InvariantFamily, cfg: SynthesisConfig) -> int:
-    return cfg.nu
-
-
-def theta_word_assembly(inv: InvariantFamily, cfg: SynthesisConfig, z: complex) -> DiffOperator:
-    """Oracle assembly: Theta = sum_v (L o exp)^v A_v over the plain word
-    comould; equals the forest assembly exactly, term regrouping aside."""
-    fam = inv.derivations()
-    ell = signed_monomial_mould(z, cfg.c, cfg.contour)
-    composed = mould_compose(ell, builtin_mould("exp"))
-    cap = min(cfg.nu, inv_norm_cap(inv, cfg))
-    out = DiffOperator.identity()
-    for v in words_of_norm_at_most([letter(n) for n in inv.support], cap):
-        if v.length > cfg.r_max:
-            continue
-        val = complex(composed.value(v))
-        if val == 0:
-            continue
-        out = out + op_compose_word(fam, v).scale(val)
-    return out
-
-
-def exp_atom_operators(inv: InvariantFamily, cfg: SynthesisConfig) -> dict[int, DiffOperator]:
-    """Cosymmetrel atoms: Aplus_n = sum over words v with ||v|| = n of
-    (1/len(v)!) A_v, the homogeneity components of exp(sum A_n u^{n+1} d_u),
-    truncated to underlying word length r_max."""
-    fam = inv.derivations()
-    expm = builtin_mould("exp")
-    cap = min(cfg.nu, inv_norm_cap(inv, cfg))
-    atoms: dict[int, DiffOperator] = {}
-    for n in range(1, cap + 1):
-        acc = DiffOperator.zero()
-        for v in words_of_norm_at_most([letter(m) for m in inv.support], cap):
-            if int(v.norm.re) == n and v.length <= cfg.r_max:
-                acc = acc + op_compose_word(fam, v).scale(expm.value(v))
-        if not acc.is_zero():
-            atoms[n] = acc
-    return atoms
-
-
 @dataclass
 class FieldSample:
     z: complex
@@ -272,14 +218,6 @@ class SynthesizedField:
     config: SynthesisConfig
     samples: list
 
-    def coefficient_table(self) -> list:
-        rows = []
-        for s in self.samples:
-            for deg in sorted(s.action_on_u):
-                cval = s.action_on_u[deg]
-                rows.append((s.z, deg, cval.real, cval.imag))
-        return rows
-
     def max_relative_imag(self) -> float:
         worst = 0.0
         for s in self.samples:
@@ -289,29 +227,25 @@ class SynthesizedField:
         return worst
 
 
-def theta_apply(exp: NormalizerExpansion, f: TruncatedSeries) -> TruncatedSeries:
-    return exp.apply(f)
-
-
 def automorphism_defect(exp: NormalizerExpansion, rng_seed: int = 11) -> float:
     """Max coefficient of Theta(fg) - Theta(f) Theta(g) on random series."""
     rng = np.random.default_rng(rng_seed)
-    nu, nz = exp.config.nu, 0
+    nu = exp.config.nu
     worst = 0.0
     for _ in range(3):
-        f = _random_series(rng, nz, nu)
-        g = _random_series(rng, nz, nu)
+        f = _random_series(rng, nu)
+        g = _random_series(rng, nu)
         lhs = exp.apply(f * g)
         rhs = exp.apply(f) * exp.apply(g)
         worst = max(worst, lhs.max_abs_diff(rhs))
     return worst
 
 
-def _random_series(rng, nz, nu) -> TruncatedSeries:
+def _random_series(rng, nu) -> TruncatedSeries:
     coeffs = {}
     for k in range(nu + 1):
         coeffs[(0, k)] = complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) / (1 + k)
-    return TruncatedSeries(coeffs, nz, nu)
+    return TruncatedSeries(coeffs, 0, nu)
 
 
 def conjugate_normal_field(exp: NormalizerExpansion) -> FieldSample:
@@ -334,8 +268,8 @@ def conjugate_normal_field(exp: NormalizerExpansion) -> FieldSample:
     rng = np.random.default_rng(7)
     defect = 0.0
     for _ in range(3):
-        f = _random_series(rng, 0, nu)
-        g = _random_series(rng, 0, nu)
+        f = _random_series(rng, nu)
+        g = _random_series(rng, nu)
         lhs = xc_op.apply(f * g)
         rhs = xc_op.apply(f) * g + f * xc_op.apply(g)
         defect = max(defect, lhs.max_abs_diff(rhs))
@@ -384,10 +318,7 @@ def convergence_report(inv: InvariantFamily, cfg: SynthesisConfig, c_values: Seq
     fam = inv.derivations()
     sup_letters = [letter(n) for n in inv.support]
     for c in c_values:
-        cfg_c = SynthesisConfig(
-            c=c, nu=cfg.nu, nz=cfg.nz, r_max=cfg.r_max, z_samples=cfg.z_samples, contour=cfg.contour
-        )
-        exps = build_theta(inv, cfg_c)
+        exps = build_theta(inv, replace(cfg, c=c))
         agg: dict = {}
         for e in exps:
             for n, t in e.tail_norms.items():
@@ -399,7 +330,7 @@ def convergence_report(inv: InvariantFamily, cfg: SynthesisConfig, c_values: Seq
         ws: dict = {}
         for z in cfg.z_samples:
             ell = signed_monomial_mould(z, c, cfg.contour)
-            for w in words_of_norm_at_most(sup_letters, min(cfg.nu, cfg.nu)):
+            for w in words_of_norm_at_most(sup_letters, cfg.nu):
                 if w.length > cfg.r_max:
                     continue
                 weight = abs(complex(ell.value(w))) * restricted_norm(op_compose_word(fam, w), cfg.nu)

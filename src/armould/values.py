@@ -92,10 +92,6 @@ class GaussianRational:
         return complex(float(self.re), float(self.im))
 
     @property
-    def is_real(self):
-        return self.im == 0
-
-    @property
     def is_positive_integer(self):
         return self.im == 0 and self.re.denominator == 1 and self.re >= 1
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
@@ -192,28 +191,6 @@ def _csh_rec(a: tuple, b: tuple) -> Counter:
     merged = a[-1] + b[-1]
     for prefix, mult in _csh_rec(a[:-1], b[:-1]).items():
         out[prefix + (merged,)] += mult
-    return out
-
-
-def shuffle_many(words: Sequence[Word]) -> Counter:
-    out: Counter = Counter({EMPTY_WORD: 1})
-    for w in words:
-        nxt: Counter = Counter()
-        for u, m in out.items():
-            for v, k in shuffle(u, w).items():
-                nxt[v] += m * k
-        out = nxt
-    return out
-
-
-def contracting_shuffle_many(words: Sequence[Word]) -> Counter:
-    out: Counter = Counter({EMPTY_WORD: 1})
-    for w in words:
-        nxt: Counter = Counter()
-        for u, m in out.items():
-            for v, k in contracting_shuffle(u, w).items():
-                nxt[v] += m * k
-        out = nxt
     return out
 
 

@@ -49,7 +49,6 @@ from armould.synthesis import (
     conjugate_normal_field,
     convergence_report,
     linear_rh_synthesize,
-    theta_word_assembly,
 )
 from armould.words import (
     contracting_covers,
@@ -60,6 +59,7 @@ from armould.words import (
     shuffle,
     word,
 )
+from oracles import theta_word_assembly
 
 AB = [letter(1), letter(2)]
 
@@ -289,7 +289,7 @@ def test_criterion_12_orthogonality_probe():
     report(12, "r=1 orthogonality probe", ok, f"pole location err {worst_loc:.1e}, residue err {worst_res:.1e} <= 1e-4", t0, 10.0)
 
 
-CFG13 = SynthesisConfig(c=2.0, nu=6, nz=6, r_max=4, z_samples=(-2.0,))
+CFG13 = SynthesisConfig(c=2.0, nu=6, r_max=4, z_samples=(-2.0,))
 INV13 = InvariantFamily({1: 0.25})
 
 
@@ -308,7 +308,7 @@ def test_criterion_13_synthesis_pipeline():
     ok &= auto <= 1e-6 and fs.derivation_defect <= 1e-6
     ok &= bool(ratios) and all(v < 1 for v in ratios.values())
     # forest vs word assembly at R_max = 3
-    cfg3 = SynthesisConfig(c=2.0, nu=6, nz=6, r_max=3, z_samples=(-2.0,))
+    cfg3 = SynthesisConfig(c=2.0, nu=6, r_max=3, z_samples=(-2.0,))
     e3 = build_theta(INV13, cfg3)[0]
     w3 = theta_word_assembly(INV13, cfg3, -2.0)
     agree = (e3.operator - w3).max_abs_diff(DiffOperator.zero())

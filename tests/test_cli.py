@@ -26,9 +26,20 @@ class TestShuffleCommand:
         assert rc == 0
         assert len([l for l in out.splitlines() if l.strip()]) == 3
 
-    def test_parse_error_exit_2(self, capsys):
+    def test_parse_error_exit_2(self, capsys, tmp_path):
         rc = main(["shuffle", "(0.5)", "(1)"])
         assert rc == 2
+        # arithmetic errors in the input are usage errors too, not tracebacks
+        inv = tmp_path / "inv.json"
+        inv.write_text('{"A": {"1": "1/0"}}')
+        for argv in (
+            ["shuffle", "(1/0)", "(1)"],
+            ["mould", "check", "--builtin", "redom", "--kind", "alternel", "--alphabet", "1/0"],
+            ["synthesize", "--invariants", str(inv), "--c", "2", "--caps", "2,2,1"],
+        ):
+            capsys.readouterr()
+            assert main(argv) == 2, argv
+            assert "error" in json.loads(capsys.readouterr().err), argv
 
 
 class TestMouldCommands:

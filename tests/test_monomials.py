@@ -144,9 +144,14 @@ class TestForest:
         assert abs(a - b) <= 1e-12 * abs(b)
 
     def test_chain_equals_word(self):
-        a = paralog_forest_eval(parse_forest("1(2)"), Z, C).value
-        b = paralog_Ua_eval(word(1, 2), Z, C).value
-        assert abs(a - b) <= 1e-12 * abs(b)
+        # a word is a chain forest: both run the same quadrature pass, so
+        # value and error agree exactly
+        for c in (0.0, 1.0):
+            for letters in ((2,), (1, 2), (1, 2, 1)):
+                chain = "(".join(str(a) for a in letters) + ")" * (len(letters) - 1)
+                a = paralog_forest_eval(parse_forest(chain), Z, c)
+                b = paralog_Ua_eval(word(*letters), Z, c)
+                assert (a.value, a.error) == (b.value, b.error), (chain, c)
 
     def test_antichain_factorizes(self):
         a = paralog_forest_eval(parse_forest("1;2"), Z, C).value

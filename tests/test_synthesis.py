@@ -15,15 +15,14 @@ from armould.synthesis import (
     build_theta,
     conjugate_normal_field,
     convergence_report,
-    exp_atom_operators,
     linear_rh_synthesize,
     signed_monomial_mould,
     synthesize,
-    theta_word_assembly,
 )
 from armould.words import word
+from oracles import exp_atom_operators, theta_word_assembly
 
-CFG = SynthesisConfig(c=2.0, nu=6, nz=6, r_max=4, z_samples=(-2.0,))
+CFG = SynthesisConfig(c=2.0, nu=6, r_max=4, z_samples=(-2.0,))
 
 
 class TestInvariantFamily:
@@ -92,7 +91,7 @@ class TestNormalizer:
             assert composed.apply(f).max_abs_diff(f) <= 1e-12
 
     def test_forest_vs_word_assembly(self):
-        cfg3 = SynthesisConfig(c=2.0, nu=6, nz=6, r_max=3, z_samples=(-2.0,))
+        cfg3 = SynthesisConfig(c=2.0, nu=6, r_max=3, z_samples=(-2.0,))
         e = build_theta(self.INV, cfg3)[0]
         w_op = theta_word_assembly(self.INV, cfg3, -2.0)
         assert (e.operator - w_op).max_abs_diff(DiffOperator.zero()) <= 1e-12
@@ -100,7 +99,7 @@ class TestNormalizer:
     def test_exp_atom_route_matches(self):
         # composing the exp atoms reproduces the assembled operator when both
         # are truncated at the same underlying word length
-        cfg2 = SynthesisConfig(c=2.0, nu=4, nz=4, r_max=2, z_samples=(-2.0,))
+        cfg2 = SynthesisConfig(c=2.0, nu=4, r_max=2, z_samples=(-2.0,))
         inv = InvariantFamily({1: 0.25, 2: 0.125}, growth_bound=0.5)
         atoms = exp_atom_operators(inv, cfg2)
         ell = signed_monomial_mould(-2.0, 2.0, cfg2.contour)
@@ -143,8 +142,8 @@ class TestField:
         # oracle: replace the analytic z-derivative with centered differences
         z0, dz = -2.0, 1e-4
         e = build_theta(self.INV, CFG)[0]
-        ep = build_theta(self.INV, SynthesisConfig(c=2.0, nu=6, nz=6, r_max=4, z_samples=(z0 + dz,)))[0]
-        em = build_theta(self.INV, SynthesisConfig(c=2.0, nu=6, nz=6, r_max=4, z_samples=(z0 - dz,)))[0]
+        ep = build_theta(self.INV, SynthesisConfig(c=2.0, nu=6, r_max=4, z_samples=(z0 + dz,)))[0]
+        em = build_theta(self.INV, SynthesisConfig(c=2.0, nu=6, r_max=4, z_samples=(z0 - dz,)))[0]
         fd = (ep.operator - em.operator).scale(1.0 / (2 * dz))
         euler = DiffOperator({1: {1: 1.0 + 0.0j}})
         theta_inv = e.inverse_operator()
@@ -162,7 +161,7 @@ class TestField:
     def test_monotone_tails_in_c(self):
         tails = {}
         for c in (1.0, 2.0, 4.0):
-            e = build_theta(self.INV, SynthesisConfig(c=c, nu=6, nz=6, r_max=3, z_samples=(-2.0,)))[0]
+            e = build_theta(self.INV, SynthesisConfig(c=c, nu=6, r_max=3, z_samples=(-2.0,)))[0]
             tails[c] = e.tail_norms
         for n in tails[1.0]:
             assert tails[1.0][n] >= tails[2.0][n] >= tails[4.0][n]
@@ -194,7 +193,7 @@ class TestConvergenceReport:
         # beyond the small-data regime the word-organized ratios exceed 1 at
         # c = 0 while the paralogarithmic column collapses
         inv = InvariantFamily({1: 4.0}, growth_bound=4.0)
-        cfg = SynthesisConfig(c=4.0, nu=6, nz=6, r_max=4, z_samples=(-0.5,))
+        cfg = SynthesisConfig(c=4.0, nu=6, r_max=4, z_samples=(-0.5,))
         rep = convergence_report(inv, cfg, [4.0, 0.0])
         assert all(v < 1 for v in rep.tail_ratios[4.0].values())
         assert all(v < 1e-6 for v in rep.word_ratios[4.0].values())
