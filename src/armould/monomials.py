@@ -173,12 +173,13 @@ def _pass(
     c: float,
     spec: ContourSpec,
     level: int,
-    z_derivative: bool = False,
-) -> complex:
+) -> tuple[complex, complex]:
     """One trapezoid evaluation of the iterated integral over a preorder node
-    list: a factor 1/(y_child - y_parent) per edge and 1/(y_root - z) per root
-    (squared for the z-derivative).  Nodes are folded leaves first, each one's
-    children multiplied in preorder; a word is the chain (-1, 0, ..., r-2)."""
+    list: a factor 1/(y_child - y_parent) per edge and 1/(y_root - z) per root.
+    Returns that value and, from the same folds with 1/(y_root - z)^2 at the
+    roots, the z-derivative of a one-root integral (a word).  Nodes are folded
+    leaves first, each one's children multiplied in preorder; a word is the
+    chain (-1, 0, ..., r-2)."""
     n = len(decorations)
     tilts = spec.angles(n, level)
     h = spec.min_gap(n, level) / 4.6  # e^{-2 pi gap/h} ~ 3e-13
@@ -202,21 +203,26 @@ def _pass(
         if p >= 0:
             folded[j] = _cauchy_fold(vals, y, rays[p][0])
         else:
-            root = (y - z) ** 2 if z_derivative else (y - z)
-            folded[j] = complex(np.sum(vals / root))
-    total = 1.0 + 0.0j
+            d = y - z
+            folded[j] = (complex(np.sum(vals / d)), complex(np.sum(vals / d**2)))
+    total = dtotal = 1.0 + 0.0j
     for j in sorted(folded):  # only the roots are left, in preorder
-        total *= folded[j]
-    return total
+        total *= folded[j][0]
+        dtotal *= folded[j][1]
+    return total, dtotal
 
 
-def _refined(decorations, parents, z: complex, c: float, spec: ContourSpec, z_derivative: bool = False) -> tuple[complex, float]:
-    """Richardson refinement in the tilt parameter: the finest pass and, as its
-    error, the last refinement delta with a 5e-14 relative floor."""
-    vals = [_pass(decorations, parents, z, c, spec, lvl, z_derivative) for lvl in range(spec.richardson_levels)]
-    value = vals[-1]
-    err = abs(vals[-1] - vals[-2]) if len(vals) >= 2 else abs(value) * 1e-10
-    return value, max(err, abs(value) * 5e-14)
+def _refined(decorations, parents, z: complex, c: float, spec: ContourSpec) -> tuple[tuple[complex, float], tuple[complex, float]]:
+    """Richardson refinement in the tilt parameter of both results of one set
+    of passes, value and z-derivative: each the finest pass and, as its error,
+    the last refinement delta with a 5e-14 relative floor."""
+    passes = [_pass(decorations, parents, z, c, spec, lvl) for lvl in range(spec.richardson_levels)]
+    out = []
+    for vals in zip(*passes):
+        value = vals[-1]
+        err = abs(vals[-1] - vals[-2]) if len(vals) >= 2 else abs(value) * 1e-10
+        out.append((value, max(err, abs(value) * 5e-14)))
+    return out[0], out[1]
 
 
 _UA_CACHE: dict = {}
@@ -230,7 +236,8 @@ def _spec_key(spec: ContourSpec) -> tuple:
 def paralog_Ua_eval(w, z: complex, c: float, spec: ContourSpec | None = None, z_derivative: bool = False) -> MonomialValue:
     """Raw auxiliary paralogarithmic monomial Ua^w(z) (z-derivative on request),
     Richardson-refined in the tilt parameter; the reported error dominates the
-    observed refinement delta.  Values are cached per (word, z, c, contour)."""
+    observed refinement delta.  One set of passes gives both the value and the
+    z-derivative; the pair is cached per (word, z, c, contour)."""
     spec = spec or ContourSpec()
     decs = _decorations(w)
     if c < 0:
@@ -238,14 +245,14 @@ def paralog_Ua_eval(w, z: complex, c: float, spec: ContourSpec | None = None, z_
     z = _check_z(z, decs) if decs else complex(z)
     if len(decs) == 0:
         return MonomialValue(1.0 + 0.0j, 0.0, spec)
-    key = (decs, z, c, _spec_key(spec), z_derivative)
+    key = (decs, z, c, _spec_key(spec))
     hit = _UA_CACHE.get(key)
-    if hit is not None:
-        return MonomialValue(hit[0], hit[1], spec)
-    chain = tuple(range(-1, len(decs) - 1))  # a word is the chain forest
-    value, err = _refined(decs, chain, z, c, spec, z_derivative)
-    if len(_UA_CACHE) < _UA_CACHE_MAX:
-        _UA_CACHE[key] = (value, err)
+    if hit is None:
+        chain = tuple(range(-1, len(decs) - 1))  # a word is the chain forest
+        hit = _refined(decs, chain, z, c, spec)
+        if len(_UA_CACHE) < _UA_CACHE_MAX:
+            _UA_CACHE[key] = hit
+    value, err = hit[1] if z_derivative else hit[0]
     return MonomialValue(value, err, spec)
 
 
@@ -296,7 +303,7 @@ def paralog_forest_eval(
         return MonomialValue(1.0 + 0.0j, 0.0, spec)
     decs, parents = _preorder(f)
     z = _check_z(z, decs)
-    value, err = _refined(decs, parents, z, c, spec)
+    (value, err), _ = _refined(decs, parents, z, c, spec)
     out = MonomialValue(value, err, spec, meta={"nodes": nodes})
     if cross_check:
         ref = 0.0 + 0.0j

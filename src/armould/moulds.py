@@ -8,7 +8,6 @@ moulds refuse queries beyond their cap instead of inventing zeros.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -20,6 +19,8 @@ from .words import (
     Forest,
     Letter,
     Word,
+    _fiber_step,
+    _forests,
     contracting_covers,
     contracting_shuffle,
     forests_of_norm,
@@ -575,100 +576,44 @@ def organic_growth_report(max_nodes: int = 6, decorations: Sequence[int] = (1, 2
 
     redom^{(w_1..w_s)} = (-1)^s (w_1 + w_s) / (2 ||w||) depends only on the
     first letter, the last letter, the length and the (fixed) norm, so the
-    cover sum is accumulated directly over fiber chains without
-    materialising cover words; everything runs on plain integers/floats.
+    cover sum folds over the fiber step of the cover recursion without
+    materialising cover words.  A memo per residual forest keeps two exact
+    integers over its fiber chains, sum w (-1)^len and sum w (-1)^len last;
+    only the final quotient is a float.
     """
     if counting not in ("merges", "surjections"):
         raise ValueError(f"unknown counting {counting!r}")
     decs = tuple(sorted(set(int(d) for d in decorations)))
-    fact = [1]
-    for k in range(1, max_nodes + 1):
-        fact.append(fact[-1] * k)
+    tails: dict = {}
 
-    # canonical tree = (decoration, sorted tuple of child trees)
-    trees_by_nodes: dict[int, list] = {1: [(d, ()) for d in decs]}
-    forests_cache: dict[int, list] = {}
+    def fibers(f: Forest):
+        # (weight, fiber sum, chain sums of what is left); when nothing is
+        # left, its one empty chain counts 1 and its last fiber is this one
+        for (dec, rest), w in _fiber_step(f, counting).items():
+            s = int(dec.value.re)
+            yield w, s, tail(rest) if rest.trees else (1, s)
 
-    def forests_exact(n: int, max_tree: tuple | None = None) -> list:
-        # multisets of trees with total nodes n, each tree <= max_tree (for
-        # canonical non-decreasing assembly); returns tuples sorted ascending
-        out = []
-        for k in range(1, n + 1):
-            for t in trees_by_nodes.get(k, []):
-                if max_tree is not None and t > max_tree:
-                    continue
-                if k == n:
-                    out.append((t,))
-                else:
-                    for rest in forests_exact(n - k, t):
-                        out.append(rest + (t,))
-        return out
+    def tail(f: Forest) -> tuple[int, int]:
+        # (sum w (-1)^len, sum w (-1)^len last) over the fiber chains of f
+        hit = tails.get(f)
+        if hit is None:
+            signed = last = 0
+            for w, _, (rest_signed, rest_last) in fibers(f):
+                signed -= w * rest_signed
+                last -= w * rest_last
+            hit = tails[f] = (signed, last)
+        return hit
 
-    for n in range(2, max_nodes + 1):
-        acc = []
-        for d in decs:
-            for sub in forests_exact(n - 1):
-                acc.append((d, sub))
-        trees_by_nodes[n] = acc
-    for n in range(1, max_nodes + 1):
-        forests_cache[n] = forests_exact(n)
-
-    def cover_value(forest) -> float:
-        # accumulate sum over strict-order-preserving fiber chains of
-        # weight * (-1)^len (first + last) / (2 norm)
-        kids: list[list[int]] = []
-        labels: list[int] = []
-
-        def load(tree, parent):
-            idx = len(labels)
-            labels.append(tree[0])
-            kids.append([])
-            if parent is not None:
-                kids[parent].append(idx)
-            for c in tree[1]:
-                load(c, idx)
-            return idx
-
-        roots = []
-        for t in forest:
-            roots.append(load(t, None))
-        total_norm = sum(labels)
-        n_nodes = len(labels)
-        acc = 0.0 + 0.0j
-
-        def rec(avail: tuple, first_letter, length: int, weight: float, prev_sum: int):
-            nonlocal acc
-            avail_list = sorted(avail)
-            m = len(avail_list)
-            for size in range(1, m + 1):
-                for combo in itertools.combinations(avail_list, size):
-                    s = sum(labels[i] for i in combo)
-                    w = weight * (fact[size] if counting == "merges" else 1)
-                    nxt = set(avail)
-                    for i in combo:
-                        nxt.discard(i)
-                        nxt.update(kids[i])
-                    first = first_letter if first_letter is not None else s
-                    if not nxt:
-                        sign = -1.0 if (length + 1) % 2 else 1.0
-                        acc += w * sign * (first + s) / (2.0 * total_norm)
-                    else:
-                        rec(tuple(nxt), first, length + 1, w, s)
-
-        rec(tuple(roots), None, 0, 1.0, 0)
-        return abs(acc)
-
-    sup_by_nodes: dict = {}
-    counts: dict = {}
-    for r in range(1, max_nodes + 1):
-        sup = 0.0
-        forests_r = forests_cache[r]
-        counts[r] = len(forests_r)
-        for f in forests_r:
-            v = cover_value(f)
-            if v > 0:
-                sup = max(sup, v ** (1.0 / r))
-        sup_by_nodes[r] = sup
+    sup_by_nodes = {r: 0.0 for r in range(1, max_nodes + 1)}
+    counts = {r: 0 for r in range(1, max_nodes + 1)}
+    for norm, f in _forests(decs, max_nodes * max(decs), max_nodes):
+        r = f.node_count
+        counts[r] += 1
+        # sum w (-1)^len (first + last) over the fiber chains of f
+        total = -sum(w * (s * rest_signed + rest_last) for w, s, (rest_signed, rest_last) in fibers(f))
+        v = abs(total / (2 * norm))
+        if v > 0:
+            sup_by_nodes[r] = max(sup_by_nodes[r], v ** (1.0 / r))
     return OrganicGrowthReport(
         max_nodes=max_nodes, decorations=decs, counting=counting, sup_by_nodes=sup_by_nodes, forest_counts=counts
     )

@@ -353,30 +353,44 @@ def _parse_tree(text: str) -> Tree:
 # ---------------------------------------------------------------------------
 
 
-class _Node:
-    """Mutable node identity used while enumerating extensions/covers."""
+def _fiber_step(f: Forest, counting: str) -> Counter:
+    """One step of the cover recursion on a canonical forest.
 
-    __slots__ = ("decoration", "parent", "pending")
+    Every nonempty set of roots is a fiber; roots are pairwise incomparable,
+    so every fiber is an antichain.  Returns (fiber decoration sum, canonical
+    forest left after removing the fiber) -> summed weight, where a fiber of
+    size k weighs k! for 'merges' and 1 for 'surjections'; 'extensions'
+    takes singleton fibers only, weight 1.  Equal roots are distinct fibers.
+    """
+    roots = f.trees
+    out: Counter = Counter()
+    max_size = 1 if counting == "extensions" else len(roots)
+    for size in range(1, max_size + 1):
+        weight = _factorial(size) if counting == "merges" else 1
+        for combo in itertools.combinations(range(len(roots)), size):
+            dec = roots[combo[0]].root
+            for i in combo[1:]:
+                dec = dec + roots[i].root
+            rest = [t for i, t in enumerate(roots) if i not in combo]
+            for i in combo:
+                rest.extend(roots[i].children.trees)
+            out[dec, Forest(tuple(rest))] += weight
+    return out
 
-    def __init__(self, decoration: Letter):
-        self.decoration = decoration
-        self.parent = None
-        self.pending = 0  # number of unplaced predecessors
 
-
-def _flatten(f: Forest) -> list[_Node]:
-    nodes: list[_Node] = []
-
-    def walk(t: Tree, parent):
-        node = _Node(t.root)
-        node.parent = parent
-        nodes.append(node)
-        for c in t.children.trees:
-            walk(c, node)
-
-    for t in f.trees:
-        walk(t, None)
-    return nodes
+@lru_cache(maxsize=1 << 14)
+def _covers(f: Forest, counting: str) -> Counter:
+    """covers(F) = sum over fibers of weight * [(fiber sum) followed by each
+    word of covers(rest)], as letter tuples, memoised on the canonical forest.
+    Forests share residual forests, so the memo spans calls; it is bounded,
+    and its Counters are read, never mutated."""
+    if not f.trees:
+        return Counter({(): 1})
+    out: Counter = Counter()
+    for (dec, rest), weight in _fiber_step(f, counting).items():
+        for tail, mult in _covers(rest, counting).items():
+            out[(dec,) + tail] += weight * mult
+    return out
 
 
 def linear_extensions(f: Forest) -> Counter:
@@ -385,24 +399,7 @@ def linear_extensions(f: Forest) -> Counter:
 
     An antichain of r distinct decorations yields r! words.
     """
-    nodes = _flatten(f)
-    children: dict[int, list[int]] = {i: [] for i in range(len(nodes))}
-    for i, nd in enumerate(nodes):
-        if nd.parent is not None:
-            children[nodes.index(nd.parent)].append(i)
-    out: Counter = Counter()
-    available = [i for i, nd in enumerate(nodes) if nd.parent is None]
-
-    def rec(available: list[int], placed: tuple[Letter, ...]):
-        if not available:
-            out[Word(placed)] += 1
-            return
-        for idx, i in enumerate(available):
-            nxt = available[:idx] + available[idx + 1 :] + children[i]
-            rec(nxt, placed + (nodes[i].decoration,))
-
-    rec(available, ())
-    return out
+    return Counter({Word(w): m for w, m in _covers(f, "extensions").items()})
 
 
 def contracting_covers(f: Forest, counting: str = "merges") -> Counter:
@@ -422,36 +419,7 @@ def contracting_covers(f: Forest, counting: str = "merges") -> Counter:
     """
     if counting not in ("merges", "surjections"):
         raise ValueError(f"unknown counting {counting!r}")
-    nodes = _flatten(f)
-    index_of = {id(nd): i for i, nd in enumerate(nodes)}
-    children: dict[int, list[int]] = {i: [] for i in range(len(nodes))}
-    for i, nd in enumerate(nodes):
-        if nd.parent is not None:
-            children[index_of[id(nd.parent)]].append(i)
-    out: Counter = Counter()
-    roots = frozenset(i for i, nd in enumerate(nodes) if nd.parent is None)
-
-    def rec(avail: frozenset, placed: tuple[Letter, ...], weight: int):
-        if not avail:
-            out[Word(placed)] += weight
-            return
-        # each fiber is a nonempty subset of the currently minimal nodes;
-        # minimal nodes are pairwise incomparable, so fibers are antichains
-        avail_list = sorted(avail)
-        for size in range(1, len(avail_list) + 1):
-            for combo in itertools.combinations(avail_list, size):
-                dec = nodes[combo[0]].decoration
-                for i in combo[1:]:
-                    dec = dec + nodes[i].decoration
-                nxt = set(avail)
-                for i in combo:
-                    nxt.discard(i)
-                    nxt.update(children[i])
-                w = weight * (_factorial(size) if counting == "merges" else 1)
-                rec(frozenset(nxt), placed + (dec,), w)
-
-    rec(roots, (), 1)
-    return out
+    return Counter({Word(w): m for w, m in _covers(f, counting).items()})
 
 
 def forests_of_norm(letters: Sequence[Letter], max_norm: int, max_nodes: int | None = None) -> list[Forest]:
@@ -463,64 +431,40 @@ def forests_of_norm(letters: Sequence[Letter], max_norm: int, max_nodes: int | N
     values = sorted({a.value.re for a in letters})
     if any(v < 1 or v.denominator != 1 for v in values):
         raise ValueError("forest enumeration needs positive integer decorations")
-    trees_by_norm: dict[int, list[Tree]] = {}
-
-    def trees_up_to(n: int) -> list[Tree]:
-        out = []
-        for m in range(1, n + 1):
-            out.extend(trees_by_norm.get(m, []))
-        return out
-
-    for n in range(1, max_norm + 1):
-        acc: list[Tree] = []
-        for v in values:
-            v = int(v)
-            if v > n:
-                continue
-            rest = n - v
-            for sub in _forests_with_norm(trees_up_to(rest), rest, trees_by_norm):
-                t = Tree(letter(v), sub)
-                if max_nodes is None or t.node_count <= max_nodes:
-                    acc.append(t)
-        trees_by_norm[n] = _dedup(acc)
-    all_trees = trees_up_to(max_norm)
-    out: list[Forest] = []
-    for f in _forests_with_norm(all_trees, max_norm, trees_by_norm, include_all_below=True):
-        if f.trees and (max_nodes is None or f.node_count <= max_nodes):
-            out.append(f)
-    out = _dedup(out)
-    out.sort(key=lambda f: (int(f.norm.re), f.node_count, f.sort_key()))
-    return out
+    # every decoration is >= 1, so the norm caps the node count
+    stream = _forests([int(v) for v in values], max_norm, max_norm if max_nodes is None else max_nodes)
+    return [f for _, f in sorted(((n, f.node_count, f.sort_key()), f) for n, f in stream)]
 
 
-def _forests_with_norm(trees_pool, norm_budget, trees_by_norm, include_all_below=False):
-    """Multisets of trees with total norm == budget (or <= budget)."""
-    pool = sorted(_dedup(list(trees_pool)), key=lambda t: t.sort_key())
-    results: list[Forest] = []
+def _forests(values: Sequence[int], max_norm: int, max_nodes: int) -> Iterator[tuple[int, Forest]]:
+    """Nonempty canonical forests decorated by ``values`` (positive integers)
+    with norm <= max_norm and at most max_nodes nodes, as (norm, forest), in
+    increasing node count.  Only the tree pool is kept; the forests of each
+    node count are rebuilt from it."""
+    roots = [letter(v) for v in values]
+    pool: list[tuple[int, int, Tree]] = []  # (nodes, norm, tree), by node count
 
-    def rec(start: int, budget: int, acc: tuple):
-        if include_all_below or budget == 0:
-            results.append(Forest(acc))
-        if budget <= 0:
+    def multisets(nodes: int, budget: int, start: int) -> Iterator[tuple[int, tuple]]:
+        # multisets of pool trees from index `start` on, with `nodes` nodes in
+        # all and norm <= budget; non-decreasing indices make each one unique
+        if nodes == 0:
+            yield 0, ()
             return
         for i in range(start, len(pool)):
-            t = pool[i]
-            n = int(t.norm.re)
+            k, n, t = pool[i]
+            if k > nodes:
+                break
             if n <= budget:
-                rec(i, budget - n, acc + (t,))
+                for rest_norm, rest in multisets(nodes - k, budget - n, i):
+                    yield n + rest_norm, (t,) + rest
 
-    rec(0, norm_budget, ())
-    if not include_all_below:
-        results = [f for f in results if int(f.norm.re) == norm_budget]
-    return _dedup(results)
-
-
-def _dedup(items):
-    seen = set()
-    out = []
-    for x in items:
-        k = x.sort_key() if hasattr(x, "sort_key") else x
-        if k not in seen:
-            seen.add(k)
-            out.append(x)
-    return out
+    for nodes in range(1, max_nodes + 1):
+        grown = []
+        for v, root in zip(values, roots):
+            if v > max_norm:
+                continue
+            for n, kids in multisets(nodes - 1, max_norm - v, 0):
+                grown.append((nodes, v + n, Tree(root, Forest(kids))))
+        pool.extend(grown)
+        for n, trees in multisets(nodes, max_norm, 0):
+            yield n, Forest(trees)

@@ -1,10 +1,15 @@
-"""Test oracles: slower, independently grouped constructions of the
-normalizer that the library's forest assembly is checked against."""
+"""Test oracles: slower, independently built constructions that the library
+is checked against.  The normalizer's word assembly checks its forest
+assembly; the index-walk enumerators check the memoised fiber recursion and
+the streamed forest generator of :mod:`armould.words`."""
+
+import itertools
+from collections import Counter
 
 from armould.moulds import builtin_mould, mould_compose, words_of_norm_at_most
 from armould.operators import DiffOperator, op_compose_word
 from armould.synthesis import InvariantFamily, SynthesisConfig, signed_monomial_mould
-from armould.words import letter
+from armould.words import Forest, Letter, Tree, Word, letter
 
 
 def theta_word_assembly(inv: InvariantFamily, cfg: SynthesisConfig, z: complex) -> DiffOperator:
@@ -39,3 +44,167 @@ def exp_atom_operators(inv: InvariantFamily, cfg: SynthesisConfig) -> dict[int, 
         if not acc.is_zero():
             atoms[n] = acc
     return atoms
+
+
+# ---------------------------------------------------------------------------
+# enumerators: mutable node walks over one forest at a time
+# ---------------------------------------------------------------------------
+
+
+class _Node:
+    """Mutable node identity used while enumerating extensions/covers."""
+
+    __slots__ = ("decoration", "parent")
+
+    def __init__(self, decoration: Letter):
+        self.decoration = decoration
+        self.parent = None
+
+
+def _flatten(f: Forest) -> list[_Node]:
+    nodes: list[_Node] = []
+
+    def walk(t: Tree, parent):
+        node = _Node(t.root)
+        node.parent = parent
+        nodes.append(node)
+        for c in t.children.trees:
+            walk(c, node)
+
+    for t in f.trees:
+        walk(t, None)
+    return nodes
+
+
+def linear_extensions(f: Forest) -> Counter:
+    """Oracle for :func:`armould.words.linear_extensions`: a depth-first walk
+    over the list of available nodes."""
+    nodes = _flatten(f)
+    children: dict[int, list[int]] = {i: [] for i in range(len(nodes))}
+    for i, nd in enumerate(nodes):
+        if nd.parent is not None:
+            children[nodes.index(nd.parent)].append(i)
+    out: Counter = Counter()
+    available = [i for i, nd in enumerate(nodes) if nd.parent is None]
+
+    def rec(available: list[int], placed: tuple[Letter, ...]):
+        if not available:
+            out[Word(placed)] += 1
+            return
+        for idx, i in enumerate(available):
+            nxt = available[:idx] + available[idx + 1 :] + children[i]
+            rec(nxt, placed + (nodes[i].decoration,))
+
+    rec(available, ())
+    return out
+
+
+def contracting_covers(f: Forest, counting: str = "merges") -> Counter:
+    """Oracle for :func:`armould.words.contracting_covers`: every antichain of
+    minimal nodes as the next fiber, on node indices of this forest only."""
+    if counting not in ("merges", "surjections"):
+        raise ValueError(f"unknown counting {counting!r}")
+    nodes = _flatten(f)
+    index_of = {id(nd): i for i, nd in enumerate(nodes)}
+    children: dict[int, list[int]] = {i: [] for i in range(len(nodes))}
+    for i, nd in enumerate(nodes):
+        if nd.parent is not None:
+            children[index_of[id(nd.parent)]].append(i)
+    out: Counter = Counter()
+    roots = frozenset(i for i, nd in enumerate(nodes) if nd.parent is None)
+
+    def rec(avail: frozenset, placed: tuple[Letter, ...], weight: int):
+        if not avail:
+            out[Word(placed)] += weight
+            return
+        avail_list = sorted(avail)
+        for size in range(1, len(avail_list) + 1):
+            for combo in itertools.combinations(avail_list, size):
+                dec = nodes[combo[0]].decoration
+                for i in combo[1:]:
+                    dec = dec + nodes[i].decoration
+                nxt = set(avail)
+                for i in combo:
+                    nxt.discard(i)
+                    nxt.update(children[i])
+                w = weight * (_factorial(size) if counting == "merges" else 1)
+                rec(frozenset(nxt), placed + (dec,), w)
+
+    rec(roots, (), 1)
+    return out
+
+
+def _factorial(n: int) -> int:
+    out = 1
+    for k in range(2, n + 1):
+        out *= k
+    return out
+
+
+def forests_of_norm(letters, max_norm: int, max_nodes: int | None = None) -> list[Forest]:
+    """Oracle for :func:`armould.words.forests_of_norm`: trees built by norm,
+    every candidate list materialised and deduplicated, then sorted by
+    (norm, node count, sort key)."""
+    values = sorted({a.value.re for a in letters})
+    if any(v < 1 or v.denominator != 1 for v in values):
+        raise ValueError("forest enumeration needs positive integer decorations")
+    trees_by_norm: dict[int, list[Tree]] = {}
+
+    def trees_up_to(n: int) -> list[Tree]:
+        out = []
+        for m in range(1, n + 1):
+            out.extend(trees_by_norm.get(m, []))
+        return out
+
+    for n in range(1, max_norm + 1):
+        acc: list[Tree] = []
+        for v in values:
+            v = int(v)
+            if v > n:
+                continue
+            rest = n - v
+            for sub in _forests_with_norm(trees_up_to(rest), rest):
+                t = Tree(letter(v), sub)
+                if max_nodes is None or t.node_count <= max_nodes:
+                    acc.append(t)
+        trees_by_norm[n] = _dedup(acc)
+    out: list[Forest] = []
+    for f in _forests_with_norm(trees_up_to(max_norm), max_norm, include_all_below=True):
+        if f.trees and (max_nodes is None or f.node_count <= max_nodes):
+            out.append(f)
+    out = _dedup(out)
+    out.sort(key=lambda f: (int(f.norm.re), f.node_count, f.sort_key()))
+    return out
+
+
+def _forests_with_norm(trees_pool, norm_budget, include_all_below=False):
+    """Multisets of trees with total norm == budget (or <= budget)."""
+    pool = sorted(_dedup(list(trees_pool)), key=lambda t: t.sort_key())
+    results: list[Forest] = []
+
+    def rec(start: int, budget: int, acc: tuple):
+        if include_all_below or budget == 0:
+            results.append(Forest(acc))
+        if budget <= 0:
+            return
+        for i in range(start, len(pool)):
+            t = pool[i]
+            n = int(t.norm.re)
+            if n <= budget:
+                rec(i, budget - n, acc + (t,))
+
+    rec(0, norm_budget, ())
+    if not include_all_below:
+        results = [f for f in results if int(f.norm.re) == norm_budget]
+    return _dedup(results)
+
+
+def _dedup(items):
+    seen = set()
+    out = []
+    for x in items:
+        k = x.sort_key()
+        if k not in seen:
+            seen.add(k)
+            out.append(x)
+    return out

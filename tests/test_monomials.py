@@ -114,6 +114,27 @@ class TestParalogUa:
         with pytest.raises(ContourError):
             paralog_Ua_eval(word(1), 2.0, C)
 
+    def test_derivative_shares_the_value_passes(self, monkeypatch):
+        import armould.monomials as mono
+
+        calls = []
+        one_pass = mono._pass
+
+        def counted(*args):
+            calls.append(args)
+            return one_pass(*args)
+
+        monkeypatch.setattr(mono, "_pass", counted)
+        monkeypatch.setattr(mono, "_UA_CACHE", {})
+        w = word(1, 2)
+        paralog_Ua_eval(w, Z, C)
+        value_passes = len(calls)
+        d = paralog_Ua_eval(w, Z, C, z_derivative=True)
+        assert value_passes > 0 and len(calls) == value_passes
+        monkeypatch.setattr(mono, "_UA_CACHE", {})
+        fresh = paralog_Ua_eval(w, Z, C, z_derivative=True)
+        assert (d.value, d.error) == (fresh.value, fresh.error)
+
     def test_hyperlog_limit_c0(self):
         mv = paralog_Ua_eval(word(1), Z, 0.0)
         ref, _ = de_halfline(lambda y: np.exp(-y) / (y + 2.0), scale=1.0)

@@ -16,6 +16,7 @@ from armould.moulds import (
     mould_inverse_comp,
     mould_inverse_mul,
     mould_mul,
+    organic_growth_report,
     symmetral_from_letter_weights,
     symmetrel_geometric,
     transition_apply,
@@ -273,6 +274,23 @@ class TestArborify:
         m = Mould(lambda w: Fraction(1))
         rep = check_separative(arborify(m, "simple"), AB, 2)
         assert not rep.passed
+
+
+class TestOrganicGrowth:
+    @pytest.mark.parametrize(
+        "counting, sups",
+        [
+            ("merges", [1.0, 1.0, 1.2599210498948732, 1.5650845800732875, 1.8881750225898049]),
+            ("surjections", [1.0, 0.7071067811865476, 0.7539474411291538, 0.7825422900366437, 0.8027415617602307]),
+        ],
+        ids=["merges", "surjections"],
+    )
+    def test_five_nodes_pinned(self, counting, sups):
+        rep = organic_growth_report(5, (1, 2, 3), counting)
+        assert rep.forest_counts == {1: 3, 2: 15, 3: 82, 4: 495, 5: 3144}
+        assert list(rep.sup_by_nodes) == [1, 2, 3, 4, 5]
+        for r, want in enumerate(sups, start=1):
+            assert abs(rep.sup_by_nodes[r] - want) <= 1e-12
 
 
 class TestTransition:

@@ -5,15 +5,20 @@ import math
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from armould.values import parse_exact
 from armould.words import (
     EMPTY_WORD,
     Forest,
+    Tree,
     canonicalize,
     contracting_covers,
     contracting_shuffle,
     forest,
+    forests_of_norm,
     letter,
     linear_extensions,
     parse_forest,
@@ -163,8 +168,6 @@ class TestLinearExtensions:
     def test_all_forests_up_to_five_nodes(self):
         # exhaustive over decorations {1,2}: every extension has length equal
         # to the node count and carries exactly the decoration multiset
-        from armould.words import forests_of_norm
-
         for f in forests_of_norm([letter(1), letter(2)], 5, max_nodes=5):
             decs = f.decorations()
             covers = contracting_covers(f)
@@ -221,3 +224,39 @@ class TestAutomorphisms:
         }
         for text, expected in cases.items():
             assert parse_forest(text).automorphism_count() == expected, text
+
+
+DECORATIONS = [letter(x) for x in ("1", "2", "3", "1/2+i")]
+
+
+@st.composite
+def random_forests(draw):
+    """Forests from a random parent list: node j is a root or the child of an
+    earlier node."""
+    n = draw(st.integers(1, 6))
+    parents = [draw(st.integers(-1, j - 1)) for j in range(n)]
+    decs = [draw(st.sampled_from(DECORATIONS)) for _ in range(n)]
+
+    def build(j):
+        return Tree(decs[j], Forest(tuple(build(k) for k in range(n) if parents[k] == j)))
+
+    return Forest(tuple(build(j) for j in range(n) if parents[j] == -1))
+
+
+class TestAgainstOracles:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(random_forests())
+    def test_extensions_and_covers_match_oracle(self, f):
+        assert linear_extensions(f) == oracles.linear_extensions(f)
+        for counting in ("merges", "surjections"):
+            assert contracting_covers(f, counting=counting) == oracles.contracting_covers(f, counting=counting)
+
+    # the cap shapes the library's callers use
+    @pytest.mark.parametrize(
+        "values, caps",
+        [([1, 2, 3], (5,)), ([1, 2, 3, 4, 5], (5,)), ([1, 2], (6, 4)), ([1, 2], (4, 2)), ([1], (4, 4))],
+        ids=["123-norm5", "12345-norm5", "12-norm6-nodes4", "12-norm4-nodes2", "1-norm4-nodes4"],
+    )
+    def test_forests_of_norm_matches_oracle(self, values, caps):
+        letters = [letter(v) for v in values]
+        assert forests_of_norm(letters, *caps) == oracles.forests_of_norm(letters, *caps)
