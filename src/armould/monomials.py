@@ -112,13 +112,15 @@ def _check_z(z: complex, decorations: Sequence[complex]):
     return z
 
 
-def _ray(scale: float, base_angle: float, tilt: float, t_lo: float, t_hi: float, n: int):
-    t = np.linspace(t_lo, t_hi, n)
+def _ray(scale: float, base_angle: float, tilt: float, t_lo: float, h: float, n: int):
+    """Fixed-step log-uniform ray y_k = scale e^{t_lo + h k + i(base_angle - tilt)},
+    k = 0..n-1, with its trapezoid weights and the complex log of y_0."""
+    t = t_lo + h * np.arange(n)
     y = scale * np.exp(t + 1j * (base_angle - tilt))
-    wgt = y * (t[1] - t[0])
+    wgt = y * h
     wgt[0] *= 0.5
     wgt[-1] *= 0.5
-    return y, wgt
+    return y, wgt, complex(math.log(scale) + t_lo, base_angle - tilt)
 
 
 def _t_window(c: float, om_abs: float, cos_t: float) -> tuple[float, float]:
@@ -136,16 +138,32 @@ def _kernel_values(om: complex, c: float, y: np.ndarray) -> np.ndarray:
     return np.exp(-om * y - (c * c) * np.conjugate(om) / y)
 
 
-_CHUNK = 512
+def _cauchy_fold(
+    values: np.ndarray, y_from: np.ndarray, log_from: complex, y_to: np.ndarray, log_to: complex, h: float
+) -> np.ndarray:
+    """out[i] = sum_k values[k] / (y_from[k] - y_to[i]) between two log-uniform
+    rays of common step h whose first nodes have logs log_from and log_to.
 
-
-def _cauchy_fold(values: np.ndarray, y_from: np.ndarray, y_to: np.ndarray) -> np.ndarray:
-    """out[i] = sum_k values[k] / (y_from[k] - y_to[i]), chunked."""
-    out = np.empty(len(y_to), dtype=complex)
-    for lo in range(0, len(y_to), _CHUNK):
-        hi = min(lo + _CHUNK, len(y_to))
-        out[lo:hi] = (values[None, :] / (y_from[None, :] - y_to[lo:hi, None])).sum(axis=1)
-    return out
+    With u = values / y_from and x_m = y_to[i] / y_from[k] = e^{log_to - log_from + h m}
+    at lag m = i - k, out[i] = sum_k u_k / (1 - x_{i-k}): a Toeplitz mat-vec.
+    Its kernel splits as [|x| < 1] + r with r = x / (1 - x) inside the unit
+    circle and 1 / (1 - x) outside; |x| grows with m, so the step part is a
+    suffix sum of u, and r, which decays at both ends, goes through one FFT
+    convolution of power-of-two length >= N + M - 1."""
+    n, m = len(y_from), len(y_to)
+    u = values / y_from
+    lags = np.arange(-(n - 1), m)
+    shift = log_to - log_from
+    inside = shift.real + h * lags < 0  # |x| < 1: a prefix of the lags
+    x = np.exp(shift + h * lags)
+    r = np.where(inside, x, 1.0) / (1.0 - x)
+    # lag index i - k + n - 1 is inside below p, i.e. for k >= i + n - p
+    p = np.count_nonzero(inside)
+    suffix = np.append(np.cumsum(u[::-1])[::-1], 0.0)
+    step = suffix[np.clip(np.arange(m) + n - p, 0, n)]
+    size = 1 << (n + m - 2).bit_length()
+    conv = np.fft.ifft(np.fft.fft(u, size) * np.fft.fft(r, size))[n - 1 : n - 1 + m]
+    return step + conv
 
 
 def _preorder(f: Forest) -> tuple[tuple, tuple]:
@@ -179,7 +197,8 @@ def _pass(
     Returns that value and, from the same folds with 1/(y_root - z)^2 at the
     roots, the z-derivative of a one-root integral (a word).  Nodes are folded
     leaves first, each one's children multiplied in preorder; a word is the
-    chain (-1, 0, ..., r-2)."""
+    chain (-1, 0, ..., r-2).  Every ray has the same step h, so each edge is
+    one Toeplitz fold."""
     n = len(decorations)
     tilts = spec.angles(n, level)
     h = spec.min_gap(n, level) / 4.6  # e^{-2 pi gap/h} ~ 3e-13
@@ -188,20 +207,21 @@ def _pass(
     for om, tilt in zip(decorations, tilts):
         t_lo, t_hi = _t_window(c, abs(om), math.cos(tilt))
         npts = max(int(math.ceil((t_hi - t_lo) / h)) + 1, 33)
-        rays.append(_ray(scale, -cmath.phase(om), tilt, t_lo, t_hi, npts))
+        rays.append(_ray(scale, -cmath.phase(om), tilt, t_lo, h, npts))
     children: list[list[int]] = [[] for _ in range(n)]
     for j, p in enumerate(parents):
         if p >= 0:
             children[p].append(j)
     folded: dict = {}
     for j in range(n - 1, -1, -1):
-        y, wgt = rays[j]
+        y, wgt, log0 = rays[j]
         vals = _kernel_values(decorations[j], c, y) * wgt
         for ch in children[j]:
             vals = vals * folded.pop(ch)
         p = parents[j]
         if p >= 0:
-            folded[j] = _cauchy_fold(vals, y, rays[p][0])
+            y_to, _, log_to = rays[p]
+            folded[j] = _cauchy_fold(vals, y, log0, y_to, log_to, h)
         else:
             d = y - z
             folded[j] = (complex(np.sum(vals / d)), complex(np.sum(vals / d**2)))

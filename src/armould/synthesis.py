@@ -88,6 +88,12 @@ class SynthesisConfig:
     def __post_init__(self):
         if self.c < 0:
             raise SynthesisError("c must be >= 0")
+        if self.nu < 1 or self.r_max < 1:
+            raise SynthesisError(f"caps nu = {self.nu} and r_max = {self.r_max} must both be >= 1")
+        if self.r_max > len(self.contour.multipliers):
+            raise SynthesisError(
+                f"r_max = {self.r_max} exceeds the {len(self.contour.multipliers)} integration slots of the contour"
+            )
         zs = tuple(complex(z) for z in self.z_samples)
         for z in zs:
             if z.real >= 0 and abs(z.imag) < 1e-12:

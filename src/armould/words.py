@@ -428,9 +428,9 @@ def forests_of_norm(letters: Sequence[Letter], max_norm: int, max_nodes: int | N
 
     Deterministic enumeration order: by (norm, node count, sort key).
     """
-    values = sorted({a.value.re for a in letters})
-    if any(v < 1 or v.denominator != 1 for v in values):
+    if any(a.value.im != 0 or a.value.re < 1 or a.value.re.denominator != 1 for a in letters):
         raise ValueError("forest enumeration needs positive integer decorations")
+    values = sorted({a.value.re for a in letters})
     # every decoration is >= 1, so the norm caps the node count
     stream = _forests([int(v) for v in values], max_norm, max_norm if max_nodes is None else max_nodes)
     return [f for _, f in sorted(((n, f.node_count, f.sort_key()), f) for n, f in stream)]

@@ -1,10 +1,13 @@
 """Test oracles: slower, independently built constructions that the library
 is checked against.  The normalizer's word assembly checks its forest
 assembly; the index-walk enumerators check the memoised fiber recursion and
-the streamed forest generator of :mod:`armould.words`."""
+the streamed forest generator of :mod:`armould.words`; the dense Cauchy fold
+checks the FFT-Toeplitz fold of :mod:`armould.monomials`."""
 
 import itertools
 from collections import Counter
+
+import numpy as np
 
 from armould.moulds import builtin_mould, mould_compose, words_of_norm_at_most
 from armould.operators import DiffOperator, op_compose_word
@@ -44,6 +47,16 @@ def exp_atom_operators(inv: InvariantFamily, cfg: SynthesisConfig) -> dict[int, 
         if not acc.is_zero():
             atoms[n] = acc
     return atoms
+
+
+def cauchy_fold_dense(values: np.ndarray, y_from: np.ndarray, y_to: np.ndarray) -> np.ndarray:
+    """Oracle for :func:`armould.monomials._cauchy_fold`: the direct N x M sum
+    out[i] = sum_k values[k] / (y_from[k] - y_to[i]), 512 target rows at a time."""
+    out = np.empty(len(y_to), dtype=complex)
+    for lo in range(0, len(y_to), 512):
+        hi = min(lo + 512, len(y_to))
+        out[lo:hi] = (values[None, :] / (y_from[None, :] - y_to[lo:hi, None])).sum(axis=1)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -133,6 +133,21 @@ class TestSynthesizeCommand:
         _, out2 = run(capsys, "synthesize", "--invariants", str(inv), "--c", "2", "--caps", "4,4,2")
         assert out1 == out2
 
+    @pytest.mark.parametrize("caps", ["0,4,2", "4,4,-1", "8,4,7"])
+    def test_degenerate_caps_fail_before_quadrature(self, tmp_path, capsys, monkeypatch, caps):
+        import armould.monomials as mono
+
+        def no_quadrature(*args):
+            raise AssertionError("a quadrature pass ran")
+
+        monkeypatch.setattr(mono, "_pass", no_quadrature)
+        inv = tmp_path / "inv.json"
+        inv.write_text('{"A": {"1": "1/4"}, "H": 1.0}')
+        rc = main(["synthesize", "--invariants", str(inv), "--c", "0", "--caps", caps])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert "error" in json.loads(captured.err)
+
 
 class TestLinearRHCommand:
     def test_small_data(self, capsys):

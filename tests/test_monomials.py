@@ -1,11 +1,16 @@
 """Hyperlogarithmic and paralogarithmic monomial evaluations."""
 
 import cmath
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from oracles import cauchy_fold_dense
+import armould.monomials as mono
 from armould.monomials import (
     CONTRACTION_UNIT,
     ContourError,
@@ -23,7 +28,7 @@ from armould.monomials import (
 )
 from armould.moulds import check_symmetry
 from armould.quadrature import de_halfline
-from armould.words import EMPTY_WORD, letter, parse_forest, word
+from armould.words import EMPTY_WORD, forests_of_norm, letter, parse_forest, word
 
 Z = -2.0
 C = 1.0
@@ -191,6 +196,60 @@ class TestForest:
         f = parse_forest("1;1;1;1;1;1;1")
         with pytest.raises(ContourError):
             paralog_forest_eval(f, Z, C, ContourSpec(multipliers=(1, 2, 3, 4)))
+
+
+@st.composite
+def ray_pairs(draw):
+    """Two log-uniform rays of one step h, built as a pass builds them, with
+    unequal lengths, independent windows and directions at least 0.005 apart."""
+    h = draw(st.floats(0.002, 0.05))
+    n_from, n_to = draw(st.lists(st.integers(33, 2000), min_size=2, max_size=2, unique=True))
+    tilt_from, tilt_to = (draw(st.floats(0.0, 0.78)) for _ in range(2))
+    base_from, base_to = (draw(st.floats(-0.5, 0.5)) for _ in range(2))
+    assume(abs(tilt_from - tilt_to) >= 0.005)
+    assume(abs((base_from - tilt_from) - (base_to - tilt_to)) >= 0.005)
+    t_from, t_to = (draw(st.floats(-35.0, -3.0)) for _ in range(2))
+    ray_from = mono._ray(1.0, base_from, tilt_from, t_from, h, n_from)
+    ray_to = mono._ray(1.0, base_to, tilt_to, t_to, h, n_to)
+    return h, ray_from, ray_to
+
+
+def _dense_fold(values, y_from, log_from, y_to, log_to, h):
+    return cauchy_fold_dense(values, y_from, y_to)
+
+
+class TestFold:
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(ray_pairs())
+    def test_fold_matches_dense_oracle(self, pair):
+        h, (y_from, wgt, log_from), (y_to, _, log_to) = pair
+        values = np.exp(-y_from) * wgt  # the c = 0 kernel of decoration 1
+        fast = mono._cauchy_fold(values, y_from, log_from, y_to, log_to, h)
+        dense = cauchy_fold_dense(values, y_from, y_to)
+        assert np.max(np.abs(fast - dense)) <= 1e-12 * np.max(np.abs(dense))
+
+    @pytest.mark.parametrize("c", [0.5, 1.0, 2.0, 0.0])
+    def test_values_match_dense_fold_within_reported_error(self, monkeypatch, c):
+        # every word and forest is evaluated with the library fold and with
+        # the dense oracle, each from an empty Ua cache; the bound is the
+        # smaller reported error, since fold noise in the library value also
+        # widens its own Richardson error estimate
+        letters = [letter(1), letter(2)]
+        max_len, max_norm = (3, 3) if c == 0 else (4, 4)
+        words = [word(*w) for r in range(1, max_len + 1) for w in itertools.product((1, 2), repeat=r)]
+        if c == 0:
+            words.append(word(1, 1, 1, 2))
+        cases = [(str(w), lambda w=w: paralog_Ua_eval(w, Z, c)) for w in words]
+        cases += [(str(f), lambda f=f: paralog_forest_eval(f, Z, c)) for f in forests_of_norm(letters, max_norm)]
+        library_fold = mono._cauchy_fold
+        for label, evaluate in cases:
+            out = []
+            for fold in (library_fold, _dense_fold):
+                monkeypatch.setattr(mono, "_cauchy_fold", fold)
+                monkeypatch.setattr(mono, "_UA_CACHE", {})
+                out.append(evaluate())
+            fast, dense = out
+            assert abs(fast.value - dense.value) <= min(fast.error, dense.error), (label, c)
 
 
 class TestSymmetrelMould:

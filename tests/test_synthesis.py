@@ -42,6 +42,12 @@ class TestInvariantFamily:
         with pytest.raises(SynthesisError):
             SynthesisConfig(c=1.0, z_samples=(3.0,))
 
+    @pytest.mark.parametrize("nu, r_max", [(0, 4), (4, 0), (4, -1), (8, 7)])
+    def test_degenerate_caps_rejected(self, nu, r_max):
+        # r_max = 7 needs seven integration slots; the default contour has six
+        with pytest.raises(SynthesisError):
+            SynthesisConfig(c=2.0, nu=nu, r_max=r_max)
+
 
 class TestFixedPoint:
     def test_zero_invariants_give_identity(self):

@@ -140,6 +140,12 @@ class TestForests:
         for text in ["1(2,3)", "1;2", "1(1(1))", "2(1);3"]:
             assert str(parse_forest(text)) == str(canonicalize(parse_forest(text)))
 
+    def test_forests_of_norm_rejects_non_integer_letters(self):
+        # a non-real letter must not be enumerated as its real part
+        for bad in ("1+i", "1/2", "0", "-1"):
+            with pytest.raises(ValueError):
+                forests_of_norm([letter(1), letter(bad)], 2)
+
 
 class TestLinearExtensions:
     def test_single_node(self):
