@@ -14,6 +14,8 @@ import cmath
 import json
 import sys
 
+import numpy as np
+
 from .moulds import (
     Mould,
     arborify,
@@ -335,7 +337,10 @@ def _dispatch_synthesize(args) -> int:
             coeffs[int(k)] = complex(v)
     growth = float(data.get("H", 1.0))
     inv = InvariantFamily(coeffs, growth_bound=growth)
-    nu, _, rmax = (int(tok) for tok in args.caps.split(","))
+    caps = args.caps.split(",")
+    if len(caps) != 3:
+        raise ValueError(f"--caps {args.caps!r} must have the three fields N_u,N_z,R_max")
+    nu, _, rmax = (int(tok) for tok in caps)
     theta_ray = cmath.pi if args.z_ray.strip() in ("pi", "PI") else float(args.z_ray)
     moduli = [float(tok) for tok in args.z_moduli.split(",")]
     z_samples = tuple(m * cmath.exp(1j * theta_ray) for m in moduli)
@@ -348,8 +353,10 @@ def _dispatch_synthesize(args) -> int:
         for deg in sorted(s.action_on_u):
             v = s.action_on_u[deg]
             rows.append((_fnum(s.z), deg, _fnum(v.real), _fnum(v.imag)))
-    worst_auto = max((s.automorphism_defect for s in samples), default=0.0)
-    worst_deriv = max((s.derivation_defect for s in samples), default=0.0)
+    # np.max, unlike max(), keeps a NaN defect
+    worst_auto = float(np.max([s.automorphism_defect for s in samples], initial=0.0))
+    worst_deriv = float(np.max([s.derivation_defect for s in samples], initial=0.0))
+    non_finite_rows = sum(not cmath.isfinite(v) for s in samples for v in s.action_on_u.values())
     tail_ratios = {}
     for e in expansions:
         for n, r in e.tail_ratios().items():
@@ -370,10 +377,13 @@ def _dispatch_synthesize(args) -> int:
         "coefficient_rows": rows,
     }
     failures = []
-    if worst_auto > args.tol_automorphism:
+    # "not <=" so that a NaN defect fails its check
+    if not worst_auto <= args.tol_automorphism:
         failures.append({"check": "automorphism_defect", "value": _fnum(worst_auto), "tolerance": _fnum(args.tol_automorphism)})
-    if worst_deriv > args.tol_derivation:
+    if not worst_deriv <= args.tol_derivation:
         failures.append({"check": "derivation_defect", "value": _fnum(worst_deriv), "tolerance": _fnum(args.tol_derivation)})
+    if non_finite_rows:
+        failures.append({"check": "finite_coefficient_rows", "value": str(non_finite_rows), "tolerance": "0"})
     report["failures"] = failures
     text = json.dumps(report, indent=2, sort_keys=True)
     print(text)

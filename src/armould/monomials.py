@@ -34,7 +34,7 @@ import numpy as np
 from .kernels import KernelParams, f_analytic_continuation, f_closed_form_oracle
 from .moulds import Mould, words_of_norm_at_most
 from .quadrature import de_halfline, segment_quad
-from .words import Forest, Tree, Word, contracting_covers, forests_of_norm, letter
+from .words import Forest, Tree, Word, forests_of_norm, letter
 
 CONTRACTION_UNIT = -2j * math.pi
 MOULD_NORMALIZATION = 1.0 / CONTRACTION_UNIT  # per-letter factor -> symmetrel
@@ -75,9 +75,13 @@ class ContourSpec:
 
 @dataclass
 class MonomialValue:
+    """A monomial value with its error estimate; a word's value also carries
+    its z-derivative, computed from the same quadrature passes."""
+
     value: complex
     error: float
-    contour: ContourSpec | None = None
+    derivative: complex | None = None
+    derivative_error: float | None = None
     meta: dict = field(default_factory=dict)
 
     def __complex__(self):
@@ -95,8 +99,14 @@ def _decorations(w) -> tuple:
     return tuple(complex(x) for x in w)
 
 
-def _check_z(z: complex, decorations: Sequence[complex]):
+def _check_z(z: complex, c: float, decorations: Sequence[complex]):
+    """z as a complex number, after rejecting a non-finite or negative c, a
+    non-finite z and a z on or near a singular ray of the decorations."""
+    if not (math.isfinite(c) and c >= 0):
+        raise ContourError(f"c = {c} must be a finite number >= 0")
     z = complex(z)
+    if not cmath.isfinite(z):
+        raise ContourError(f"z = {z} is not finite")
     for om in decorations:
         if om == 0:
             raise ContourError("zero decoration")
@@ -245,35 +255,18 @@ def _refined(decorations, parents, z: complex, c: float, spec: ContourSpec) -> t
     return out[0], out[1]
 
 
-_UA_CACHE: dict = {}
-_UA_CACHE_MAX = 200000
-
-
-def _spec_key(spec: ContourSpec) -> tuple:
-    return (spec.eps, spec.multipliers, spec.richardson_levels)
-
-
-def paralog_Ua_eval(w, z: complex, c: float, spec: ContourSpec | None = None, z_derivative: bool = False) -> MonomialValue:
-    """Raw auxiliary paralogarithmic monomial Ua^w(z) (z-derivative on request),
-    Richardson-refined in the tilt parameter; the reported error dominates the
-    observed refinement delta.  One set of passes gives both the value and the
-    z-derivative; the pair is cached per (word, z, c, contour)."""
+def paralog_Ua_eval(w, z: complex, c: float, spec: ContourSpec | None = None) -> MonomialValue:
+    """Raw auxiliary paralogarithmic monomial Ua^w(z) and its z-derivative,
+    both from one set of passes, Richardson-refined in the tilt parameter;
+    each reported error dominates the observed refinement delta."""
     spec = spec or ContourSpec()
     decs = _decorations(w)
-    if c < 0:
-        raise ContourError("c must be >= 0")
-    z = _check_z(z, decs) if decs else complex(z)
-    if len(decs) == 0:
-        return MonomialValue(1.0 + 0.0j, 0.0, spec)
-    key = (decs, z, c, _spec_key(spec))
-    hit = _UA_CACHE.get(key)
-    if hit is None:
-        chain = tuple(range(-1, len(decs) - 1))  # a word is the chain forest
-        hit = _refined(decs, chain, z, c, spec)
-        if len(_UA_CACHE) < _UA_CACHE_MAX:
-            _UA_CACHE[key] = hit
-    value, err = hit[1] if z_derivative else hit[0]
-    return MonomialValue(value, err, spec)
+    z = _check_z(z, c, decs)
+    if not decs:
+        return MonomialValue(1.0 + 0.0j, 0.0, 0.0j, 0.0)
+    chain = tuple(range(-1, len(decs) - 1))  # a word is the chain forest
+    (value, err), (dvalue, derr) = _refined(decs, chain, z, c, spec)
+    return MonomialValue(value, err, dvalue, derr)
 
 
 def paralog_variants(w, z: complex, c: float, spec: ContourSpec | None = None) -> tuple[MonomialValue, MonomialValue, MonomialValue]:
@@ -286,62 +279,27 @@ def paralog_variants(w, z: complex, c: float, spec: ContourSpec | None = None) -
     nrm = sum(_decorations(w))
     mid = cmath.exp(c * c * nrm / z)
     full = cmath.exp(nrm * z + c * c * nrm / z)
-    uc = MonomialValue(ua.value * mid, ua.error * abs(mid), ua.contour)
-    ue = MonomialValue(ua.value * full, ua.error * abs(full), ua.contour)
+    uc = MonomialValue(ua.value * mid, ua.error * abs(mid))
+    ue = MonomialValue(ua.value * full, ua.error * abs(full))
     return ua, uc, ue
 
 
 # ---------------------------------------------------------------------------
-# forest values (structured integral + cover-sum reference)
+# forest values
 # ---------------------------------------------------------------------------
 
 
-def paralog_forest_eval(
-    f: Forest,
-    z: complex,
-    c: float,
-    spec: ContourSpec | None = None,
-    cross_check: bool = False,
-    check_tol: float = 1e-4,
-) -> MonomialValue:
-    """Contracted-arborified monomial value Ua^F(z).
-
-    Fast path: one structured integral with variables indexed by nodes,
-    a difference factor 1/(y_child - y_parent) per tree edge and a root
-    factor 1/(y_root - z) per tree.
-
-    Reference path (cross_check=True): the cover sum
-        sum over words w covering F (surjection counting) of
-        (-2 pi i)^(nodes(F) - len(w)) Ua^w(z),
-    the contraction bookkeeping matching the per-merge residue factor.
-    A disagreement beyond check_tol raises ContourError rather than being
-    averaged away.
-    """
+def paralog_forest_eval(f: Forest, z: complex, c: float, spec: ContourSpec | None = None) -> MonomialValue:
+    """Contracted-arborified monomial value Ua^F(z): one structured integral
+    with variables indexed by nodes, a difference factor 1/(y_child - y_parent)
+    per tree edge and a root factor 1/(y_root - z) per tree."""
     spec = spec or ContourSpec()
-    nodes = f.node_count
-    if nodes == 0:
-        return MonomialValue(1.0 + 0.0j, 0.0, spec)
     decs, parents = _preorder(f)
-    z = _check_z(z, decs)
+    z = _check_z(z, c, decs)
+    if not decs:
+        return MonomialValue(1.0 + 0.0j, 0.0)
     (value, err), _ = _refined(decs, parents, z, c, spec)
-    out = MonomialValue(value, err, spec, meta={"nodes": nodes})
-    if cross_check:
-        ref = 0.0 + 0.0j
-        ref_err = 0.0
-        for cover, mult in contracting_covers(f, counting="surjections").items():
-            mv = paralog_Ua_eval(cover, z, c, spec)
-            factor = CONTRACTION_UNIT ** (nodes - cover.length)
-            ref += mult * factor * mv.value
-            ref_err += abs(mult) * abs(factor) * mv.error
-        scale = max(abs(value), abs(ref), 1e-300)
-        drift = abs(value - ref) / scale
-        out.meta["reference"] = ref
-        out.meta["reference_drift"] = drift
-        if drift > check_tol:
-            raise ContourError(
-                f"forest fast path and cover-sum reference disagree: {value} vs {ref} (rel {drift:.3e})"
-            )
-    return out
+    return MonomialValue(value, err, meta={"nodes": len(decs)})
 
 
 # ---------------------------------------------------------------------------
@@ -473,6 +431,8 @@ def growth_scan(
 ) -> GrowthReport:
     """Estimate K(c) = sup |Ua_c^w(z)|^{1/||w||} over words (and forests) of
     norm <= cap; checks monotone decay in c and fits log K(c) linearly."""
+    if norm_cap < 1:
+        raise ValueError(f"norm cap {norm_cap} must be >= 1")
     spec = spec or ContourSpec()
     # the hyperlogarithmic column needs a much longer t-window; a single
     # contour level at scan accuracy keeps the column affordable

@@ -10,6 +10,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable
 
+import numpy as np
+
 
 class TruncatedSeries:
     """sum c_{j,k} z^{-j} u^k with 0 <= j <= nz, 0 <= k <= nu."""
@@ -88,11 +90,10 @@ class TruncatedSeries:
         return all(_eq(self.coeffs.get(k, 0), other.coeffs.get(k, 0)) for k in keys)
 
     def max_abs_diff(self, other: "TruncatedSeries") -> float:
+        """Largest coefficient difference; NaN if any difference is NaN."""
         keys = set(self.coeffs) | set(other.coeffs)
-        worst = 0.0
-        for k in keys:
-            worst = max(worst, abs(complex(self.coeffs.get(k, 0)) - complex(other.coeffs.get(k, 0))))
-        return worst
+        diffs = [abs(complex(self.coeffs.get(k, 0)) - complex(other.coeffs.get(k, 0))) for k in keys]
+        return float(np.max(diffs, initial=0.0))
 
     def __repr__(self):
         bits = []
@@ -118,7 +119,9 @@ def _eq(a, b) -> bool:
 
 class ZSeries:
     """Truncated univariate series in z^{-1} with a degree cap; a mould value
-    algebra for z-dependent moulds."""
+    algebra for z-dependent moulds.  A cap-1 series in a formal eps is a
+    first-order jet a + b eps (eps^2 = 0), which carries a value and its
+    derivative through the linear mould operations at once."""
 
     __slots__ = ("coeffs", "cap")
 
@@ -137,6 +140,9 @@ class ZSeries:
     @classmethod
     def constant(cls, c, cap: int) -> "ZSeries":
         return cls({0: c}, cap)
+
+    def coeff(self, j: int):
+        return self.coeffs.get(j, 0)
 
     def __add__(self, other):
         if not isinstance(other, ZSeries):

@@ -23,6 +23,7 @@ are the same operator; the acceptance agreement between them is structural.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
@@ -41,8 +42,8 @@ from .operators import (
     op_compose_word,
     restricted_norm,
 )
-from .series import TruncatedSeries
-from .words import Forest, Word, forests_of_norm, letter
+from .series import TruncatedSeries, ZSeries
+from .words import Word, forests_of_norm, letter
 
 
 class SynthesisError(ValueError):
@@ -62,9 +63,11 @@ class InvariantFamily:
         if any(n < 1 for n in coeffs):
             raise SynthesisError("invariants are indexed by positive integers (A_{-1} = 0 throughout)")
         h = self.growth_bound
-        if h <= 0:
-            raise SynthesisError("growth bound must be positive")
+        if not (math.isfinite(h) and h > 0):
+            raise SynthesisError(f"growth bound H = {h} must be a finite positive number")
         for n, a in coeffs.items():
+            if not cmath.isfinite(a):
+                raise SynthesisError(f"A_{n} = {a} is not finite")
             if abs(a) > h**n * (1 + 1e-12):
                 raise SynthesisError(f"|A_{n}| = {abs(a)} exceeds declared bound H^n = {h ** n}")
         object.__setattr__(self, "coefficients", coeffs)
@@ -86,8 +89,8 @@ class SynthesisConfig:
     contour: ContourSpec = field(default_factory=ContourSpec)
 
     def __post_init__(self):
-        if self.c < 0:
-            raise SynthesisError("c must be >= 0")
+        if not (math.isfinite(self.c) and self.c >= 0):
+            raise SynthesisError(f"c = {self.c} must be a finite number >= 0")
         if self.nu < 1 or self.r_max < 1:
             raise SynthesisError(f"caps nu = {self.nu} and r_max = {self.r_max} must both be >= 1")
         if self.r_max > len(self.contour.multipliers):
@@ -96,17 +99,11 @@ class SynthesisConfig:
             )
         zs = tuple(complex(z) for z in self.z_samples)
         for z in zs:
+            if not cmath.isfinite(z):
+                raise SynthesisError(f"z sample {z} is not finite")
             if z.real >= 0 and abs(z.imag) < 1e-12:
                 raise SynthesisError(f"z sample {z} lies on the singular ray R>=0")
         object.__setattr__(self, "z_samples", zs)
-
-
-@dataclass
-class ForestTerm:
-    forest: Forest
-    mould_value: complex
-    kernel: DiffOperator
-    aut: int
 
 
 @dataclass
@@ -117,7 +114,7 @@ class NormalizerExpansion:
     config: SynthesisConfig
     operator: DiffOperator
     d_operator: DiffOperator  # z-derivative of the mould side
-    forest_terms: list
+    mould: Mould  # the jet-valued L the operators were assembled from
     tail_norms: dict  # norm n -> sum over ||F|| = n of |value| * ||B_F|| / |Aut F|
 
     def apply(self, f: TruncatedSeries) -> TruncatedSeries:
@@ -149,65 +146,54 @@ def _invert_tangent_to_identity(op: DiffOperator, nu: int) -> DiffOperator:
     return out
 
 
-def signed_monomial_mould(z: complex, c: float, spec: ContourSpec, dz: bool = False) -> Mould:
-    """The ansatz mould L^w = (-1)^r (2 pi i)^{-r} Ue_c^w(z) (or its exact
-    z-derivative), i.e. the per-letter normalization MOULD_NORMALIZATION that
-    makes the family symmetrel."""
+def signed_monomial_mould(z: complex, c: float, spec: ContourSpec) -> Mould:
+    """The ansatz mould L^w = (-1)^r (2 pi i)^{-r} Ue_c^w(z), i.e. the
+    per-letter normalization MOULD_NORMALIZATION that makes the family
+    symmetrel, valued in first-order jets L + dL eps (a ZSeries of cap 1, so
+    eps^2 = 0) with dL the exact z-derivative."""
 
     def rule(w: Word):
         r = w.length
         if r == 0:
-            return 1.0 + 0.0j
+            return ZSeries.constant(1.0 + 0.0j, 1)
         nrm = complex(w.norm)
         expo = cmath.exp(nrm * z + c * c * nrm / z)
         ua = paralog_Ua_eval(w, z, c, spec)
-        if not dz:
-            return (MOULD_NORMALIZATION**r) * ua.value * expo
-        dua = paralog_Ua_eval(w, z, c, spec, z_derivative=True)
         chain = nrm * (1.0 - c * c / (z * z))
-        return (MOULD_NORMALIZATION**r) * (dua.value + chain * ua.value) * expo
+        unit = MOULD_NORMALIZATION**r
+        return ZSeries([unit * ua.value * expo, unit * (ua.derivative + chain * ua.value) * expo], 1)
 
-    return Mould(rule, name=f"L(z={z},c={c}{',dz' if dz else ''})")
+    return Mould(rule, name=f"L(z={z},c={c})")
 
 
 def build_theta(inv: InvariantFamily, cfg: SynthesisConfig) -> list[NormalizerExpansion]:
-    """Assemble the normalizer at every z sample as a forest sum: the simple
-    arborified of (L o exp) paired with the homogeneous coarborified over
-    the invariant support, each canonical forest weighted by 1/|Aut F|."""
+    """Assemble the normalizer and its z-derivative at every z sample as one
+    forest sum: the simple arborified of (L o exp), in jets, paired with the
+    homogeneous coarborified over the invariant support, each canonical forest
+    weighted by 1/|Aut F|."""
     fam = inv.derivations()
     expansions = []
     support_letters = [letter(n) for n in inv.support]
+    forests = forests_of_norm(support_letters, cfg.nu, max_nodes=cfg.r_max) if support_letters else []
     expm = builtin_mould("exp")
     for z in cfg.z_samples:
         ell = signed_monomial_mould(z, cfg.c, cfg.contour)
-        dell = signed_monomial_mould(z, cfg.c, cfg.contour, dz=True)
-        composed = mould_compose(ell, expm)
-        dcomposed = mould_compose(dell, expm)
-        arb = arborify(composed, "simple")
-        darb = arborify(dcomposed, "simple")
+        arb = arborify(mould_compose(ell, expm), "simple")
         op = DiffOperator.identity()
         dop = DiffOperator.zero()
-        terms: list[ForestTerm] = []
         tails: dict = {}
-        if support_letters:
-            forests = forests_of_norm(support_letters, cfg.nu, max_nodes=cfg.r_max)
-        else:
-            forests = []
         for f in forests:
             kernel = coarborify_homogeneous(fam, f).operator()
             if kernel.is_zero():
                 continue
             aut = f.automorphism_count()
-            val = complex(arb.value(f))
-            dval = complex(darb.value(f))
+            jet = arb.value(f)
+            val, dval = complex(jet.coeff(0)), complex(jet.coeff(1))
             op = op + kernel.scale(val / aut)
             dop = dop + kernel.scale(dval / aut)
-            terms.append(ForestTerm(f, val, kernel, aut))
             n = int(f.norm.re)
             tails[n] = tails.get(n, 0.0) + abs(val) * restricted_norm(kernel, cfg.nu) / aut
-        expansions.append(
-            NormalizerExpansion(z=z, config=cfg, operator=op, d_operator=dop, forest_terms=terms, tail_norms=tails)
-        )
+        expansions.append(NormalizerExpansion(z=z, config=cfg, operator=op, d_operator=dop, mould=ell, tail_norms=tails))
     return expansions
 
 
@@ -234,17 +220,18 @@ class SynthesizedField:
 
 
 def automorphism_defect(exp: NormalizerExpansion, rng_seed: int = 11) -> float:
-    """Max coefficient of Theta(fg) - Theta(f) Theta(g) on random series."""
+    """Max coefficient of Theta(fg) - Theta(f) Theta(g) on random series
+    (NaN if any coefficient is NaN)."""
     rng = np.random.default_rng(rng_seed)
     nu = exp.config.nu
-    worst = 0.0
+    diffs = []
     for _ in range(3):
         f = _random_series(rng, nu)
         g = _random_series(rng, nu)
         lhs = exp.apply(f * g)
         rhs = exp.apply(f) * exp.apply(g)
-        worst = max(worst, lhs.max_abs_diff(rhs))
-    return worst
+        diffs.append(lhs.max_abs_diff(rhs))
+    return float(np.max(diffs))
 
 
 def _random_series(rng, nu) -> TruncatedSeries:
@@ -270,19 +257,19 @@ def conjugate_normal_field(exp: NormalizerExpansion) -> FieldSample:
     u_series = TruncatedSeries.u_power(1, 0, nu, coeff=1.0 + 0.0j)
     img = xc_op.apply(u_series)
     action = {k: complex(v) for (j, k), v in img.coeffs.items() if j == 0}
-    # derivation defect on random series
+    # derivation defect on random series, NaN if any coefficient is NaN
     rng = np.random.default_rng(7)
-    defect = 0.0
+    diffs = []
     for _ in range(3):
         f = _random_series(rng, nu)
         g = _random_series(rng, nu)
         lhs = xc_op.apply(f * g)
         rhs = xc_op.apply(f) * g + f * xc_op.apply(g)
-        defect = max(defect, lhs.max_abs_diff(rhs))
+        diffs.append(lhs.max_abs_diff(rhs))
     return FieldSample(
         z=exp.z,
         action_on_u=action,
-        derivation_defect=defect,
+        derivation_defect=float(np.max(diffs)),
         automorphism_defect=automorphism_defect(exp),
     )
 
@@ -332,14 +319,14 @@ def convergence_report(inv: InvariantFamily, cfg: SynthesisConfig, c_values: Seq
         tails[c] = agg
         norms = sorted(agg)
         ratios[c] = {b: agg[b] / agg[a] for a, b in zip(norms, norms[1:]) if agg[a] > 0}
-        # word organisation: raw signed mould against plain compositions
+        # word organisation: the signed mould build_theta used, against plain
+        # compositions
         ws: dict = {}
-        for z in cfg.z_samples:
-            ell = signed_monomial_mould(z, c, cfg.contour)
+        for e in exps:
             for w in words_of_norm_at_most(sup_letters, cfg.nu):
                 if w.length > cfg.r_max:
                     continue
-                weight = abs(complex(ell.value(w))) * restricted_norm(op_compose_word(fam, w), cfg.nu)
+                weight = abs(complex(e.mould.value(w).coeff(0))) * restricted_norm(op_compose_word(fam, w), cfg.nu)
                 r = w.length
                 ws[r] = ws.get(r, 0.0) + weight
         word_sums[c] = ws

@@ -2,13 +2,15 @@
 is checked against.  The normalizer's word assembly checks its forest
 assembly; the index-walk enumerators check the memoised fiber recursion and
 the streamed forest generator of :mod:`armould.words`; the dense Cauchy fold
-checks the FFT-Toeplitz fold of :mod:`armould.monomials`."""
+checks the FFT-Toeplitz fold of :mod:`armould.monomials`, and the cover sum
+of word values checks its structured forest integral."""
 
 import itertools
 from collections import Counter
 
 import numpy as np
 
+from armould.monomials import CONTRACTION_UNIT, ContourSpec, paralog_Ua_eval
 from armould.moulds import builtin_mould, mould_compose, words_of_norm_at_most
 from armould.operators import DiffOperator, op_compose_word
 from armould.synthesis import InvariantFamily, SynthesisConfig, signed_monomial_mould
@@ -25,7 +27,7 @@ def theta_word_assembly(inv: InvariantFamily, cfg: SynthesisConfig, z: complex) 
     for v in words_of_norm_at_most([letter(n) for n in inv.support], cfg.nu):
         if v.length > cfg.r_max:
             continue
-        val = complex(composed.value(v))
+        val = complex(composed.value(v).coeff(0))
         if val == 0:
             continue
         out = out + op_compose_word(fam, v).scale(val)
@@ -57,6 +59,24 @@ def cauchy_fold_dense(values: np.ndarray, y_from: np.ndarray, y_to: np.ndarray) 
         hi = min(lo + 512, len(y_to))
         out[lo:hi] = (values[None, :] / (y_from[None, :] - y_to[lo:hi, None])).sum(axis=1)
     return out
+
+
+def forest_cover_sum(f: Forest, z: complex, c: float, spec: ContourSpec | None = None) -> tuple[complex, float]:
+    """Oracle for :func:`armould.monomials.paralog_forest_eval`: the cover sum
+
+        sum over words w covering F (surjection counting) of
+        (-2 pi i)^(nodes(F) - len(w)) Ua^w(z),
+
+    the contraction bookkeeping matching the per-merge residue factor.
+    Returns the sum and the sum of the weighted word errors."""
+    ref = 0.0 + 0.0j
+    ref_err = 0.0
+    for cover, mult in contracting_covers(f, counting="surjections").items():
+        mv = paralog_Ua_eval(cover, z, c, spec)
+        factor = CONTRACTION_UNIT ** (f.node_count - cover.length)
+        ref += mult * factor * mv.value
+        ref_err += abs(mult) * abs(factor) * mv.error
+    return ref, ref_err
 
 
 # ---------------------------------------------------------------------------

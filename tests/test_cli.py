@@ -1,9 +1,15 @@
 """CLI dispatch, exit codes and output determinism."""
 
 import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import armould
 from armould.cli import main
 
 
@@ -97,6 +103,13 @@ class TestMonomialCommands:
         rc, out = run(capsys, "monomial", "pole-probe", "--omega", "2", "--c", "0.5")
         assert rc == 0
 
+    @pytest.mark.parametrize("norm_cap", ["0", "-1"])
+    def test_growth_scan_norm_cap_below_one_rejected(self, capsys, norm_cap):
+        rc = main(["monomial", "growth-scan", "--norm-cap", norm_cap])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert "norm cap" in json.loads(captured.err)["error"]
+
     def test_determinism_double_run(self, capsys):
         _, out1 = run(capsys, "monomial", "eval", "--word", "(1,2)", "--z", "-2", "--c", "1", "--json")
         _, out2 = run(capsys, "monomial", "eval", "--word", "(1,2)", "--z", "-2", "--c", "1", "--json")
@@ -147,6 +160,65 @@ class TestSynthesizeCommand:
         captured = capsys.readouterr()
         assert rc == 2 and captured.out == ""
         assert "error" in json.loads(captured.err)
+
+    @pytest.mark.parametrize("caps", ["4,4", "4,4,2,1"])
+    def test_caps_field_count_named(self, tmp_path, capsys, caps):
+        inv = tmp_path / "inv.json"
+        inv.write_text('{"A": {"1": "1/4"}, "H": 1.0}')
+        rc = main(["synthesize", "--invariants", str(inv), "--c", "2", "--caps", caps])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert "N_u,N_z,R_max" in json.loads(captured.err)["error"]
+
+    def test_non_finite_output_fails_the_gate(self, tmp_path):
+        # c = 1e200 is finite but c^2 overflows in the kernel, so the field
+        # coefficients and both defects come out NaN.  A separate process
+        # keeps the numpy RuntimeWarnings out of this test session.
+        inv = tmp_path / "inv.json"
+        inv.write_text('{"A": {"1": "1/4"}, "H": 1.0}')
+        env = dict(os.environ, PYTHONPATH=str(Path(armould.__file__).parents[1]))
+        argv = ["synthesize", "--invariants", str(inv), "--c", "1e200", "--caps", "4,4,2"]
+        proc = subprocess.run([sys.executable, "-m", "armould.cli", *argv], capture_output=True, text=True, env=env)
+        assert proc.returncode == 1
+        payload = json.loads(proc.stdout)
+        assert math.isnan(float(payload["automorphism_defect"]))
+        assert math.isnan(float(payload["derivation_defect"]))
+        checks = {f["check"]: f["value"] for f in payload["failures"]}
+        assert checks == {"automorphism_defect": "nan", "derivation_defect": "nan", "finite_coefficient_rows": "3"}
+
+
+@pytest.mark.parametrize(
+    "invariants, argv",
+    [
+        ('{"A": {"1": "1/4"}}', ["synthesize", "--c", "nan"]),
+        ('{"A": {"1": "1/4"}}', ["synthesize", "--c", "inf"]),
+        ('{"A": {"1": "1/4"}}', ["synthesize", "--c", "2", "--z-moduli", "2,inf"]),
+        ('{"A": {"1": NaN}}', ["synthesize", "--c", "2"]),
+        ('{"A": {"1": "1/4"}, "H": Infinity}', ["synthesize", "--c", "2"]),
+        (None, ["monomial", "eval", "--word", "(1)", "--z", "-2", "--c", "nan"]),
+        (None, ["monomial", "eval", "--word", "(1)", "--z", "nan", "--c", "1"]),
+        (None, ["monomial", "eval", "--forest", "1;2", "--z", "-2", "--c", "inf"]),
+        (None, ["monomial", "eval", "--forest", "1(2)", "--z", "nan", "--c", "1"]),
+        (None, ["monomial", "growth-scan", "--c-grid", "nan,1", "--norm-cap", "2"]),
+    ],
+    ids=["c-nan", "c-inf", "z-inf", "A-nan", "H-inf", "eval-c-nan", "eval-z-nan", "forest-c-inf", "forest-z-nan", "scan-c-nan"],
+)
+def test_non_finite_inputs_rejected(tmp_path, capsys, monkeypatch, invariants, argv):
+    # exit 2 with a JSON error, before any quadrature pass runs
+    import armould.monomials as mono
+
+    def no_quadrature(*args):
+        raise AssertionError("a quadrature pass ran")
+
+    if invariants is not None:
+        inv = tmp_path / "inv.json"
+        inv.write_text(invariants)
+        argv = argv + ["--invariants", str(inv)]
+    monkeypatch.setattr(mono, "_pass", no_quadrature)
+    rc = main(argv)
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert "error" in json.loads(captured.err)
 
 
 class TestLinearRHCommand:

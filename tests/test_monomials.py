@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import cauchy_fold_dense
+from oracles import cauchy_fold_dense, forest_cover_sum
 import armould.monomials as mono
 from armould.monomials import (
     CONTRACTION_UNIT,
@@ -120,8 +120,8 @@ class TestParalogUa:
             paralog_Ua_eval(word(1), 2.0, C)
 
     def test_derivative_shares_the_value_passes(self, monkeypatch):
-        import armould.monomials as mono
-
+        # one evaluation runs one pass per Richardson level and returns the
+        # value together with the z-derivative of those same passes
         calls = []
         one_pass = mono._pass
 
@@ -130,15 +130,23 @@ class TestParalogUa:
             return one_pass(*args)
 
         monkeypatch.setattr(mono, "_pass", counted)
-        monkeypatch.setattr(mono, "_UA_CACHE", {})
         w = word(1, 2)
-        paralog_Ua_eval(w, Z, C)
-        value_passes = len(calls)
-        d = paralog_Ua_eval(w, Z, C, z_derivative=True)
-        assert value_passes > 0 and len(calls) == value_passes
-        monkeypatch.setattr(mono, "_UA_CACHE", {})
-        fresh = paralog_Ua_eval(w, Z, C, z_derivative=True)
-        assert (d.value, d.error) == (fresh.value, fresh.error)
+        mv = paralog_Ua_eval(w, Z, C)
+        assert len(calls) == ContourSpec().richardson_levels
+        assert mv.derivative is not None and mv.derivative_error > 0
+        h = 1e-4
+        fd = (paralog_Ua_eval(w, Z + h, C).value - paralog_Ua_eval(w, Z - h, C).value) / (2 * h)
+        assert abs(mv.derivative - fd) <= 1e-6 * abs(mv.derivative)
+
+    @pytest.mark.parametrize(
+        "z, c",
+        [(Z, math.nan), (Z, math.inf), (Z, -1.0), (complex(math.nan, 0.0), C), (-math.inf, C)],
+        ids=["c-nan", "c-inf", "c-negative", "z-nan", "z-inf"],
+    )
+    def test_non_finite_arguments_rejected(self, z, c):
+        for evaluate in (lambda: paralog_Ua_eval(word(1), z, c), lambda: paralog_forest_eval(parse_forest("1;2"), z, c)):
+            with pytest.raises(ContourError):
+                evaluate()
 
     def test_hyperlog_limit_c0(self):
         mv = paralog_Ua_eval(word(1), Z, 0.0)
@@ -184,13 +192,18 @@ class TestForest:
         b = paralog_Ua_eval(word(1), Z, C).value * paralog_Ua_eval(word(2), Z, C).value
         assert abs(a - b) <= 1e-10 * abs(b)
 
+    @staticmethod
+    def _cover_sum_drift(literal):
+        f = parse_forest(literal)
+        value = paralog_forest_eval(f, Z, C).value
+        ref, _ = forest_cover_sum(f, Z, C)
+        return abs(value - ref) / max(abs(value), abs(ref), 1e-300)
+
     def test_cherry_cross_check(self):
-        mv = paralog_forest_eval(parse_forest("1(1,2)"), Z, C, cross_check=True, check_tol=1e-4)
-        assert mv.meta["reference_drift"] <= 1e-6
+        assert self._cover_sum_drift("1(1,2)") <= 1e-6
 
     def test_antichain_cross_check(self):
-        mv = paralog_forest_eval(parse_forest("1;2"), Z, C, cross_check=True, check_tol=1e-4)
-        assert mv.meta["reference_drift"] <= 1e-6
+        assert self._cover_sum_drift("1;2") <= 1e-6
 
     def test_node_budget(self):
         f = parse_forest("1;1;1;1;1;1;1")
@@ -231,9 +244,9 @@ class TestFold:
     @pytest.mark.parametrize("c", [0.5, 1.0, 2.0, 0.0])
     def test_values_match_dense_fold_within_reported_error(self, monkeypatch, c):
         # every word and forest is evaluated with the library fold and with
-        # the dense oracle, each from an empty Ua cache; the bound is the
-        # smaller reported error, since fold noise in the library value also
-        # widens its own Richardson error estimate
+        # the dense oracle; the bound is the smaller reported error, since
+        # fold noise in the library value also widens its own Richardson
+        # error estimate
         letters = [letter(1), letter(2)]
         max_len, max_norm = (3, 3) if c == 0 else (4, 4)
         words = [word(*w) for r in range(1, max_len + 1) for w in itertools.product((1, 2), repeat=r)]
@@ -246,7 +259,6 @@ class TestFold:
             out = []
             for fold in (library_fold, _dense_fold):
                 monkeypatch.setattr(mono, "_cauchy_fold", fold)
-                monkeypatch.setattr(mono, "_UA_CACHE", {})
                 out.append(evaluate())
             fast, dense = out
             assert abs(fast.value - dense.value) <= min(fast.error, dense.error), (label, c)
@@ -320,6 +332,11 @@ class TestGrowthScan:
         rep = growth_scan([0.0, 1.0, 2.0], 2, Z, include_forests=False)
         assert rep.c0_khat is not None
         assert rep.c0_khat > 2.0 * rep.khat[2.0]
+
+    @pytest.mark.parametrize("norm_cap", [0, -1])
+    def test_norm_cap_below_one_rejected(self, norm_cap):
+        with pytest.raises(ValueError):
+            growth_scan([1.0, 2.0], norm_cap, Z)
 
 
 class TestPoleProbe:

@@ -1,8 +1,11 @@
 """Synthesis pipeline: normalizer, conjugated field, diagnostics, linear RH."""
 
+import math
+
 import numpy as np
 import pytest
 
+import armould.monomials as mono
 from armould.monomials import ContourSpec
 from armould.operators import DiffOperator
 from armould.series import TruncatedSeries
@@ -49,6 +52,58 @@ class TestInvariantFamily:
             SynthesisConfig(c=2.0, nu=nu, r_max=r_max)
 
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: InvariantFamily({1: math.nan}),
+            lambda: InvariantFamily({1: complex(0.25, math.inf)}, growth_bound=1.0),
+            lambda: InvariantFamily({1: 0.25}, growth_bound=math.inf),
+            lambda: InvariantFamily({1: 0.25}, growth_bound=math.nan),
+            lambda: SynthesisConfig(c=math.nan),
+            lambda: SynthesisConfig(c=math.inf),
+            lambda: SynthesisConfig(c=2.0, z_samples=(complex(math.nan, 1.0),)),
+            lambda: SynthesisConfig(c=2.0, z_samples=(-math.inf,)),
+        ],
+        ids=["A-nan", "A-inf", "H-inf", "H-nan", "c-nan", "c-inf", "z-nan", "z-inf"],
+    )
+    def test_non_finite_inputs_rejected(self, make):
+        with pytest.raises(SynthesisError):
+            make()
+
+
+class TestPassCount:
+    """L carries each value with its z-derivative, so every distinct word
+    costs one set of quadrature passes, once."""
+
+    INV = InvariantFamily({1: 0.25, 2: 0.125})
+    CFG = SynthesisConfig(c=2.0, nu=4, r_max=4, z_samples=(-1.5, -2.5))
+
+    @pytest.fixture
+    def passes(self, monkeypatch):
+        calls = []
+        one_pass = mono._pass
+
+        def counted(decorations, parents, z, *rest):
+            calls.append((decorations, z))
+            return one_pass(decorations, parents, z, *rest)
+
+        monkeypatch.setattr(mono, "_pass", counted)
+        return calls
+
+    def test_synthesize_runs_one_pass_set_per_distinct_word(self, passes):
+        synthesize(self.INV, self.CFG)
+        levels = self.CFG.contour.richardson_levels
+        assert len(set(passes)) == 30
+        assert len(passes) == levels * 30 == 60
+
+    def test_convergence_report_reuses_build_theta(self, passes):
+        build_theta(self.INV, self.CFG)
+        theta_passes = len(passes)
+        passes.clear()
+        convergence_report(self.INV, self.CFG, [2.0])
+        assert len(passes) == theta_passes
+
+
 class TestFixedPoint:
     def test_zero_invariants_give_identity(self):
         field = synthesize(InvariantFamily({}), CFG)
@@ -70,7 +125,7 @@ class TestNormalizer:
         # single-node forest acts on u as L^(1) * a * u^2
         e = build_theta(self.INV, CFG)[0]
         ell = signed_monomial_mould(-2.0, 2.0, CFG.contour)
-        expected = complex(ell.value(word(1))) * 0.25
+        expected = complex(ell.value(word(1)).coeff(0)) * 0.25
         u = TruncatedSeries.u_power(1, 0, CFG.nu, coeff=1.0 + 0.0j)
         img = e.apply(u)
         assert abs(img.coeff(0, 2) - expected) <= 1e-12 * abs(expected)
@@ -124,7 +179,7 @@ class TestNormalizer:
                 op = atoms[n].compose(op)
             if not ok:
                 continue
-            out = out + op.scale(complex(ell.value(w)))
+            out = out + op.scale(complex(ell.value(w).coeff(0)))
         # drop contributions of underlying length > r_max: compare against the
         # word assembly only through norm <= 2 coefficients where they agree
         e = build_theta(inv, cfg2)[0]
