@@ -1,0 +1,126 @@
+"""Property-based checks of the algebraic identities the exact layer rests on:
+shuffle counts, contracting-shuffle associativity, closure of symmetral and
+symmetrel moulds under the mould product, and the arborification identities.
+They add to the fixed-seed examples of test_words.py and test_moulds.py."""
+
+import math
+from collections import Counter
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from armould.moulds import (
+    Mould,
+    arborify,
+    check_symmetry,
+    mould_mul,
+    symmetral_from_letter_weights,
+    symmetrel_geometric,
+)
+from armould.words import EMPTY_WORD, Forest, Tree, Word, contracting_shuffle, letter, shuffle, tree
+
+PROPERTY = settings(deadline=None, derandomize=True, database=None)
+
+# mixed alphabet: positive integers, a negative fraction and a Gaussian letter
+MIXED = [letter(x) for x in ("1", "2", "-1/2", "1+i")]
+AB = [letter(1), letter(2)]
+
+fractions = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))
+nonzero_fractions = fractions.filter(bool)
+
+
+def words(alphabet, max_size):
+    return st.lists(st.sampled_from(alphabet), max_size=max_size).map(lambda a: Word(tuple(a)))
+
+
+@st.composite
+def small_forests(draw, max_nodes=3, alphabet=MIXED):
+    """Forests from a random parent list: node j is a root or the child of an
+    earlier node."""
+    n = draw(st.integers(0, max_nodes))
+    parents = [draw(st.integers(-1, j - 1)) for j in range(n)]
+    decs = [draw(st.sampled_from(alphabet)) for _ in range(n)]
+
+    def build(j):
+        return Tree(decs[j], Forest(tuple(build(k) for k in range(n) if parents[k] == j)))
+
+    return Forest(tuple(build(j) for j in range(n) if parents[j] == -1))
+
+
+def extend(op, left: Counter, right: Counter) -> Counter:
+    """Bilinear extension of a word operation to multisets of words."""
+    out: Counter = Counter()
+    for u, m in left.items():
+        for v, k in right.items():
+            for w, mult in op(u, v).items():
+                out[w] += m * k * mult
+    return out
+
+
+class TestShuffleAlgebra:
+    @PROPERTY
+    @given(st.lists(words(MIXED, 3), min_size=1, max_size=3))
+    def test_shuffle_counts_are_multinomials(self, ws):
+        acc = Counter({EMPTY_WORD: 1})
+        for w in ws:
+            acc = extend(shuffle, acc, Counter({w: 1}))
+        lengths = [w.length for w in ws]
+        multinomial = math.factorial(sum(lengths))
+        for r in lengths:
+            multinomial //= math.factorial(r)
+        assert sum(acc.values()) == multinomial
+        assert all(w.length == sum(lengths) for w in acc)
+
+    @PROPERTY
+    @given(st.integers(0, 4), st.integers(0, 4), st.sampled_from(MIXED))
+    def test_shuffle_of_one_repeated_letter_is_one_binomial(self, r1, r2, a):
+        out = shuffle(Word((a,) * r1), Word((a,) * r2))
+        assert out == Counter({Word((a,) * (r1 + r2)): math.comb(r1 + r2, r1)})
+
+    @PROPERTY
+    @given(words(MIXED, 3), words(MIXED, 2), words(MIXED, 2))
+    def test_contracting_shuffle_is_associative(self, a, b, c):
+        one = Counter({c: 1})
+        lhs = extend(contracting_shuffle, contracting_shuffle(a, b), one)
+        rhs = extend(contracting_shuffle, Counter({a: 1}), contracting_shuffle(b, c))
+        assert lhs == rhs
+
+
+class TestSymmetryClosure:
+    @settings(PROPERTY, max_examples=8)
+    @given(st.lists(st.tuples(nonzero_fractions, nonzero_fractions), min_size=2, max_size=2))
+    def test_symmetral_closed_under_mould_mul(self, pairs):
+        moulds = [symmetral_from_letter_weights({1: w1, 2: w2}) for w1, w2 in pairs]
+        assert check_symmetry(mould_mul(*moulds), "symmetral", 4, AB).passed
+
+    @settings(PROPERTY, max_examples=8)
+    @given(nonzero_fractions, nonzero_fractions)
+    def test_symmetrel_closed_under_mould_mul(self, x1, x2):
+        m = mould_mul(symmetrel_geometric(x1), symmetrel_geometric(x2))
+        assert check_symmetry(m, "symmetrel", 4, AB).passed
+
+
+class TestArborification:
+    @PROPERTY
+    @given(words(MIXED, 5).filter(len), fractions, fractions)
+    def test_simple_arborified_on_chain_is_the_word_value(self, w, a, b):
+        # a mould with no symmetry: M^w = prod_i (a omega_i + b i)
+        def rule(v: Word):
+            acc = Fraction(1)
+            for i, x in enumerate(v, start=1):
+                acc = (x.value * a + b * i) * acc
+            return acc
+
+        m = Mould(rule)
+        chain = tree(w[-1])
+        for x in reversed(w.letters[:-1]):
+            chain = tree(x, [chain])
+        assert arborify(m, "simple").value(Forest((chain,))) == m.value(w)
+
+    @settings(PROPERTY, max_examples=60)
+    @given(small_forests(), small_forests(), st.lists(nonzero_fractions, min_size=len(MIXED), max_size=len(MIXED)))
+    def test_simple_arborified_of_symmetral_is_multiplicative(self, f1, f2, weights):
+        m = symmetral_from_letter_weights(dict(zip(MIXED, weights)))
+        arb = arborify(m, "simple")
+        assert arb.value(f1 * f2) == arb.value(f1) * arb.value(f2)
