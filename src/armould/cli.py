@@ -194,10 +194,10 @@ def _dispatch(args) -> int:
         p = KernelParams(args.c, args.omega)
         payload = {"c": _fnum(args.c), "omega": _fnum(args.omega), "sup_bound": _fnum(g_sup_bound(p))}
         if args.y is not None:
-            y = complex(args.y.replace("i", "j"))
+            y = _parse_complex(args.y)
             payload["g"] = _fnum(g_eval(p, y))
         if args.x is not None:
-            x = complex(args.x.replace("i", "j"))
+            x = _parse_complex(args.x)
             v, err = f_eval(p, x)
             payload["f"] = _fnum(v)
             payload["f_error_estimate"] = _fnum(err)
@@ -215,10 +215,10 @@ def _dispatch(args) -> int:
         return _dispatch_synthesize(args)
 
     if args.command == "linear-rh":
-        l1 = complex(args.lambda1.replace("i", "j"))
-        l2 = complex(args.lambda2.replace("i", "j"))
-        a12 = complex(args.a12.replace("i", "j"))
-        a21 = complex(args.a21.replace("i", "j"))
+        l1 = _parse_complex(args.lambda1)
+        l2 = _parse_complex(args.lambda2)
+        a12 = _parse_complex(args.a12)
+        a21 = _parse_complex(args.a21)
         rep = linear_rh_synthesize((l1, l2), a12, a21, c=args.c, r_max=args.r_max)
         payload = {
             "omega_12": _fnum(l1 - l2),
@@ -261,13 +261,17 @@ def _dispatch_mould(args) -> int:
     raise ValueError(f"unknown mould command {args.mould_command!r}")
 
 
-def _parse_z(text: str) -> complex:
-    return complex(text.replace("i", "j"))
+def _parse_complex(text: str) -> complex:
+    """A complex number with ``i`` or ``j`` as its imaginary unit.  Only a
+    trailing unit is translated, so ``inf``, ``-inf``, ``infinity`` and
+    ``nan`` read as Python reads them."""
+    text = text.strip()
+    return complex(text[:-1] + "j" if text.endswith("i") else text)
 
 
 def _dispatch_monomial(args) -> int:
     if args.monomial_command == "eval":
-        z = _parse_z(args.z)
+        z = _parse_complex(args.z)
         spec = ContourSpec()
         if args.family == "hyperlog":
             if args.word is None:
@@ -299,7 +303,7 @@ def _dispatch_monomial(args) -> int:
         return 0
     if args.monomial_command == "growth-scan":
         cs = [float(tok) for tok in args.c_grid.split(",")]
-        rep = growth_scan(cs, args.norm_cap, _parse_z(args.z), include_forests=args.forests)
+        rep = growth_scan(cs, args.norm_cap, _parse_complex(args.z), include_forests=args.forests)
         payload = {
             "z": _fnum(rep.z),
             "norm_cap": rep.norm_cap,

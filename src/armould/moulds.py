@@ -606,8 +606,7 @@ def organic_growth_report(max_nodes: int = 6, decorations: Sequence[int] = (1, 2
 
     sup_by_nodes = {r: 0.0 for r in range(1, max_nodes + 1)}
     counts = {r: 0 for r in range(1, max_nodes + 1)}
-    for norm, f in _forests(decs, max_nodes * max(decs), max_nodes):
-        r = f.node_count
+    for r, norm, f in _forests(decs, max_nodes * max(decs), max_nodes):
         counts[r] += 1
         # sum w (-1)^len (first + last) over the fiber chains of f
         total = -sum(w * (s * rest_signed + rest_last) for w, s, (rest_signed, rest_last) in fibers(f))

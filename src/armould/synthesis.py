@@ -43,7 +43,11 @@ from .operators import (
     restricted_norm,
 )
 from .series import TruncatedSeries, ZSeries
-from .words import Word, forests_of_norm, letter
+from .words import Word, count_forests, forests_of_norm, letter
+
+# build_theta refuses caps whose forest sum has more canonical forests than
+# this; at c = 2 a synthesis costs about 1 ms per forest and z sample.
+MAX_FORESTS = 20_000
 
 
 class SynthesisError(ValueError):
@@ -174,6 +178,12 @@ def build_theta(inv: InvariantFamily, cfg: SynthesisConfig) -> list[NormalizerEx
     fam = inv.derivations()
     expansions = []
     support_letters = [letter(n) for n in inv.support]
+    n_forests = count_forests(support_letters, cfg.nu, cfg.r_max)
+    if n_forests > MAX_FORESTS:
+        raise SynthesisError(
+            f"caps nu = {cfg.nu}, r_max = {cfg.r_max} on the support {list(inv.support)} give {n_forests} forests,"
+            f" above the limit MAX_FORESTS = {MAX_FORESTS}"
+        )
     forests = forests_of_norm(support_letters, cfg.nu, max_nodes=cfg.r_max) if support_letters else []
     expm = builtin_mould("exp")
     for z in cfg.z_samples:

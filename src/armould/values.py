@@ -15,13 +15,20 @@ Exactable = Union[int, Fraction, "GaussianRational"]
 
 
 class GaussianRational:
-    """Complex number with exact rational real and imaginary parts."""
+    """Complex number with exact rational real and imaginary parts.
 
-    __slots__ = ("re", "im")
+    The sort key ``(re, im)`` is built once, each part an ``int`` when its
+    denominator is 1; ints and Fractions compare exactly and hash alike, so
+    the key orders and hashes as the Fraction pair does.  The hash is stored
+    the first time it is asked for.
+    """
+
+    __slots__ = ("re", "im", "_key", "_hash")
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
+        _set(self, "re", re if type(re) is Fraction else Fraction(re))
+        _set(self, "im", im if type(im) is Fraction else Fraction(im))
+        _set(self, "_key", (_atom(self.re), _atom(self.im)))
 
     def __setattr__(self, name, value):
         raise AttributeError("GaussianRational is immutable")
@@ -30,12 +37,16 @@ class GaussianRational:
 
     def __add__(self, other):
         other = as_gaussian(other)
+        if not (self.im or other.im):
+            return _real(self.re + other.re)
         return GaussianRational(self.re + other.re, self.im + other.im)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         other = as_gaussian(other)
+        if not (self.im or other.im):
+            return _real(self.re - other.re)
         return GaussianRational(self.re - other.re, self.im - other.im)
 
     def __rsub__(self, other):
@@ -43,6 +54,8 @@ class GaussianRational:
 
     def __mul__(self, other):
         other = as_gaussian(other)
+        if not (self.im or other.im):
+            return _real(self.re * other.re)
         return GaussianRational(
             self.re * other.re - self.im * other.im,
             self.re * other.im + self.im * other.re,
@@ -72,18 +85,22 @@ class GaussianRational:
     # -- comparisons / hashing ------------------------------------------------
 
     def __eq__(self, other):
+        if isinstance(other, GaussianRational):
+            return self._key == other._key
         if isinstance(other, (int, Fraction)):
             return self.im == 0 and self.re == other
-        if isinstance(other, GaussianRational):
-            return self.re == other.re and self.im == other.im
         if isinstance(other, complex):
             return complex(self) == other
         return NotImplemented
 
     def __hash__(self):
-        if self.im == 0:
-            return hash(self.re)
-        return hash((self.re, self.im))
+        try:
+            return self._hash
+        except AttributeError:
+            re, im = self._key
+            h = hash(re) if im == 0 else hash(self._key)
+            _set(self, "_hash", h)
+            return h
 
     def __bool__(self):
         return self.re != 0 or self.im != 0
@@ -93,16 +110,34 @@ class GaussianRational:
 
     @property
     def is_positive_integer(self):
-        return self.im == 0 and self.re.denominator == 1 and self.re >= 1
+        re, im = self._key
+        return im == 0 and type(re) is int and re >= 1
 
     def sort_key(self):
-        return (self.re, self.im)
+        return self._key
 
     def __repr__(self):
         return f"GaussianRational({self.re!r}, {self.im!r})"
 
     def __str__(self):
         return format_exact(self)
+
+
+_set = object.__setattr__
+_ZERO = Fraction(0)
+
+
+def _atom(q: Fraction):
+    return q.numerator if q.denominator == 1 else q
+
+
+def _real(re: Fraction) -> GaussianRational:
+    """A real GaussianRational from a Fraction, without re-wrapping its parts."""
+    g = object.__new__(GaussianRational)
+    _set(g, "re", re)
+    _set(g, "im", _ZERO)
+    _set(g, "_key", (_atom(re), 0))
+    return g
 
 
 def as_gaussian(x) -> GaussianRational:

@@ -8,28 +8,62 @@ rationals; two letters are equal iff their decorations are equal exactly.
 Contracting covers carry two counting conventions (see
 :func:`contracting_covers`); the choice matters as soon as a forest has
 incomparable nodes.
+
+Letters, words, trees and forests are immutable and build their canonical
+key once: a nested tuple of the letters' ``(re, im)`` keys (integer parts as
+ints), made from the parts' stored keys, with its hash beside it.  Equality
+compares keys, and ``sort_key()`` returns the key.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
+from operator import attrgetter
 from typing import Iterable, Iterator, Sequence
 
 from .values import GaussianRational, as_gaussian, format_exact, parse_exact
 
+_set = object.__setattr__
+_key_of = attrgetter("_key")
 
-@dataclass(frozen=True)
-class Letter:
+
+class _Keyed:
+    """Equality and hashing on the canonical key stored at construction."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key == other._key
+        return NotImplemented
+
+    def __hash__(self):
+        return self._hash
+
+    def sort_key(self):
+        return self._key
+
+    def _store_key(self, key: tuple):
+        _set(self, "_key", key)
+        _set(self, "_hash", hash(key))
+
+
+@dataclass(frozen=True, eq=False, slots=True)
+class Letter(_Keyed):
     """A decoration omega from the alphabet; exact value, exact equality."""
 
     value: GaussianRational
+    _key: tuple = field(init=False, repr=False)
+    _hash: int = field(init=False, repr=False)
 
     def __post_init__(self):
         if not isinstance(self.value, GaussianRational):
-            object.__setattr__(self, "value", as_gaussian(self.value))
+            _set(self, "value", as_gaussian(self.value))
+        self._store_key(self.value.sort_key())
 
     @property
     def is_positive_integer(self) -> bool:
@@ -37,9 +71,6 @@ class Letter:
 
     def __add__(self, other: "Letter") -> "Letter":
         return Letter(self.value + other.value)
-
-    def sort_key(self):
-        return self.value.sort_key()
 
     def __str__(self):
         return format_exact(self.value)
@@ -56,14 +87,17 @@ def letter(x) -> Letter:
     return Letter(as_gaussian(x))
 
 
-@dataclass(frozen=True)
-class Word:
+@dataclass(frozen=True, eq=False, slots=True)
+class Word(_Keyed):
     """Finite sequence of letters; the index set of moulds."""
 
     letters: tuple[Letter, ...]
+    _key: tuple = field(init=False, repr=False)
+    _hash: int = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "letters", tuple(letter(a) for a in self.letters))
+        _set(self, "letters", tuple(letter(a) for a in self.letters))
+        self._store_key(tuple(a._key for a in self.letters))
 
     @property
     def length(self) -> int:
@@ -89,9 +123,6 @@ class Word:
 
     def __iter__(self) -> Iterator[Letter]:
         return iter(self.letters)
-
-    def sort_key(self):
-        return tuple(a.sort_key() for a in self.letters)
 
     def __str__(self):
         return "(" + ",".join(str(a) for a in self.letters) + ")"
@@ -199,17 +230,20 @@ def _csh_rec(a: tuple, b: tuple) -> Counter:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Tree:
+@dataclass(frozen=True, eq=False, slots=True)
+class Tree(_Keyed):
     """Decorated rooted tree; children form a Forest (canonically ordered)."""
 
     root: Letter
     children: "Forest"
+    _key: tuple = field(init=False, repr=False)
+    _hash: int = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "root", letter(self.root))
+        _set(self, "root", letter(self.root))
         if not isinstance(self.children, Forest):
-            object.__setattr__(self, "children", Forest(tuple(self.children)))
+            _set(self, "children", Forest(tuple(self.children)))
+        self._store_key((self.root._key, self.children._key))
 
     @property
     def node_count(self) -> int:
@@ -218,9 +252,6 @@ class Tree:
     @property
     def norm(self) -> GaussianRational:
         return self.root.value + self.children.norm
-
-    def sort_key(self):
-        return (self.root.sort_key(), self.children.sort_key())
 
     def __str__(self):
         if not self.children.trees:
@@ -231,15 +262,18 @@ class Tree:
         return f"Tree[{self}]"
 
 
-@dataclass(frozen=True)
-class Forest:
+@dataclass(frozen=True, eq=False, slots=True)
+class Forest(_Keyed):
     """Multiset of decorated trees, stored sorted so equal forests compare equal."""
 
     trees: tuple[Tree, ...]
+    _key: tuple = field(init=False, repr=False)
+    _hash: int = field(init=False, repr=False)
 
     def __post_init__(self):
-        ordered = tuple(sorted(self.trees, key=lambda t: t.sort_key()))
-        object.__setattr__(self, "trees", ordered)
+        ordered = tuple(sorted(self.trees, key=_key_of))
+        _set(self, "trees", ordered)
+        self._store_key(tuple(t._key for t in ordered))
 
     @property
     def node_count(self) -> int:
@@ -255,9 +289,6 @@ class Forest:
     def __mul__(self, other: "Forest") -> "Forest":
         return Forest(self.trees + other.trees)
 
-    def sort_key(self):
-        return tuple(t.sort_key() for t in self.trees)
-
     def decorations(self) -> Counter:
         out: Counter = Counter()
         for t in self.trees:
@@ -268,7 +299,7 @@ class Forest:
     def automorphism_count(self) -> int:
         """Order of the decorated-forest automorphism group."""
         n = 1
-        for _, group in itertools.groupby(self.trees, key=lambda t: t.sort_key()):
+        for _, group in itertools.groupby(self.trees, key=_key_of):
             block = list(group)
             n *= _factorial(len(block))
             for t in block:
@@ -361,16 +392,23 @@ def _fiber_step(f: Forest, counting: str) -> Counter:
     forest left after removing the fiber) -> summed weight, where a fiber of
     size k weighs k! for 'merges' and 1 for 'surjections'; 'extensions'
     takes singleton fibers only, weight 1.  Equal roots are distinct fibers.
+    A fiber's decorations are summed on their keys, one Letter per sum.
     """
     roots = f.trees
+    keys = [t.root.sort_key() for t in roots]
+    sums: dict[tuple, Letter] = {}
     out: Counter = Counter()
     max_size = 1 if counting == "extensions" else len(roots)
     for size in range(1, max_size + 1):
         weight = _factorial(size) if counting == "merges" else 1
         for combo in itertools.combinations(range(len(roots)), size):
-            dec = roots[combo[0]].root
-            for i in combo[1:]:
-                dec = dec + roots[i].root
+            if size == 1:
+                dec = roots[combo[0]].root
+            else:
+                total = (sum(keys[i][0] for i in combo), sum(keys[i][1] for i in combo))
+                dec = sums.get(total)
+                if dec is None:
+                    dec = sums[total] = Letter(GaussianRational(*total))
             rest = [t for i, t in enumerate(roots) if i not in combo]
             for i in combo:
                 rest.extend(roots[i].children.trees)
@@ -433,14 +471,14 @@ def forests_of_norm(letters: Sequence[Letter], max_norm: int, max_nodes: int | N
     values = sorted({a.value.re for a in letters})
     # every decoration is >= 1, so the norm caps the node count
     stream = _forests([int(v) for v in values], max_norm, max_norm if max_nodes is None else max_nodes)
-    return [f for _, f in sorted(((n, f.node_count, f.sort_key()), f) for n, f in stream)]
+    return [f for _, f in sorted(((n, k, f.sort_key()), f) for k, n, f in stream)]
 
 
-def _forests(values: Sequence[int], max_norm: int, max_nodes: int) -> Iterator[tuple[int, Forest]]:
+def _forests(values: Sequence[int], max_norm: int, max_nodes: int) -> Iterator[tuple[int, int, Forest]]:
     """Nonempty canonical forests decorated by ``values`` (positive integers)
-    with norm <= max_norm and at most max_nodes nodes, as (norm, forest), in
-    increasing node count.  Only the tree pool is kept; the forests of each
-    node count are rebuilt from it."""
+    with norm <= max_norm and at most max_nodes nodes, as (nodes, norm,
+    forest), in increasing node count.  Only the tree pool is kept; the
+    forests of each node count are rebuilt from it."""
     roots = [letter(v) for v in values]
     pool: list[tuple[int, int, Tree]] = []  # (nodes, norm, tree), by node count
 
@@ -467,4 +505,33 @@ def _forests(values: Sequence[int], max_norm: int, max_nodes: int) -> Iterator[t
                 grown.append((nodes, v + n, Tree(root, Forest(kids))))
         pool.extend(grown)
         for n, trees in multisets(nodes, max_norm, 0):
-            yield n, Forest(trees)
+            yield nodes, n, Forest(trees)
+
+
+def count_forests(letters: Sequence[Letter], max_norm: int, max_nodes: int | None = None) -> int:
+    """How many forests :func:`forests_of_norm` lists, counted by norm and
+    node count without building any."""
+    if any(not a.is_positive_integer for a in letters):
+        raise ValueError("forest enumeration needs positive integer decorations")
+    values = sorted({int(a.value.re) for a in letters})
+    max_nodes = max_norm if max_nodes is None else max_nodes
+    # counts[n][k]: forests (the empty one included) of norm n and k nodes
+    # made of the trees of norm below the current one
+    counts = [[0] * (max_nodes + 1) for _ in range(max_norm + 1)]
+    counts[0][0] = 1
+    for n in range(1, max_norm + 1):
+        # trees of norm n: a root v over a forest of norm n - v < n, final by now
+        trees = [0] + [sum(counts[n - v][k - 1] for v in values if v <= n) for k in range(1, max_nodes + 1)]
+        for k, t in enumerate(trees):
+            if not t:
+                continue
+            # admit any multiset of these t trees: j of them in C(t+j-1, j) ways;
+            # descending (norm, nodes) so every term read is still the old count
+            for big_n in range(max_norm, n - 1, -1):
+                for big_k in range(max_nodes, k - 1, -1):
+                    j, extra = 1, 0
+                    while j * n <= big_n and j * k <= big_k:
+                        extra += math.comb(t + j - 1, j) * counts[big_n - j * n][big_k - j * k]
+                        j += 1
+                    counts[big_n][big_k] += extra
+    return sum(map(sum, counts)) - 1

@@ -3,7 +3,8 @@ is checked against.  The normalizer's word assembly checks its forest
 assembly; the index-walk enumerators check the memoised fiber recursion and
 the streamed forest generator of :mod:`armould.words`; the dense Cauchy fold
 checks the FFT-Toeplitz fold of :mod:`armould.monomials`, and the cover sum
-of word values checks its structured forest integral."""
+of word values checks its structured forest integral.  The (Fraction re,
+Fraction im) sort key checks the canonical order of words and forests."""
 
 import itertools
 from collections import Counter
@@ -206,13 +207,13 @@ def forests_of_norm(letters, max_norm: int, max_nodes: int | None = None) -> lis
         if f.trees and (max_nodes is None or f.node_count <= max_nodes):
             out.append(f)
     out = _dedup(out)
-    out.sort(key=lambda f: (int(f.norm.re), f.node_count, f.sort_key()))
+    out.sort(key=lambda f: (int(f.norm.re), f.node_count, fraction_sort_key(f)))
     return out
 
 
 def _forests_with_norm(trees_pool, norm_budget, include_all_below=False):
     """Multisets of trees with total norm == budget (or <= budget)."""
-    pool = sorted(_dedup(list(trees_pool)), key=lambda t: t.sort_key())
+    pool = sorted(_dedup(list(trees_pool)), key=fraction_sort_key)
     results: list[Forest] = []
 
     def rec(start: int, budget: int, acc: tuple):
@@ -236,8 +237,22 @@ def _dedup(items):
     seen = set()
     out = []
     for x in items:
-        k = x.sort_key()
+        k = fraction_sort_key(x)
         if k not in seen:
             seen.add(k)
             out.append(x)
     return out
+
+
+def fraction_sort_key(x):
+    """Oracle for ``sort_key()`` of a Letter, Word, Tree or Forest: each
+    letter as its (Fraction re, Fraction im) pair, words and trees nested
+    alike, and a forest's trees sorted by this key, whatever order it holds
+    them in."""
+    if isinstance(x, Letter):
+        return (x.value.re, x.value.im)
+    if isinstance(x, Word):
+        return tuple(fraction_sort_key(a) for a in x.letters)
+    if isinstance(x, Tree):
+        return (fraction_sort_key(x.root), fraction_sort_key(x.children))
+    return tuple(sorted(fraction_sort_key(t) for t in x.trees))

@@ -170,6 +170,20 @@ class TestSynthesizeCommand:
         assert rc == 2 and captured.out == ""
         assert "N_u,N_z,R_max" in json.loads(captured.err)["error"]
 
+    def test_explosive_caps_fail_before_quadrature(self, tmp_path, capsys, monkeypatch):
+        import armould.monomials as mono
+
+        def no_quadrature(*args):
+            raise AssertionError("a quadrature pass ran")
+
+        monkeypatch.setattr(mono, "_pass", no_quadrature)
+        inv = tmp_path / "inv.json"
+        inv.write_text('{"A": {"1": "1/4", "2": "1/8", "3": "1/16"}, "H": 1.0}')
+        rc = main(["synthesize", "--invariants", str(inv), "--c", "2", "--caps", "14,14,6"])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert "give 22165 forests" in json.loads(captured.err)["error"]
+
     def test_non_finite_output_fails_the_gate(self, tmp_path):
         # c = 1e200 is finite but c^2 overflows in the kernel, so the field
         # coefficients and both defects come out NaN.  A separate process
@@ -227,3 +241,35 @@ class TestLinearRHCommand:
         assert rc == 0
         payload = json.loads(out)
         assert payload["geometric_decay"] is True
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["monomial", "eval", "--word", "(1)", "--z", "inf", "--c", "1"],
+        ["monomial", "eval", "--forest", "1(2)", "--z=-inf", "--c", "1"],
+        ["monomial", "eval", "--word", "(1,2)", "--z", "infinity", "--c", "2"],
+        ["monomial", "eval", "--word", "(1)", "--z=-infi", "--c", "1"],
+        ["monomial", "growth-scan", "--c-grid", "1,2", "--norm-cap", "2", "--z=-inf"],
+    ],
+    ids=["eval-inf", "forest-minus-inf", "eval-infinity", "eval-imaginary-inf", "scan-minus-inf"],
+)
+def test_infinite_z_reaches_the_non_finite_error(capsys, monkeypatch, argv):
+    # an "inf" in --z is read as infinity, not as a malformed imaginary unit
+    import armould.monomials as mono
+
+    def no_quadrature(*args):
+        raise AssertionError("a quadrature pass ran")
+
+    monkeypatch.setattr(mono, "_pass", no_quadrature)
+    rc = main(argv)
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert "is not finite" in json.loads(captured.err)["error"]
+
+
+@pytest.mark.parametrize("text, value", [("-2", -2), ("1+2i", 1 + 2j), ("-i", -1j), ("2.5-0.5i", 2.5 - 0.5j), ("1j", 1j)])
+def test_complex_literals_read_a_trailing_imaginary_unit(text, value):
+    from armould.cli import _parse_complex
+
+    assert _parse_complex(text) == value

@@ -104,6 +104,33 @@ class TestPassCount:
         assert len(passes) == theta_passes
 
 
+class TestForestLimit:
+    """Caps whose forest sum is too large fail before any quadrature, with
+    the exact forest count in the message."""
+
+    @pytest.fixture
+    def no_quadrature(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a quadrature pass ran")
+
+        monkeypatch.setattr(mono, "_pass", refuse)
+
+    def test_explosive_caps_rejected(self, no_quadrature):
+        inv = InvariantFamily({n: 0.01 for n in range(1, 11)})
+        cfg = SynthesisConfig(c=2.0, nu=40, r_max=6, z_samples=(-2.0,))
+        with pytest.raises(SynthesisError, match="MAX_FORESTS"):
+            build_theta(inv, cfg)
+
+    def test_limit_names_the_count(self, no_quadrature, monkeypatch):
+        import armould.synthesis as synth
+
+        # 107 forests of norm <= 6 and at most 4 nodes over {1, 2}
+        monkeypatch.setattr(synth, "MAX_FORESTS", 106)
+        inv = InvariantFamily({1: 0.25, 2: 0.125})
+        with pytest.raises(SynthesisError, match="give 107 forests"):
+            build_theta(inv, CFG)
+
+
 class TestFixedPoint:
     def test_zero_invariants_give_identity(self):
         field = synthesize(InvariantFamily({}), CFG)

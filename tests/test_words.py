@@ -3,20 +3,24 @@
 import itertools
 import math
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from armould.values import parse_exact
+from armould.values import GaussianRational, parse_exact
 from armould.words import (
     EMPTY_WORD,
     Forest,
+    Letter,
     Tree,
+    Word,
     canonicalize,
     contracting_covers,
     contracting_shuffle,
+    count_forests,
     forest,
     forests_of_norm,
     letter,
@@ -235,13 +239,17 @@ class TestAutomorphisms:
 DECORATIONS = [letter(x) for x in ("1", "2", "3", "1/2+i")]
 
 
+# Gaussian, fractional and negative letters, some with integer parts
+KEY_DECORATIONS = [letter(x) for x in ("1", "2", "-1", "-2/3", "1/2", "1/2+i", "-1i", "3/4-2i", "1+i")]
+
+
 @st.composite
-def random_forests(draw):
+def random_forests(draw, decorations=DECORATIONS):
     """Forests from a random parent list: node j is a root or the child of an
     earlier node."""
     n = draw(st.integers(1, 6))
     parents = [draw(st.integers(-1, j - 1)) for j in range(n)]
-    decs = [draw(st.sampled_from(DECORATIONS)) for _ in range(n)]
+    decs = [draw(st.sampled_from(decorations)) for _ in range(n)]
 
     def build(j):
         return Tree(decs[j], Forest(tuple(build(k) for k in range(n) if parents[k] == j)))
@@ -266,3 +274,70 @@ class TestAgainstOracles:
     def test_forests_of_norm_matches_oracle(self, values, caps):
         letters = [letter(v) for v in values]
         assert forests_of_norm(letters, *caps) == oracles.forests_of_norm(letters, *caps)
+
+    @pytest.mark.parametrize(
+        "values, caps",
+        [([1, 2, 3], (5,)), ([1, 2, 3, 4, 5], (5,)), ([1, 2], (6, 4)), ([1, 2], (8, 8)), ([2, 5], (12, 5)), ([3], (2,))],
+    )
+    def test_count_forests_matches_enumeration(self, values, caps):
+        letters = [letter(v) for v in values]
+        assert count_forests(letters, *caps) == len(forests_of_norm(letters, *caps))
+
+    def test_count_forests_rejects_non_integer_letters(self):
+        for bad in ("1+i", "1/2", "0"):
+            with pytest.raises(ValueError):
+                count_forests([letter(1), letter(bad)], 2)
+
+
+def _fresh(a: Letter) -> Letter:
+    """An equal letter that shares no object with ``a``."""
+    re, im = a.value.re, a.value.im
+    return Letter(GaussianRational(Fraction(re.numerator, re.denominator), Fraction(str(im))))
+
+
+def _rebuilt(f: Forest, permute) -> Forest:
+    """``f`` rebuilt from fresh letters, every tuple of trees permuted."""
+
+    def rebuild(t: Tree) -> Tree:
+        return Tree(_fresh(t.root), Forest(permute(tuple(rebuild(c) for c in t.children.trees))))
+
+    return Forest(permute(tuple(rebuild(t) for t in f.trees)))
+
+
+class TestKeys:
+    """Keys and hashes are stored at construction; they must behave as the
+    (Fraction re, Fraction im) keys they replace."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(random_forests(KEY_DECORATIONS), st.randoms(use_true_random=False))
+    def test_equal_forests_have_equal_keys_and_hashes(self, f, rnd):
+        g = _rebuilt(f, lambda trees: tuple(rnd.sample(trees, len(trees))))
+        assert g == f
+        assert g.sort_key() == f.sort_key() and hash(g) == hash(f)
+        assert [str(t) for t in g.trees] == [str(t) for t in f.trees]
+        for t, u in zip(f.trees, g.trees):
+            assert t == u and hash(t) == hash(u)
+            assert t.root == u.root and hash(t.root) == hash(u.root)
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(st.lists(random_forests(KEY_DECORATIONS), min_size=2, max_size=8))
+    def test_forest_order_matches_fraction_key(self, forests):
+        assert sorted(forests, key=Forest.sort_key) == sorted(forests, key=oracles.fraction_sort_key)
+        for f in forests:
+            # the trees sit in the old canonical order
+            assert tuple(oracles.fraction_sort_key(t) for t in f.trees) == oracles.fraction_sort_key(f)
+        for f, g in itertools.combinations(forests, 2):
+            assert (f == g) == (oracles.fraction_sort_key(f) == oracles.fraction_sort_key(g))
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.lists(st.sampled_from(KEY_DECORATIONS), max_size=4).map(lambda a: Word(tuple(a))), min_size=2, max_size=8))
+    def test_word_order_matches_fraction_key(self, words):
+        assert sorted(words, key=Word.sort_key) == sorted(words, key=oracles.fraction_sort_key)
+        for u, v in itertools.combinations(words, 2):
+            assert (u == v) == (oracles.fraction_sort_key(u) == oracles.fraction_sort_key(v))
+            assert u != v or hash(u) == hash(v)
+
+    def test_keys_hold_int_atoms(self):
+        assert letter(3).sort_key() == (3, 0) and type(letter(3).sort_key()[0]) is int
+        assert letter("1/2-i").sort_key() == (Fraction(1, 2), -1)
+        assert parse_forest("2(1);1").sort_key() == (((1, 0), ()), ((2, 0), (((1, 0), ()),)))
