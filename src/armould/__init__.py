@@ -7,7 +7,8 @@ Layers, bottom up:
               linear extensions and contracting covers (two countings)
 - moulds:     mould product/composition/inverses, symmetry checks,
               arborification, built-in scalar moulds, transition expansions
-- series:     bi-truncated formal series and z^{-1}-series value algebras
+- series:     truncated u-series (a cap-1 series is a first-order jet) and
+              the polynomial arithmetic the operators share
 - operators:  homogeneous derivations, comoulds, (contracted)
               coarborification, exact mould-comould contraction
 - kernels:    paralogarithmic kernels g_{c,omega}, Laplace transforms,
@@ -57,9 +58,8 @@ from .moulds import (
     symmetrel_geometric,
     transition_apply,
 )
-from .series import TruncatedSeries, ZSeries
+from .series import TruncatedSeries
 from .operators import (
-    CoarKernel,
     DerivationFamily,
     DiffOperator,
     HomDerivation,

@@ -1,9 +1,10 @@
 """Mould algebra over a commutative value algebra.
 
 A mould is a map from words to values; values may be exact (Fraction,
-GaussianRational), complex floats, or truncated z^{-1}-series — anything
-with ring operations.  Moulds are rule-backed with memoisation; table-backed
-moulds refuse queries beyond their cap instead of inventing zeros.
+GaussianRational), complex floats, or truncated series such as first-order
+jets — anything with ring operations.  Moulds are rule-backed with
+memoisation; table-backed moulds refuse queries beyond their cap instead of
+inventing zeros.
 """
 
 from __future__ import annotations
@@ -131,9 +132,9 @@ def words_over(alphabet: Sequence[Letter], max_length: int) -> list[Word]:
 
 def words_of_norm_at_most(alphabet: Sequence[Letter], max_norm: int) -> list[Word]:
     """All nonempty words over positive-integer letters with norm <= max_norm."""
-    values = sorted({int(a.value.re) for a in alphabet})
-    if any(v < 1 for v in values):
+    if any(not a.is_positive_integer for a in alphabet):
         raise ValueError("norm enumeration needs positive integer letters")
+    values = sorted({int(a.value.re) for a in alphabet})
     out: list[Word] = []
 
     def rec(prefix: tuple, budget: int):

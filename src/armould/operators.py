@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .series import TruncatedSeries
+from .series import TruncatedSeries, UPoly, _poly_add, _poly_diff, _poly_mul, _poly_scale, _zero
 from .words import (
     EMPTY_FOREST,
     Forest,
@@ -24,41 +24,6 @@ from .words import (
     letter,
 )
 from .moulds import Mould, ArMould, words_of_norm_at_most
-
-UPoly = dict  # degree -> coefficient
-
-
-def _poly_add(a: UPoly, b: UPoly) -> UPoly:
-    out = dict(a)
-    for k, c in b.items():
-        out[k] = out.get(k, 0) + c
-    return {k: c for k, c in out.items() if not _zero(c)}
-
-
-def _poly_mul(a: UPoly, b: UPoly) -> UPoly:
-    out: UPoly = {}
-    for i, c in a.items():
-        for j, d in b.items():
-            out[i + j] = out.get(i + j, 0) + c * d
-    return {k: c for k, c in out.items() if not _zero(c)}
-
-
-def _poly_scale(a: UPoly, s) -> UPoly:
-    return {k: c * s for k, c in a.items() if not _zero(c * s)}
-
-
-def _poly_diff(a: UPoly, times: int = 1) -> UPoly:
-    out = dict(a)
-    for _ in range(times):
-        out = {k - 1: c * k for k, c in out.items() if k >= 1}
-    return {k: c for k, c in out.items() if not _zero(c)}
-
-
-def _zero(c) -> bool:
-    try:
-        return c == 0
-    except Exception:
-        return False
 
 
 class DiffOperator:
@@ -118,17 +83,8 @@ class DiffOperator:
         return {k: c for k, c in out.items() if not _zero(c)}
 
     def apply(self, f: TruncatedSeries) -> TruncatedSeries:
-        """Act in the u variable; z^{-1} coefficients ride along."""
-        out: dict = {}
-        by_j: dict[int, UPoly] = {}
-        for (j, k), c in f.coeffs.items():
-            by_j.setdefault(j, {})[k] = c
-        for j, poly in by_j.items():
-            img = self.apply_u_poly(poly, nu=f.nu)
-            for d, c in img.items():
-                key = (j, d)
-                out[key] = out.get(key, 0) + c
-        return TruncatedSeries(out, f.nz, f.nu)
+        """Act on a truncated u-series, cut at its cap."""
+        return TruncatedSeries(self.apply_u_poly(f.coeffs, nu=f.nu), f.nu)
 
     def truncate_u(self, nu: int) -> "DiffOperator":
         """Drop terms that cannot contribute below the u-degree cap."""
@@ -259,21 +215,7 @@ def _as_int(a: Letter) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CoarKernel:
-    """B_F = c_F(u) d^k with k the number of trees of F."""
-
-    coeff: tuple  # canonical tuple form of the u-polynomial
-    order: int
-
-    def poly(self) -> UPoly:
-        return dict(self.coeff)
-
-    def operator(self) -> DiffOperator:
-        return DiffOperator({self.order: self.poly()})
-
-
-def coarborify_homogeneous(family: DerivationFamily, f: Forest) -> CoarKernel:
+def coarborify_homogeneous(family: DerivationFamily, f: Forest) -> DiffOperator:
     """Homogeneous coarborified of a derivation family.
 
     Tree with root omega and child subtrees S_1..S_m:
@@ -284,7 +226,7 @@ def coarborify_homogeneous(family: DerivationFamily, f: Forest) -> CoarKernel:
     poly = {0: Fraction(1)}
     for t in f.trees:
         poly = _poly_mul(poly, _tree_coeff(family, t))
-    return CoarKernel(tuple(sorted(poly.items())), len(f.trees))
+    return DiffOperator({len(f.trees): poly})
 
 
 def _tree_coeff(family: DerivationFamily, t: Tree) -> UPoly:
@@ -363,7 +305,7 @@ def check_coarborified_decomposition(family: DerivationFamily, cap: int, letters
         lhs = op_compose_word(family, w)
         rhs = DiffOperator.zero()
         for f, mult in increasing_structures(w).items():
-            rhs = rhs + coarborify_homogeneous(family, f).operator().scale(mult)
+            rhs = rhs + coarborify_homogeneous(family, f).scale(mult)
         if lhs != rhs:
             v = lhs.max_abs_diff(rhs)
             if v > worst:
@@ -400,14 +342,14 @@ def check_coseparative(family: DerivationFamily, cap: int, f: TruncatedSeries, g
     count = 0
     for forest_ in [EMPTY_FOREST] + forests_of_norm(letters, cap, max_nodes=cap):
         count += 1
-        lhs = coarborify_homogeneous(family, forest_).operator().apply(f * g)
-        rhs = TruncatedSeries.zero(f.nz, f.nu)
+        lhs = coarborify_homogeneous(family, forest_).apply(f * g)
+        rhs = TruncatedSeries({}, f.nu)
         trees = forest_.trees
         for mask in range(1 << len(trees)):
             left = Forest(tuple(t for i, t in enumerate(trees) if mask & (1 << i)))
             right = Forest(tuple(t for i, t in enumerate(trees) if not mask & (1 << i)))
-            fl = coarborify_homogeneous(family, left).operator().apply(f)
-            fr = coarborify_homogeneous(family, right).operator().apply(g)
+            fl = coarborify_homogeneous(family, left).apply(f)
+            fr = coarborify_homogeneous(family, right).apply(g)
             rhs = rhs + fl * fr
         if lhs != rhs:
             v = lhs.max_abs_diff(rhs)
@@ -458,7 +400,7 @@ def contract_forest_sum(
             val = a.value(f)
             if _zero(val):
                 continue
-            kernel = coarborify_homogeneous(family, f).operator()
+            kernel = coarborify_homogeneous(family, f)
             out = out + kernel.scale(val * Fraction(1, f.automorphism_count()))
         return out
     if mode != "contracting":

@@ -42,7 +42,7 @@ from .operators import (
     op_compose_word,
     restricted_norm,
 )
-from .series import TruncatedSeries, ZSeries
+from .series import TruncatedSeries
 from .words import Word, count_forests, forests_of_norm, letter
 
 # build_theta refuses caps whose forest sum has more canonical forests than
@@ -153,19 +153,19 @@ def _invert_tangent_to_identity(op: DiffOperator, nu: int) -> DiffOperator:
 def signed_monomial_mould(z: complex, c: float, spec: ContourSpec) -> Mould:
     """The ansatz mould L^w = (-1)^r (2 pi i)^{-r} Ue_c^w(z), i.e. the
     per-letter normalization MOULD_NORMALIZATION that makes the family
-    symmetrel, valued in first-order jets L + dL eps (a ZSeries of cap 1, so
-    eps^2 = 0) with dL the exact z-derivative."""
+    symmetrel, valued in first-order jets L + dL eps (a TruncatedSeries of
+    cap 1, so eps^2 = 0) with dL the exact z-derivative."""
 
     def rule(w: Word):
         r = w.length
         if r == 0:
-            return ZSeries.constant(1.0 + 0.0j, 1)
+            return TruncatedSeries.constant(1.0 + 0.0j, 1)
         nrm = complex(w.norm)
         expo = cmath.exp(nrm * z + c * c * nrm / z)
         ua = paralog_Ua_eval(w, z, c, spec)
         chain = nrm * (1.0 - c * c / (z * z))
         unit = MOULD_NORMALIZATION**r
-        return ZSeries([unit * ua.value * expo, unit * (ua.derivative + chain * ua.value) * expo], 1)
+        return TruncatedSeries({0: unit * ua.value * expo, 1: unit * (ua.derivative + chain * ua.value) * expo}, 1)
 
     return Mould(rule, name=f"L(z={z},c={c})")
 
@@ -193,7 +193,7 @@ def build_theta(inv: InvariantFamily, cfg: SynthesisConfig) -> list[NormalizerEx
         dop = DiffOperator.zero()
         tails: dict = {}
         for f in forests:
-            kernel = coarborify_homogeneous(fam, f).operator()
+            kernel = coarborify_homogeneous(fam, f)
             if kernel.is_zero():
                 continue
             aut = f.automorphism_count()
@@ -247,8 +247,8 @@ def automorphism_defect(exp: NormalizerExpansion, rng_seed: int = 11) -> float:
 def _random_series(rng, nu) -> TruncatedSeries:
     coeffs = {}
     for k in range(nu + 1):
-        coeffs[(0, k)] = complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) / (1 + k)
-    return TruncatedSeries(coeffs, 0, nu)
+        coeffs[k] = complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) / (1 + k)
+    return TruncatedSeries(coeffs, nu)
 
 
 def conjugate_normal_field(exp: NormalizerExpansion) -> FieldSample:
@@ -264,9 +264,9 @@ def conjugate_normal_field(exp: NormalizerExpansion) -> FieldSample:
     euler = DiffOperator({1: {1: 1.0 + 0.0j}})
     xc_op = theta.compose(euler).compose(theta_inv) - exp.d_operator.compose(theta_inv)
     xc_op = xc_op.truncate_u(nu)
-    u_series = TruncatedSeries.u_power(1, 0, nu, coeff=1.0 + 0.0j)
+    u_series = TruncatedSeries.u_power(1, nu, coeff=1.0 + 0.0j)
     img = xc_op.apply(u_series)
-    action = {k: complex(v) for (j, k), v in img.coeffs.items() if j == 0}
+    action = {k: complex(v) for k, v in img.coeffs.items()}
     # derivation defect on random series, NaN if any coefficient is NaN
     rng = np.random.default_rng(7)
     diffs = []

@@ -33,6 +33,10 @@ class GaussianRational:
     def __setattr__(self, name, value):
         raise AttributeError("GaussianRational is immutable")
 
+    def __reduce__(self):
+        # copy and pickle rebuild from the parts, since __setattr__ refuses
+        return (GaussianRational, (self.re, self.im))
+
     # -- ring operations ----------------------------------------------------
 
     def __add__(self, other):
@@ -185,9 +189,8 @@ def parse_exact(text: str) -> GaussianRational:
         coeff = Fraction(im_part + "1")
     else:
         coeff = Fraction(im_part)
-    if re_part is None:
-        raise ValueError(f"bad exact literal: {text!r}")
-    return GaussianRational(Fraction(re_part), coeff)
+    # forms: "2-i", "1/3-2/5i", and "-i", "+i" with no real part
+    return GaussianRational(Fraction(re_part or 0), coeff)
 
 
 def format_exact(x) -> str:

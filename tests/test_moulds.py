@@ -20,6 +20,7 @@ from armould.moulds import (
     symmetral_from_letter_weights,
     symmetrel_geometric,
     transition_apply,
+    words_of_norm_at_most,
     words_over,
 )
 from armould.values import GaussianRational
@@ -36,6 +37,17 @@ def random_table_mould(rng, alphabet, cap, empty=None):
     if empty is not None:
         tbl[EMPTY_WORD] = Fraction(empty)
     return Mould.from_table(tbl, cap, alphabet)
+
+
+class TestWordsOfNorm:
+    def test_words_of_norm_lists_compositions(self):
+        assert [str(w) for w in words_of_norm_at_most(AB, 3)] == ["(1)", "(2)", "(1,1)", "(1,2)", "(2,1)", "(1,1,1)"]
+
+    def test_words_of_norm_rejects_non_integer_letters(self):
+        # a non-integer letter must not be enumerated as its real part
+        for bad in ("3/2", "1+i", "0", "-1"):
+            with pytest.raises(ValueError):
+                words_of_norm_at_most([letter(1), letter(bad)], 3)
 
 
 class TestProduct:

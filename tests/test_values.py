@@ -1,11 +1,17 @@
-"""Gaussian rationals: stored keys and hashes, and the real fast path."""
+"""Gaussian rationals: stored keys and hashes, the real fast path, literal
+parsing, and copying and pickling of exact values."""
 
+import copy
+import pickle
 from fractions import Fraction
+
+import pytest
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from armould.values import GaussianRational, parse_exact
+from armould.words import letter, parse_forest, word
 
 fractions = st.builds(Fraction, st.integers(-20, 20), st.integers(1, 12))
 gaussians = st.builds(GaussianRational, fractions, fractions | st.just(Fraction(0)))
@@ -51,3 +57,33 @@ def test_integer_parts_key_as_ints():
 def test_fractions_are_not_rewrapped():
     q = Fraction(5, 7)
     assert GaussianRational(q, q).re is q
+
+
+@pytest.mark.parametrize(
+    "text, parts",
+    [
+        ("i", (0, 1)),
+        ("-i", (0, -1)),
+        ("+i", (0, 1)),
+        ("-1i", (0, -1)),
+        ("2-i", (2, -1)),
+        ("2+1i", (2, 1)),
+        ("1/3-2/5i", (Fraction(1, 3), Fraction(-2, 5))),
+    ],
+)
+def test_parse_imaginary_literals(text, parts):
+    assert components(parse_exact(text)) == parts
+
+
+@pytest.mark.parametrize("text", ["--i", "i2", "2i+1", "1/2.5"])
+def test_parse_rejects_malformed_literals(text):
+    with pytest.raises(ValueError):
+        parse_exact(text)
+
+
+def test_exact_values_copy_and_pickle():
+    forest = parse_forest("1(2,3/2);1+i")
+    values = [parse_exact("1/3-2i"), letter("3/2"), word(1, "1+i", 2), forest.trees[0], forest]
+    for x in values:
+        for y in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+            assert type(y) is type(x) and y == x and hash(y) == hash(x)
