@@ -135,18 +135,18 @@ def words_of_norm_at_most(alphabet: Sequence[Letter], max_norm: int) -> list[Wor
     if any(not a.is_positive_integer for a in alphabet):
         raise ValueError("norm enumeration needs positive integer letters")
     values = sorted({int(a.value.re) for a in alphabet})
-    out: list[Word] = []
+    found: list[tuple[int, int, tuple]] = []  # (norm, length, letters)
 
     def rec(prefix: tuple, budget: int):
         for v in values:
             if v <= budget:
                 w = prefix + (v,)
-                out.append(word(*w))
+                found.append((max_norm - budget + v, len(w), w))
                 rec(w, budget - v)
 
     rec((), max_norm)
-    out.sort(key=lambda w: (int(w.norm.re), w.length, w.sort_key()))
-    return out
+    # integer tuples sort as the words' keys do
+    return [word(*w) for _, _, w in sorted(found)]
 
 
 # ---------------------------------------------------------------------------
@@ -291,6 +291,8 @@ def check_symmetry(m: Mould, kind: str, cap: int, alphabet: Sequence[Letter] | N
     alphabet = tuple(alphabet) if alphabet is not None else m.alphabet
     if alphabet is None:
         raise ValueError("symmetry check needs an alphabet")
+    if cap < 2 or not alphabet:
+        raise ValueError(f"symmetry check at cap {cap} over {len(alphabet)} letters has no pair of words to test")
     shuffler = shuffle if kind in ("symmetral", "alternal") else contracting_shuffle
     multiplicative = kind in ("symmetral", "symmetrel")
     if tol is None and not _is_exact(m.value(EMPTY_WORD)):

@@ -10,15 +10,17 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .series import TruncatedSeries, UPoly, _poly_add, _poly_diff, _poly_mul, _poly_scale, _zero
 from .words import (
     EMPTY_FOREST,
+    EMPTY_WORD,
     Forest,
     Letter,
     Tree,
     Word,
+    _forests,
     contracting_covers,
     forests_of_norm,
     letter,
@@ -303,9 +305,7 @@ def check_coarborified_decomposition(family: DerivationFamily, cap: int, letters
     for w in words_over(letters, cap):
         count += 1
         lhs = op_compose_word(family, w)
-        rhs = DiffOperator.zero()
-        for f, mult in increasing_structures(w).items():
-            rhs = rhs + coarborify_homogeneous(family, f).scale(mult)
+        rhs = _linear_combination((mult, coarborify_homogeneous(family, f)) for f, mult in increasing_structures(w).items())
         if lhs != rhs:
             v = lhs.max_abs_diff(rhs)
             if v > worst:
@@ -364,16 +364,29 @@ def check_coseparative(family: DerivationFamily, cap: int, f: TruncatedSeries, g
 # ---------------------------------------------------------------------------
 
 
+def _linear_combination(terms: Iterable[tuple[object, DiffOperator]]) -> DiffOperator:
+    """sum of s * op over (s, op) pairs, accumulated in place into one operator;
+    zero scalars are skipped."""
+    out: dict[int, UPoly] = {}
+    for s, op in terms:
+        if _zero(s):
+            continue
+        for k, poly in op.terms.items():
+            acc = out.setdefault(k, {})
+            for d, c in poly.items():
+                acc[d] = acc.get(d, 0) + c * s
+    return DiffOperator(out)
+
+
 def contract_word_sum(m: Mould, family: DerivationFamily, norm_cap: int) -> DiffOperator:
     """Phi = sum over words of norm <= cap of M^w B_w; homogeneity makes the
     sum finite under the u-degree cap.  Includes the empty word."""
-    out = DiffOperator.identity().scale(m.value(Word(())))
+    terms = [(m.value(EMPTY_WORD), DiffOperator.identity())]
     for w in words_of_norm_at_most(family.letters(), norm_cap):
         val = m.value(w)
-        if _zero(val):
-            continue
-        out = out + op_compose_word(family, w).scale(val)
-    return out
+        if not _zero(val):
+            terms.append((val, op_compose_word(family, w)))
+    return _linear_combination(terms)
 
 
 def contract_forest_sum(
@@ -393,25 +406,17 @@ def contract_forest_sum(
     cover decomposition with the same ``counting`` convention as the
     arborified; the sum then equals the word sum for every mould.
     """
-    letters = family.letters()
-    out = DiffOperator.identity().scale(a.value(EMPTY_FOREST))
-    if mode == "simple":
-        for f in forests_of_norm(letters, norm_cap):
-            val = a.value(f)
-            if _zero(val):
-                continue
-            kernel = coarborify_homogeneous(family, f)
-            out = out + kernel.scale(val * Fraction(1, f.automorphism_count()))
-        return out
-    if mode != "contracting":
+    if mode not in ("simple", "contracting"):
         raise ValueError(f"unknown contraction mode {mode!r}")
-    duals = coarborify_contracted(family, norm_cap, counting=counting)
-    for f, op in duals.items():
-        val = a.value(f)
-        if _zero(val):
-            continue
-        out = out + op.scale(val)
-    return out
+    terms = [(a.value(EMPTY_FOREST), DiffOperator.identity())]
+    if mode == "simple":
+        for f in forests_of_norm(family.letters(), norm_cap):
+            val = a.value(f)
+            if not _zero(val):
+                terms.append((val * Fraction(1, f.automorphism_count()), coarborify_homogeneous(family, f)))
+    else:
+        terms += [(a.value(f), op) for f, op in coarborify_contracted(family, norm_cap, counting=counting).items()]
+    return _linear_combination(terms)
 
 
 def coarborify_contracted(family: DerivationFamily, norm_cap: int, counting: str = "merges") -> dict[Forest, DiffOperator]:
@@ -420,86 +425,69 @@ def coarborify_contracted(family: DerivationFamily, norm_cap: int, counting: str
         B_w = sum over forests F covering w of mult(w, F) Bt_F
 
     for every word w of norm <= cap, where mult is the contracting-cover
-    multiplicity in the chosen counting.  The decomposition is not unique;
-    the node-count-descending layerwise solve below picks the minimum-norm
-    solution of each layer and verifies the decomposition afterwards,
-    raising if the system were inconsistent.
+    multiplicity in the chosen counting.  The multiplicities do not depend on
+    the family, so the system is solved once on rational scalars
+    (:func:`_contracted_duals`) and each Bt_F = sum_w X[F, w] B_w is then
+    assembled from the words over the family's letters; B_w = 0 for every
+    other word.
     """
-    # forests decorated by all positive integers up to the norm cap
-    all_letters = [letter(n) for n in range(1, norm_cap + 1)]
-    forests = forests_of_norm(all_letters, norm_cap)
-    words = words_of_norm_at_most(all_letters, norm_cap)
-    cover_mult: dict[Forest, Counter] = {f: contracting_covers(f, counting=counting) for f in forests}
+    duals = _contracted_duals(norm_cap, counting)
+    ops = {w: op_compose_word(family, w) for w in words_of_norm_at_most(family.letters(), norm_cap)}
+    return {f: _linear_combination((x, ops[w]) for w, x in row.items() if w in ops) for f, row in duals.items()}
 
-    def b_word(w: Word) -> DiffOperator:
-        betas = family.betas
-        if any(_as_int(x) not in betas for x in w):
-            return DiffOperator.zero()
-        return op_compose_word(family, w)
 
-    solution: dict[Forest, DiffOperator] = {}
-    for norm in range(1, norm_cap + 1):
-        layer_words = [w for w in words if int(w.norm.re) == norm]
-        layer_forests = [f for f in forests if int(f.norm.re) == norm]
-        max_nodes = max((f.node_count for f in layer_forests), default=0)
-        for nodes in range(max_nodes, 0, -1):
-            eq_words = [w for w in layer_words if w.length == nodes]
-            unknowns = [f for f in layer_forests if f.node_count == nodes]
+def _contracted_duals(norm_cap: int, counting: str) -> dict[Forest, dict[Word, Fraction]]:
+    """Scalar solution X of M X = I, where M is the word x forest matrix of
+    cover multiplicities over the forests decorated by 1..cap of norm <= cap
+    and the words they cover (all words of norm <= cap: each is a linear
+    extension of its chain).
+
+    A cover keeps the norm and has at most as many letters as the forest has
+    nodes, so each norm layer is solved node-count-descending: the words of
+    length k against the forests of k nodes, once those with more nodes are
+    known, by the minimum-norm solution x = A^T (A A^T)^{-1} b.  The
+    decomposition is not unique; M X = I is verified exactly afterwards,
+    raising ArithmeticError if the system were inconsistent.
+    """
+    layers: dict[int, list[tuple[int, Forest, Counter]]] = {}
+    for nodes, norm, f in _forests(range(1, norm_cap + 1), norm_cap, norm_cap):
+        layers.setdefault(norm, []).append((nodes, f, contracting_covers(f, counting=counting)))
+    duals: dict[Forest, dict[Word, Fraction]] = {}
+    for norm in sorted(layers):
+        layer = layers[norm]
+        for nodes in range(max(k for k, _, _ in layer), 0, -1):
+            unknowns = [(f, cover) for k, f, cover in layer if k == nodes]
             if not unknowns:
                 continue
-            rhs = []
-            for w in eq_words:
-                acc = b_word(w)
-                for f in layer_forests:
-                    if f.node_count > nodes:
-                        mult = cover_mult[f].get(w, 0)
-                        if mult:
-                            acc = acc - solution[f].scale(mult)
-                rhs.append(acc)
-            matrix = [[Fraction(cover_mult[f].get(w, 0)) for f in unknowns] for w in eq_words]
-            for f, op in zip(unknowns, _min_norm_solve(matrix, rhs)):
-                solution[f] = op
-    # consistency: the decomposition must hold exactly for every word
-    for w in words:
-        acc = b_word(w)
-        for f in forests:
-            mult = cover_mult[f].get(w, 0)
-            if mult:
-                acc = acc - solution[f].scale(mult)
-        if not acc.is_zero():
+            eq_words = list(dict.fromkeys(w for _, cover in unknowns for w in cover if w.length == nodes))
+            # b_w = e_w - sum over the forests with more nodes of mult(w, F) X[F]
+            known = [(f, cover) for k, f, cover in layer if k > nodes]
+            rhs = [_sparse_sum([(1, {w: 1})] + [(-cover[w], duals[f]) for f, cover in known if w in cover]) for w in eq_words]
+            matrix = [[cover.get(w, 0) for _, cover in unknowns] for w in eq_words]
+            inv = _fraction_inverse([[sum(a * b for a, b in zip(ri, rj)) for rj in matrix] for ri in matrix])
+            y = [_sparse_sum(zip(inv_row, rhs)) for inv_row in inv]
+            for col, (f, _) in enumerate(unknowns):
+                duals[f] = _sparse_sum((row[col], yi) for row, yi in zip(matrix, y))
+    # consistency: sum_F mult(w, F) X[F] must be the unit vector at w
+    check: dict[Word, list] = {}
+    for layer in layers.values():
+        for _, f, cover in layer:
+            for w, mult in cover.items():
+                check.setdefault(w, []).append((mult, duals[f]))
+    for w, terms in check.items():
+        if _sparse_sum(terms) != {w: 1}:
             raise ArithmeticError(f"contracted coarborification inconsistent at {w}")
-    return solution
+    return duals
 
 
-def _min_norm_solve(matrix: list[list[Fraction]], rhs: list[DiffOperator]) -> list[DiffOperator]:
-    """Minimum-norm solution x = A^T (A A^T)^{-1} b with operator-valued b.
-
-    A is a small exact integer matrix (words x forests) of cover counts;
-    A A^T is symmetric positive definite when the rows are independent,
-    which holds for cover-multiplicity systems.
-    """
-    rows = len(matrix)
-    if rows == 0:
-        return [DiffOperator.zero() for _ in range(0)]
-    cols = len(matrix[0])
-    gram = [[sum(matrix[i][k] * matrix[j][k] for k in range(cols)) for j in range(rows)] for i in range(rows)]
-    inv = _fraction_inverse(gram)
-    # y = (A A^T)^{-1} b  (operator-valued), then x = A^T y
-    y = []
-    for i in range(rows):
-        acc = DiffOperator.zero()
-        for j in range(rows):
-            if inv[i][j]:
-                acc = acc + rhs[j].scale(inv[i][j])
-        y.append(acc)
-    out = []
-    for k in range(cols):
-        acc = DiffOperator.zero()
-        for i in range(rows):
-            if matrix[i][k]:
-                acc = acc + y[i].scale(matrix[i][k])
-        out.append(acc)
-    return out
+def _sparse_sum(terms: Iterable[tuple[object, Mapping]]) -> dict:
+    """sum of s * vec over (s, vec) pairs of sparse vectors, zeros dropped."""
+    out: dict = {}
+    for s, vec in terms:
+        if s:
+            for k, v in vec.items():
+                out[k] = out.get(k, 0) + s * v
+    return {k: v for k, v in out.items() if v}
 
 
 def _fraction_inverse(m: list[list[Fraction]]) -> list[list[Fraction]]:

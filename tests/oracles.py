@@ -3,17 +3,19 @@ is checked against.  The normalizer's word assembly checks its forest
 assembly; the index-walk enumerators check the memoised fiber recursion and
 the streamed forest generator of :mod:`armould.words`; the dense Cauchy fold
 checks the FFT-Toeplitz fold of :mod:`armould.monomials`, and the cover sum
-of word values checks its structured forest integral.  The (Fraction re,
+of word values checks its structured forest integral.  The operator-valued
+layered solve checks the scalar solve of the contracted coarborified.  The (Fraction re,
 Fraction im) sort key checks the canonical order of words and forests."""
 
 import itertools
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 
 from armould.monomials import CONTRACTION_UNIT, ContourSpec, paralog_Ua_eval
 from armould.moulds import builtin_mould, mould_compose, words_of_norm_at_most
-from armould.operators import DiffOperator, op_compose_word
+from armould.operators import DerivationFamily, DiffOperator, _as_int, _fraction_inverse, op_compose_word
 from armould.synthesis import InvariantFamily, SynthesisConfig, signed_monomial_mould
 from armould.words import Forest, Letter, Tree, Word, letter
 
@@ -256,3 +258,85 @@ def fraction_sort_key(x):
     if isinstance(x, Tree):
         return (fraction_sort_key(x.root), fraction_sort_key(x.children))
     return tuple(sorted(fraction_sort_key(t) for t in x.trees))
+
+
+def coarborify_contracted(family: DerivationFamily, norm_cap: int, counting: str = "merges") -> dict[Forest, DiffOperator]:
+    """Oracle for :func:`armould.operators.coarborify_contracted`: the same
+    layered minimum-norm solve run with operator-valued right-hand sides
+    B_w (zero for words off the family's letters), on the oracle forest and
+    cover enumerators, then checked against every word as operators."""
+    # forests decorated by all positive integers up to the norm cap
+    all_letters = [letter(n) for n in range(1, norm_cap + 1)]
+    forests = forests_of_norm(all_letters, norm_cap)
+    words = words_of_norm_at_most(all_letters, norm_cap)
+    cover_mult: dict[Forest, Counter] = {f: contracting_covers(f, counting=counting) for f in forests}
+
+    def b_word(w: Word) -> DiffOperator:
+        betas = family.betas
+        if any(_as_int(x) not in betas for x in w):
+            return DiffOperator.zero()
+        return op_compose_word(family, w)
+
+    solution: dict[Forest, DiffOperator] = {}
+    for norm in range(1, norm_cap + 1):
+        layer_words = [w for w in words if int(w.norm.re) == norm]
+        layer_forests = [f for f in forests if int(f.norm.re) == norm]
+        max_nodes = max((f.node_count for f in layer_forests), default=0)
+        for nodes in range(max_nodes, 0, -1):
+            eq_words = [w for w in layer_words if w.length == nodes]
+            unknowns = [f for f in layer_forests if f.node_count == nodes]
+            if not unknowns:
+                continue
+            rhs = []
+            for w in eq_words:
+                acc = b_word(w)
+                for f in layer_forests:
+                    if f.node_count > nodes:
+                        mult = cover_mult[f].get(w, 0)
+                        if mult:
+                            acc = acc - solution[f].scale(mult)
+                rhs.append(acc)
+            matrix = [[Fraction(cover_mult[f].get(w, 0)) for f in unknowns] for w in eq_words]
+            for f, op in zip(unknowns, _min_norm_solve(matrix, rhs)):
+                solution[f] = op
+    # consistency: the decomposition must hold exactly for every word
+    for w in words:
+        acc = b_word(w)
+        for f in forests:
+            mult = cover_mult[f].get(w, 0)
+            if mult:
+                acc = acc - solution[f].scale(mult)
+        if not acc.is_zero():
+            raise ArithmeticError(f"contracted coarborification inconsistent at {w}")
+    return solution
+
+
+def _min_norm_solve(matrix: list[list[Fraction]], rhs: list[DiffOperator]) -> list[DiffOperator]:
+    """Minimum-norm solution x = A^T (A A^T)^{-1} b with operator-valued b.
+
+    A is a small exact integer matrix (words x forests) of cover counts;
+    A A^T is symmetric positive definite when the rows are independent,
+    which holds for cover-multiplicity systems.
+    """
+    rows = len(matrix)
+    if rows == 0:
+        return [DiffOperator.zero() for _ in range(0)]
+    cols = len(matrix[0])
+    gram = [[sum(matrix[i][k] * matrix[j][k] for k in range(cols)) for j in range(rows)] for i in range(rows)]
+    inv = _fraction_inverse(gram)
+    # y = (A A^T)^{-1} b  (operator-valued), then x = A^T y
+    y = []
+    for i in range(rows):
+        acc = DiffOperator.zero()
+        for j in range(rows):
+            if inv[i][j]:
+                acc = acc + rhs[j].scale(inv[i][j])
+        y.append(acc)
+    out = []
+    for k in range(cols):
+        acc = DiffOperator.zero()
+        for i in range(rows):
+            if matrix[i][k]:
+                acc = acc + y[i].scale(matrix[i][k])
+        out.append(acc)
+    return out

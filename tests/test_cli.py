@@ -58,6 +58,13 @@ class TestMouldCommands:
         rc, out = run(capsys, "mould", "check", "--builtin", "unit1", "--kind", "alternel", "--cap", "2")
         assert rc == 1
 
+    def test_check_with_no_pair_exits_2(self, capsys):
+        rc = main(["mould", "check", "--builtin", "standard_log", "--kind", "alternel", "--cap", "1"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert "no pair of words" in json.loads(captured.err)["error"]
+
     def test_arborify_cherry(self, capsys):
         rc, out = run(
             capsys, "mould", "arborify", "--builtin", "standard_log", "--forest", "1(2,3)", "--mode", "contracting"

@@ -176,6 +176,12 @@ class TestSymmetry:
         rep = check_symmetry(m, "symmetral", 2)
         assert not rep.passed
 
+    @pytest.mark.parametrize("cap, alphabet", [(1, AB), (0, AB), (4, [])], ids=["cap1", "cap0", "no-letters"])
+    def test_nothing_to_check_is_an_error(self, cap, alphabet):
+        # no pair of words fits, so a pass would check nothing
+        with pytest.raises(ValueError, match="no pair of words"):
+            check_symmetry(builtin_mould("standard_log"), "alternel", cap, alphabet)
+
     def test_standard_log_alternel(self):
         rep = check_symmetry(builtin_mould("standard_log"), "alternel", 4, AB)
         assert rep.passed

@@ -1,11 +1,15 @@
 """Truncated series, homogeneous derivations, coarborification, contraction."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+import oracles
+from armould import operators
 from armould.moulds import (
+    ArMould,
     Mould,
     arborify,
     builtin_mould,
@@ -28,7 +32,7 @@ from armould.operators import (
     restricted_norm,
 )
 from armould.series import TruncatedSeries
-from armould.words import EMPTY_WORD, forests_of_norm, letter, parse_forest, word
+from armould.words import EMPTY_WORD, contracting_covers, forests_of_norm, letter, parse_forest, word
 
 AB = [letter(1), letter(2)]
 
@@ -239,21 +243,56 @@ class TestContractions:
 
 
 class TestContractedCoarborified:
-    def test_decomposition_holds(self):
-        fam = DerivationFamily({1: Fraction(2, 3), 2: Fraction(1, 5)})
-        for counting in ("merges", "surjections"):
-            duals = coarborify_contracted(fam, 4, counting=counting)
-            # internal consistency assertion in the builder already verifies
-            # the decomposition; spot-check one word here
-            from armould.words import contracting_covers
+    FAM = DerivationFamily({1: Fraction(2, 3), 2: Fraction(1, 5)})
 
-            w = word(1, 1)
-            acc = op_compose_word(fam, w)
-            for f, op in duals.items():
-                mult = contracting_covers(f, counting=counting).get(w, 0)
-                if mult:
-                    acc = acc - op.scale(mult)
-            assert acc.is_zero()
+    def test_decomposition_holds(self):
+        # B_w = sum_F mult(w, F) Bt_F for every word of norm <= 4, B_w = 0
+        # for the words with a letter outside the family
+        for counting in ("merges", "surjections"):
+            duals = coarborify_contracted(self.FAM, 4, counting=counting)
+            covers = {f: contracting_covers(f, counting=counting) for f in duals}
+            for w in words_of_norm_at_most([letter(n) for n in range(1, 5)], 4):
+                in_family = all(int(a.value.re) in self.FAM.betas for a in w)
+                acc = op_compose_word(self.FAM, w) if in_family else DiffOperator.zero()
+                for f, op in duals.items():
+                    mult = covers[f].get(w, 0)
+                    if mult:
+                        acc = acc - op.scale(mult)
+                assert acc.is_zero(), (counting, w)
+
+    @pytest.mark.parametrize("cap", [3, 4, 5])
+    @pytest.mark.parametrize("counting", ["merges", "surjections"])
+    @pytest.mark.parametrize(
+        "betas",
+        [{1: Fraction(2, 3), 2: Fraction(1, 5), 3: Fraction(-4, 7)}, {1: Fraction(-3, 2), 3: Fraction(5, 9)}],
+        ids=["letters123", "letters13"],
+    )
+    def test_matches_operator_valued_oracle(self, cap, counting, betas):
+        # the second family leaves out letter 2, so B_w = 0 for some words
+        fam = DerivationFamily(betas)
+        duals = coarborify_contracted(fam, cap, counting=counting)
+        expected = oracles.coarborify_contracted(fam, cap, counting=counting)
+        assert duals.keys() == expected.keys()
+        for f, op in duals.items():
+            assert op == expected[f], f
+
+    def test_scalar_consistency_check_fires(self, monkeypatch):
+        # a wrong multiplicity: the one-node forest 2 claims to cover (1,1),
+        # which is longer than the forest, so M X = I must fail there
+        def wrong_covers(f, counting="merges"):
+            out = contracting_covers(f, counting=counting)
+            return out + Counter({word(1, 1): 1}) if f == parse_forest("2") else out
+
+        monkeypatch.setattr(operators, "contracting_covers", wrong_covers)
+        with pytest.raises(ArithmeticError, match="inconsistent"):
+            coarborify_contracted(self.FAM, 3)
+
+    def test_unknown_mode_rejected_before_any_value(self):
+        def rule(f):
+            raise AssertionError("the arborified must not be evaluated")
+
+        with pytest.raises(ValueError, match="unknown contraction mode"):
+            contract_forest_sum(ArMould(rule), self.FAM, 3, mode="bogus")
 
 
 class TestOperatorUtilities:
