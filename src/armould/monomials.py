@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -82,7 +82,6 @@ class MonomialValue:
     error: float
     derivative: complex | None = None
     derivative_error: float | None = None
-    meta: dict = field(default_factory=dict)
 
     def __complex__(self):
         return complex(self.value)
@@ -110,9 +109,8 @@ def _check_z(z: complex, c: float, decorations: Sequence[complex]):
     for om in decorations:
         if om == 0:
             raise ContourError("zero decoration")
-        # singular ray of this decoration: direction of conj(om)o... the ray
-        # arg(y) = -arg(om) carries the contour; z must stay off a small
-        # sector around it
+        # the ray arg(y) = -arg(om) is this decoration's singular ray and
+        # carries its contour; z must stay outside a 0.3 rad sector around it
         ray = -cmath.phase(om)
         dphi = abs((cmath.phase(z) - ray + math.pi) % (2 * math.pi) - math.pi)
         if dphi < 0.3:
@@ -299,7 +297,7 @@ def paralog_forest_eval(f: Forest, z: complex, c: float, spec: ContourSpec | Non
     if not decs:
         return MonomialValue(1.0 + 0.0j, 0.0)
     (value, err), _ = _refined(decs, parents, z, c, spec)
-    return MonomialValue(value, err, meta={"nodes": len(decs)})
+    return MonomialValue(value, err)
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +370,7 @@ def _v_borel_rec(decs: tuple, zeta: complex, nodes: int, pieces: int) -> complex
     return -integral / (-zeta + sum(decs))
 
 
-def hyperlog_V_eval(w, z: complex, theta: float = math.pi, spec: ContourSpec | None = None) -> MonomialValue:
+def hyperlog_V_eval(w, z: complex, theta: float = math.pi) -> MonomialValue:
     """Laplace transform of the Borel hyperlogarithm along e^{i theta} R+;
     V^empty = 1.  Needs Re(z e^{i theta}) > 0 and a direction clear of the
     singular partial sums."""
@@ -521,14 +519,13 @@ def borel_pole_probe(omega: float, c: float) -> tuple[complex, complex]:
 # ---------------------------------------------------------------------------
 
 
-def x_integral_eval(w, z: complex, c: float, delta: float = 1e-2, check_tol: float = 1e-3, spec: ContourSpec | None = None) -> MonomialValue:
+def x_integral_eval(w, z: complex, c: float, delta: float = 1e-2) -> MonomialValue:
     """Laplace-side evaluation with step-function constrained frequency
     variables; the half-lines are rotated by ``delta`` into the lower half
     plane so the step factors keep a definite sign.
 
-    r = 0 and r = 1 are solid; r = 2 is experimental and cross-checked
-    against the y-integral, attaching meta['ambiguous'] when the two
-    disagree beyond check_tol.  Larger r is not provided.
+    r = 0 and r = 1 are solid; r = 2 is experimental.  Larger r is not
+    provided.
     """
     decs = _decorations(w)
     z = complex(z)
@@ -548,7 +545,7 @@ def x_integral_eval(w, z: complex, c: float, delta: float = 1e-2, check_tol: flo
             return np.array([rot * f_closed_form_oracle(p, rot * t) * cmath.exp(rot * t * z) for t in ts])
 
         val, err = de_halfline(integrand, scale=1.0 / abs(z.real), rel_tol=1e-11, max_level=8)
-        return MonomialValue(val, max(err, abs(val) * 1e-10), meta={"delta": delta})
+        return MonomialValue(val, max(err, abs(val) * 1e-10))
     if r != 2:
         raise ContourError("x-integral provided for r <= 2 only")
     om1, om2 = decs[0].real, decs[1].real
@@ -569,13 +566,7 @@ def x_integral_eval(w, z: complex, c: float, delta: float = 1e-2, check_tol: flo
     for s1, ww in zip(t1, w1):
         f1v = np.array([f_analytic_continuation(p1, complex(s1 - x)) for x in xs])
         total += ww * cmath.exp(s1 * z) * np.sum(f2v * f1v * w2) * rot
-    out = MonomialValue(total, abs(total) * 1e-6, meta={"delta": delta})
-    ref = paralog_Ua_eval(w, z, c, spec)
-    drift = abs(total - ref.value) / max(abs(ref.value), 1e-300)
-    out.meta["y_reference"] = ref.value
-    out.meta["drift"] = drift
-    out.meta["ambiguous"] = drift > check_tol
-    return out
+    return MonomialValue(total, abs(total) * 1e-6)
 
 
 def _halfline_nodes(scale: float, n: int):

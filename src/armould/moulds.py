@@ -10,9 +10,10 @@ inventing zeros.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .values import GaussianRational, as_gaussian, format_exact, parse_exact
 from .words import (
@@ -62,16 +63,16 @@ class Mould:
         return self.value(w)
 
     @classmethod
-    def from_table(cls, entries: dict[Word, object], cap: int, alphabet: Sequence[Letter], name: str = "") -> "Mould":
+    def from_table(cls, entries: dict[Word, object], cap: int, alphabet: Sequence[Letter]) -> "Mould":
         table = dict(entries)
 
         def rule(w: Word):
             try:
                 return table[w]
             except KeyError:
-                raise KeyError(f"table mould {name or '<anon>'} has no entry for {w}") from None
+                raise KeyError(f"table mould has no entry for {w}") from None
 
-        return cls(rule, name=name, alphabet=alphabet, cap=cap)
+        return cls(rule, alphabet=alphabet, cap=cap)
 
     def to_json(self) -> str:
         """Serialize a table-backed mould: exact values as literal strings."""
@@ -88,11 +89,11 @@ class Mould:
         return json.dumps(payload, indent=2, sort_keys=True)
 
     @classmethod
-    def from_json(cls, text: str, name: str = "") -> "Mould":
+    def from_json(cls, text: str) -> "Mould":
         payload = json.loads(text)
         alphabet = [letter(parse_exact(a)) for a in payload["alphabet"]]
         entries = {parse_word(k): parse_exact(v) for k, v in payload["entries"].items()}
-        return cls.from_table(entries, payload["cap"], alphabet, name=name)
+        return cls.from_table(entries, payload["cap"], alphabet)
 
 
 class ArMould:
@@ -154,7 +155,7 @@ def words_of_norm_at_most(alphabet: Sequence[Letter], max_norm: int) -> list[Wor
 # ---------------------------------------------------------------------------
 
 
-def mould_mul(m: Mould, n: Mould, name: str = "") -> Mould:
+def mould_mul(m: Mould, n: Mould) -> Mould:
     """Mould product: P^w = sum over splits w = uv of M^u N^v."""
 
     def rule(w: Word):
@@ -164,10 +165,10 @@ def mould_mul(m: Mould, n: Mould, name: str = "") -> Mould:
             total = term if total is None else total + term
         return total
 
-    return Mould(rule, name=name or f"({m.name}x{n.name})", alphabet=m.alphabet, cap=_min_cap(m, n))
+    return Mould(rule, name=f"({m.name}x{n.name})", alphabet=m.alphabet, cap=_min_cap(m, n))
 
 
-def mould_compose(m: Mould, n: Mould, name: str = "") -> Mould:
+def mould_compose(m: Mould, n: Mould) -> Mould:
     """Mould composition: Q^w = sum over partitions of w into consecutive
     nonempty blocks w = w1...ws of M^{(|w1|,...,|ws|)} N^{w1}...N^{ws},
     where |wi| is the block norm."""
@@ -184,7 +185,7 @@ def mould_compose(m: Mould, n: Mould, name: str = "") -> Mould:
             total = term if total is None else total + term
         return total
 
-    return Mould(rule, name=name or f"({m.name}o{n.name})", alphabet=None, cap=_min_cap(m, n))
+    return Mould(rule, name=f"({m.name}o{n.name})", alphabet=None, cap=_min_cap(m, n))
 
 
 def _block_partitions(w: Word):
@@ -208,11 +209,11 @@ def _min_cap(m: Mould, n: Mould):
     return min(caps) if caps else None
 
 
-def mould_inverse_mul(m: Mould, cap: int, name: str = "") -> Mould:
+def mould_inverse_mul(m: Mould, cap: int) -> Mould:
     """Two-sided inverse for the mould product up to the length cap."""
     e = m.value(EMPTY_WORD)
-    inv_e = 1 / e if not isinstance(e, GaussianRational) else GaussianRational(1) / e
-    out = Mould(lambda w: None, name=name or f"inv({m.name})", alphabet=m.alphabet, cap=cap)
+    inv_e = 1 / e
+    out = Mould(lambda w: None, name=f"inv({m.name})", alphabet=m.alphabet, cap=cap)
 
     def rule(w: Word):
         if w.length == 0:
@@ -227,11 +228,11 @@ def mould_inverse_mul(m: Mould, cap: int, name: str = "") -> Mould:
     return out
 
 
-def mould_inverse_comp(m: Mould, cap: int, name: str = "") -> Mould:
+def mould_inverse_comp(m: Mould, cap: int) -> Mould:
     """Composition inverse on moulds with M^empty = 0, up to the length cap."""
     if m.value(EMPTY_WORD) != 0:
         raise ValueError("composition inverse needs M^empty = 0")
-    out = Mould(lambda w: None, name=name or f"cinv({m.name})", alphabet=m.alphabet, cap=cap)
+    out = Mould(lambda w: None, name=f"cinv({m.name})", alphabet=m.alphabet, cap=cap)
     identity = builtin_mould("identityI")
 
     def rule(w: Word):
@@ -249,7 +250,7 @@ def mould_inverse_comp(m: Mould, cap: int, name: str = "") -> Mould:
             for b in blocks:
                 term = term * out.value(b)
             acc = acc - term
-        return acc * (1 / head if not isinstance(head, GaussianRational) else GaussianRational(1) / head)
+        return acc * (1 / head)
 
     out._rule = rule
     return out
@@ -261,25 +262,43 @@ def mould_inverse_comp(m: Mould, cap: int, name: str = "") -> Mould:
 
 
 @dataclass
-class SymmetryReport:
+class IdentityReport:
+    """Outcome of one identity check over its cases: a pair of words or
+    forests, a word, or a forest."""
+
     kind: str
     passed: bool
-    pairs_checked: int
+    pairs_checked: int  # name read by perfbench/workloads.py; counts words or forests for the operator checks
     worst_violation: float
-    first_violation: tuple[Word, Word] | None = None
+    first_violation: object = None
+    unit: str = "pairs"
     detail: str = ""
 
     def __str__(self):
         status = "pass" if self.passed else "FAIL"
-        s = f"[{status}] {self.kind}: {self.pairs_checked} pairs, worst violation {self.worst_violation:.3e}"
-        if self.first_violation:
-            s += f", first at {self.first_violation[0]} / {self.first_violation[1]}"
+        s = f"[{status}] {self.kind}: {self.pairs_checked} {self.unit}, worst violation {self.worst_violation:.3e}"
+        first = self.first_violation
+        if first is not None:
+            s += ", first at " + (" / ".join(map(str, first)) if isinstance(first, tuple) else str(first))
         if self.detail:
             s += f" ({self.detail})"
         return s
 
 
-def check_symmetry(m: Mould, kind: str, cap: int, alphabet: Sequence[Letter] | None = None, tol: float | None = None) -> SymmetryReport:
+def _scan(kind: str, cases: Iterable[tuple[object, float]], tol: float = 0.0, unit: str = "pairs") -> IdentityReport:
+    """Report over (case, violation) pairs.  A violation above tol fails and
+    so does a NaN one; a NaN worst violation stays NaN."""
+    worst, first, count = 0.0, None, 0
+    for case, v in cases:
+        count += 1
+        if not v <= tol and first is None:
+            first = case
+        if v > worst or v != v:
+            worst = v
+    return IdentityReport(kind, worst <= tol, count, worst, first, unit)
+
+
+def check_symmetry(m: Mould, kind: str, cap: int, alphabet: Sequence[Letter] | None = None, tol: float | None = None) -> IdentityReport:
     """Verify the shuffle/contracting-shuffle symmetry up to combined length cap.
 
     Exact values compare with equality (tol=None); float-valued moulds use a
@@ -295,36 +314,28 @@ def check_symmetry(m: Mould, kind: str, cap: int, alphabet: Sequence[Letter] | N
         raise ValueError(f"symmetry check at cap {cap} over {len(alphabet)} letters has no pair of words to test")
     shuffler = shuffle if kind in ("symmetral", "alternal") else contracting_shuffle
     multiplicative = kind in ("symmetral", "symmetrel")
-    if tol is None and not _is_exact(m.value(EMPTY_WORD)):
-        tol = 1e-9
-
-    worst = 0.0
-    first = None
-    pairs = 0
-    # empty-word normalisation
     e = m.value(EMPTY_WORD)
-    expected_e = 1 if multiplicative else 0
-    if _violation(e, expected_e, tol) > (tol or 0):
-        return SymmetryReport(kind, False, 0, _violation(e, expected_e, tol), None, "empty-word value")
+    if tol is None and not _is_exact(e):
+        tol = 1e-9
+    # empty-word normalisation
+    v = _violation(e, 1 if multiplicative else 0, tol)
+    if not v <= (tol or 0.0):
+        return IdentityReport(kind, False, 0, v, detail="empty-word value")
 
-    nonempty = [w for w in words_over(alphabet, cap - 1) if w.length >= 1]
-    for w1 in nonempty:
-        for w2 in nonempty:
-            if w1.length + w2.length > cap:
-                continue
-            pairs += 1
-            lhs = m.value(w1) * m.value(w2) if multiplicative else 0
-            rhs = None
-            for w, mult in shuffler(w1, w2).items():
-                term = m.value(w) * mult
-                rhs = term if rhs is None else rhs + term
-            v = _violation(rhs, lhs, tol)
-            if v > worst:
-                worst = v
-                if v > (tol or 0):
-                    first = first or (w1, w2)
-    passed = worst <= (tol or 0)
-    return SymmetryReport(kind, passed, pairs, worst, None if passed else first)
+    def cases():
+        nonempty = [w for w in words_over(alphabet, cap - 1) if w.length >= 1]
+        for w1 in nonempty:
+            for w2 in nonempty:
+                if w1.length + w2.length > cap:
+                    continue
+                lhs = m.value(w1) * m.value(w2) if multiplicative else 0
+                rhs = None
+                for w, mult in shuffler(w1, w2).items():
+                    term = m.value(w) * mult
+                    rhs = term if rhs is None else rhs + term
+                yield (w1, w2), _violation(rhs, lhs, tol)
+
+    return _scan(kind, cases(), tol or 0.0)
 
 
 def _is_exact(x):
@@ -335,8 +346,7 @@ def _violation(a, b, tol):
     if tol is None:
         return 0.0 if a == b else 1.0
     fa, fb = complex(a), complex(b)
-    scale = max(abs(fa), abs(fb), 1e-300)
-    return abs(fa - fb) / scale if scale > 0 else 0.0
+    return abs(fa - fb) / max(abs(fa), abs(fb), 1e-300)
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +354,7 @@ def _violation(a, b, tol):
 # ---------------------------------------------------------------------------
 
 
-def arborify(m: Mould, mode: str = "simple", counting: str = "merges", name: str = "") -> ArMould:
+def arborify(m: Mould, mode: str = "simple", counting: str = "merges") -> ArMould:
     """Arborified (mode='simple') or contracted arborified (mode='contracting')
     of a mould: sum of mould values over linear extensions / contracting
     covers of the forest.
@@ -368,46 +378,22 @@ def arborify(m: Mould, mode: str = "simple", counting: str = "merges", name: str
             total = term if total is None else total + term
         return total
 
-    return ArMould(rule, name=name or f"{mode}-arb({m.name})")
+    return ArMould(rule, name=f"{mode}-arb({m.name})")
 
 
-@dataclass
-class SeparativityReport:
-    passed: bool
-    pairs_checked: int
-    worst_violation: float
-    first_violation: tuple[Forest, Forest] | None = None
-
-    def __str__(self):
-        status = "pass" if self.passed else "FAIL"
-        s = f"[{status}] separative: {self.pairs_checked} pairs, worst violation {self.worst_violation:.3e}"
-        if self.first_violation:
-            s += f", first at {self.first_violation[0]} | {self.first_violation[1]}"
-        return s
-
-
-def check_separative(a: ArMould, alphabet: Sequence[Letter], cap: int, tol: float | None = None) -> SeparativityReport:
+def check_separative(a: ArMould, alphabet: Sequence[Letter], cap: int, tol: float | None = None) -> IdentityReport:
     """Verify M^{F'F''} = M^{F'} M^{F''} for all forest pairs with total nodes <= cap."""
     singles = forests_of_norm(alphabet, cap, max_nodes=cap)
     if tol is None and not _is_exact(a.value(Forest(()))):
         tol = 1e-9
-    worst = 0.0
-    first = None
-    pairs = 0
-    for f1 in singles:
-        for f2 in singles:
-            if f1.node_count + f2.node_count > cap:
-                continue
-            pairs += 1
-            lhs = a.value(f1 * f2)
-            rhs = a.value(f1) * a.value(f2)
-            v = _violation(lhs, rhs, tol)
-            if v > worst:
-                worst = v
-                if v > (tol or 0):
-                    first = first or (f1, f2)
-    passed = worst <= (tol or 0)
-    return SeparativityReport(passed, pairs, worst, None if passed else first)
+
+    def cases():
+        for f1 in singles:
+            for f2 in singles:
+                if f1.node_count + f2.node_count <= cap:
+                    yield (f1, f2), _violation(a.value(f1 * f2), a.value(f1) * a.value(f2), tol)
+
+    return _scan("separative", cases(), tol or 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -442,10 +428,7 @@ def builtin_mould(name: str) -> Mould:
             r = w.length
             if r == 0:
                 return Fraction(0)
-            f = 1
-            for k in range(2, r + 1):
-                f *= k
-            return Fraction(1, f)
+            return Fraction(1, math.factorial(r))
 
         return Mould(rule_exp, name="exp")
     if name in ("redom", "ledom"):
@@ -465,7 +448,7 @@ def builtin_mould(name: str) -> Mould:
     raise ValueError(f"unknown builtin mould {name!r}")
 
 
-def symmetral_from_letter_weights(weights: dict[Letter, object], name: str = "") -> Mould:
+def symmetral_from_letter_weights(weights: dict[Letter, object]) -> Mould:
     """M^w = (prod of letter weights)/r!; the exponential of a single-letter
     (alternal) mould, hence symmetral."""
     wt = {letter(k): v for k, v in weights.items()}
@@ -477,15 +460,12 @@ def symmetral_from_letter_weights(weights: dict[Letter, object], name: str = "")
         acc = Fraction(1, 1)
         for a in w:
             acc = acc * wt[a]
-        f = 1
-        for k in range(2, r + 1):
-            f *= k
-        return acc / f
+        return acc / math.factorial(r)
 
-    return Mould(rule, name=name or "symmetral-letterweights", alphabet=tuple(wt))
+    return Mould(rule, name="symmetral-letterweights", alphabet=tuple(wt))
 
 
-def symmetrel_geometric(x, name: str = "") -> Mould:
+def symmetrel_geometric(x) -> Mould:
     """M^w = (-1)^r (-x)^{||w||}, a quasi-shuffle character, hence symmetrel.
 
     Needs positive-integer decorations so (-x)^{||w||} is polynomial in x.
@@ -504,7 +484,7 @@ def symmetrel_geometric(x, name: str = "") -> Mould:
             acc = acc * (-xg)
         return acc * ((-1) ** r)
 
-    return Mould(rule, name=name or f"symmetrel-geom({x})")
+    return Mould(rule, name=f"symmetrel-geom({x})")
 
 
 # ---------------------------------------------------------------------------

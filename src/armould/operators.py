@@ -7,10 +7,13 @@ so decomposition and Leibniz identities can be checked with equality.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
+
+import numpy as np
 
 from .series import TruncatedSeries, UPoly, _poly_add, _poly_diff, _poly_mul, _poly_scale, _zero
 from .words import (
@@ -25,7 +28,7 @@ from .words import (
     forests_of_norm,
     letter,
 )
-from .moulds import Mould, ArMould, words_of_norm_at_most
+from .moulds import ArMould, IdentityReport, Mould, _scan, words_of_norm_at_most, words_over
 
 
 class DiffOperator:
@@ -68,7 +71,7 @@ class DiffOperator:
             for m, b in other.terms.items():
                 # d^k (b f^(m)) = sum_i C(k,i) b^(i) f^(k-i+m)
                 for i in range(k + 1):
-                    coeff = _binom(k, i)
+                    coeff = math.comb(k, i)
                     poly = _poly_mul(a, _poly_scale(_poly_diff(b, i), coeff))
                     order = k - i + m
                     if poly:
@@ -112,13 +115,12 @@ class DiffOperator:
         return True
 
     def max_abs_diff(self, other: "DiffOperator") -> float:
-        keys = set(self.terms) | set(other.terms)
-        worst = 0.0
-        for k in keys:
+        """Largest coefficient difference; NaN if any difference is NaN."""
+        diffs = []
+        for k in set(self.terms) | set(other.terms):
             a, b = self.terms.get(k, {}), other.terms.get(k, {})
-            for d in set(a) | set(b):
-                worst = max(worst, abs(complex(a.get(d, 0)) - complex(b.get(d, 0))))
-        return worst
+            diffs += [abs(complex(a.get(d, 0)) - complex(b.get(d, 0))) for d in set(a) | set(b)]
+        return float(np.max(diffs, initial=0.0))
 
     def dump(self) -> list:
         """JSON-friendly: list of (order, [(degree, str(coeff)), ...])."""
@@ -134,13 +136,6 @@ class DiffOperator:
             poly = " + ".join(f"({c})u^{d}" for d, c in sorted(self.terms[k].items()))
             bits.append(f"[{poly}] d^{k}")
         return " + ".join(bits) if bits else "0"
-
-
-def _binom(n: int, k: int) -> int:
-    out = 1
-    for i in range(k):
-        out = out * (n - i) // (i + 1)
-    return out
 
 
 def restricted_norm(op: DiffOperator, nu: int) -> float:
@@ -277,86 +272,43 @@ def increasing_structures(w: Word) -> Counter:
     return out
 
 
-@dataclass
-class DecompositionReport:
-    passed: bool
-    words_checked: int
-    worst_violation: float
-    first_violation: Word | None = None
-
-    def __str__(self):
-        status = "pass" if self.passed else "FAIL"
-        s = f"[{status}] coarborified decomposition: {self.words_checked} words, worst {self.worst_violation:.3e}"
-        if self.first_violation is not None:
-            s += f", first at {self.first_violation}"
-        return s
-
-
-def check_coarborified_decomposition(family: DerivationFamily, cap: int, letters: Sequence[Letter] | None = None) -> DecompositionReport:
+def check_coarborified_decomposition(family: DerivationFamily, cap: int, letters: Sequence[Letter] | None = None) -> IdentityReport:
     """Verify B_w = sum over forests admitting w as a linear extension of B_F,
     with each increasing structure on the positions counted once (equivalently
     bijection count / |Aut F|), exactly as operators."""
     letters = list(letters) if letters is not None else family.letters()
-    worst = 0.0
-    first = None
-    count = 0
-    from .moulds import words_over
 
-    for w in words_over(letters, cap):
-        count += 1
-        lhs = op_compose_word(family, w)
-        rhs = _linear_combination((mult, coarborify_homogeneous(family, f)) for f, mult in increasing_structures(w).items())
-        if lhs != rhs:
-            v = lhs.max_abs_diff(rhs)
-            if v > worst:
-                worst = v
-                first = first or w
-    return DecompositionReport(worst == 0.0, count, worst, first)
+    def cases():
+        for w in words_over(letters, cap):
+            lhs = op_compose_word(family, w)
+            rhs = _linear_combination((mult, coarborify_homogeneous(family, f)) for f, mult in increasing_structures(w).items())
+            yield w, 0.0 if lhs == rhs else lhs.max_abs_diff(rhs)
+
+    return _scan("coarborified decomposition", cases(), unit="words")
 
 
-@dataclass
-class CoseparativityReport:
-    passed: bool
-    forests_checked: int
-    worst_violation: float
-    first_violation: Forest | None = None
-
-    def __str__(self):
-        status = "pass" if self.passed else "FAIL"
-        s = f"[{status}] coseparative: {self.forests_checked} forests, worst {self.worst_violation:.3e}"
-        if self.first_violation is not None:
-            s += f", first at {self.first_violation}"
-        return s
-
-
-def check_coseparative(family: DerivationFamily, cap: int, f: TruncatedSeries, g: TruncatedSeries) -> CoseparativityReport:
+def check_coseparative(family: DerivationFamily, cap: int, f: TruncatedSeries, g: TruncatedSeries) -> IdentityReport:
     """Verify B_F(fg) = sum over ordered splittings F = F' F'' of B_{F'}(f) B_{F''}(g).
 
     Splittings enumerate complementary sub-multisets with binomial
     multiplicity (trees treated as distinguishable slots), matching the
     product rule of d^k on fg.
     """
-    letters = family.letters()
-    worst = 0.0
-    first = None
-    count = 0
-    for forest_ in [EMPTY_FOREST] + forests_of_norm(letters, cap, max_nodes=cap):
-        count += 1
-        lhs = coarborify_homogeneous(family, forest_).apply(f * g)
-        rhs = TruncatedSeries({}, f.nu)
-        trees = forest_.trees
-        for mask in range(1 << len(trees)):
-            left = Forest(tuple(t for i, t in enumerate(trees) if mask & (1 << i)))
-            right = Forest(tuple(t for i, t in enumerate(trees) if not mask & (1 << i)))
-            fl = coarborify_homogeneous(family, left).apply(f)
-            fr = coarborify_homogeneous(family, right).apply(g)
-            rhs = rhs + fl * fr
-        if lhs != rhs:
-            v = lhs.max_abs_diff(rhs)
-            if v > worst:
-                worst = v
-                first = first or forest_
-    return CoseparativityReport(worst == 0.0, count, worst, first)
+
+    def cases():
+        for forest_ in [EMPTY_FOREST] + forests_of_norm(family.letters(), cap, max_nodes=cap):
+            lhs = coarborify_homogeneous(family, forest_).apply(f * g)
+            rhs = TruncatedSeries({}, f.nu)
+            trees = forest_.trees
+            for mask in range(1 << len(trees)):
+                left = Forest(tuple(t for i, t in enumerate(trees) if mask & (1 << i)))
+                right = Forest(tuple(t for i, t in enumerate(trees) if not mask & (1 << i)))
+                fl = coarborify_homogeneous(family, left).apply(f)
+                fr = coarborify_homogeneous(family, right).apply(g)
+                rhs = rhs + fl * fr
+            yield forest_, 0.0 if lhs == rhs else lhs.max_abs_diff(rhs)
+
+    return _scan("coseparative", cases(), unit="forests")
 
 
 # ---------------------------------------------------------------------------

@@ -229,17 +229,22 @@ class SynthesizedField:
         return worst
 
 
-def automorphism_defect(exp: NormalizerExpansion, rng_seed: int = 11) -> float:
+def automorphism_defect(exp: NormalizerExpansion) -> float:
     """Max coefficient of Theta(fg) - Theta(f) Theta(g) on random series
     (NaN if any coefficient is NaN)."""
-    rng = np.random.default_rng(rng_seed)
-    nu = exp.config.nu
+    return _sampled_defect(11, exp.config.nu, lambda f, g: (exp.apply(f * g), exp.apply(f) * exp.apply(g)))
+
+
+def _sampled_defect(seed: int, nu: int, identity) -> float:
+    """Max coefficient difference of the two sides identity(f, g) returns,
+    over three pairs of random series drawn from the seed; NaN if any
+    difference is NaN."""
+    rng = np.random.default_rng(seed)
     diffs = []
     for _ in range(3):
         f = _random_series(rng, nu)
         g = _random_series(rng, nu)
-        lhs = exp.apply(f * g)
-        rhs = exp.apply(f) * exp.apply(g)
+        lhs, rhs = identity(f, g)
         diffs.append(lhs.max_abs_diff(rhs))
     return float(np.max(diffs))
 
@@ -267,19 +272,10 @@ def conjugate_normal_field(exp: NormalizerExpansion) -> FieldSample:
     u_series = TruncatedSeries.u_power(1, nu, coeff=1.0 + 0.0j)
     img = xc_op.apply(u_series)
     action = {k: complex(v) for k, v in img.coeffs.items()}
-    # derivation defect on random series, NaN if any coefficient is NaN
-    rng = np.random.default_rng(7)
-    diffs = []
-    for _ in range(3):
-        f = _random_series(rng, nu)
-        g = _random_series(rng, nu)
-        lhs = xc_op.apply(f * g)
-        rhs = xc_op.apply(f) * g + f * xc_op.apply(g)
-        diffs.append(lhs.max_abs_diff(rhs))
     return FieldSample(
         z=exp.z,
         action_on_u=action,
-        derivation_defect=float(np.max(diffs)),
+        derivation_defect=_sampled_defect(7, nu, lambda f, g: (xc_op.apply(f * g), xc_op.apply(f) * g + f * xc_op.apply(g))),
         automorphism_defect=automorphism_defect(exp),
     )
 

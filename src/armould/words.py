@@ -301,7 +301,7 @@ class Forest(_Keyed):
         n = 1
         for _, group in itertools.groupby(self.trees, key=_key_of):
             block = list(group)
-            n *= _factorial(len(block))
+            n *= math.factorial(len(block))
             for t in block:
                 n *= t.children.automorphism_count()
         return n
@@ -316,13 +316,6 @@ class Forest(_Keyed):
 
 
 EMPTY_FOREST = Forest(())
-
-
-def _factorial(n: int) -> int:
-    out = 1
-    for k in range(2, n + 1):
-        out *= k
-    return out
 
 
 def tree(root, children: Iterable = ()) -> Tree:
@@ -400,7 +393,7 @@ def _fiber_step(f: Forest, counting: str) -> Counter:
     out: Counter = Counter()
     max_size = 1 if counting == "extensions" else len(roots)
     for size in range(1, max_size + 1):
-        weight = _factorial(size) if counting == "merges" else 1
+        weight = math.factorial(size) if counting == "merges" else 1
         for combo in itertools.combinations(range(len(roots)), size):
             if size == 1:
                 dec = roots[combo[0]].root

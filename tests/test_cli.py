@@ -58,6 +58,18 @@ class TestMouldCommands:
         rc, out = run(capsys, "mould", "check", "--builtin", "unit1", "--kind", "alternel", "--cap", "2")
         assert rc == 1
 
+    @pytest.mark.parametrize(
+        "builtin, kind, cap, rc, line",
+        [
+            ("redom", "alternel", "4", 0, "[pass] alternel: 68 pairs, worst violation 0.000e+00"),
+            ("unit1", "alternel", "2", 1, "[FAIL] alternel: 0 pairs, worst violation 1.000e+00 (empty-word value)"),
+            ("standard_log", "alternal", "3", 1, "[FAIL] alternal: 20 pairs, worst violation 1.000e+00, first at (1) / (1)"),
+        ],
+        ids=["pass", "empty-word", "first-at"],
+    )
+    def test_check_stdout_pinned(self, capsys, builtin, kind, cap, rc, line):
+        assert run(capsys, "mould", "check", "--builtin", builtin, "--kind", kind, "--cap", cap) == (rc, line + "\n")
+
     def test_check_with_no_pair_exits_2(self, capsys):
         rc = main(["mould", "check", "--builtin", "standard_log", "--kind", "alternel", "--cap", "1"])
         captured = capsys.readouterr()

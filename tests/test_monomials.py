@@ -367,9 +367,10 @@ class TestXIntegral:
         assert abs(a - b) <= 1e-3 * abs(ref)
 
     def test_r2_agreement_not_flagged(self):
-        mv = x_integral_eval(word(1, 2), Z, C, delta=5e-2)
-        assert not mv.meta["ambiguous"]
-        assert mv.meta["drift"] <= 1e-3
+        # the experimental r = 2 form agrees with the y-integral
+        v = x_integral_eval(word(1, 2), Z, C, delta=5e-2).value
+        ref = paralog_Ua_eval(word(1, 2), Z, C).value
+        assert abs(v - ref) <= 1e-3 * abs(ref)
 
     def test_r3_rejected(self):
         with pytest.raises(ContourError):

@@ -1,5 +1,6 @@
 """Mould product, composition, inverses, symmetries, arborification."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ import pytest
 
 from armould.moulds import (
     AlienWordExpansion,
+    IdentityReport,
     Mould,
     arborify,
     builtin_mould,
@@ -22,6 +24,7 @@ from armould.moulds import (
     transition_apply,
     words_of_norm_at_most,
     words_over,
+    _scan,
 )
 from armould.values import GaussianRational
 from armould.words import EMPTY_WORD, letter, parse_forest, parse_word, word
@@ -214,6 +217,38 @@ class TestSymmetry:
             w2 = {1: Fraction(rng.randint(-9, 9), rng.randint(1, 9)), 2: Fraction(rng.randint(-9, 9), rng.randint(1, 9))}
             sy = mould_mul(symmetral_from_letter_weights(w1), symmetral_from_letter_weights(w2))
             assert check_symmetry(sy, "symmetral", 4, AB).passed
+
+
+def nan_mould():
+    """Float mould: 1.0 on the empty word, NaN on every other word."""
+    return Mould(lambda w: 1.0 if w.length == 0 else math.nan, alphabet=AB)
+
+
+class TestNaNFails:
+    def test_scan_keeps_nan_worst_and_first_failure(self):
+        rep = _scan("k", [("a", 0.0), ("b", math.nan), ("c", 5.0), ("d", 0.5)], tol=1.0)
+        assert isinstance(rep, IdentityReport)
+        assert not rep.passed and rep.pairs_checked == 4
+        assert math.isnan(rep.worst_violation)
+        assert rep.first_violation == "b"
+        rep = _scan("k", [("a", 0.5), ("b", 5.0), ("c", math.nan)], tol=1.0)
+        assert math.isnan(rep.worst_violation) and rep.first_violation == "b"
+
+    def test_nan_mould_fails_symmetral(self):
+        rep = check_symmetry(nan_mould(), "symmetral", 3)
+        assert not rep.passed
+        assert math.isnan(rep.worst_violation)
+
+    def test_nan_mould_arborified_fails_separative(self):
+        rep = check_separative(arborify(nan_mould()), AB, 3)
+        assert not rep.passed
+        assert math.isnan(rep.worst_violation)
+
+    def test_nan_empty_word_value_fails(self):
+        m = Mould(lambda w: math.nan, alphabet=AB)
+        rep = check_symmetry(m, "symmetral", 2)
+        assert not rep.passed and rep.pairs_checked == 0
+        assert math.isnan(rep.worst_violation)
 
 
 class TestBuiltins:

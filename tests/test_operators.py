@@ -1,5 +1,6 @@
 """Truncated series, homogeneous derivations, coarborification, contraction."""
 
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -181,6 +182,21 @@ class TestCoseparativity:
         assert rep.passed, str(rep)
 
 
+class TestNaNFamily:
+    FAM = DerivationFamily({1: math.nan, 2: 0.5})
+
+    def test_decomposition_fails(self):
+        rep = check_coarborified_decomposition(self.FAM, 2)
+        assert not rep.passed
+        assert math.isnan(rep.worst_violation)
+
+    def test_coseparative_fails(self):
+        f = g = TruncatedSeries.u_power(1, 8)
+        rep = check_coseparative(self.FAM, 3, f, g)
+        assert not rep.passed
+        assert math.isnan(rep.worst_violation)
+
+
 class TestContractions:
     def test_unit_mould_gives_identity(self):
         fam = DerivationFamily({1: Fraction(1)})
@@ -302,3 +318,9 @@ class TestOperatorUtilities:
     def test_operator_dump_shape(self):
         op = DiffOperator({1: {2: Fraction(3)}, 2: {5: Fraction(1, 2)}})
         assert op.dump() == [(1, [(2, "3")]), (2, [(5, "1/2")])]
+
+    def test_max_abs_diff_propagates_nan(self):
+        a = DiffOperator({0: {0: math.nan}})
+        b = DiffOperator({0: {0: 0.0}, 1: {1: 2.0}})
+        assert math.isnan(a.max_abs_diff(b))
+        assert b.max_abs_diff(DiffOperator.zero()) == 2.0
