@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import json
+import math
 import sys
 
 import numpy as np
@@ -313,7 +314,8 @@ def _dispatch_monomial(args) -> int:
             "fit_r2": _fnum(rep.fit_r2),
         }
         _emit(payload, "json")
-        ok = rep.monotone_decreasing and rep.fit_slope < 0 and rep.fit_r2 >= 0.9
+        finite = all(math.isfinite(k) for k in rep.khat.values())
+        ok = finite and rep.monotone_decreasing and rep.fit_slope < 0 and rep.fit_r2 >= 0.9
         return 0 if ok else 1
     if args.monomial_command == "pole-probe":
         loc, res = borel_pole_probe(args.omega, args.c)
@@ -361,10 +363,11 @@ def _dispatch_synthesize(args) -> int:
     worst_auto = float(np.max([s.automorphism_defect for s in samples], initial=0.0))
     worst_deriv = float(np.max([s.derivation_defect for s in samples], initial=0.0))
     non_finite_rows = sum(not cmath.isfinite(v) for s in samples for v in s.action_on_u.values())
-    tail_ratios = {}
+    per_norm: dict = {}
     for e in expansions:
         for n, r in e.tail_ratios().items():
-            tail_ratios[str(n)] = _fnum(max(r, float(tail_ratios.get(str(n), "0") or 0)))
+            per_norm.setdefault(str(n), []).append(r)
+    tail_ratios = {n: _fnum(float(np.max(rs))) for n, rs in per_norm.items()}  # a NaN ratio stays NaN
     report = {
         "invariants": {str(n): _fnum(a) for n, a in sorted(inv.coefficients.items())},
         "c": _fnum(args.c),

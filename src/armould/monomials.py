@@ -192,44 +192,100 @@ def _preorder(f: Forest) -> tuple[tuple, tuple]:
     return tuple(decs), tuple(parents)
 
 
-def _pass(
-    decorations: Sequence[complex],
-    parents: Sequence[int],
-    z: complex,
-    c: float,
-    spec: ContourSpec,
-    level: int,
-) -> tuple[complex, complex]:
+class Quadrature:
+    """The quadrature of one batch of evaluations at one (c, spec): rays and
+    Cauchy folds shared by every word, forest and z sample evaluated through
+    it, and freed with it.
+
+    A ray, with its weighted kernel values, depends on the level, the slot,
+    the decoration and the step, and is built once.  A fold depends on the
+    subtree it folds (decorations and parent links, from its slot on) and on
+    the ray it lands on (parent slot and decoration); z enters only the root
+    sums.  One fold is held per (level, slot), so a batch shares the folds
+    of items that come one after the other with a common subtree at a common
+    slot: walk the items depth first, e.g. words in reversed-word order."""
+
+    def __init__(self, c: float, spec: ContourSpec | None = None):
+        self.c = c
+        self.spec = spec or ContourSpec()
+        self._rays: dict = {}  # (level, slot, decoration, h) -> (y, log y_0, weighted kernel values)
+        self._folds: dict = {}  # (level, slot) -> (fold key, folded values)
+
+    def ray(self, level: int, slot: int, om: complex, tilt: float, h: float):
+        """The ray of decoration om at (level, slot), built on first use."""
+        key = (level, slot, om, h)
+        ray = self._rays.get(key)
+        if ray is None:
+            c = self.c
+            t_lo, t_hi = _t_window(c, abs(om), math.cos(tilt))
+            npts = max(int(math.ceil((t_hi - t_lo) / h)) + 1, 33)
+            y, wgt, log0 = _ray(c if c > 0 else 1.0, -cmath.phase(om), tilt, t_lo, h, npts)
+            ray = self._rays[key] = (y, log0, _kernel_values(om, c, y) * wgt)
+        return ray
+
+    def held(self, level: int, slot: int, key: tuple) -> np.ndarray | None:
+        """The fold held for (level, slot) if it was stored under key; one
+        stored under another key is dropped."""
+        entry = self._folds.get((level, slot))
+        if entry is not None and entry[0] == key:
+            return entry[1]
+        self._folds.pop((level, slot), None)
+        return None
+
+    def hold(self, level: int, slot: int, key: tuple, folded: np.ndarray) -> np.ndarray:
+        self._folds[(level, slot)] = (key, folded)
+        return folded
+
+
+def _batch(quad: Quadrature | None, c: float, spec: ContourSpec) -> Quadrature:
+    if quad is None:
+        return Quadrature(c, spec)
+    if (c, spec) != (quad.c, quad.spec):
+        raise ValueError(f"quadrature for c = {quad.c}, {quad.spec} asked to evaluate at c = {c}, {spec}")
+    return quad
+
+
+def _pass(decorations: Sequence[complex], parents: Sequence[int], z: complex, quad: Quadrature, level: int) -> tuple[complex, complex]:
     """One trapezoid evaluation of the iterated integral over a preorder node
     list: a factor 1/(y_child - y_parent) per edge and 1/(y_root - z) per root.
     Returns that value and, from the same folds with 1/(y_root - z)^2 at the
     roots, the z-derivative of a one-root integral (a word).  Nodes are folded
     leaves first, each one's children multiplied in preorder; a word is the
     chain (-1, 0, ..., r-2).  Every ray has the same step h, so each edge is
-    one Toeplitz fold."""
+    one Toeplitz fold.  Rays come from quad, and so does the fold of every
+    subtree quad holds, which spares the nodes below it."""
     n = len(decorations)
-    tilts = spec.angles(n, level)
-    h = spec.min_gap(n, level) / 4.6  # e^{-2 pi gap/h} ~ 3e-13
-    scale = c if c > 0 else 1.0
-    rays = []
-    for om, tilt in zip(decorations, tilts):
-        t_lo, t_hi = _t_window(c, abs(om), math.cos(tilt))
-        npts = max(int(math.ceil((t_hi - t_lo) / h)) + 1, 33)
-        rays.append(_ray(scale, -cmath.phase(om), tilt, t_lo, h, npts))
-    children: list[list[int]] = [[] for _ in range(n)]
-    for j, p in enumerate(parents):
-        if p >= 0:
-            children[p].append(j)
-    folded: dict = {}
+    tilts = quad.spec.angles(n, level)
+    h = quad.spec.min_gap(n, level) / 4.6  # e^{-2 pi gap/h} ~ 3e-13
+    ends = list(range(1, n + 1))  # node j's subtree is the preorder slice j:ends[j]
     for j in range(n - 1, -1, -1):
-        y, wgt, log0 = rays[j]
-        vals = _kernel_values(decorations[j], c, y) * wgt
+        if parents[j] >= 0:
+            ends[parents[j]] = max(ends[parents[j]], ends[j])
+    children: list[list[int]] = [[] for _ in range(n)]
+    keys: list = [None] * n
+    computed = [False] * n
+    folded: dict = {}
+    for j, p in enumerate(parents):  # a parent comes before its children
+        if p < 0:
+            computed[j] = True
+        elif computed[p]:  # below a held fold no node is visited
+            children[p].append(j)
+            keys[j] = (h, decorations[j : ends[j]], tuple(q - j for q in parents[j + 1 : ends[j]]), p, decorations[p])
+            held = quad.held(level, j, keys[j])
+            if held is None:
+                computed[j] = True
+            else:
+                folded[j] = held
+    for j in range(n - 1, -1, -1):
+        if not computed[j]:
+            continue
+        y, log0, vals = quad.ray(level, j, decorations[j], tilts[j], h)
         for ch in children[j]:
             vals = vals * folded.pop(ch)
         p = parents[j]
         if p >= 0:
-            y_to, _, log_to = rays[p]
-            folded[j] = _cauchy_fold(vals, y, log0, y_to, log_to, h)
+            y_to, log_to, _ = quad.ray(level, p, decorations[p], tilts[p], h)
+            folded[j] = quad.hold(level, j, keys[j], _cauchy_fold(vals, y, log0, y_to, log_to, h))
         else:
             d = y - z
             folded[j] = (complex(np.sum(vals / d)), complex(np.sum(vals / d**2)))
@@ -240,11 +296,11 @@ def _pass(
     return total, dtotal
 
 
-def _refined(decorations, parents, z: complex, c: float, spec: ContourSpec) -> tuple[tuple[complex, float], tuple[complex, float]]:
+def _refined(decorations, parents, z: complex, quad: Quadrature) -> tuple[tuple[complex, float], tuple[complex, float]]:
     """Richardson refinement in the tilt parameter of both results of one set
     of passes, value and z-derivative: each the finest pass and, as its error,
     the last refinement delta with a 5e-14 relative floor."""
-    passes = [_pass(decorations, parents, z, c, spec, lvl) for lvl in range(spec.richardson_levels)]
+    passes = [_pass(decorations, parents, z, quad, lvl) for lvl in range(quad.spec.richardson_levels)]
     out = []
     for vals in zip(*passes):
         value = vals[-1]
@@ -253,17 +309,19 @@ def _refined(decorations, parents, z: complex, c: float, spec: ContourSpec) -> t
     return out[0], out[1]
 
 
-def paralog_Ua_eval(w, z: complex, c: float, spec: ContourSpec | None = None) -> MonomialValue:
+def paralog_Ua_eval(w, z: complex, c: float, spec: ContourSpec | None = None, quad: Quadrature | None = None) -> MonomialValue:
     """Raw auxiliary paralogarithmic monomial Ua^w(z) and its z-derivative,
     both from one set of passes, Richardson-refined in the tilt parameter;
-    each reported error dominates the observed refinement delta."""
+    each reported error dominates the observed refinement delta.  quad, a
+    Quadrature for the same (c, spec), shares rays and folds with the other
+    evaluations of its batch; without it the word is a batch of one."""
     spec = spec or ContourSpec()
     decs = _decorations(w)
     z = _check_z(z, c, decs)
     if not decs:
         return MonomialValue(1.0 + 0.0j, 0.0, 0.0j, 0.0)
     chain = tuple(range(-1, len(decs) - 1))  # a word is the chain forest
-    (value, err), (dvalue, derr) = _refined(decs, chain, z, c, spec)
+    (value, err), (dvalue, derr) = _refined(decs, chain, z, _batch(quad, c, spec))
     return MonomialValue(value, err, dvalue, derr)
 
 
@@ -287,16 +345,17 @@ def paralog_variants(w, z: complex, c: float, spec: ContourSpec | None = None) -
 # ---------------------------------------------------------------------------
 
 
-def paralog_forest_eval(f: Forest, z: complex, c: float, spec: ContourSpec | None = None) -> MonomialValue:
+def paralog_forest_eval(f: Forest, z: complex, c: float, spec: ContourSpec | None = None, quad: Quadrature | None = None) -> MonomialValue:
     """Contracted-arborified monomial value Ua^F(z): one structured integral
     with variables indexed by nodes, a difference factor 1/(y_child - y_parent)
-    per tree edge and a root factor 1/(y_root - z) per tree."""
+    per tree edge and a root factor 1/(y_root - z) per tree.  quad as for
+    paralog_Ua_eval."""
     spec = spec or ContourSpec()
     decs, parents = _preorder(f)
     z = _check_z(z, c, decs)
     if not decs:
         return MonomialValue(1.0 + 0.0j, 0.0)
-    (value, err), _ = _refined(decs, parents, z, c, spec)
+    (value, err), _ = _refined(decs, parents, z, _batch(quad, c, spec))
     return MonomialValue(value, err)
 
 
@@ -436,25 +495,21 @@ def growth_scan(
     # contour level at scan accuracy keeps the column affordable
     c0_spec = replace(spec, richardson_levels=1)
     letters = [letter(n) for n in range(1, norm_cap + 1)]
-    wordlist = words_of_norm_at_most(letters, norm_cap)
-    forestlist = forests_of_norm(letters, norm_cap, max_nodes=max_nodes) if include_forests else []
+    items = words_of_norm_at_most(letters, norm_cap)
+    if include_forests:
+        items += forests_of_norm(letters, norm_cap, max_nodes=max_nodes)
+    norms = [int(item.norm.re) for item in items]
     khat: dict = {}
     details: dict = {}
     for c in c_values:
         use = c0_spec if c == 0 else spec
-        best = 0.0
-        detail = {}
-        for w in wordlist:
-            nrm = int(w.norm.re)
-            v = abs(paralog_Ua_eval(w, z, c, use).value) ** (1.0 / nrm)
-            detail[str(w)] = v
-            best = max(best, v)
-        for f in forestlist:
-            nrm = int(f.norm.re)
-            v = abs(paralog_forest_eval(f, z, c, use).value) ** (1.0 / nrm)
-            detail[str(f)] = v
-            best = max(best, v)
-        khat[float(c)] = best
+        quad = Quadrature(c, use)
+        values = [0j] * len(items)
+        for i in _batch_order(items):
+            evaluate = paralog_Ua_eval if isinstance(items[i], Word) else paralog_forest_eval
+            values[i] = evaluate(items[i], z, c, use, quad=quad).value
+        detail = {str(item): abs(v) ** (1.0 / nrm) for item, v, nrm in zip(items, values, norms)}
+        khat[float(c)] = float(np.max(list(detail.values()), initial=0.0))  # a NaN stays NaN
         details[float(c)] = detail
     positive = sorted(c for c in khat if c > 0)
     monotone = all(khat[a] > khat[b] for a, b in zip(positive, positive[1:]))
@@ -471,6 +526,23 @@ def growth_scan(
     )
 
 
+def _batch_order(items: Sequence) -> list[int]:
+    """Indices of words and forests in an order that walks them depth first:
+    by node count, then by the preorder (decoration, parent link) pairs read
+    from the last node back, so that items sharing a subtree at one slot,
+    such as a word and its chain forest, come one after the other."""
+
+    def key(i: int):
+        item = items[i]
+        if isinstance(item, Word):
+            decs, parents = _decorations(item), range(-1, item.length - 1)
+        else:
+            decs, parents = _preorder(item)
+        return len(decs), [(d.real, d.imag, p) for d, p in zip(reversed(decs), reversed(parents))]
+
+    return sorted(range(len(items)), key=key)
+
+
 def _loglinear_fit(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, float]:
     if len(xs) < 2:
         return 0.0, 1.0
@@ -480,7 +552,7 @@ def _loglinear_fit(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, flo
     pred = slope * x + intercept
     ss_res = float(np.sum((y - pred) ** 2))
     ss_tot = float(np.sum((y - np.mean(y)) ** 2))
-    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
+    r2 = 1.0 - ss_res / ss_tot if ss_tot != 0 else 1.0  # a NaN stays NaN
     return float(slope), r2
 
 

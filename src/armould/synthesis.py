@@ -33,6 +33,7 @@ from .moulds import Mould, arborify, builtin_mould, mould_compose, words_of_norm
 from .monomials import (
     ContourSpec,
     MOULD_NORMALIZATION,
+    Quadrature,
     paralog_Ua_eval,
 )
 from .operators import (
@@ -43,7 +44,7 @@ from .operators import (
     restricted_norm,
 )
 from .series import TruncatedSeries
-from .words import Word, count_forests, forests_of_norm, letter
+from .words import Word, count_forests, forests_of_norm, letter, word
 
 # build_theta refuses caps whose forest sum has more canonical forests than
 # this; at c = 2 a synthesis costs about 1 ms per forest and z sample.
@@ -131,7 +132,7 @@ class NormalizerExpansion:
         norms = sorted(self.tail_norms)
         out = {}
         for a, b in zip(norms, norms[1:]):
-            if self.tail_norms[a] > 0:
+            if self.tail_norms[a] != 0:  # a NaN tail gives a NaN ratio
                 out[b] = self.tail_norms[b] / self.tail_norms[a]
         return out
 
@@ -150,11 +151,14 @@ def _invert_tangent_to_identity(op: DiffOperator, nu: int) -> DiffOperator:
     return out
 
 
-def signed_monomial_mould(z: complex, c: float, spec: ContourSpec) -> Mould:
+def signed_monomial_mould(z: complex, c: float, spec: ContourSpec, table: dict | None = None) -> Mould:
     """The ansatz mould L^w = (-1)^r (2 pi i)^{-r} Ue_c^w(z), i.e. the
     per-letter normalization MOULD_NORMALIZATION that makes the family
     symmetrel, valued in first-order jets L + dL eps (a TruncatedSeries of
-    cap 1, so eps^2 = 0) with dL the exact z-derivative."""
+    cap 1, so eps^2 = 0) with dL the exact z-derivative.  ``table`` maps
+    words to their Ua values at this z, computed beforehand; a word it lacks
+    is evaluated when asked for."""
+    table = {} if table is None else table
 
     def rule(w: Word):
         r = w.length
@@ -162,7 +166,9 @@ def signed_monomial_mould(z: complex, c: float, spec: ContourSpec) -> Mould:
             return TruncatedSeries.constant(1.0 + 0.0j, 1)
         nrm = complex(w.norm)
         expo = cmath.exp(nrm * z + c * c * nrm / z)
-        ua = paralog_Ua_eval(w, z, c, spec)
+        ua = table.get(w)
+        if ua is None:
+            ua = paralog_Ua_eval(w, z, c, spec)
         chain = nrm * (1.0 - c * c / (z * z))
         unit = MOULD_NORMALIZATION**r
         return TruncatedSeries({0: unit * ua.value * expo, 1: unit * (ua.derivative + chain * ua.value) * expo}, 1)
@@ -170,11 +176,45 @@ def signed_monomial_mould(z: complex, c: float, spec: ContourSpec) -> Mould:
     return Mould(rule, name=f"L(z={z},c={c})")
 
 
+def _ua_tables(support: Sequence[int], cfg: SynthesisConfig) -> list[dict]:
+    """Ua of every word the forest sum asks L for, at every z sample: one
+    table per sample, filled through one Quadrature with z the inner loop.
+
+    (L o exp) is asked for every word v over the support with ||v|| <= nu
+    and len(v) <= r_max (each is a linear extension of its own chain forest,
+    whose kernel is nonzero), and asks L for the block norms of every cut of
+    v into consecutive blocks: the words whose letters b need kmin(b)
+    support letters each, with sum kmin <= r_max.  They are evaluated by
+    length, then in reversed-word order, so that words that share a tail,
+    and with it their deeper Cauchy folds, come one after the other."""
+    kmin = {0: 0}  # fewest support letters summing to b
+    for b in range(1, cfg.nu + 1):
+        ks = [kmin[b - n] for n in support if b - n in kmin]
+        if ks:
+            kmin[b] = 1 + min(ks)
+    del kmin[0]
+    found: list[tuple] = []
+    stack = [((), cfg.nu, cfg.r_max)]  # (prefix, norm left, support letters left)
+    while stack:
+        prefix, budget, left = stack.pop()
+        for b, k in kmin.items():
+            if b <= budget and k <= left:
+                found.append(prefix + (b,))
+                stack.append((prefix + (b,), budget - b, left - k))
+    found.sort(key=lambda w: (len(w), w[::-1]))
+    quad = Quadrature(cfg.c, cfg.contour)
+    tables: list[dict] = [{} for _ in cfg.z_samples]
+    for w in map(word, found):
+        for table, z in zip(tables, cfg.z_samples):
+            table[w] = paralog_Ua_eval(w, z, cfg.c, cfg.contour, quad=quad)
+    return tables
+
+
 def build_theta(inv: InvariantFamily, cfg: SynthesisConfig) -> list[NormalizerExpansion]:
     """Assemble the normalizer and its z-derivative at every z sample as one
     forest sum: the simple arborified of (L o exp), in jets, paired with the
     homogeneous coarborified over the invariant support, each canonical forest
-    weighted by 1/|Aut F|."""
+    weighted by 1/|Aut F|.  The Ua values L needs are computed first."""
     fam = inv.derivations()
     expansions = []
     support_letters = [letter(n) for n in inv.support]
@@ -185,14 +225,16 @@ def build_theta(inv: InvariantFamily, cfg: SynthesisConfig) -> list[NormalizerEx
             f" above the limit MAX_FORESTS = {MAX_FORESTS}"
         )
     forests = forests_of_norm(support_letters, cfg.nu, max_nodes=cfg.r_max) if support_letters else []
+    norms = [int(f.norm.re) for f in forests]
+    tables = _ua_tables(inv.support, cfg)
     expm = builtin_mould("exp")
-    for z in cfg.z_samples:
-        ell = signed_monomial_mould(z, cfg.c, cfg.contour)
+    for z, table in zip(cfg.z_samples, tables):
+        ell = signed_monomial_mould(z, cfg.c, cfg.contour, table)
         arb = arborify(mould_compose(ell, expm), "simple")
         op = DiffOperator.identity()
         dop = DiffOperator.zero()
         tails: dict = {}
-        for f in forests:
+        for f, n in zip(forests, norms):
             kernel = coarborify_homogeneous(fam, f)
             if kernel.is_zero():
                 continue
@@ -201,7 +243,6 @@ def build_theta(inv: InvariantFamily, cfg: SynthesisConfig) -> list[NormalizerEx
             val, dval = complex(jet.coeff(0)), complex(jet.coeff(1))
             op = op + kernel.scale(val / aut)
             dop = dop + kernel.scale(dval / aut)
-            n = int(f.norm.re)
             tails[n] = tails.get(n, 0.0) + abs(val) * restricted_norm(kernel, cfg.nu) / aut
         expansions.append(NormalizerExpansion(z=z, config=cfg, operator=op, d_operator=dop, mould=ell, tail_norms=tails))
     return expansions
@@ -221,12 +262,13 @@ class SynthesizedField:
     samples: list
 
     def max_relative_imag(self) -> float:
-        worst = 0.0
+        """Largest |Im| over the largest |coefficient| of a sample; NaN if any
+        coefficient is NaN."""
+        ratios = []
         for s in self.samples:
-            scale = max(abs(v) for v in s.action_on_u.values()) if s.action_on_u else 1.0
-            for v in s.action_on_u.values():
-                worst = max(worst, abs(v.imag) / scale)
-        return worst
+            scale = float(np.max([abs(v) for v in s.action_on_u.values()])) if s.action_on_u else 1.0
+            ratios.extend(abs(v.imag) / scale for v in s.action_on_u.values())
+        return float(np.max(ratios, initial=0.0))
 
 
 def automorphism_defect(exp: NormalizerExpansion) -> float:
@@ -318,13 +360,14 @@ def convergence_report(inv: InvariantFamily, cfg: SynthesisConfig, c_values: Seq
     sup_letters = [letter(n) for n in inv.support]
     for c in c_values:
         exps = build_theta(inv, replace(cfg, c=c))
-        agg: dict = {}
+        per_norm: dict = {}
         for e in exps:
             for n, t in e.tail_norms.items():
-                agg[n] = max(agg.get(n, 0.0), t)
+                per_norm.setdefault(n, []).append(t)
+        agg = {n: float(np.max(ts)) for n, ts in per_norm.items()}  # a NaN tail stays NaN
         tails[c] = agg
         norms = sorted(agg)
-        ratios[c] = {b: agg[b] / agg[a] for a, b in zip(norms, norms[1:]) if agg[a] > 0}
+        ratios[c] = {b: agg[b] / agg[a] for a, b in zip(norms, norms[1:]) if agg[a] != 0}
         # word organisation: the signed mould build_theta used, against plain
         # compositions
         ws: dict = {}
@@ -337,7 +380,7 @@ def convergence_report(inv: InvariantFamily, cfg: SynthesisConfig, c_values: Seq
                 ws[r] = ws.get(r, 0.0) + weight
         word_sums[c] = ws
         rs = sorted(ws)
-        word_ratios[c] = {b: ws[b] / ws[a] for a, b in zip(rs, rs[1:]) if ws[a] > 0}
+        word_ratios[c] = {b: ws[b] / ws[a] for a, b in zip(rs, rs[1:]) if ws[a] != 0}
     return ConvergenceReport(
         c_values=tuple(c_values),
         tail_norms=tails,

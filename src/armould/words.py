@@ -208,8 +208,10 @@ def contracting_shuffle(w1: Word, w2: Word) -> Counter:
     return out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1 << 14)
 def _csh_rec(a: tuple, b: tuple) -> Counter:
+    """Contracting shuffle of two letter tuples, memoised on the pair.  The
+    memo spans calls and is bounded; its Counters are read, never mutated."""
     if not a:
         return Counter({b: 1})
     if not b:

@@ -254,6 +254,39 @@ def test_non_finite_inputs_rejected(tmp_path, capsys, monkeypatch, invariants, a
     assert "error" in json.loads(captured.err)
 
 
+def test_growth_scan_fails_on_a_nan_column(capsys, monkeypatch):
+    # a NaN monomial in the c = 0 column, which the monotonicity and fit
+    # gates do not read, makes K(0) NaN and the scan exit 1
+    import armould.monomials as mono
+
+    one_item = mono.paralog_Ua_eval
+
+    def nan_at_c0(w, z, c, *args, **kwargs):
+        mv = one_item(w, z, c, *args, **kwargs)
+        return mono.MonomialValue(complex(math.nan, 0.0), mv.error) if c == 0 and w.length == 1 else mv
+
+    monkeypatch.setattr(mono, "paralog_Ua_eval", nan_at_c0)
+    rc, out = run(capsys, "monomial", "growth-scan", "--c-grid", "0.5,1,2,0", "--norm-cap", "2", "--z", "-2")
+    payload = json.loads(out)
+    assert rc == 1
+    assert payload["khat"]["0"] == "nan" and payload["monotone_decreasing"] is True
+
+
+@pytest.mark.parametrize("nan_first", [True, False], ids=["nan-first", "nan-second"])
+def test_synthesize_tail_ratio_merge_keeps_nan(tmp_path, capsys, monkeypatch, nan_first):
+    # the per-norm maximum over z samples is NaN whichever sample is NaN
+    import armould.synthesis as synth
+
+    def ratios(self):
+        return {2: math.nan if (self.z == -1.5) == nan_first else 0.5}
+
+    monkeypatch.setattr(synth.NormalizerExpansion, "tail_ratios", ratios)
+    inv = tmp_path / "inv.json"
+    inv.write_text('{"A": {"1": "1/4"}, "H": 1.0}')
+    _, out = run(capsys, "synthesize", "--invariants", str(inv), "--c", "2", "--caps", "3,3,2", "--z-moduli", "1.5,2.5")
+    assert json.loads(out)["tail_ratios"] == {"2": "nan"}
+
+
 class TestLinearRHCommand:
     def test_small_data(self, capsys):
         rc, out = run(capsys, "linear-rh", "--a12", "0.1", "--a21", "0.05", "--c", "1")

@@ -3,6 +3,8 @@
 import cmath
 import itertools
 import math
+import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from armould.monomials import (
     ContourError,
     ContourSpec,
     MOULD_NORMALIZATION,
+    Quadrature,
     borel_pole_probe,
     growth_scan,
     hyperlog_V_borel,
@@ -28,7 +31,7 @@ from armould.monomials import (
 )
 from armould.moulds import check_symmetry
 from armould.quadrature import de_halfline
-from armould.words import EMPTY_WORD, forests_of_norm, letter, parse_forest, word
+from armould.words import EMPTY_WORD, Word, forests_of_norm, letter, parse_forest, word
 
 Z = -2.0
 C = 1.0
@@ -246,22 +249,110 @@ class TestFold:
         # every word and forest is evaluated with the library fold and with
         # the dense oracle; the bound is the smaller reported error, since
         # fold noise in the library value also widens its own Richardson
-        # error estimate
+        # error estimate.  Each fold evaluates all cases through its own
+        # Quadrature, in batch order, so a fold shared by cases runs once.
         letters = [letter(1), letter(2)]
         max_len, max_norm = (3, 3) if c == 0 else (4, 4)
         words = [word(*w) for r in range(1, max_len + 1) for w in itertools.product((1, 2), repeat=r)]
         if c == 0:
             words.append(word(1, 1, 1, 2))
-        cases = [(str(w), lambda w=w: paralog_Ua_eval(w, Z, c)) for w in words]
-        cases += [(str(f), lambda f=f: paralog_forest_eval(f, Z, c)) for f in forests_of_norm(letters, max_norm)]
+        cases = words + forests_of_norm(letters, max_norm)
+        results = []
+        for fold in (mono._cauchy_fold, _dense_fold):
+            monkeypatch.setattr(mono, "_cauchy_fold", fold)
+            quad = Quadrature(c)
+            out = {}
+            for i in mono._batch_order(cases):
+                evaluate = paralog_Ua_eval if i < len(words) else paralog_forest_eval
+                out[i] = evaluate(cases[i], Z, c, quad=quad)
+            results.append(out)
+        fast, dense = results
+        for i, case in enumerate(cases):
+            assert abs(fast[i].value - dense[i].value) <= min(fast[i].error, dense[i].error), (str(case), c)
+
+
+def _repr_fields(mv) -> tuple:
+    return tuple(repr(x) for x in (mv.value, mv.error, mv.derivative, mv.derivative_error))
+
+
+_LETTERS = (1, 2, 3)
+_WORDS = st.lists(st.sampled_from(_LETTERS), min_size=1, max_size=3).map(lambda ls: word(*ls))
+_FORESTS = st.sampled_from(forests_of_norm([letter(n) for n in _LETTERS], 4, max_nodes=3))
+
+
+class TestQuadrature:
+    """A Quadrature shares rays and folds across one batch; every value it
+    gives equals a one-item evaluation bit for bit."""
+
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(
+        st.sampled_from([0.0, 1.0]),
+        st.lists(st.tuples(st.one_of(_WORDS, _FORESTS), st.sampled_from([Z, -1.5 + 0.5j])), min_size=1, max_size=6),
+    )
+    def test_batch_equals_one_item_evaluation(self, c, batch):
+        quad = Quadrature(c)
+        for item, z in batch:
+            evaluate = paralog_Ua_eval if isinstance(item, Word) else paralog_forest_eval
+            assert _repr_fields(evaluate(item, z, c, quad=quad)) == _repr_fields(evaluate(item, z, c)), (str(item), z, c)
+
+    def test_words_in_reversed_order_build_each_ray_and_fold_once(self, monkeypatch):
+        # by length, then reversed word, with z as the inner loop: words
+        # sharing a tail come together, so no held fold is dropped early
+        words = sorted(
+            (word(*w) for r in (1, 2, 3) for w in itertools.product(_LETTERS, repeat=r)),
+            key=lambda w: (w.length, [a.value.re for a in reversed(w.letters)]),
+        )
+        calls = {"_ray": 0, "_cauchy_fold": 0}
+        for name in calls:
+            original = getattr(mono, name)
+
+            def counted(*args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(mono, name, counted)
+        quad = Quadrature(C)
+        for w in words:
+            for z in (Z, -1.5 + 0.5j):
+                paralog_Ua_eval(w, z, C, quad=quad)
+        levels = range(ContourSpec().richardson_levels)
+        letters = [tuple(int(a.value.re) for a in w.letters) for w in words]
+        rays = {(lvl, j, ls[j]) for lvl in levels for ls in letters for j in range(len(ls))}
+        folds = {(lvl, j, ls[j:], ls[j - 1]) for lvl in levels for ls in letters for j in range(1, len(ls))}
+        assert calls == {"_ray": len(rays), "_cauchy_fold": len(folds)}
+
+    def test_holds_at_most_one_fold_per_level_and_slot(self, monkeypatch):
+        # every fold array still alive after an evaluation is one the
+        # Quadrature holds, at most one per (level, slot), and all of them
+        # go with the Quadrature
+        alive = []
         library_fold = mono._cauchy_fold
-        for label, evaluate in cases:
-            out = []
-            for fold in (library_fold, _dense_fold):
-                monkeypatch.setattr(mono, "_cauchy_fold", fold)
-                out.append(evaluate())
-            fast, dense = out
-            assert abs(fast.value - dense.value) <= min(fast.error, dense.error), (label, c)
+
+        def tracked(*args):
+            out = library_fold(*args)
+            alive.append(weakref.ref(out))
+            return out
+
+        monkeypatch.setattr(mono, "_cauchy_fold", tracked)
+        items = [word(1, 2, 3), parse_forest("1(2,3)"), word(3, 2, 1), parse_forest("2(1(3))"), word(1, 1), parse_forest("3;1(2)")]
+        quad = Quadrature(C)
+        slots = ContourSpec().richardson_levels * 2  # (level, slot) pairs below a root: slots 1 and 2
+        for item in items:
+            evaluate = paralog_Ua_eval if isinstance(item, Word) else paralog_forest_eval
+            evaluate(item, Z, C, quad=quad)
+            held = [ref for ref in alive if ref() is not None]
+            assert len(held) <= slots, (str(item), len(held))
+        assert len(alive) > slots
+        del quad
+        assert all(ref() is None for ref in alive)
+
+    def test_mismatched_quadrature_rejected(self):
+        quad = Quadrature(C)
+        for evaluate, item in ((paralog_Ua_eval, word(1)), (paralog_forest_eval, parse_forest("1;2"))):
+            with pytest.raises(ValueError, match="quadrature"):
+                evaluate(item, Z, 2.0, quad=quad)
+            with pytest.raises(ValueError, match="quadrature"):
+                evaluate(item, Z, C, ContourSpec(eps=0.04), quad=quad)
 
 
 class TestSymmetrelMould:
@@ -337,6 +428,26 @@ class TestGrowthScan:
     def test_norm_cap_below_one_rejected(self, norm_cap):
         with pytest.raises(ValueError):
             growth_scan([1.0, 2.0], norm_cap, Z)
+
+    def test_nan_value_makes_khat_nan(self, monkeypatch):
+        # one NaN monomial makes its column's sup NaN instead of vanishing
+        # from it
+        one_item = mono.paralog_Ua_eval
+
+        def nan_at_11(w, *args, **kwargs):
+            mv = one_item(w, *args, **kwargs)
+            return replace(mv, value=complex(math.nan, 0.0)) if w == word(1, 1) else mv
+
+        monkeypatch.setattr(mono, "paralog_Ua_eval", nan_at_11)
+        rep = growth_scan([1.0, 2.0], 2, Z, include_forests=False)
+        assert all(math.isnan(k) for k in rep.khat.values())
+        assert math.isnan(rep.fit_slope) and math.isnan(rep.fit_r2)
+
+    def test_details_keep_words_then_forests_order(self):
+        rep = growth_scan([1.0], 2, Z)
+        letters = [letter(1), letter(2)]
+        expected = [str(w) for w in mono.words_of_norm_at_most(letters, 2)] + [str(f) for f in forests_of_norm(letters, 2, max_nodes=4)]
+        assert list(rep.details[1.0]) == expected
 
 
 class TestPoleProbe:

@@ -1,6 +1,7 @@
 """Synthesis pipeline: normalizer, conjugated field, diagnostics, linear RH."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,8 +10,11 @@ import armould.monomials as mono
 from armould.monomials import ContourSpec
 from armould.operators import DiffOperator
 from armould.series import TruncatedSeries
+import armould.synthesis as synth
 from armould.synthesis import (
+    FieldSample,
     InvariantFamily,
+    NormalizerExpansion,
     SynthesisConfig,
     SynthesisError,
     SynthesizedField,
@@ -286,6 +290,40 @@ class TestConvergenceReport:
         assert all(v < 1 for v in rep.tail_ratios[4.0].values())
         assert all(v < 1e-6 for v in rep.word_ratios[4.0].values())
         assert max(rep.word_ratios[0.0].values()) > 1.0
+
+    def test_nan_tail_at_one_z_stays_nan(self, monkeypatch):
+        # a NaN Ua^(2) at the first of two z samples makes that sample's
+        # norm-2 tail NaN; the max over samples and the ratios beside it
+        # keep the NaN whichever sample comes first
+        one_item = synth.paralog_Ua_eval
+
+        def nan_at_first_z(w, z, *args, **kwargs):
+            mv = one_item(w, z, *args, **kwargs)
+            return replace(mv, value=complex(math.nan, 0.0)) if (w, z) == (word(2), -1.5) else mv
+
+        monkeypatch.setattr(synth, "paralog_Ua_eval", nan_at_first_z)
+        inv = InvariantFamily({1: 0.25, 2: 0.125})
+        cfg = SynthesisConfig(c=2.0, nu=3, r_max=3, z_samples=(-1.5, -2.5))
+        rep = convergence_report(inv, cfg, [2.0])
+        assert math.isnan(rep.tail_norms[2.0][2])
+        assert math.isnan(rep.tail_ratios[2.0][2]) and math.isnan(rep.tail_ratios[2.0][3])
+
+
+class TestNanReductions:
+    """A NaN in the data stays NaN in every maximum and ratio over it."""
+
+    def test_tail_ratios(self):
+        e = NormalizerExpansion(
+            z=-2.0, config=CFG, operator=DiffOperator.identity(), d_operator=DiffOperator.zero(), mould=None,
+            tail_norms={1: math.nan, 2: 1.0, 3: 0.5},
+        )  # fmt: skip
+        ratios = e.tail_ratios()
+        assert set(ratios) == {2, 3} and math.isnan(ratios[2]) and ratios[3] == 0.5
+
+    @pytest.mark.parametrize("bad", [complex(math.nan, 1e-3), complex(1.0, math.nan)], ids=["nan-real", "nan-imag"])
+    def test_max_relative_imag(self, bad):
+        sample = FieldSample(z=-2.0, action_on_u={1: 1.0 + 0.0j, 2: bad}, derivation_defect=0.0, automorphism_defect=0.0)
+        assert math.isnan(SynthesizedField(config=CFG, samples=[sample]).max_relative_imag())
 
 
 class TestLinearRH:
