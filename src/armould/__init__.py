@@ -7,8 +7,8 @@ Layers, bottom up:
               linear extensions and contracting covers (two countings)
 - moulds:     mould product/composition/inverses, symmetry checks,
               arborification, built-in scalar moulds, transition expansions
-- series:     truncated u-series (a cap-1 series is a first-order jet) and
-              the polynomial arithmetic the operators share
+- series:     truncated u-series and the polynomial arithmetic the
+              operators share
 - operators:  homogeneous derivations, comoulds, (contracted)
               coarborification, exact mould-comould contraction
 - kernels:    paralogarithmic kernels g_{c,omega}, Laplace transforms,

@@ -1,8 +1,8 @@
 """Mould algebra over a commutative value algebra.
 
 A mould is a map from words to values; values may be exact (Fraction,
-GaussianRational), complex floats, or truncated series such as first-order
-jets — anything with ring operations.  Moulds are rule-backed with
+GaussianRational), complex floats, truncated series, or anything else with
+the operations a construction asks of them.  Moulds are rule-backed with
 memoisation; table-backed moulds refuse queries beyond their cap instead of
 inventing zeros.
 """

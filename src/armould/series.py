@@ -1,12 +1,10 @@
 """Truncated power series in one variable, and the polynomial arithmetic the
 operators share with them.
 
-A ``TruncatedSeries`` of cap ``nu`` is a u-series of the synthesis; one of
-cap 1 in a formal eps is a first-order jet a + b eps (eps^2 = 0), which
-carries a value and its derivative through the linear mould operations at
-once.  Coefficients are duck-typed: exact Fractions/GaussianRationals for
-identity checks, complex floats in the synthesis pipeline.  Terms beyond the
-cap are discarded on construction and after every product.
+A ``TruncatedSeries`` of cap ``nu`` is a u-series of the synthesis.
+Coefficients are duck-typed: exact Fractions/GaussianRationals for identity
+checks, complex floats in the synthesis pipeline.  Terms beyond the cap are
+discarded on construction and after every product.
 """
 
 from __future__ import annotations

@@ -2,22 +2,22 @@
 normalizer, the conjugated field, convergence diagnostics, and the linear
 Riemann-Hilbert demonstration.
 
-The normalizer at parameter c and sample z is
+The normalizer at parameter c and sample z is the mould-comould contraction
 
-    Theta = sum over words (-1)^r G^w(z) Aplus_{w_r} ... Aplus_{w_1}
+    Theta = Id + sum over canonical forests F of (L o exp)^F_arb B_F / |Aut F|
 
-where G is the paralogarithmic monomial family normalized per letter by
-1/(2 pi i) (the measure normalization under which the signed family is
-symmetrel), and the atoms Aplus_n are the homogeneity-n components of
-exp(sum A_n u^{n+1} d_u) — the derivation data composed into automorphism
-components, so the comould is cosymmetrel and Theta is an algebra
-automorphism up to quadrature error.
+with L^w = (-1)^r (2 pi i)^{-r} Ue_c^w(z) the paralogarithmic monomials
+normalized per letter so that L is symmetrel, exp the mould 1/r!, the simple
+arborified on the mould side, and B_F the homogeneous coarborified of the
+derivations A_n u^{n+1} d_u; Theta is an algebra automorphism up to
+quadrature error.  The mould side is linear in L, so Theta splits into a
+z-free part, built once per synthesis (per forest: B_F, 1/|Aut F| and the
+row C[F, .] of coefficients of (L o exp)^F_arb on the words L is asked for),
+and the vector of L values at each z sample:
 
-Equivalently (and cheaper) Theta = sum_v (L o exp)^v A_v over the plain
-derivation comould, with L the signed normalized mould and exp the 1/r!
-mould; the forest assembly is the simple arborified of (L o exp) against the
-homogeneous coarborified with automorphism-factor weights.  Both groupings
-are the same operator; the acceptance agreement between them is structural.
+    Theta(z) = Id + sum_F (C L(z))_F B_F / |Aut F|,
+
+with d_z Theta the same sum over the exact z-derivatives dL.
 """
 
 from __future__ import annotations
@@ -39,15 +39,17 @@ from .monomials import (
 from .operators import (
     DerivationFamily,
     DiffOperator,
+    _linear_combination,
     coarborify_homogeneous,
     op_compose_word,
     restricted_norm,
 )
 from .series import TruncatedSeries
-from .words import Word, count_forests, forests_of_norm, letter, word
+from .words import Word, count_forests, forests_of_norm
 
 # build_theta refuses caps whose forest sum has more canonical forests than
-# this; at c = 2 a synthesis costs about 1 ms per forest and z sample.
+# this; besides the quadrature, a synthesis costs about 0.5 ms per forest
+# once (its z-free forest rows) plus about 0.02 ms per forest and z sample.
 MAX_FORESTS = 20_000
 
 
@@ -119,7 +121,7 @@ class NormalizerExpansion:
     config: SynthesisConfig
     operator: DiffOperator
     d_operator: DiffOperator  # z-derivative of the mould side
-    mould: Mould  # the jet-valued L the operators were assembled from
+    ell: dict  # word -> L^w at z, for every word the forest rows ask for
     tail_norms: dict  # norm n -> sum over ||F|| = n of |value| * ||B_F|| / |Aut F|
 
     def apply(self, f: TruncatedSeries) -> TruncatedSeries:
@@ -151,100 +153,94 @@ def _invert_tangent_to_identity(op: DiffOperator, nu: int) -> DiffOperator:
     return out
 
 
-def signed_monomial_mould(z: complex, c: float, spec: ContourSpec, table: dict | None = None) -> Mould:
-    """The ansatz mould L^w = (-1)^r (2 pi i)^{-r} Ue_c^w(z), i.e. the
-    per-letter normalization MOULD_NORMALIZATION that makes the family
-    symmetrel, valued in first-order jets L + dL eps (a TruncatedSeries of
-    cap 1, so eps^2 = 0) with dL the exact z-derivative.  ``table`` maps
-    words to their Ua values at this z, computed beforehand; a word it lacks
-    is evaluated when asked for."""
-    table = {} if table is None else table
+class _LinearForm(dict):
+    """Sparse linear form in the L values, column -> float coefficient; it
+    adds and scales by numbers, which is all that mould composition and
+    arborification ask of mould values."""
 
-    def rule(w: Word):
-        r = w.length
-        if r == 0:
-            return TruncatedSeries.constant(1.0 + 0.0j, 1)
+    def __add__(self, other: "_LinearForm") -> "_LinearForm":
+        out = _LinearForm(self)
+        for j, x in other.items():
+            out[j] = out.get(j, 0.0) + x
+        return out
+
+    def __mul__(self, s) -> "_LinearForm":
+        s = float(s)
+        return _LinearForm({j: x * s for j, x in self.items()})
+
+
+def _forest_rows(fam: DerivationFamily, nu: int, r_max: int) -> tuple[list[Word], list[tuple]]:
+    """The z-free side of the forest sum: the words L is asked for and, per
+    canonical forest F with a nonzero kernel, the row (B_F, |Aut F|,
+    restricted_norm(B_F, nu), ||F||, cols, coefs) with
+
+        (L o exp)^F_arb = sum_i coefs[i] L^{words[cols[i]]}.
+
+    The rows are the simple arborified of (E o exp), E^w the unit linear
+    form on w, evaluated once per synthesis."""
+    index: dict = {}
+    unit = Mould(lambda w: _LinearForm({index.setdefault(w, len(index)): 1.0}))
+    composed = mould_compose(unit, builtin_mould("exp"))
+    rows = []
+    for f in forests_of_norm(fam.letters(), nu, max_nodes=r_max):
+        kernel = coarborify_homogeneous(fam, f)
+        if not kernel.is_zero():
+            # one arborified per forest, so that no memo keeps every row's form
+            form = arborify(composed, "simple").value(f)
+            cols = np.fromiter(form.keys(), dtype=np.intp, count=len(form))
+            coefs = np.fromiter(form.values(), dtype=float, count=len(form))
+            rows.append((kernel, f.automorphism_count(), restricted_norm(kernel, nu), int(f.norm.re), cols, coefs))
+    return list(index), rows
+
+
+def _signed_monomials(words: list[Word], cfg: SynthesisConfig) -> list[tuple[dict, dict]]:
+    """L^w = (-1)^r (2 pi i)^{-r} Ue_c^w(z), i.e. the per-letter
+    normalization MOULD_NORMALIZATION that makes the family symmetrel, and
+    its exact z-derivative dL^w, for the given words at every z sample.  The
+    Ua values come from one Quadrature with z the inner loop, by length, then
+    in reversed-word order, so that words that share a tail, and with it
+    their deeper Cauchy folds, come one after the other."""
+    c = cfg.c
+    quad = Quadrature(c, cfg.contour)
+    tables: list[tuple[dict, dict]] = [({}, {}) for _ in cfg.z_samples]
+    for w in sorted(words, key=lambda w: (w.length, w[::-1].sort_key())):
         nrm = complex(w.norm)
-        expo = cmath.exp(nrm * z + c * c * nrm / z)
-        ua = table.get(w)
-        if ua is None:
-            ua = paralog_Ua_eval(w, z, c, spec)
-        chain = nrm * (1.0 - c * c / (z * z))
-        unit = MOULD_NORMALIZATION**r
-        return TruncatedSeries({0: unit * ua.value * expo, 1: unit * (ua.derivative + chain * ua.value) * expo}, 1)
-
-    return Mould(rule, name=f"L(z={z},c={c})")
-
-
-def _ua_tables(support: Sequence[int], cfg: SynthesisConfig) -> list[dict]:
-    """Ua of every word the forest sum asks L for, at every z sample: one
-    table per sample, filled through one Quadrature with z the inner loop.
-
-    (L o exp) is asked for every word v over the support with ||v|| <= nu
-    and len(v) <= r_max (each is a linear extension of its own chain forest,
-    whose kernel is nonzero), and asks L for the block norms of every cut of
-    v into consecutive blocks: the words whose letters b need kmin(b)
-    support letters each, with sum kmin <= r_max.  They are evaluated by
-    length, then in reversed-word order, so that words that share a tail,
-    and with it their deeper Cauchy folds, come one after the other."""
-    kmin = {0: 0}  # fewest support letters summing to b
-    for b in range(1, cfg.nu + 1):
-        ks = [kmin[b - n] for n in support if b - n in kmin]
-        if ks:
-            kmin[b] = 1 + min(ks)
-    del kmin[0]
-    found: list[tuple] = []
-    stack = [((), cfg.nu, cfg.r_max)]  # (prefix, norm left, support letters left)
-    while stack:
-        prefix, budget, left = stack.pop()
-        for b, k in kmin.items():
-            if b <= budget and k <= left:
-                found.append(prefix + (b,))
-                stack.append((prefix + (b,), budget - b, left - k))
-    found.sort(key=lambda w: (len(w), w[::-1]))
-    quad = Quadrature(cfg.c, cfg.contour)
-    tables: list[dict] = [{} for _ in cfg.z_samples]
-    for w in map(word, found):
-        for table, z in zip(tables, cfg.z_samples):
-            table[w] = paralog_Ua_eval(w, z, cfg.c, cfg.contour, quad=quad)
+        unit = MOULD_NORMALIZATION**w.length
+        for (ell, d_ell), z in zip(tables, cfg.z_samples):
+            ua = paralog_Ua_eval(w, z, c, cfg.contour, quad=quad)
+            expo = cmath.exp(nrm * z + c * c * nrm / z)
+            ell[w] = unit * ua.value * expo
+            d_ell[w] = unit * (ua.derivative + nrm * (1.0 - c * c / (z * z)) * ua.value) * expo
     return tables
 
 
 def build_theta(inv: InvariantFamily, cfg: SynthesisConfig) -> list[NormalizerExpansion]:
-    """Assemble the normalizer and its z-derivative at every z sample as one
-    forest sum: the simple arborified of (L o exp), in jets, paired with the
-    homogeneous coarborified over the invariant support, each canonical forest
-    weighted by 1/|Aut F|.  The Ua values L needs are computed first."""
+    """Assemble the normalizer and its z-derivative at every z sample: the
+    z-free forest rows are built once, the L values they ask for are
+    computed, and each z sample sums every row against its L and dL values,
+    each forest weighted by 1/|Aut F|."""
     fam = inv.derivations()
-    expansions = []
-    support_letters = [letter(n) for n in inv.support]
-    n_forests = count_forests(support_letters, cfg.nu, cfg.r_max)
+    n_forests = count_forests(fam.letters(), cfg.nu, cfg.r_max)
     if n_forests > MAX_FORESTS:
         raise SynthesisError(
             f"caps nu = {cfg.nu}, r_max = {cfg.r_max} on the support {list(inv.support)} give {n_forests} forests,"
             f" above the limit MAX_FORESTS = {MAX_FORESTS}"
         )
-    forests = forests_of_norm(support_letters, cfg.nu, max_nodes=cfg.r_max) if support_letters else []
-    norms = [int(f.norm.re) for f in forests]
-    tables = _ua_tables(inv.support, cfg)
-    expm = builtin_mould("exp")
-    for z, table in zip(cfg.z_samples, tables):
-        ell = signed_monomial_mould(z, cfg.c, cfg.contour, table)
-        arb = arborify(mould_compose(ell, expm), "simple")
-        op = DiffOperator.identity()
-        dop = DiffOperator.zero()
-        tails: dict = {}
-        for f, n in zip(forests, norms):
-            kernel = coarborify_homogeneous(fam, f)
-            if kernel.is_zero():
-                continue
-            aut = f.automorphism_count()
-            jet = arb.value(f)
-            val, dval = complex(jet.coeff(0)), complex(jet.coeff(1))
-            op = op + kernel.scale(val / aut)
-            dop = dop + kernel.scale(dval / aut)
-            tails[n] = tails.get(n, 0.0) + abs(val) * restricted_norm(kernel, cfg.nu) / aut
-        expansions.append(NormalizerExpansion(z=z, config=cfg, operator=op, d_operator=dop, mould=ell, tail_norms=tails))
+    words, rows = _forest_rows(fam, cfg.nu, cfg.r_max)
+    expansions = []
+    for z, (ell, d_ell) in zip(cfg.z_samples, _signed_monomials(words, cfg)):
+        vec = np.array([(ell[w], d_ell[w]) for w in words], dtype=complex).reshape(-1, 2)
+        terms, d_terms, tails = [], [], {}
+        for kernel, aut, kernel_norm, n, cols, coefs in rows:
+            # a row sums over its own nonzeros only, so a NaN L value stays
+            # in the forests whose rows use it
+            val, dval = (coefs @ vec[cols]).tolist()
+            terms.append((val / aut, kernel))
+            d_terms.append((dval / aut, kernel))
+            tails[n] = tails.get(n, 0.0) + abs(val) * kernel_norm / aut
+        op = DiffOperator.identity() + _linear_combination(terms)
+        dop = _linear_combination(d_terms)
+        expansions.append(NormalizerExpansion(z=z, config=cfg, operator=op, d_operator=dop, ell=ell, tail_norms=tails))
     return expansions
 
 
@@ -357,7 +353,9 @@ def convergence_report(inv: InvariantFamily, cfg: SynthesisConfig, c_values: Seq
     word_sums: dict = {}
     word_ratios: dict = {}
     fam = inv.derivations()
-    sup_letters = [letter(n) for n in inv.support]
+    # the word organisation weighs L^w by ||B_w||, which is free of c and z
+    words = [w for w in words_of_norm_at_most(fam.letters(), cfg.nu) if w.length <= cfg.r_max]
+    word_norms = [restricted_norm(op_compose_word(fam, w), cfg.nu) for w in words]
     for c in c_values:
         exps = build_theta(inv, replace(cfg, c=c))
         per_norm: dict = {}
@@ -368,16 +366,10 @@ def convergence_report(inv: InvariantFamily, cfg: SynthesisConfig, c_values: Seq
         tails[c] = agg
         norms = sorted(agg)
         ratios[c] = {b: agg[b] / agg[a] for a, b in zip(norms, norms[1:]) if agg[a] != 0}
-        # word organisation: the signed mould build_theta used, against plain
-        # compositions
         ws: dict = {}
         for e in exps:
-            for w in words_of_norm_at_most(sup_letters, cfg.nu):
-                if w.length > cfg.r_max:
-                    continue
-                weight = abs(complex(e.mould.value(w).coeff(0))) * restricted_norm(op_compose_word(fam, w), cfg.nu)
-                r = w.length
-                ws[r] = ws.get(r, 0.0) + weight
+            for w, nrm in zip(words, word_norms):
+                ws[w.length] = ws.get(w.length, 0.0) + abs(e.ell[w]) * nrm
         word_sums[c] = ws
         rs = sorted(ws)
         word_ratios[c] = {b: ws[b] / ws[a] for a, b in zip(rs, rs[1:]) if ws[a] != 0}

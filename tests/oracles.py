@@ -1,40 +1,96 @@
 """Test oracles: slower, independently built constructions that the library
-is checked against.  The normalizer's word assembly checks its forest
-assembly; the index-walk enumerators check the memoised fiber recursion and
+is checked against.  The normalizer's word assembly, with its own scalar
+L and dL, checks its forest assembly, and the word side of the z-free
+coarborification identity checks its forest rows; the index-walk enumerators check the memoised fiber recursion and
 the streamed forest generator of :mod:`armould.words`; the dense Cauchy fold
 checks the FFT-Toeplitz fold of :mod:`armould.monomials`, and the cover sum
 of word values checks its structured forest integral.  The operator-valued
 layered solve checks the scalar solve of the contracted coarborified.  The (Fraction re,
 Fraction im) sort key checks the canonical order of words and forests."""
 
+import cmath
 import itertools
+import math
 from collections import Counter
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
-from armould.monomials import CONTRACTION_UNIT, ContourSpec, paralog_Ua_eval
-from armould.moulds import builtin_mould, mould_compose, words_of_norm_at_most
-from armould.operators import DerivationFamily, DiffOperator, _as_int, _fraction_inverse, op_compose_word
-from armould.synthesis import InvariantFamily, SynthesisConfig, signed_monomial_mould
+from armould.monomials import CONTRACTION_UNIT, MOULD_NORMALIZATION, ContourSpec, paralog_Ua_eval
+from armould.moulds import Mould, builtin_mould, mould_compose, words_of_norm_at_most
+from armould.operators import DerivationFamily, DiffOperator, _as_int, _fraction_inverse, _linear_combination, op_compose_word
+from armould.synthesis import InvariantFamily, SynthesisConfig
 from armould.words import Forest, Letter, Tree, Word, letter
 
 
-def theta_word_assembly(inv: InvariantFamily, cfg: SynthesisConfig, z: complex) -> DiffOperator:
-    """Oracle assembly: Theta = sum_v (L o exp)^v A_v over the plain word
-    comould; equals the forest assembly exactly, term regrouping aside."""
+def signed_monomial_moulds(z: complex, c: float, spec: ContourSpec) -> tuple[Mould, Mould]:
+    """Scalar moulds L^w = (-1)^r (2 pi i)^{-r} Ue_c^w(z) and dL^w, its
+    z-derivative, from one paralog_Ua_eval per word (no batch, no table);
+    L^empty = 1 and dL^empty = 0."""
+    pairs: dict = {}
+
+    def pair(w: Word) -> tuple[complex, complex]:
+        if w not in pairs:
+            ua = paralog_Ua_eval(w, z, c, spec)
+            nrm = complex(w.norm)
+            expo = cmath.exp(nrm * z + c * c * nrm / z)
+            unit = MOULD_NORMALIZATION**w.length
+            pairs[w] = unit * ua.value * expo, unit * (ua.derivative + nrm * (1 - c * c / (z * z)) * ua.value) * expo
+        return pairs[w]
+
+    ell = Mould(lambda w: pair(w)[0] if w.length else 1.0)
+    d_ell = Mould(lambda w: pair(w)[1] if w.length else 0.0)
+    return ell, d_ell
+
+
+class WordAssembly(NamedTuple):
+    theta: DiffOperator
+    d_theta: DiffOperator
+    theta_scale: DiffOperator  # per coefficient, the sum of |terms| entering it
+    d_theta_scale: DiffOperator
+
+
+def theta_word_assembly(inv: InvariantFamily, cfg: SynthesisConfig, z: complex) -> WordAssembly:
+    """Oracle assembly: Theta = Id + sum_v (L o exp)^v B_v over the plain word
+    comould, and d_z Theta = sum_v (dL o exp)^v B_v; equal to the forest
+    assembly up to term regrouping."""
     fam = inv.derivations()
-    ell = signed_monomial_mould(z, cfg.c, cfg.contour)
-    composed = mould_compose(ell, builtin_mould("exp"))
-    out = DiffOperator.identity()
+    expm = builtin_mould("exp")
+    moulds = signed_monomial_moulds(z, cfg.c, cfg.contour)
+    composed = [mould_compose(m, expm) for m in moulds]
+    # (|L| o exp)^v: the sum of |terms| of (L o exp)^v over the cuts of v
+    magnitudes = [mould_compose(Mould(lambda w, m=m: abs(m.value(w))), expm) for m in moulds]
+    terms: list[list] = [[(1, DiffOperator.identity())], []]
+    scales: list[list] = [[(1, DiffOperator.identity())], []]
     for v in words_of_norm_at_most([letter(n) for n in inv.support], cfg.nu):
         if v.length > cfg.r_max:
             continue
-        val = complex(composed.value(v).coeff(0))
-        if val == 0:
+        b = op_compose_word(fam, v)
+        b_abs = DiffOperator({k: {d: abs(complex(x)) for d, x in p.items()} for k, p in b.terms.items()})
+        for m, mag, t, s in zip(composed, magnitudes, terms, scales):
+            t.append((complex(m.value(v)), b))
+            s.append((float(mag.value(v)), b_abs))
+    return WordAssembly(*(_linear_combination(t) for t in terms + scales))
+
+
+def z_free_word_side(fam: DerivationFamily, nu: int, r_max: int) -> dict[Word, DiffOperator]:
+    """Word side of the z-free forest identity: for each block-norm word u,
+    sum over words v (norm <= nu, length <= r_max) and cuts of v into
+    consecutive blocks whose norms spell u of prod 1/|block|! * B_v."""
+    out: dict[Word, list] = {}
+    for v in words_of_norm_at_most(fam.letters(), nu):
+        r = v.length
+        if r > r_max:
             continue
-        out = out + op_compose_word(fam, v).scale(val)
-    return out
+        b = op_compose_word(fam, v)
+        for mask in range(1 << (r - 1)):
+            cuts = [0] + [g + 1 for g in range(r - 1) if mask >> g & 1] + [r]
+            blocks = [v.letters[i:j] for i, j in zip(cuts, cuts[1:])]
+            u = Word(tuple(letter(sum(int(a.value.re) for a in blk)) for blk in blocks))
+            weight = Fraction(1, math.prod(math.factorial(len(blk)) for blk in blocks))
+            out.setdefault(u, []).append((weight, b))
+    return {u: _linear_combination(t) for u, t in out.items()}
 
 
 def exp_atom_operators(inv: InvariantFamily, cfg: SynthesisConfig) -> dict[int, DiffOperator]:

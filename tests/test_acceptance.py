@@ -310,7 +310,7 @@ def test_criterion_13_synthesis_pipeline():
     # forest vs word assembly at R_max = 3
     cfg3 = SynthesisConfig(c=2.0, nu=6, r_max=3, z_samples=(-2.0,))
     e3 = build_theta(INV13, cfg3)[0]
-    w3 = theta_word_assembly(INV13, cfg3, -2.0)
+    w3 = theta_word_assembly(INV13, cfg3, -2.0).theta
     agree = (e3.operator - w3).max_abs_diff(DiffOperator.zero())
     ok &= agree <= 1e-6
     detail = (

@@ -1,6 +1,7 @@
 """Property-based checks of the algebraic identities the exact layer rests on:
 shuffle counts, contracting-shuffle associativity, closure of symmetral and
-symmetrel moulds under the mould product, and the arborification identities.
+symmetrel moulds under the mould product, the arborification identities, and
+the coarborification identity behind the normalizer's forest matrix.
 They add to the fixed-seed examples of test_words.py and test_moulds.py."""
 
 import math
@@ -18,7 +19,10 @@ from armould.moulds import (
     symmetral_from_letter_weights,
     symmetrel_geometric,
 )
+from armould.operators import DerivationFamily, _linear_combination
+from armould.synthesis import _forest_rows
 from armould.words import EMPTY_WORD, Forest, Tree, Word, contracting_shuffle, letter, shuffle, tree
+from oracles import z_free_word_side
 
 PROPERTY = settings(deadline=None, derandomize=True, database=None)
 
@@ -124,3 +128,36 @@ class TestArborification:
         m = symmetral_from_letter_weights(dict(zip(MIXED, weights)))
         arb = arborify(m, "simple")
         assert arb.value(f1 * f2) == arb.value(f1) * arb.value(f2)
+
+
+class TestForestMatrix:
+    """The z-free side of the normalizer is the coarborification identity:
+    for every word u that L is asked for, sum_F C[F, u] B_F / |Aut F| over
+    the forests equals the sum over words v and their cuts with block-norm
+    word u of prod 1/|block|! B_v."""
+
+    @settings(PROPERTY, max_examples=60)
+    @given(
+        st.lists(st.sampled_from([1, 2, 3]), min_size=1, max_size=3, unique=True),
+        st.lists(nonzero_fractions, min_size=3, max_size=3),
+        st.integers(1, 5),
+        st.integers(1, 4),
+    )
+    def test_forest_side_equals_word_side(self, support, coeffs, nu, r_max):
+        betas = dict(zip(support, coeffs))
+        fam = DerivationFamily(betas)
+        words, rows = _forest_rows(fam, nu, r_max)
+        forest_side: dict = {}
+        for kernel, aut, _, _, cols, coefs in rows:
+            for j, x in zip(cols, coefs):
+                forest_side.setdefault(words[j], []).append((x / aut, kernel))
+        word_side = z_free_word_side(fam, nu, r_max)
+        # with |A| no term cancels, so its word side is the sum of |terms|
+        scale = z_free_word_side(DerivationFamily({n: abs(b) for n, b in betas.items()}), nu, r_max)
+        assert set(forest_side) == set(word_side)
+        for u, terms in forest_side.items():
+            got, want = _linear_combination(terms), word_side[u]
+            for k, poly in scale[u].terms.items():
+                for d, s in poly.items():
+                    diff = complex(got.terms.get(k, {}).get(d, 0)) - complex(want.terms.get(k, {}).get(d, 0))
+                    assert abs(diff) <= 1e-13 * s

@@ -23,11 +23,10 @@ from armould.synthesis import (
     conjugate_normal_field,
     convergence_report,
     linear_rh_synthesize,
-    signed_monomial_mould,
     synthesize,
 )
 from armould.words import word
-from oracles import exp_atom_operators, theta_word_assembly
+from oracles import exp_atom_operators, signed_monomial_moulds, theta_word_assembly
 
 CFG = SynthesisConfig(c=2.0, nu=6, r_max=4, z_samples=(-2.0,))
 
@@ -155,8 +154,8 @@ class TestNormalizer:
     def test_norm_one_term(self):
         # single-node forest acts on u as L^(1) * a * u^2
         e = build_theta(self.INV, CFG)[0]
-        ell = signed_monomial_mould(-2.0, 2.0, CFG.contour)
-        expected = complex(ell.value(word(1)).coeff(0)) * 0.25
+        ell, _ = signed_monomial_moulds(-2.0, 2.0, CFG.contour)
+        expected = ell.value(word(1)) * 0.25
         u = TruncatedSeries.u_power(1, CFG.nu, coeff=1.0 + 0.0j)
         img = e.apply(u)
         assert abs(img.coeff(2) - expected) <= 1e-12 * abs(expected)
@@ -182,11 +181,26 @@ class TestNormalizer:
             f = TruncatedSeries(coeffs, CFG.nu)
             assert composed.apply(f).max_abs_diff(f) <= 1e-12
 
-    def test_forest_vs_word_assembly(self):
-        cfg3 = SynthesisConfig(c=2.0, nu=6, r_max=3, z_samples=(-2.0,))
-        e = build_theta(self.INV, cfg3)[0]
-        w_op = theta_word_assembly(self.INV, cfg3, -2.0)
-        assert (e.operator - w_op).max_abs_diff(DiffOperator.zero()) <= 1e-12
+    @pytest.mark.parametrize(
+        "inv, r_max",
+        [(InvariantFamily({1: 0.25}), 3), (InvariantFamily({1: 0.25, 2: 0.125}), 4)],
+        ids=["support-1", "support-12"],
+    )
+    def test_forest_vs_word_assembly(self, inv, r_max):
+        # every coefficient of Theta and of d_z Theta agrees within 1e-13 of
+        # the sum of |terms| that enter it on the word side
+        cfg = SynthesisConfig(c=2.0, nu=6, r_max=r_max, z_samples=(-2.0,))
+        e = build_theta(inv, cfg)[0]
+        words = theta_word_assembly(inv, cfg, -2.0)
+        for forest_op, word_op, scale in (
+            (e.operator, words.theta, words.theta_scale),
+            (e.d_operator, words.d_theta, words.d_theta_scale),
+        ):
+            assert set(forest_op.terms) == set(word_op.terms)
+            for k, poly in word_op.terms.items():
+                assert set(forest_op.terms[k]) == set(poly)
+                for d, x in poly.items():
+                    assert abs(complex(forest_op.terms[k][d]) - x) <= 1e-13 * scale.terms[k][d]
 
     def test_exp_atom_route_matches(self):
         # composing the exp atoms reproduces the assembled operator when both
@@ -194,7 +208,7 @@ class TestNormalizer:
         cfg2 = SynthesisConfig(c=2.0, nu=4, r_max=2, z_samples=(-2.0,))
         inv = InvariantFamily({1: 0.25, 2: 0.125}, growth_bound=0.5)
         atoms = exp_atom_operators(inv, cfg2)
-        ell = signed_monomial_mould(-2.0, 2.0, cfg2.contour)
+        ell, _ = signed_monomial_moulds(-2.0, 2.0, cfg2.contour)
         out = DiffOperator.identity()
         from armould.moulds import words_of_norm_at_most
         from armould.words import letter
@@ -210,7 +224,7 @@ class TestNormalizer:
                 op = atoms[n].compose(op)
             if not ok:
                 continue
-            out = out + op.scale(complex(ell.value(w).coeff(0)))
+            out = out + op.scale(ell.value(w))
         # drop contributions of underlying length > r_max: compare against the
         # word assembly only through norm <= 2 coefficients where they agree
         e = build_theta(inv, cfg2)[0]
@@ -307,6 +321,29 @@ class TestConvergenceReport:
         rep = convergence_report(inv, cfg, [2.0])
         assert math.isnan(rep.tail_norms[2.0][2])
         assert math.isnan(rep.tail_ratios[2.0][2]) and math.isnan(rep.tail_ratios[2.0][3])
+        # the NaN stays in the forests whose rows use Ua^(2): the norm-1 tail
+        # is finite and the norm-3 tail, whose kernels vanish on u-degree <= 3,
+        # is still exactly zero
+        assert math.isfinite(rep.tail_norms[2.0][1])
+        assert rep.tail_norms[2.0][3] == 0.0
+
+    def test_word_operators_built_once_per_call(self, monkeypatch):
+        # ||B_w|| is free of c and z: one op_compose_word per word, not one per
+        # word, c value and z sample
+        calls = []
+        one_word = synth.op_compose_word
+
+        def counted(fam, w):
+            calls.append(w)
+            return one_word(fam, w)
+
+        monkeypatch.setattr(synth, "op_compose_word", counted)
+        inv = InvariantFamily({1: 0.25, 2: 0.125})
+        cfg = SynthesisConfig(c=2.0, nu=3, r_max=3, z_samples=(-1.5, -2.5))
+        rep = convergence_report(inv, cfg, [1.0, 2.0])
+        # (1), (2), (1,1), (1,2), (2,1), (1,1,1)
+        assert len(calls) == len(set(calls)) == 6
+        assert sum(rep.word_sums_by_length[2.0].values()) > 0
 
 
 class TestNanReductions:
@@ -314,7 +351,7 @@ class TestNanReductions:
 
     def test_tail_ratios(self):
         e = NormalizerExpansion(
-            z=-2.0, config=CFG, operator=DiffOperator.identity(), d_operator=DiffOperator.zero(), mould=None,
+            z=-2.0, config=CFG, operator=DiffOperator.identity(), d_operator=DiffOperator.zero(), ell={},
             tail_norms={1: math.nan, 2: 1.0, 3: 0.5},
         )  # fmt: skip
         ratios = e.tail_ratios()
