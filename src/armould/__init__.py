@@ -11,7 +11,7 @@ Layers, bottom up:
               operators share
 - operators:  homogeneous derivations, comoulds, (contracted)
               coarborification, exact mould-comould contraction
-- kernels:    paralogarithmic kernels g_{c,omega}, Laplace transforms,
+- kernels:    the saddle-node kernel g_{c,omega}, its Laplace transform,
               in-house Bessel K1 closed form
 - monomials:  hyperlogarithmic V and paralogarithmic Ua/Uc/Ue evaluations,
               forest values, growth scans, the r=1 singularity probe
@@ -62,7 +62,6 @@ from .series import TruncatedSeries
 from .operators import (
     DerivationFamily,
     DiffOperator,
-    HomDerivation,
     check_coarborified_decomposition,
     check_coseparative,
     coarborify_contracted,
@@ -75,7 +74,6 @@ from .operators import (
 from .kernels import (
     KernelDomainError,
     KernelParams,
-    f_analytic_continuation,
     f_closed_form_oracle,
     f_eval,
     g_eval,
@@ -96,7 +94,6 @@ from .monomials import (
     paralog_forest_eval,
     paralog_mould,
     paralog_variants,
-    x_integral_eval,
 )
 from .synthesis import (
     InvariantFamily,

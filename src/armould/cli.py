@@ -61,19 +61,8 @@ def _fnum(x) -> str:
     return repr(float(x))
 
 
-def _emit(payload, fmt: str):
-    if fmt == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    elif fmt == "csv":
-        rows = payload.get("rows", [])
-        header = payload.get("header")
-        if header:
-            print(",".join(header))
-        for row in rows:
-            print(",".join(str(c) for c in row))
-    else:  # text-table
-        for k, v in payload.items():
-            print(f"{k}: {v}")
+def _emit(payload):
+    print(json.dumps(payload, indent=2, sort_keys=True))
 
 
 def main(argv=None) -> int:
@@ -84,7 +73,7 @@ def main(argv=None) -> int:
     p_sh.add_argument("word1")
     p_sh.add_argument("word2")
     p_sh.add_argument("--contracting", action="store_true")
-    p_sh.add_argument("--format", default="text-table", choices=["json", "csv", "text-table"])
+    p_sh.add_argument("--format", default="text-table", choices=["json", "text-table"])
 
     p_m = sub.add_parser("mould", help="mould operations")
     msub = p_m.add_subparsers(dest="mould_command", required=True)
@@ -128,7 +117,6 @@ def main(argv=None) -> int:
     p_me.add_argument("--z", type=str, required=True)
     p_me.add_argument("--c", type=float, required=True)
     p_me.add_argument("--family", default="paralog", choices=["paralog", "hyperlog"])
-    p_me.add_argument("--json", action="store_true")
     p_me.add_argument("--csv", action="store_true")
     p_gs = mosub.add_parser("growth-scan")
     p_gs.add_argument("--c-grid", default="0.5,1,2,4")
@@ -175,7 +163,7 @@ def _dispatch(args) -> int:
         table = contracting_shuffle(w1, w2) if args.contracting else shuffle(w1, w2)
         rows = [(str(w), m) for w, m in sorted(table.items(), key=lambda kv: (kv[0].length, kv[0].sort_key()))]
         if args.format == "json":
-            _emit({"entries": {w: m for w, m in rows}}, "json")
+            _emit({"entries": {w: m for w, m in rows}})
         else:
             for w, m in rows:
                 print(f"{w}  x{m}")
@@ -206,7 +194,7 @@ def _dispatch(args) -> int:
                 ref = f_closed_form_oracle(p, x)
                 payload["f_oracle"] = _fnum(ref)
                 payload["f_vs_oracle_rel"] = _fnum(abs(v - ref) / abs(ref))
-        _emit(payload, "json")
+        _emit(payload)
         return 0
 
     if args.command == "monomial":
@@ -227,7 +215,7 @@ def _dispatch(args) -> int:
             "term_norms": {str(r): _fnum(v) for r, v in sorted(rep.term_norms.items())},
             "geometric_decay": rep.geometric_decay,
         }
-        _emit(payload, "json")
+        _emit(payload)
         return 0
 
     raise ValueError(f"unknown command {args.command!r}")
@@ -251,7 +239,7 @@ def _dispatch_mould(args) -> int:
         entries = {}
         for w in words_over(m1.alphabet, cap):
             entries[str(w)] = format_exact(out.value(w))
-        _emit({"cap": cap, "entries": entries}, "json")
+        _emit({"cap": cap, "entries": entries})
         return 0
     if args.mould_command == "arborify":
         m = builtin_mould(args.builtin)
@@ -300,7 +288,7 @@ def _dispatch_monomial(args) -> int:
                 print(",".join(row))
         else:
             payload = {row[0]: {"z": row[1], "c": row[2], "re": row[3], "im": row[4], "error": row[5]} for row in rows}
-            _emit(payload, "json")
+            _emit(payload)
         return 0
     if args.monomial_command == "growth-scan":
         cs = [float(tok) for tok in args.c_grid.split(",")]
@@ -313,7 +301,7 @@ def _dispatch_monomial(args) -> int:
             "fit_slope": _fnum(rep.fit_slope),
             "fit_r2": _fnum(rep.fit_r2),
         }
-        _emit(payload, "json")
+        _emit(payload)
         finite = all(math.isfinite(k) for k in rep.khat.values())
         ok = finite and rep.monotone_decreasing and rep.fit_slope < 0 and rep.fit_r2 >= 0.9
         return 0 if ok else 1
@@ -326,7 +314,7 @@ def _dispatch_monomial(args) -> int:
             "location_error": _fnum(abs(loc + args.omega)),
             "residue_error": _fnum(abs(res - 1.0)),
         }
-        _emit(payload, "json")
+        _emit(payload)
         ok = abs(loc + args.omega) <= 1e-3 and abs(res - 1.0) <= 1e-4
         return 0 if ok else 1
     raise ValueError(f"unknown monomial command {args.monomial_command!r}")

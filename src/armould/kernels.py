@@ -1,11 +1,11 @@
-"""Paralogarithmic integration kernels and their Laplace transforms.
+"""The saddle-node kernel and its Laplace transform.
 
-Saddle-node variant: g_{c,omega}(y) = exp(-omega y - omega c^2 / y) for real
-omega > 0, decaying at both ends of (0, inf) with a saddle at y = c and
-sup bound exp(-2 omega c).  The general variant reads
-exp(omega y - c^2 conj(omega) / y) and the ramified one adds sigma log y;
-the two sign conventions differ by omega -> -omega and are kept distinct
-behind the variant flag rather than silently reconciled.
+g_{c,omega}(y) = exp(-omega y - c^2 conj(omega) / y).  For real omega > 0 it
+is exp(-omega (y + c^2/y)): it decays at both ends of (0, inf), has its
+saddle at y = c and is bounded there by exp(-2 omega c).  ``KernelParams``
+and the public functions keep to that domain; the monomial engine evaluates
+the same expression, ``saddle_node_kernel``, on its rays for complex
+decorations too.
 """
 
 from __future__ import annotations
@@ -26,24 +26,26 @@ class KernelDomainError(ValueError):
 
 @dataclass(frozen=True)
 class KernelParams:
+    """Kernel parameters: a finite c >= 0 and a finite real omega > 0."""
+
     c: float
-    omega: complex
-    sigma: float | None = None
-    variant: str = "saddle-node"
+    omega: float
 
     def __post_init__(self):
+        if not math.isfinite(self.c):
+            raise KernelDomainError(f"parameter c = {self.c} must be finite")
         if self.c < 0:
             raise KernelDomainError("parameter c must be >= 0")
-        if self.variant not in ("saddle-node", "general", "ramified"):
-            raise KernelDomainError(f"unknown variant {self.variant!r}")
-        if self.variant == "saddle-node":
-            om = complex(self.omega)
-            if om.imag != 0 or om.real <= 0:
-                raise KernelDomainError("saddle-node variant needs real omega > 0")
-        if self.sigma is not None and self.variant != "ramified":
-            raise KernelDomainError("sigma only applies to the ramified variant")
-        if self.variant == "ramified" and self.sigma is None:
-            object.__setattr__(self, "sigma", 0.0)
+        om = complex(self.omega)
+        if not cmath.isfinite(om):
+            raise KernelDomainError(f"parameter omega = {self.omega} must be finite")
+        if om.imag != 0 or om.real <= 0:
+            raise KernelDomainError("the saddle-node kernel needs real omega > 0")
+
+
+def saddle_node_kernel(om: complex, c: float, y: np.ndarray) -> np.ndarray:
+    """exp(-om y - c^2 conj(om) / y), elementwise; no domain checks."""
+    return np.exp(-om * y - (c * c) * np.conjugate(om) / y)
 
 
 def g_eval(p: KernelParams, y):
@@ -51,22 +53,12 @@ def g_eval(p: KernelParams, y):
     arr = np.asarray(y, dtype=complex)
     if np.any(arr == 0):
         raise KernelDomainError("kernel undefined at y = 0")
-    om = complex(p.omega)
-    c2 = p.c * p.c
-    if p.variant == "saddle-node":
-        expo = -om * arr - om * c2 / arr
-    else:
-        expo = om * arr - c2 * om.conjugate() / arr
-        if p.variant == "ramified":
-            expo = expo + p.sigma * np.log(arr)
-    out = np.exp(expo)
+    out = saddle_node_kernel(complex(p.omega), p.c, arr)
     return complex(out) if np.isscalar(y) or getattr(y, "shape", None) == () else out
 
 
 def g_sup_bound(p: KernelParams) -> float:
-    """Sup of |g| over y > 0 in saddle-node mode: exp(-2 omega c) at y = c."""
-    if p.variant != "saddle-node":
-        raise KernelDomainError("sup bound is stated for the saddle-node variant")
+    """Sup of |g| over y > 0: exp(-2 omega c) at y = c."""
     return math.exp(-2.0 * complex(p.omega).real * p.c)
 
 
@@ -81,15 +73,6 @@ def f_eval(p: KernelParams, x) -> tuple[complex, float]:
     """
     x = complex(x)
     om = complex(p.omega)
-    if p.variant == "general":
-        if p.c == 0:
-            if (x - om).real <= 0:
-                raise KernelDomainError("divergent Laplace integral for the general kernel")
-            val, err = de_halfline(lambda y: np.exp(-(x - om) * y), scale=1.0 / (x - om).real)
-            return val, err
-        raise KernelDomainError("general-variant Laplace transform has no decaying ray on (0, inf)")
-    if p.variant == "ramified":
-        raise KernelDomainError("ramified Laplace transform not provided")
     if (x + om).real <= 0:
         raise KernelDomainError(f"need Re(x + omega) > 0, got {x + om}")
     w = om.real
@@ -111,15 +94,13 @@ def f_eval(p: KernelParams, x) -> tuple[complex, float]:
 
 
 def f_closed_form_oracle(p: KernelParams, x) -> complex:
-    """Independent closed form for the saddle-node Laplace transform:
+    """Independent closed form for the Laplace transform:
 
         f(x) = 2 c sqrt(omega/(x+omega)) K1(2 c sqrt(omega (x+omega)))
 
     evaluated through the in-house modified-Bessel routine; reduces to
     1/(x+omega) as c -> 0 since w K1(w) -> 1.
     """
-    if p.variant != "saddle-node":
-        raise KernelDomainError("closed form applies to the saddle-node variant")
     x = complex(x)
     om = complex(p.omega).real
     if (x + om).real <= 0:
@@ -128,19 +109,3 @@ def f_closed_form_oracle(p: KernelParams, x) -> complex:
         return 1.0 / (x + om)
     arg = 2.0 * p.c * cmath.sqrt(om * (x + om))
     return 2.0 * p.c * cmath.sqrt(om / (x + om)) * bessel_k1(arg)
-
-
-def f_analytic_continuation(p: KernelParams, x) -> complex:
-    """Closed form continued off the Laplace half plane: valid for any x with
-    x + omega off the branch cut (-inf, 0], via the principal square root."""
-    if p.variant != "saddle-node":
-        raise KernelDomainError("continuation applies to the saddle-node variant")
-    x = complex(x)
-    om = complex(p.omega).real
-    s = x + om
-    if s.imag == 0 and s.real <= 0:
-        raise KernelDomainError(f"x + omega = {s} on the branch cut")
-    if p.c == 0:
-        return 1.0 / s
-    arg = 2.0 * p.c * cmath.sqrt(om * s)
-    return 2.0 * p.c * cmath.sqrt(om / s) * bessel_k1(arg)

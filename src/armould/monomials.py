@@ -31,7 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .kernels import KernelParams, f_analytic_continuation, f_closed_form_oracle
+from .kernels import KernelParams, f_closed_form_oracle, saddle_node_kernel
 from .moulds import Mould, words_of_norm_at_most
 from .quadrature import de_halfline, segment_quad
 from .words import Forest, Tree, Word, forests_of_norm, letter
@@ -140,12 +140,6 @@ def _t_window(c: float, om_abs: float, cos_t: float) -> tuple[float, float]:
     return -34.0, math.log(46.0 / (om_abs * cos_t))
 
 
-def _kernel_values(om: complex, c: float, y: np.ndarray) -> np.ndarray:
-    # saddle-node convention extended to complex decorations:
-    # exp(-om y - c^2 conj(om)/y); for real om > 0 this is exp(-om(y + c^2/y))
-    return np.exp(-om * y - (c * c) * np.conjugate(om) / y)
-
-
 def _cauchy_fold(
     values: np.ndarray, y_from: np.ndarray, log_from: complex, y_to: np.ndarray, log_to: complex, h: float
 ) -> np.ndarray:
@@ -220,7 +214,7 @@ class Quadrature:
             t_lo, t_hi = _t_window(c, abs(om), math.cos(tilt))
             npts = max(int(math.ceil((t_hi - t_lo) / h)) + 1, 33)
             y, wgt, log0 = _ray(c if c > 0 else 1.0, -cmath.phase(om), tilt, t_lo, h, npts)
-            ray = self._rays[key] = (y, log0, _kernel_values(om, c, y) * wgt)
+            ray = self._rays[key] = (y, log0, saddle_node_kernel(om, c, y) * wgt)
         return ray
 
     def held(self, level: int, slot: int, key: tuple) -> np.ndarray | None:
@@ -584,70 +578,3 @@ def borel_pole_probe(omega: float, c: float) -> tuple[complex, complex]:
     slope = (1.0 / f1 - 1.0 / f2) / (z1 - z2)
     location = complex(z1 - (1.0 / f1) / slope)
     return location, residue
-
-
-# ---------------------------------------------------------------------------
-# experimental x-integral form
-# ---------------------------------------------------------------------------
-
-
-def x_integral_eval(w, z: complex, c: float, delta: float = 1e-2) -> MonomialValue:
-    """Laplace-side evaluation with step-function constrained frequency
-    variables; the half-lines are rotated by ``delta`` into the lower half
-    plane so the step factors keep a definite sign.
-
-    r = 0 and r = 1 are solid; r = 2 is experimental.  Larger r is not
-    provided.
-    """
-    decs = _decorations(w)
-    z = complex(z)
-    r = len(decs)
-    if c <= 0 and r > 0:
-        raise ContourError("x-integral needs c > 0")
-    if r == 0:
-        return MonomialValue(1.0 + 0.0j, 0.0)
-    if z.real >= 0:
-        raise ContourError("x-integral implemented for Re z < 0")
-    if r == 1:
-        om = decs[0].real
-        p = KernelParams(c, om)
-        rot = cmath.exp(-1j * delta)
-
-        def integrand(ts):
-            return np.array([rot * f_closed_form_oracle(p, rot * t) * cmath.exp(rot * t * z) for t in ts])
-
-        val, err = de_halfline(integrand, scale=1.0 / abs(z.real), rel_tol=1e-11, max_level=8)
-        return MonomialValue(val, max(err, abs(val) * 1e-10))
-    if r != 2:
-        raise ContourError("x-integral provided for r <= 2 only")
-    om1, om2 = decs[0].real, decs[1].real
-    p1, p2 = KernelParams(c, om1), KernelParams(c, om2)
-    # Ua^(w1,w2)(z) = int_0^inf e^{x1hat z} [ int_L f2(x) f1(x1hat - x) dx ] dx1hat
-    # with L the half-line rotated just past the imaginary axis,
-    # L = e^{i(pi/2 + delta)} R+.  Writing x2hat := -x (so Re x2hat < 0) this is
-    # the step-function-constrained double integral; the rotation keeps both
-    # Laplace factors convergent and fixes the branch of f2 at its cut.
-    phi = math.pi / 2.0 + delta
-    rot = cmath.exp(1j * phi)
-    n = 240
-    t1, w1 = _halfline_nodes(scale=1.0 / abs(z.real), n=n)
-    t2, w2 = _halfline_nodes(scale=(4.0 / (2.0 * c * math.sqrt(min(om1, om2)))) ** 2, n=n)
-    xs = rot * t2
-    f2v = np.array([f_analytic_continuation(p2, complex(x)) for x in xs])
-    total = 0.0 + 0.0j
-    for s1, ww in zip(t1, w1):
-        f1v = np.array([f_analytic_continuation(p1, complex(s1 - x)) for x in xs])
-        total += ww * cmath.exp(s1 * z) * np.sum(f2v * f1v * w2) * rot
-    return MonomialValue(total, abs(total) * 1e-6)
-
-
-def _halfline_nodes(scale: float, n: int):
-    # exp-sinh nodes trimmed to a fixed count for tensor quadrature
-    h = 7.0 / n
-    ks = np.arange(-n // 2, n // 2 + 1)
-    u = ks * h
-    s = (math.pi / 2) * np.sinh(u)
-    t = np.exp(s) * scale
-    wgt = t * (math.pi / 2) * np.cosh(u) * h
-    keep = (t > 1e-280) & (t < 1e280)
-    return t[keep], wgt[keep]

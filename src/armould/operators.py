@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -151,24 +150,6 @@ def restricted_norm(op: DiffOperator, nu: int) -> float:
 # ---------------------------------------------------------------------------
 # homogeneous derivations and comoulds
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class HomDerivation:
-    """beta * u^(n+1) * d/du: homogeneous of degree n >= 1 in the u-grading."""
-
-    degree: int
-    beta: object  # scalar coefficient
-
-    def __post_init__(self):
-        if self.degree < 1:
-            raise ValueError("homogeneity degree must be >= 1")
-
-    def beta_poly(self) -> UPoly:
-        return {self.degree + 1: self.beta}
-
-    def operator(self) -> DiffOperator:
-        return DiffOperator({1: self.beta_poly()})
 
 
 class DerivationFamily:

@@ -418,6 +418,9 @@ def linear_rh_synthesize(
     truncated at length r_max; reports the per-length matrix norms and
     whether they decay geometrically."""
     l1, l2 = (complex(x) for x in lambdas)
+    for name, v in (("lambda1", l1), ("lambda2", l2), ("a12", a12), ("a21", a21)):
+        if not cmath.isfinite(v):
+            raise SynthesisError(f"{name} = {v} is not finite")
     if l1 == l2:
         raise SynthesisError("distinct eigenvalues required")
     om12 = l1 - l2

@@ -4,7 +4,8 @@ L and dL, checks its forest assembly, and the word side of the z-free
 coarborification identity checks its forest rows; the index-walk enumerators check the memoised fiber recursion and
 the streamed forest generator of :mod:`armould.words`; the dense Cauchy fold
 checks the FFT-Toeplitz fold of :mod:`armould.monomials`, and the cover sum
-of word values checks its structured forest integral.  The operator-valued
+of word values checks its structured forest integral, and the Laplace-side
+double integral checks its value at r = 2.  The operator-valued
 layered solve checks the scalar solve of the contracted coarborified.  The (Fraction re,
 Fraction im) sort key checks the canonical order of words and forests."""
 
@@ -17,6 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from armould.bessel import bessel_k1
 from armould.monomials import CONTRACTION_UNIT, MOULD_NORMALIZATION, ContourSpec, paralog_Ua_eval
 from armould.moulds import Mould, builtin_mould, mould_compose, words_of_norm_at_most
 from armould.operators import DerivationFamily, DiffOperator, _as_int, _fraction_inverse, _linear_combination, op_compose_word
@@ -136,6 +138,54 @@ def forest_cover_sum(f: Forest, z: complex, c: float, spec: ContourSpec | None =
         ref += mult * factor * mv.value
         ref_err += abs(mult) * abs(factor) * mv.error
     return ref, ref_err
+
+
+def _laplace_continued(c: float, om: float, x: complex) -> complex:
+    """The kernel's Laplace transform 2 c sqrt(om/s) K1(2 c sqrt(om s)),
+    s = x + om, continued off Re s > 0 through the principal square root."""
+    s = x + om
+    return 2.0 * c * cmath.sqrt(om / s) * bessel_k1(2.0 * c * cmath.sqrt(om * s))
+
+
+def x_integral_r2(w: Word, z: complex, c: float, delta: float) -> complex:
+    """Oracle for :func:`armould.monomials.paralog_Ua_eval` on a two-letter
+    word at c > 0 and Re z < 0: the Laplace-side double integral
+
+        Ua^(w1,w2)(z) = int_0^inf e^{x1hat z} [ int_L f2(x) f1(x1hat - x) dx ] dx1hat
+
+    with f_j the Laplace transform of the kernel of w_j and L the half-line
+    rotated just past the imaginary axis, L = e^{i(pi/2 + delta)} R+.  Writing
+    x2hat := -x (so Re x2hat < 0) this is the step-function-constrained double
+    integral; the rotation keeps both Laplace factors convergent and fixes the
+    branch of f2 at its cut."""
+    om1, om2 = (complex(a.value).real for a in w.letters)
+    z = complex(z)
+    if c <= 0 or z.real >= 0:
+        raise ValueError("the r = 2 x-integral needs c > 0 and Re z < 0")
+    phi = math.pi / 2.0 + delta
+    rot = cmath.exp(1j * phi)
+    n = 240
+    t1, w1 = _halfline_nodes(scale=1.0 / abs(z.real), n=n)
+    t2, w2 = _halfline_nodes(scale=(4.0 / (2.0 * c * math.sqrt(min(om1, om2)))) ** 2, n=n)
+    xs = rot * t2
+    f2v = np.array([_laplace_continued(c, om2, complex(x)) for x in xs])
+    total = 0.0 + 0.0j
+    for s1, ww in zip(t1, w1):
+        f1v = np.array([_laplace_continued(c, om1, complex(s1 - x)) for x in xs])
+        total += ww * cmath.exp(s1 * z) * np.sum(f2v * f1v * w2) * rot
+    return complex(total)
+
+
+def _halfline_nodes(scale: float, n: int):
+    # exp-sinh nodes trimmed to a fixed count for tensor quadrature
+    h = 7.0 / n
+    ks = np.arange(-n // 2, n // 2 + 1)
+    u = ks * h
+    s = (math.pi / 2) * np.sinh(u)
+    t = np.exp(s) * scale
+    wgt = t * (math.pi / 2) * np.cosh(u) * h
+    keep = (t > 1e-280) & (t < 1e280)
+    return t[keep], wgt[keep]
 
 
 # ---------------------------------------------------------------------------

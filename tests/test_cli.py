@@ -108,7 +108,7 @@ class TestKernelCommand:
 
 class TestMonomialCommands:
     def test_eval_json(self, capsys):
-        rc, out = run(capsys, "monomial", "eval", "--word", "(1)", "--z", "-2", "--c", "1", "--json")
+        rc, out = run(capsys, "monomial", "eval", "--word", "(1)", "--z", "-2", "--c", "1")
         assert rc == 0
         payload = json.loads(out)
         assert abs(float(payload["Ua(1)"]["re"]) - 0.07896393999251805) < 1e-10
@@ -130,8 +130,8 @@ class TestMonomialCommands:
         assert "norm cap" in json.loads(captured.err)["error"]
 
     def test_determinism_double_run(self, capsys):
-        _, out1 = run(capsys, "monomial", "eval", "--word", "(1,2)", "--z", "-2", "--c", "1", "--json")
-        _, out2 = run(capsys, "monomial", "eval", "--word", "(1,2)", "--z", "-2", "--c", "1", "--json")
+        _, out1 = run(capsys, "monomial", "eval", "--word", "(1,2)", "--z", "-2", "--c", "1")
+        _, out2 = run(capsys, "monomial", "eval", "--word", "(1,2)", "--z", "-2", "--c", "1")
         assert out1 == out2
 
 
@@ -233,8 +233,15 @@ class TestSynthesizeCommand:
         (None, ["monomial", "eval", "--forest", "1;2", "--z", "-2", "--c", "inf"]),
         (None, ["monomial", "eval", "--forest", "1(2)", "--z", "nan", "--c", "1"]),
         (None, ["monomial", "growth-scan", "--c-grid", "nan,1", "--norm-cap", "2"]),
+        (None, ["kernel", "eval", "--c", "nan", "--omega", "1", "--x", "0"]),
+        (None, ["kernel", "eval", "--c", "1", "--omega", "inf", "--y", "1"]),
+        (None, ["linear-rh", "--a12", "1", "--a21", "nan", "--c", "1"]),
+        (None, ["linear-rh", "--lambda1", "inf", "--a12", "1", "--a21", "1", "--c", "1"]),
     ],
-    ids=["c-nan", "c-inf", "z-inf", "A-nan", "H-inf", "eval-c-nan", "eval-z-nan", "forest-c-inf", "forest-z-nan", "scan-c-nan"],
+    ids=[
+        "c-nan", "c-inf", "z-inf", "A-nan", "H-inf", "eval-c-nan", "eval-z-nan", "forest-c-inf", "forest-z-nan", "scan-c-nan",
+        "kernel-c-nan", "kernel-omega-inf", "rh-a21-nan", "rh-lambda1-inf",
+    ],  # fmt: skip
 )
 def test_non_finite_inputs_rejected(tmp_path, capsys, monkeypatch, invariants, argv):
     # exit 2 with a JSON error, before any quadrature pass runs

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import cauchy_fold_dense, forest_cover_sum
+from oracles import cauchy_fold_dense, forest_cover_sum, x_integral_r2
 import armould.monomials as mono
 from armould.monomials import (
     CONTRACTION_UNIT,
@@ -27,8 +27,8 @@ from armould.monomials import (
     paralog_forest_eval,
     paralog_mould,
     paralog_variants,
-    x_integral_eval,
 )
+from armould.kernels import KernelParams, g_eval
 from armould.moulds import check_symmetry
 from armould.quadrature import de_halfline
 from armould.words import EMPTY_WORD, Word, forests_of_norm, letter, parse_forest, word
@@ -346,6 +346,16 @@ class TestQuadrature:
         del quad
         assert all(ref() is None for ref in alive)
 
+    @pytest.mark.parametrize("om", [1.0, 2.0])
+    @pytest.mark.parametrize("c", [0.0, 0.5, 2.0])
+    def test_ray_weights_are_kernel_times_trapezoid_weights(self, c, om):
+        spec = ContourSpec()
+        h = spec.min_gap(2) / 4.6
+        y, _, vals = Quadrature(c, spec).ray(0, 1, complex(om), spec.angles(2)[1], h)
+        wgt = y * h
+        wgt[[0, -1]] *= 0.5
+        assert np.array_equal(vals, g_eval(KernelParams(c, om), y) * wgt)
+
     def test_mismatched_quadrature_rejected(self):
         quad = Quadrature(C)
         for evaluate, item in ((paralog_Ua_eval, word(1)), (paralog_forest_eval, parse_forest("1;2"))):
@@ -463,26 +473,8 @@ class TestPoleProbe:
 
 
 class TestXIntegral:
-    def test_r0(self):
-        assert x_integral_eval(EMPTY_WORD, Z, C).value == 1.0
-
-    def test_r1_agreement(self):
-        ref = paralog_Ua_eval(word(1), Z, C).value
-        v = x_integral_eval(word(1), Z, C, delta=1e-2).value
-        assert abs(v - ref) <= 1e-3 * abs(ref)
-
-    def test_r1_delta_independence(self):
-        a = x_integral_eval(word(1), Z, C, delta=1e-2).value
-        b = x_integral_eval(word(1), Z, C, delta=1e-3).value
-        ref = paralog_Ua_eval(word(1), Z, C).value
-        assert abs(a - b) <= 1e-3 * abs(ref)
-
     def test_r2_agreement_not_flagged(self):
-        # the experimental r = 2 form agrees with the y-integral
-        v = x_integral_eval(word(1, 2), Z, C, delta=5e-2).value
+        # the Laplace-side r = 2 form agrees with the y-integral
+        v = x_integral_r2(word(1, 2), Z, C, delta=5e-2)
         ref = paralog_Ua_eval(word(1, 2), Z, C).value
         assert abs(v - ref) <= 1e-3 * abs(ref)
-
-    def test_r3_rejected(self):
-        with pytest.raises(ContourError):
-            x_integral_eval(word(1, 1, 1), Z, C)

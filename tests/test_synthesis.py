@@ -382,6 +382,19 @@ class TestLinearRH:
         with pytest.raises(SynthesisError):
             linear_rh_synthesize((1.0, 1.0), 1.0, 1.0, c=1.0)
 
+    @pytest.mark.parametrize(
+        "lambdas, a12, a21, name",
+        [
+            ((math.inf, 0.0), 1.0, 1.0, "lambda1"),
+            ((1.0, math.nan), 1.0, 1.0, "lambda2"),
+            ((1.0, 0.0), math.nan, 1.0, "a12"),
+            ((1.0, 0.0), 1.0, complex(0.0, math.inf), "a21"),
+        ],
+    )
+    def test_non_finite_inputs_rejected(self, lambdas, a12, a21, name):
+        with pytest.raises(SynthesisError, match=f"{name} = .* is not finite"):
+            linear_rh_synthesize(lambdas, a12, a21, c=1.0)
+
     def test_alternating_structure(self):
         # odd layers are off-diagonal, even layers diagonal
         rep = linear_rh_synthesize((1.0, 0.0), 0.3, 0.2, c=1.0, r_max=2)
