@@ -28,7 +28,6 @@ from .words import (
     Letter,
     Tree,
     Word,
-    canonicalize,
     contracting_covers,
     contracting_shuffle,
     forest,
@@ -92,7 +91,6 @@ from .monomials import (
     hyperlog_V_eval,
     paralog_Ua_eval,
     paralog_forest_eval,
-    paralog_mould,
     paralog_variants,
 )
 from .synthesis import (

@@ -1,4 +1,5 @@
-"""Batch front door: subcommands over JSON/CSV for every module.
+"""Batch front door: subcommands with JSON or plain-text output for every
+module.
 
 Outputs are deterministic (fixed enumeration orders, no unseeded randomness)
 and numbers in JSON payloads are strings: exact rationals where the value is
@@ -27,7 +28,6 @@ from .moulds import (
     words_over,
 )
 from .monomials import (
-    ContourSpec,
     borel_pole_probe,
     growth_scan,
     hyperlog_V_eval,
@@ -73,7 +73,6 @@ def main(argv=None) -> int:
     p_sh.add_argument("word1")
     p_sh.add_argument("word2")
     p_sh.add_argument("--contracting", action="store_true")
-    p_sh.add_argument("--format", default="text-table", choices=["json", "text-table"])
 
     p_m = sub.add_parser("mould", help="mould operations")
     msub = p_m.add_subparsers(dest="mould_command", required=True)
@@ -117,7 +116,6 @@ def main(argv=None) -> int:
     p_me.add_argument("--z", type=str, required=True)
     p_me.add_argument("--c", type=float, required=True)
     p_me.add_argument("--family", default="paralog", choices=["paralog", "hyperlog"])
-    p_me.add_argument("--csv", action="store_true")
     p_gs = mosub.add_parser("growth-scan")
     p_gs.add_argument("--c-grid", default="0.5,1,2,4")
     p_gs.add_argument("--norm-cap", type=int, default=4)
@@ -161,12 +159,8 @@ def _dispatch(args) -> int:
     if args.command == "shuffle":
         w1, w2 = parse_word(args.word1), parse_word(args.word2)
         table = contracting_shuffle(w1, w2) if args.contracting else shuffle(w1, w2)
-        rows = [(str(w), m) for w, m in sorted(table.items(), key=lambda kv: (kv[0].length, kv[0].sort_key()))]
-        if args.format == "json":
-            _emit({"entries": {w: m for w, m in rows}})
-        else:
-            for w, m in rows:
-                print(f"{w}  x{m}")
+        for w, m in sorted(table.items(), key=lambda kv: (kv[0].length, kv[0].sort_key())):
+            print(f"{w}  x{m}")
         return 0
 
     if args.command == "mould":
@@ -258,37 +252,28 @@ def _parse_complex(text: str) -> complex:
     return complex(text[:-1] + "j" if text.endswith("i") else text)
 
 
+def _monomial_entry(mv, z: complex, c: float) -> dict:
+    return {"z": _fnum(z), "c": _fnum(c), "re": _fnum(mv.value.real), "im": _fnum(mv.value.imag), "error": _fnum(mv.error)}
+
+
 def _dispatch_monomial(args) -> int:
     if args.monomial_command == "eval":
         z = _parse_complex(args.z)
-        spec = ContourSpec()
+        if (args.word is None) == (args.forest is None):
+            raise ValueError("monomial eval takes exactly one of --word and --forest")
         if args.family == "hyperlog":
-            if args.word is None:
-                raise ValueError("hyperlog evaluation needs --word")
-            mv = hyperlog_V_eval(parse_word(args.word), z)
-            label = f"V{args.word}"
-            rows = [(label, _fnum(z), _fnum(0.0), _fnum(mv.value.real), _fnum(mv.value.imag), _fnum(mv.error))]
+            if args.forest is not None:
+                raise ValueError("hyperlog evaluation takes --word, not --forest")
+            if args.c != 0:
+                raise ValueError(f"hyperlog evaluation is the c = 0 family, got --c {args.c}")
+            payload = {f"V{args.word}": _monomial_entry(hyperlog_V_eval(parse_word(args.word), z), z, 0.0)}
         elif args.forest is not None:
             f = parse_forest(args.forest)
-            mv = paralog_forest_eval(f, z, args.c, spec)
-            rows = [(str(f), _fnum(z), _fnum(args.c), _fnum(mv.value.real), _fnum(mv.value.imag), _fnum(mv.error))]
+            payload = {str(f): _monomial_entry(paralog_forest_eval(f, z, args.c), z, args.c)}
         else:
-            if args.word is None:
-                raise ValueError("monomial eval needs --word or --forest")
-            w = parse_word(args.word)
-            ua, uc, ue = paralog_variants(w, z, args.c, spec)
-            rows = [
-                (f"Ua{args.word}", _fnum(z), _fnum(args.c), _fnum(ua.value.real), _fnum(ua.value.imag), _fnum(ua.error)),
-                (f"Uc{args.word}", _fnum(z), _fnum(args.c), _fnum(uc.value.real), _fnum(uc.value.imag), _fnum(uc.error)),
-                (f"Ue{args.word}", _fnum(z), _fnum(args.c), _fnum(ue.value.real), _fnum(ue.value.imag), _fnum(ue.error)),
-            ]
-        if args.csv:
-            print("label,z,c,re,im,error")
-            for row in rows:
-                print(",".join(row))
-        else:
-            payload = {row[0]: {"z": row[1], "c": row[2], "re": row[3], "im": row[4], "error": row[5]} for row in rows}
-            _emit(payload)
+            variants = paralog_variants(parse_word(args.word), z, args.c)
+            payload = {f"{kind}{args.word}": _monomial_entry(mv, z, args.c) for kind, mv in zip(("Ua", "Uc", "Ue"), variants)}
+        _emit(payload)
         return 0
     if args.monomial_command == "growth-scan":
         cs = [float(tok) for tok in args.c_grid.split(",")]

@@ -26,14 +26,15 @@ class KernelDomainError(ValueError):
 
 @dataclass(frozen=True)
 class KernelParams:
-    """Kernel parameters: a finite c >= 0 and a finite real omega > 0."""
+    """Kernel parameters: a c >= 0 with a finite square and a finite real
+    omega > 0."""
 
     c: float
     omega: float
 
     def __post_init__(self):
-        if not math.isfinite(self.c):
-            raise KernelDomainError(f"parameter c = {self.c} must be finite")
+        if not math.isfinite(self.c * self.c):
+            raise KernelDomainError(f"parameter c = {self.c} must be finite, and so must c^2")
         if self.c < 0:
             raise KernelDomainError("parameter c must be >= 0")
         om = complex(self.omega)

@@ -32,7 +32,7 @@ from typing import Sequence
 import numpy as np
 
 from .kernels import KernelParams, f_closed_form_oracle, saddle_node_kernel
-from .moulds import Mould, words_of_norm_at_most
+from .moulds import words_of_norm_at_most
 from .quadrature import de_halfline, segment_quad
 from .words import Forest, Tree, Word, forests_of_norm, letter
 
@@ -99,10 +99,11 @@ def _decorations(w) -> tuple:
 
 
 def _check_z(z: complex, c: float, decorations: Sequence[complex]):
-    """z as a complex number, after rejecting a non-finite or negative c, a
-    non-finite z and a z on or near a singular ray of the decorations."""
-    if not (math.isfinite(c) and c >= 0):
-        raise ContourError(f"c = {c} must be a finite number >= 0")
+    """z as a complex number, after rejecting a negative c or one whose
+    square is not finite, a non-finite z and a z on or near a singular ray
+    of the decorations."""
+    if not (math.isfinite(c * c) and c >= 0):
+        raise ContourError(f"c = {c} must be a number >= 0 with a finite square")
     z = complex(z)
     if not cmath.isfinite(z):
         raise ContourError(f"z = {z} is not finite")
@@ -354,48 +355,24 @@ def paralog_forest_eval(f: Forest, z: complex, c: float, spec: ContourSpec | Non
 
 
 # ---------------------------------------------------------------------------
-# symmetrel mould of paralogarithmic values
-# ---------------------------------------------------------------------------
-
-
-def paralog_mould(z: complex, c: float, spec: ContourSpec | None = None, kind: str = "Ue", normalized: bool = True) -> Mould:
-    """Mould w -> monomial value at fixed (z, c); normalized=True applies the
-    per-letter factor 1/(-2 pi i), under which the family is symmetrel."""
-    spec = spec or ContourSpec()
-    if kind not in ("Ua", "Uc", "Ue"):
-        raise ValueError(f"unknown monomial kind {kind!r}")
-
-    def rule(w: Word):
-        if w.length == 0:
-            return 1.0 + 0.0j
-        ua, uc, ue = paralog_variants(w, z, c, spec)
-        val = {"Ua": ua, "Uc": uc, "Ue": ue}[kind].value
-        if normalized:
-            val *= MOULD_NORMALIZATION**w.length
-        return val
-
-    return Mould(rule, name=f"{kind}(z={z}, c={c}{', normalized' if normalized else ''})")
-
-
-# ---------------------------------------------------------------------------
 # hyperlogarithms
 # ---------------------------------------------------------------------------
 
 
-def hyperlog_V_borel(w, zeta: complex, nodes: int = 48, pieces: int = 2) -> complex:
+def hyperlog_V_borel(w, zeta: complex) -> complex:
     """Borel-plane hyperlogarithm by length recursion:
 
         V^(w1) (zeta) = 1/(zeta - w1)
         (-zeta + ||w||) V^w(zeta) = - int_0^zeta V^(w minus last)(s) ds
 
-    along the straight segment from 0; raises if the segment passes near a
-    singular partial sum w1 + ... + wi."""
+    along the straight segment from 0, 48 Gauss-Legendre nodes on each half;
+    raises if the segment passes near a singular partial sum w1 + ... + wi."""
     decs = _decorations(w)
     if not decs:
         raise ValueError("empty word has no Borel minor")
     zeta = complex(zeta)
     _check_borel_path(decs, zeta)
-    return _v_borel_rec(decs, zeta, nodes, pieces)
+    return _v_borel_rec(decs, zeta, 48)
 
 
 def _check_borel_path(decs: Sequence[complex], zeta: complex):
@@ -409,42 +386,37 @@ def _check_borel_path(decs: Sequence[complex], zeta: complex):
             raise ContourError(f"integration path [0, {zeta}] passes through singular point {partial}")
 
 
-def _v_borel_rec(decs: tuple, zeta: complex, nodes: int, pieces: int) -> complex:
+def _v_borel_rec(decs: tuple, zeta: complex, nodes: int) -> complex:
     if len(decs) == 1:
         return 1.0 / (zeta - decs[0])
     shorter = decs[:-1]
-    integral = segment_quad(
-        lambda s: np.array([_v_borel_rec(shorter, complex(sv), nodes, pieces) for sv in s]),
-        0.0,
-        zeta,
-        n=nodes,
-        pieces=pieces,
-    )
+    integral = segment_quad(lambda s: np.array([_v_borel_rec(shorter, complex(sv), nodes) for sv in s]), 0.0, zeta, n=nodes)
     return -integral / (-zeta + sum(decs))
 
 
-def hyperlog_V_eval(w, z: complex, theta: float = math.pi) -> MonomialValue:
-    """Laplace transform of the Borel hyperlogarithm along e^{i theta} R+;
-    V^empty = 1.  Needs Re(z e^{i theta}) > 0 and a direction clear of the
-    singular partial sums."""
+def hyperlog_V_eval(w, z: complex) -> MonomialValue:
+    """Laplace transform of the Borel hyperlogarithm along e^{i pi} R+, with
+    40 Gauss-Legendre nodes per half segment inside the integrand;
+    V^empty = 1.  Needs Re(z) < 0 and no singular partial sum on the
+    negative real axis."""
     decs = _decorations(w)
     z = complex(z)
     if not decs:
         return MonomialValue(1.0 + 0.0j, 0.0)
-    rot = cmath.exp(1j * theta)
+    rot = cmath.exp(1j * math.pi)
     decay = (z * rot).real
     if decay <= 0:
-        raise ContourError(f"direction theta={theta} does not damp exp(-z zeta) for z={z}")
+        raise ContourError(f"direction theta=pi does not damp exp(-z zeta) for z={z}")
     partial = 0.0 + 0.0j
     for om in decs:
         partial += om
-        if abs((cmath.phase(partial) - theta + math.pi) % (2 * math.pi) - math.pi) < 1e-9:
+        if math.pi - abs(cmath.phase(partial)) < 1e-9:
             raise ContourError(f"singular direction: partial sum {partial} lies on the ray")
 
     def integrand(ts):
-        return np.array([rot * cmath.exp(-z * rot * t) * _v_borel_rec(decs, rot * t, 40, 2) for t in ts])
+        return np.array([rot * cmath.exp(-z * rot * t) * _v_borel_rec(decs, rot * t, 40) for t in ts])
 
-    val, err = de_halfline(integrand, scale=1.0 / decay, rel_tol=1e-12, max_level=8)
+    val, err = de_halfline(integrand, scale=1.0 / decay, max_level=8)
     return MonomialValue(val, max(err, abs(val) * 1e-12))
 
 
@@ -472,26 +444,20 @@ class GrowthReport:
         return s
 
 
-def growth_scan(
-    c_values: Sequence[float],
-    norm_cap: int,
-    z: complex,
-    spec: ContourSpec | None = None,
-    include_forests: bool = True,
-    max_nodes: int = 4,
-) -> GrowthReport:
-    """Estimate K(c) = sup |Ua_c^w(z)|^{1/||w||} over words (and forests) of
-    norm <= cap; checks monotone decay in c and fits log K(c) linearly."""
+def growth_scan(c_values: Sequence[float], norm_cap: int, z: complex, include_forests: bool = True) -> GrowthReport:
+    """Estimate K(c) = sup |Ua_c^w(z)|^{1/||w||} over words (and forests of at
+    most 4 nodes) of norm <= cap; checks monotone decay in c and fits log K(c)
+    linearly."""
     if norm_cap < 1:
         raise ValueError(f"norm cap {norm_cap} must be >= 1")
-    spec = spec or ContourSpec()
+    spec = ContourSpec()
     # the hyperlogarithmic column needs a much longer t-window; a single
     # contour level at scan accuracy keeps the column affordable
     c0_spec = replace(spec, richardson_levels=1)
     letters = [letter(n) for n in range(1, norm_cap + 1)]
     items = words_of_norm_at_most(letters, norm_cap)
     if include_forests:
-        items += forests_of_norm(letters, norm_cap, max_nodes=max_nodes)
+        items += forests_of_norm(letters, norm_cap, max_nodes=4)
     norms = [int(item.norm.re) for item in items]
     khat: dict = {}
     details: dict = {}

@@ -41,9 +41,8 @@ class Mould:
     composition closes it additively up to the length cap.
     """
 
-    def __init__(self, rule: Callable[[Word], object], name: str = "", alphabet: Sequence[Letter] | None = None, cap: int | None = None):
+    def __init__(self, rule: Callable[[Word], object], alphabet: Sequence[Letter] | None = None, cap: int | None = None):
         self._rule = rule
-        self.name = name
         self.alphabet = tuple(alphabet) if alphabet is not None else None
         self.cap = cap
         self._memo: dict[Word, object] = {}
@@ -54,7 +53,7 @@ class Mould:
         except KeyError:
             pass
         if self.cap is not None and w.length > self.cap:
-            raise KeyError(f"mould {self.name or '<anon>'} queried beyond cap {self.cap}: {w}")
+            raise KeyError(f"mould queried beyond cap {self.cap}: {w}")
         v = self._rule(w)
         self._memo.setdefault(w, v)
         return v
@@ -99,9 +98,8 @@ class Mould:
 class ArMould:
     """Map from canonical forests to values."""
 
-    def __init__(self, rule: Callable[[Forest], object], name: str = ""):
+    def __init__(self, rule: Callable[[Forest], object]):
         self._rule = rule
-        self.name = name
         self._memo: dict[Forest, object] = {}
 
     def value(self, f: Forest):
@@ -165,7 +163,7 @@ def mould_mul(m: Mould, n: Mould) -> Mould:
             total = term if total is None else total + term
         return total
 
-    return Mould(rule, name=f"({m.name}x{n.name})", alphabet=m.alphabet, cap=_min_cap(m, n))
+    return Mould(rule, alphabet=m.alphabet, cap=_min_cap(m, n))
 
 
 def mould_compose(m: Mould, n: Mould) -> Mould:
@@ -185,7 +183,7 @@ def mould_compose(m: Mould, n: Mould) -> Mould:
             total = term if total is None else total + term
         return total
 
-    return Mould(rule, name=f"({m.name}o{n.name})", alphabet=None, cap=_min_cap(m, n))
+    return Mould(rule, cap=_min_cap(m, n))
 
 
 def _block_partitions(w: Word):
@@ -213,7 +211,7 @@ def mould_inverse_mul(m: Mould, cap: int) -> Mould:
     """Two-sided inverse for the mould product up to the length cap."""
     e = m.value(EMPTY_WORD)
     inv_e = 1 / e
-    out = Mould(lambda w: None, name=f"inv({m.name})", alphabet=m.alphabet, cap=cap)
+    out = Mould(lambda w: None, alphabet=m.alphabet, cap=cap)
 
     def rule(w: Word):
         if w.length == 0:
@@ -232,7 +230,7 @@ def mould_inverse_comp(m: Mould, cap: int) -> Mould:
     """Composition inverse on moulds with M^empty = 0, up to the length cap."""
     if m.value(EMPTY_WORD) != 0:
         raise ValueError("composition inverse needs M^empty = 0")
-    out = Mould(lambda w: None, name=f"cinv({m.name})", alphabet=m.alphabet, cap=cap)
+    out = Mould(lambda w: None, alphabet=m.alphabet, cap=cap)
     identity = builtin_mould("identityI")
 
     def rule(w: Word):
@@ -240,7 +238,7 @@ def mould_inverse_comp(m: Mould, cap: int) -> Mould:
             return Fraction(0)
         head = m.value(Word((Letter(w.norm),)))
         if head == 0:
-            raise ZeroDivisionError(f"single-letter value of {m.name} vanishes at norm {w.norm}")
+            raise ZeroDivisionError(f"single-letter value vanishes at norm {w.norm}")
         acc = identity.value(w)
         for blocks in _block_partitions(w):
             if len(blocks) == 1:
@@ -378,7 +376,7 @@ def arborify(m: Mould, mode: str = "simple", counting: str = "merges") -> ArMoul
             total = term if total is None else total + term
         return total
 
-    return ArMould(rule, name=f"{mode}-arb({m.name})")
+    return ArMould(rule)
 
 
 def check_separative(a: ArMould, alphabet: Sequence[Letter], cap: int, tol: float | None = None) -> IdentityReport:
@@ -410,9 +408,9 @@ def builtin_mould(name: str) -> Mould:
     redom^w = (-1)^r (omega_1+omega_r) / (2 ||w||) = -ledom^w.
     """
     if name == "unit1":
-        return Mould(lambda w: Fraction(1 if w.length == 0 else 0), name="unit1")
+        return Mould(lambda w: Fraction(1 if w.length == 0 else 0))
     if name == "identityI":
-        return Mould(lambda w: Fraction(1 if w.length == 1 else 0), name="identityI")
+        return Mould(lambda w: Fraction(1 if w.length == 1 else 0))
     if name == "standard_log":
 
         def rule_log(w: Word):
@@ -421,7 +419,7 @@ def builtin_mould(name: str) -> Mould:
                 return Fraction(0)
             return Fraction((-1) ** (r - 1), r)
 
-        return Mould(rule_log, name="standard_log")
+        return Mould(rule_log)
     if name == "exp":
 
         def rule_exp(w: Word):
@@ -430,7 +428,7 @@ def builtin_mould(name: str) -> Mould:
                 return Fraction(0)
             return Fraction(1, math.factorial(r))
 
-        return Mould(rule_exp, name="exp")
+        return Mould(rule_exp)
     if name in ("redom", "ledom"):
         sign = 1 if name == "redom" else -1
 
@@ -444,7 +442,7 @@ def builtin_mould(name: str) -> Mould:
             val = (w[0].value + w[r - 1].value) / (total * 2)
             return val * ((-1) ** r * sign)
 
-        return Mould(rule_org, name=name)
+        return Mould(rule_org)
     raise ValueError(f"unknown builtin mould {name!r}")
 
 
@@ -462,7 +460,7 @@ def symmetral_from_letter_weights(weights: dict[Letter, object]) -> Mould:
             acc = acc * wt[a]
         return acc / math.factorial(r)
 
-    return Mould(rule, name="symmetral-letterweights", alphabet=tuple(wt))
+    return Mould(rule, alphabet=tuple(wt))
 
 
 def symmetrel_geometric(x) -> Mould:
@@ -484,7 +482,7 @@ def symmetrel_geometric(x) -> Mould:
             acc = acc * (-xg)
         return acc * ((-1) ** r)
 
-    return Mould(rule, name=f"symmetrel-geom({x})")
+    return Mould(rule)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -253,14 +253,14 @@ def increasing_structures(w: Word) -> Counter:
     return out
 
 
-def check_coarborified_decomposition(family: DerivationFamily, cap: int, letters: Sequence[Letter] | None = None) -> IdentityReport:
+def check_coarborified_decomposition(family: DerivationFamily, cap: int) -> IdentityReport:
     """Verify B_w = sum over forests admitting w as a linear extension of B_F,
     with each increasing structure on the positions counted once (equivalently
-    bijection count / |Aut F|), exactly as operators."""
-    letters = list(letters) if letters is not None else family.letters()
+    bijection count / |Aut F|), exactly as operators, on the words over the
+    family's letters."""
 
     def cases():
-        for w in words_over(letters, cap):
+        for w in words_over(family.letters(), cap):
             lhs = op_compose_word(family, w)
             rhs = _linear_combination((mult, coarborify_homogeneous(family, f)) for f, mult in increasing_structures(w).items())
             yield w, 0.0 if lhs == rhs else lhs.max_abs_diff(rhs)

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -93,17 +93,15 @@ class SynthesisConfig:
     nu: int = 6
     r_max: int = 4
     z_samples: tuple = (-2.0,)
-    contour: ContourSpec = field(default_factory=ContourSpec)
 
     def __post_init__(self):
-        if not (math.isfinite(self.c) and self.c >= 0):
-            raise SynthesisError(f"c = {self.c} must be a finite number >= 0")
+        if not (math.isfinite(self.c * self.c) and self.c >= 0):
+            raise SynthesisError(f"c = {self.c} must be a number >= 0 with a finite square")
         if self.nu < 1 or self.r_max < 1:
             raise SynthesisError(f"caps nu = {self.nu} and r_max = {self.r_max} must both be >= 1")
-        if self.r_max > len(self.contour.multipliers):
-            raise SynthesisError(
-                f"r_max = {self.r_max} exceeds the {len(self.contour.multipliers)} integration slots of the contour"
-            )
+        slots = len(ContourSpec().multipliers)
+        if self.r_max > slots:
+            raise SynthesisError(f"r_max = {self.r_max} exceeds the {slots} integration slots of the contour")
         zs = tuple(complex(z) for z in self.z_samples)
         for z in zs:
             if not cmath.isfinite(z):
@@ -201,13 +199,13 @@ def _signed_monomials(words: list[Word], cfg: SynthesisConfig) -> list[tuple[dic
     in reversed-word order, so that words that share a tail, and with it
     their deeper Cauchy folds, come one after the other."""
     c = cfg.c
-    quad = Quadrature(c, cfg.contour)
+    quad = Quadrature(c, ContourSpec())
     tables: list[tuple[dict, dict]] = [({}, {}) for _ in cfg.z_samples]
     for w in sorted(words, key=lambda w: (w.length, w[::-1].sort_key())):
         nrm = complex(w.norm)
         unit = MOULD_NORMALIZATION**w.length
         for (ell, d_ell), z in zip(tables, cfg.z_samples):
-            ua = paralog_Ua_eval(w, z, c, cfg.contour, quad=quad)
+            ua = paralog_Ua_eval(w, z, c, quad=quad)
             expo = cmath.exp(nrm * z + c * c * nrm / z)
             ell[w] = unit * ua.value * expo
             d_ell[w] = unit * (ua.derivative + nrm * (1.0 - c * c / (z * z)) * ua.value) * expo
@@ -400,23 +398,15 @@ class LinearRHReport:
         return f"linear RH c={self.c:g}: {rows}; geometric decay: {self.geometric_decay}"
 
 
-def linear_rh_synthesize(
-    lambdas: tuple,
-    a12: complex,
-    a21: complex,
-    c: float,
-    r_max: int = 4,
-    z: complex = 2.4j,
-    spec: ContourSpec | None = None,
-) -> LinearRHReport:
+def linear_rh_synthesize(lambdas: tuple, a12: complex, a21: complex, c: float, r_max: int = 4) -> LinearRHReport:
     """Rank-two linear inverse problem: Borel singularities at
     omega_12 = lambda_1 - lambda_2 and omega_21 = -omega_12, data on the
     off-diagonal matrix units.  Plain mould-comould sum (no arborification):
 
         Theta_c = sum over words (-1)^r Ue_c^w(z) A_{w_r} ... A_{w_1}
 
-    truncated at length r_max; reports the per-length matrix norms and
-    whether they decay geometrically."""
+    at z = 2.4i, truncated at length r_max; reports the per-length matrix
+    norms and whether they decay geometrically."""
     l1, l2 = (complex(x) for x in lambdas)
     for name, v in (("lambda1", l1), ("lambda2", l2), ("a12", a12), ("a21", a21)):
         if not cmath.isfinite(v):
@@ -424,10 +414,13 @@ def linear_rh_synthesize(
     if l1 == l2:
         raise SynthesisError("distinct eigenvalues required")
     om12 = l1 - l2
+    if not cmath.isfinite(om12):
+        raise SynthesisError(f"omega_12 = lambda1 - lambda2 = {om12} is not finite")
+    if r_max < 1:
+        raise SynthesisError(f"r_max = {r_max} must be >= 1")
     om21 = -om12
-    spec = spec or ContourSpec()
     mats = {om12: np.array([[0, a12], [0, 0]], dtype=complex), om21: np.array([[0, 0], [a21, 0]], dtype=complex)}
-    z = complex(z)
+    z = 2.4j
     theta = np.eye(2, dtype=complex)
     term_norms: dict = {}
     for r in range(1, r_max + 1):
@@ -439,7 +432,7 @@ def linear_rh_synthesize(
                 prod = mats[om] @ prod
             if not prod.any():
                 continue
-            ua = paralog_Ua_eval(seq, z, c, spec).value
+            ua = paralog_Ua_eval(seq, z, c).value
             nrm = sum(seq)
             ue = ua * cmath.exp(nrm * z + c * c * nrm / z)
             layer += ((-1.0) ** r) * ue * prod

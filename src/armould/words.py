@@ -333,15 +333,6 @@ def forest(*trees_: Tree) -> Forest:
     return Forest(tuple(t if isinstance(t, Tree) else tree(t) for t in trees_))
 
 
-def canonicalize(f: Forest) -> Forest:
-    """Canonical representative; idempotent and order-insensitive by construction."""
-    return Forest(tuple(_canon_tree(t) for t in f.trees))
-
-
-def _canon_tree(t: Tree) -> Tree:
-    return Tree(t.root, Forest(tuple(_canon_tree(c) for c in t.children.trees)))
-
-
 def parse_forest(text: str) -> Forest:
     """Parse ``a(b,c);d``: trees joined by ';', children in parentheses."""
     s = text.strip()

@@ -59,7 +59,7 @@ def theta_word_assembly(inv: InvariantFamily, cfg: SynthesisConfig, z: complex) 
     assembly up to term regrouping."""
     fam = inv.derivations()
     expm = builtin_mould("exp")
-    moulds = signed_monomial_moulds(z, cfg.c, cfg.contour)
+    moulds = signed_monomial_moulds(z, cfg.c, ContourSpec())
     composed = [mould_compose(m, expm) for m in moulds]
     # (|L| o exp)^v: the sum of |terms| of (L o exp)^v over the cuts of v
     magnitudes = [mould_compose(Mould(lambda w, m=m: abs(m.value(w))), expm) for m in moulds]

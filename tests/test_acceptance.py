@@ -246,7 +246,7 @@ def test_criterion_09_paralog_symmetrelity():
 
 def test_criterion_10_growth_law():
     t0 = time.time()
-    rep = growth_scan([0.5, 1.0, 2.0, 4.0, 0.0], 4, -2.0, include_forests=True, max_nodes=4)
+    rep = growth_scan([0.5, 1.0, 2.0, 4.0, 0.0], 4, -2.0, include_forests=True)
     ok = rep.monotone_decreasing
     ok &= rep.fit_slope < 0 and rep.fit_r2 >= 0.9
     positive = {c: k for c, k in rep.khat.items() if c > 0}

@@ -2,14 +2,10 @@
 
 import json
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
+from dataclasses import replace
 
 import pytest
 
-import armould
 from armould.cli import main
 
 
@@ -113,10 +109,21 @@ class TestMonomialCommands:
         payload = json.loads(out)
         assert abs(float(payload["Ua(1)"]["re"]) - 0.07896393999251805) < 1e-10
 
-    def test_eval_csv(self, capsys):
-        rc, out = run(capsys, "monomial", "eval", "--word", "(1)", "--z", "-2", "--c", "1", "--csv")
-        assert rc == 0
-        assert out.splitlines()[0] == "label,z,c,re,im,error"
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["--word", "(1)", "--forest", "2", "--z=-2", "--c", "1"], "--forest"),
+            (["--family", "hyperlog", "--word", "(1)", "--forest", "2", "--z=-3", "--c", "1"], "--forest"),
+            (["--family", "hyperlog", "--forest", "2", "--z=-3", "--c", "0"], "--forest"),
+            (["--family", "hyperlog", "--word", "(1)", "--z=-3", "--c", "1"], "--c"),
+        ],
+        ids=["word-and-forest", "hyperlog-word-and-forest", "hyperlog-forest", "hyperlog-nonzero-c"],
+    )
+    def test_eval_refuses_an_input_it_would_ignore(self, capsys, argv, named):
+        rc = main(["monomial", "eval", *argv])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert named in json.loads(captured.err)["error"]
 
     def test_pole_probe(self, capsys):
         rc, out = run(capsys, "monomial", "pole-probe", "--omega", "2", "--c", "0.5")
@@ -203,17 +210,23 @@ class TestSynthesizeCommand:
         assert rc == 2 and captured.out == ""
         assert "give 22165 forests" in json.loads(captured.err)["error"]
 
-    def test_non_finite_output_fails_the_gate(self, tmp_path):
-        # c = 1e200 is finite but c^2 overflows in the kernel, so the field
-        # coefficients and both defects come out NaN.  A separate process
-        # keeps the numpy RuntimeWarnings out of this test session.
+    def test_non_finite_output_fails_the_gate(self, tmp_path, capsys, monkeypatch):
+        # a NaN monomial value makes the field coefficients and both defects
+        # come out NaN
+        import armould.synthesis as synth
+
+        one_item = synth.paralog_Ua_eval
+
+        def nan_value(*args, **kwargs):
+            mv = one_item(*args, **kwargs)
+            return replace(mv, value=complex(math.nan, 0.0), derivative=complex(math.nan, 0.0))
+
+        monkeypatch.setattr(synth, "paralog_Ua_eval", nan_value)
         inv = tmp_path / "inv.json"
         inv.write_text('{"A": {"1": "1/4"}, "H": 1.0}')
-        env = dict(os.environ, PYTHONPATH=str(Path(armould.__file__).parents[1]))
-        argv = ["synthesize", "--invariants", str(inv), "--c", "1e200", "--caps", "4,4,2"]
-        proc = subprocess.run([sys.executable, "-m", "armould.cli", *argv], capture_output=True, text=True, env=env)
-        assert proc.returncode == 1
-        payload = json.loads(proc.stdout)
+        rc, out = run(capsys, "synthesize", "--invariants", str(inv), "--c", "2", "--caps", "4,4,2")
+        assert rc == 1
+        payload = json.loads(out)
         assert math.isnan(float(payload["automorphism_defect"]))
         assert math.isnan(float(payload["derivation_defect"]))
         checks = {f["check"]: f["value"] for f in payload["failures"]}
@@ -237,10 +250,15 @@ class TestSynthesizeCommand:
         (None, ["kernel", "eval", "--c", "1", "--omega", "inf", "--y", "1"]),
         (None, ["linear-rh", "--a12", "1", "--a21", "nan", "--c", "1"]),
         (None, ["linear-rh", "--lambda1", "inf", "--a12", "1", "--a21", "1", "--c", "1"]),
+        (None, ["linear-rh", "--lambda1", "1e308", "--lambda2=-1e308", "--a12", "1", "--a21", "1", "--c", "1"]),
+        ('{"A": {"1": "1/4"}}', ["synthesize", "--c", "1e200"]),
+        (None, ["monomial", "eval", "--word", "(1)", "--z=-2", "--c", "1e200"]),
+        (None, ["kernel", "eval", "--c", "1e200", "--omega", "1", "--y", "1"]),
     ],
     ids=[
         "c-nan", "c-inf", "z-inf", "A-nan", "H-inf", "eval-c-nan", "eval-z-nan", "forest-c-inf", "forest-z-nan", "scan-c-nan",
-        "kernel-c-nan", "kernel-omega-inf", "rh-a21-nan", "rh-lambda1-inf",
+        "kernel-c-nan", "kernel-omega-inf", "rh-a21-nan", "rh-lambda1-inf", "rh-omega12-overflows", "c-square-overflows",
+        "eval-c-square-overflows", "kernel-c-square-overflows",
     ],  # fmt: skip
 )
 def test_non_finite_inputs_rejected(tmp_path, capsys, monkeypatch, invariants, argv):
@@ -300,6 +318,13 @@ class TestLinearRHCommand:
         assert rc == 0
         payload = json.loads(out)
         assert payload["geometric_decay"] is True
+
+    @pytest.mark.parametrize("r_max", ["0", "-3"])
+    def test_r_max_below_one_rejected(self, capsys, r_max):
+        rc = main(["linear-rh", "--a12", "1", "--a21", "1", "--c", "1", f"--r-max={r_max}"])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert "r_max" in json.loads(captured.err)["error"]
 
 
 @pytest.mark.parametrize(

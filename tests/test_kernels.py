@@ -80,7 +80,14 @@ class TestKernelParams:
 
     @pytest.mark.parametrize(
         "c, omega, field",
-        [(math.nan, 1.0, "c"), (math.inf, 1.0, "c"), (1.0, math.inf, "omega"), (1.0, math.nan, "omega"), (0.0, complex(1.0, math.nan), "omega")],
+        [
+            (math.nan, 1.0, "c"),
+            (math.inf, 1.0, "c"),
+            (1e200, 1.0, "c"),  # finite, but c^2 overflows
+            (1.0, math.inf, "omega"),
+            (1.0, math.nan, "omega"),
+            (0.0, complex(1.0, math.nan), "omega"),
+        ],
     )
     def test_non_finite_rejected(self, c, omega, field):
         with pytest.raises(KernelDomainError, match=f"parameter {field} = .* must be finite"):

@@ -25,11 +25,10 @@ from armould.monomials import (
     hyperlog_V_eval,
     paralog_Ua_eval,
     paralog_forest_eval,
-    paralog_mould,
     paralog_variants,
 )
 from armould.kernels import KernelParams, g_eval
-from armould.moulds import check_symmetry
+from armould.moulds import Mould, check_symmetry
 from armould.quadrature import de_halfline
 from armould.words import EMPTY_WORD, Word, forests_of_norm, letter, parse_forest, word
 
@@ -143,8 +142,8 @@ class TestParalogUa:
 
     @pytest.mark.parametrize(
         "z, c",
-        [(Z, math.nan), (Z, math.inf), (Z, -1.0), (complex(math.nan, 0.0), C), (-math.inf, C)],
-        ids=["c-nan", "c-inf", "c-negative", "z-nan", "z-inf"],
+        [(Z, math.nan), (Z, math.inf), (Z, -1.0), (Z, 1e200), (complex(math.nan, 0.0), C), (-math.inf, C)],
+        ids=["c-nan", "c-inf", "c-negative", "c-square-overflows", "z-nan", "z-inf"],
     )
     def test_non_finite_arguments_rejected(self, z, c):
         for evaluate in (lambda: paralog_Ua_eval(word(1), z, c), lambda: paralog_forest_eval(parse_forest("1;2"), z, c)):
@@ -365,19 +364,32 @@ class TestQuadrature:
                 evaluate(item, Z, C, ContourSpec(eps=0.04), quad=quad)
 
 
+def paralog_mould(kind: str, normalized: bool) -> Mould:
+    """Mould w -> Ua, Uc or Ue at (Z, C), times the per-letter factor
+    1/(-2 pi i) if normalized; the empty word maps to 1."""
+
+    def rule(w: Word):
+        if w.length == 0:
+            return 1.0 + 0.0j
+        val = paralog_variants(w, Z, C)[("Ua", "Uc", "Ue").index(kind)].value
+        return val * MOULD_NORMALIZATION**w.length if normalized else val
+
+    return Mould(rule)
+
+
 class TestSymmetrelMould:
     def test_normalized_ue_symmetrel_combined_length_2(self):
-        m = paralog_mould(Z, C, kind="Ue", normalized=True)
+        m = paralog_mould("Ue", normalized=True)
         rep = check_symmetry(m, "symmetrel", 2, [letter(1), letter(2)], tol=1e-6)
         assert rep.passed, str(rep)
 
     def test_normalized_ua_symmetrel(self):
-        m = paralog_mould(Z, C, kind="Ua", normalized=True)
+        m = paralog_mould("Ua", normalized=True)
         rep = check_symmetry(m, "symmetrel", 2, [letter(1), letter(2)], tol=1e-6)
         assert rep.passed, str(rep)
 
     def test_raw_ue_not_symmetrel(self):
-        m = paralog_mould(Z, C, kind="Ue", normalized=False)
+        m = paralog_mould("Ue", normalized=False)
         rep = check_symmetry(m, "symmetrel", 2, [letter(1)], tol=1e-6)
         assert not rep.passed
 
@@ -418,8 +430,17 @@ class TestHyperlogV:
         assert abs(v1 * v2 - v12 - v21) <= 1e-6 * abs(v1 * v2)
 
     def test_singular_direction_rejected(self):
-        with pytest.raises(ContourError):
-            hyperlog_V_eval(word(1), 3.0, theta=0.0)
+        # the Laplace ray is e^{i pi} R+: z = 3 is not damped along it, and
+        # the partial sum -1 lies on it
+        with pytest.raises(ContourError, match="does not damp"):
+            hyperlog_V_eval(word(1), 3.0)
+        with pytest.raises(ContourError, match="singular direction"):
+            hyperlog_V_eval(word(-1), -3.0)
+
+    def test_pinned_r2_value(self):
+        # V^(1,2)(-3) as the fixed rule (48/40 nodes per half segment, theta = pi) gives it
+        v = hyperlog_V_eval(word(1, 2), -3.0).value
+        assert abs(v - 0.02454514257480675) <= 1e-12 * 0.02454514257480675
 
 
 class TestGrowthScan:

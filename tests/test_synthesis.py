@@ -64,10 +64,11 @@ class TestInvariantFamily:
             lambda: InvariantFamily({1: 0.25}, growth_bound=math.nan),
             lambda: SynthesisConfig(c=math.nan),
             lambda: SynthesisConfig(c=math.inf),
+            lambda: SynthesisConfig(c=1e200),
             lambda: SynthesisConfig(c=2.0, z_samples=(complex(math.nan, 1.0),)),
             lambda: SynthesisConfig(c=2.0, z_samples=(-math.inf,)),
         ],
-        ids=["A-nan", "A-inf", "H-inf", "H-nan", "c-nan", "c-inf", "z-nan", "z-inf"],
+        ids=["A-nan", "A-inf", "H-inf", "H-nan", "c-nan", "c-inf", "c-square-overflows", "z-nan", "z-inf"],
     )
     def test_non_finite_inputs_rejected(self, make):
         with pytest.raises(SynthesisError):
@@ -95,7 +96,7 @@ class TestPassCount:
 
     def test_synthesize_runs_one_pass_set_per_distinct_word(self, passes):
         synthesize(self.INV, self.CFG)
-        levels = self.CFG.contour.richardson_levels
+        levels = ContourSpec().richardson_levels
         assert len(set(passes)) == 30
         assert len(passes) == levels * 30 == 60
 
@@ -154,7 +155,7 @@ class TestNormalizer:
     def test_norm_one_term(self):
         # single-node forest acts on u as L^(1) * a * u^2
         e = build_theta(self.INV, CFG)[0]
-        ell, _ = signed_monomial_moulds(-2.0, 2.0, CFG.contour)
+        ell, _ = signed_monomial_moulds(-2.0, 2.0, ContourSpec())
         expected = ell.value(word(1)) * 0.25
         u = TruncatedSeries.u_power(1, CFG.nu, coeff=1.0 + 0.0j)
         img = e.apply(u)
@@ -208,7 +209,7 @@ class TestNormalizer:
         cfg2 = SynthesisConfig(c=2.0, nu=4, r_max=2, z_samples=(-2.0,))
         inv = InvariantFamily({1: 0.25, 2: 0.125}, growth_bound=0.5)
         atoms = exp_atom_operators(inv, cfg2)
-        ell, _ = signed_monomial_moulds(-2.0, 2.0, cfg2.contour)
+        ell, _ = signed_monomial_moulds(-2.0, 2.0, ContourSpec())
         out = DiffOperator.identity()
         from armould.moulds import words_of_norm_at_most
         from armould.words import letter
@@ -378,9 +379,21 @@ class TestLinearRH:
         good = linear_rh_synthesize((1.0, 0.0), 10.0, 10.0, c=8.0)
         assert good.geometric_decay
 
+    def test_pinned_term_norms(self):
+        # the layer norms at the fixed sample point z = 2.4i
+        rep = linear_rh_synthesize((1.0, 0.0), 10.0, 10.0, c=0.5)
+        pinned = {1: 2.105612306186203, 2: 6.881960237115817, 3: 24.90426458805471, 4: 91.24612738242341}
+        for r, v in pinned.items():
+            assert abs(rep.term_norms[r] - v) <= 1e-12 * v
+
     def test_degenerate_eigenvalues_rejected(self):
         with pytest.raises(SynthesisError):
             linear_rh_synthesize((1.0, 1.0), 1.0, 1.0, c=1.0)
+
+    @pytest.mark.parametrize("r_max", [0, -3])
+    def test_r_max_below_one_rejected(self, r_max):
+        with pytest.raises(SynthesisError, match="r_max"):
+            linear_rh_synthesize((1.0, 0.0), 1.0, 1.0, c=1.0, r_max=r_max)
 
     @pytest.mark.parametrize(
         "lambdas, a12, a21, name",
@@ -389,6 +402,7 @@ class TestLinearRH:
             ((1.0, math.nan), 1.0, 1.0, "lambda2"),
             ((1.0, 0.0), math.nan, 1.0, "a12"),
             ((1.0, 0.0), 1.0, complex(0.0, math.inf), "a21"),
+            ((1e308, -1e308), 1.0, 1.0, "omega_12"),
         ],
     )
     def test_non_finite_inputs_rejected(self, lambdas, a12, a21, name):
