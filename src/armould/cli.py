@@ -158,9 +158,7 @@ def main(argv=None) -> int:
 def _dispatch(args) -> int:
     if args.command == "shuffle":
         w1, w2 = parse_word(args.word1), parse_word(args.word2)
-        table = contracting_shuffle(w1, w2) if args.contracting else shuffle(w1, w2)
-        for w, m in sorted(table.items(), key=lambda kv: (kv[0].length, kv[0].sort_key())):
-            print(f"{w}  x{m}")
+        _print_word_table(contracting_shuffle(w1, w2) if args.contracting else shuffle(w1, w2))
         return 0
 
     if args.command == "mould":
@@ -168,9 +166,7 @@ def _dispatch(args) -> int:
 
     if args.command == "forest":
         f = parse_forest(args.forest)
-        table = contracting_covers(f, counting=args.counting) if args.contracting else linear_extensions(f)
-        for w, m in sorted(table.items(), key=lambda kv: (kv[0].length, kv[0].sort_key())):
-            print(f"{w}  x{m}")
+        _print_word_table(contracting_covers(f, counting=args.counting) if args.contracting else linear_extensions(f))
         return 0
 
     if args.command == "kernel":
@@ -213,6 +209,11 @@ def _dispatch(args) -> int:
         return 0
 
     raise ValueError(f"unknown command {args.command!r}")
+
+
+def _print_word_table(table):
+    for w, m in sorted(table.items(), key=lambda kv: (kv[0].length, kv[0].sort_key())):
+        print(f"{w}  x{m}")
 
 
 def _dispatch_mould(args) -> int:

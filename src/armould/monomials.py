@@ -100,13 +100,15 @@ def _decorations(w) -> tuple:
 
 def _check_z(z: complex, c: float, decorations: Sequence[complex]):
     """z as a complex number, after rejecting a negative c or one whose
-    square is not finite, a non-finite z and a z on or near a singular ray
-    of the decorations."""
+    square is not finite, a non-finite z, z = 0 and a z on or near a
+    singular ray of the decorations."""
     if not (math.isfinite(c * c) and c >= 0):
         raise ContourError(f"c = {c} must be a number >= 0 with a finite square")
     z = complex(z)
     if not cmath.isfinite(z):
         raise ContourError(f"z = {z} is not finite")
+    if z == 0:
+        raise ContourError("z = 0 is singular")
     for om in decorations:
         if om == 0:
             raise ContourError("zero decoration")
@@ -116,8 +118,6 @@ def _check_z(z: complex, c: float, decorations: Sequence[complex]):
         dphi = abs((cmath.phase(z) - ray + math.pi) % (2 * math.pi) - math.pi)
         if dphi < 0.3:
             raise ContourError(f"z = {z} too close to the singular ray of decoration {om}")
-    if z == 0:
-        raise ContourError("z = 0 is singular")
     return z
 
 
@@ -323,10 +323,8 @@ def paralog_Ua_eval(w, z: complex, c: float, spec: ContourSpec | None = None, qu
 def paralog_variants(w, z: complex, c: float, spec: ContourSpec | None = None) -> tuple[MonomialValue, MonomialValue, MonomialValue]:
     """(Ua, U_c, Ue) from one Ua evaluation:
     U_c = Ua exp(c^2 ||w|| / z),   Ue = Ua exp(||w||(z + c^2/z))."""
-    z = complex(z)
-    if z == 0:
-        raise ContourError("z = 0")
     ua = paralog_Ua_eval(w, z, c, spec)
+    z = complex(z)
     nrm = sum(_decorations(w))
     mid = cmath.exp(c * c * nrm / z)
     full = cmath.exp(nrm * z + c * c * nrm / z)

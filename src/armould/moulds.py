@@ -513,20 +513,8 @@ def transition_apply(led: Mould, target_norm) -> AlienWordExpansion:
     if not target.is_positive_integer:
         raise ValueError("transition expansion needs a positive integer norm")
     n = int(target.value.re)
-    terms: dict[Word, object] = {}
-    for comp in _compositions(n):
-        w = word(*comp)
-        terms[w] = led.value(w)
-    return AlienWordExpansion(target=target, terms=terms)
-
-
-def _compositions(n: int):
-    if n == 0:
-        yield ()
-        return
-    for first in range(1, n + 1):
-        for rest in _compositions(n - first):
-            yield (first,) + rest
+    compositions = [w for w in words_of_norm_at_most([letter(k) for k in range(1, n + 1)], n) if w.norm == target.value]
+    return AlienWordExpansion(target=target, terms={w: led.value(w) for w in compositions})
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@ from .words import (
     contracting_covers,
     forests_of_norm,
     letter,
+    linear_extensions,
 )
 from .moulds import ArMould, IdentityReport, Mould, _scan, words_of_norm_at_most, words_over
 
@@ -216,53 +217,22 @@ def _tree_coeff(family: DerivationFamily, t: Tree) -> UPoly:
     return acc
 
 
-def increasing_structures(w: Word) -> Counter:
-    """Forests on the positions of w whose partial order is extended by the
-    position order: each position's parent is an earlier position or a root.
-    Returns canonical forests counted with structure multiplicity; this is
-    the exact bookkeeping of Cayley's decomposition of B_{w_r}...B_{w_1}."""
-    r = w.length
-    out: Counter = Counter()
-    if r == 0:
-        out[EMPTY_FOREST] += 1
-        return out
-
-    def build(parents: tuple) -> Forest:
-        kids: dict[int, list[int]] = {i: [] for i in range(r)}
-        roots = []
-        for i, p in enumerate(parents):
-            if p is None:
-                roots.append(i)
-            else:
-                kids[p].append(i)
-
-        def mk(i: int) -> Tree:
-            return Tree(w[i], Forest(tuple(mk(j) for j in kids[i])))
-
-        return Forest(tuple(mk(i) for i in roots))
-
-    def rec(i: int, parents: tuple):
-        if i == r:
-            out[build(parents)] += 1
-            return
-        rec(i + 1, parents + (None,))
-        for p in range(i):
-            rec(i + 1, parents + (p,))
-
-    rec(0, ())
-    return out
-
-
 def check_coarborified_decomposition(family: DerivationFamily, cap: int) -> IdentityReport:
     """Verify B_w = sum over forests admitting w as a linear extension of B_F,
-    with each increasing structure on the positions counted once (equivalently
-    bijection count / |Aut F|), exactly as operators, on the words over the
-    family's letters."""
+    with each increasing structure on the positions counted once, exactly as
+    operators, on the words over the family's letters.  F carries
+    linear_extensions(F)[w] / |Aut F| of them on w (orbit-stabiliser)."""
+    letters = family.letters()
+    terms: dict[Word, list] = {}
+    for f in [EMPTY_FOREST] + forests_of_norm(letters, cap * max(family.betas, default=0), max_nodes=cap):
+        op = coarborify_homogeneous(family, f)
+        for w, mult in linear_extensions(f).items():
+            terms.setdefault(w, []).append((mult // f.automorphism_count(), op))
 
     def cases():
-        for w in words_over(family.letters(), cap):
+        for w in words_over(letters, cap):
             lhs = op_compose_word(family, w)
-            rhs = _linear_combination((mult, coarborify_homogeneous(family, f)) for f, mult in increasing_structures(w).items())
+            rhs = _linear_combination(terms.get(w, ()))
             yield w, 0.0 if lhs == rhs else lhs.max_abs_diff(rhs)
 
     return _scan("coarborified decomposition", cases(), unit="words")

@@ -34,7 +34,9 @@ from .monomials import (
     ContourSpec,
     MOULD_NORMALIZATION,
     Quadrature,
+    _batch_order,
     paralog_Ua_eval,
+    paralog_variants,
 )
 from .operators import (
     DerivationFamily,
@@ -55,6 +57,11 @@ MAX_FORESTS = 20_000
 
 class SynthesisError(ValueError):
     pass
+
+
+def _check_c(c: float):
+    if not (math.isfinite(c * c) and c >= 0):
+        raise SynthesisError(f"c = {c} must be a number >= 0 with a finite square")
 
 
 @dataclass(frozen=True)
@@ -95,8 +102,7 @@ class SynthesisConfig:
     z_samples: tuple = (-2.0,)
 
     def __post_init__(self):
-        if not (math.isfinite(self.c * self.c) and self.c >= 0):
-            raise SynthesisError(f"c = {self.c} must be a number >= 0 with a finite square")
+        _check_c(self.c)
         if self.nu < 1 or self.r_max < 1:
             raise SynthesisError(f"caps nu = {self.nu} and r_max = {self.r_max} must both be >= 1")
         slots = len(ContourSpec().multipliers)
@@ -195,13 +201,13 @@ def _signed_monomials(words: list[Word], cfg: SynthesisConfig) -> list[tuple[dic
     """L^w = (-1)^r (2 pi i)^{-r} Ue_c^w(z), i.e. the per-letter
     normalization MOULD_NORMALIZATION that makes the family symmetrel, and
     its exact z-derivative dL^w, for the given words at every z sample.  The
-    Ua values come from one Quadrature with z the inner loop, by length, then
-    in reversed-word order, so that words that share a tail, and with it
-    their deeper Cauchy folds, come one after the other."""
+    Ua values come from one Quadrature with z the inner loop, in the batch
+    order, so that words that share a tail, and with it their deeper Cauchy
+    folds, come one after the other."""
     c = cfg.c
     quad = Quadrature(c, ContourSpec())
     tables: list[tuple[dict, dict]] = [({}, {}) for _ in cfg.z_samples]
-    for w in sorted(words, key=lambda w: (w.length, w[::-1].sort_key())):
+    for w in (words[i] for i in _batch_order(words)):
         nrm = complex(w.norm)
         unit = MOULD_NORMALIZATION**w.length
         for (ell, d_ell), z in zip(tables, cfg.z_samples):
@@ -418,6 +424,7 @@ def linear_rh_synthesize(lambdas: tuple, a12: complex, a21: complex, c: float, r
         raise SynthesisError(f"omega_12 = lambda1 - lambda2 = {om12} is not finite")
     if r_max < 1:
         raise SynthesisError(f"r_max = {r_max} must be >= 1")
+    _check_c(c)
     om21 = -om12
     mats = {om12: np.array([[0, a12], [0, 0]], dtype=complex), om21: np.array([[0, 0], [a21, 0]], dtype=complex)}
     z = 2.4j
@@ -432,10 +439,7 @@ def linear_rh_synthesize(lambdas: tuple, a12: complex, a21: complex, c: float, r
                 prod = mats[om] @ prod
             if not prod.any():
                 continue
-            ua = paralog_Ua_eval(seq, z, c).value
-            nrm = sum(seq)
-            ue = ua * cmath.exp(nrm * z + c * c * nrm / z)
-            layer += ((-1.0) ** r) * ue * prod
+            layer += ((-1.0) ** r) * paralog_variants(seq, z, c)[2].value * prod
         term_norms[r] = float(np.max(np.abs(layer)))
         theta += layer
     norms = [term_norms[r] for r in sorted(term_norms) if term_norms[r] > 0]

@@ -452,11 +452,10 @@ def forests_of_norm(letters: Sequence[Letter], max_norm: int, max_nodes: int | N
 
     Deterministic enumeration order: by (norm, node count, sort key).
     """
-    if any(a.value.im != 0 or a.value.re < 1 or a.value.re.denominator != 1 for a in letters):
+    if any(not a.is_positive_integer for a in letters):
         raise ValueError("forest enumeration needs positive integer decorations")
-    values = sorted({a.value.re for a in letters})
     # every decoration is >= 1, so the norm caps the node count
-    stream = _forests([int(v) for v in values], max_norm, max_norm if max_nodes is None else max_nodes)
+    stream = _forests(sorted({int(a.value.re) for a in letters}), max_norm, max_norm if max_nodes is None else max_nodes)
     return [f for _, f in sorted(((n, k, f.sort_key()), f) for k, n, f in stream)]
 
 

@@ -254,11 +254,13 @@ class TestSynthesizeCommand:
         ('{"A": {"1": "1/4"}}', ["synthesize", "--c", "1e200"]),
         (None, ["monomial", "eval", "--word", "(1)", "--z=-2", "--c", "1e200"]),
         (None, ["kernel", "eval", "--c", "1e200", "--omega", "1", "--y", "1"]),
+        (None, ["linear-rh", "--a12", "0", "--a21", "0", "--c", "nan"]),
+        (None, ["linear-rh", "--a12", "0", "--a21", "0", "--c=-1"]),
     ],
     ids=[
         "c-nan", "c-inf", "z-inf", "A-nan", "H-inf", "eval-c-nan", "eval-z-nan", "forest-c-inf", "forest-z-nan", "scan-c-nan",
         "kernel-c-nan", "kernel-omega-inf", "rh-a21-nan", "rh-lambda1-inf", "rh-omega12-overflows", "c-square-overflows",
-        "eval-c-square-overflows", "kernel-c-square-overflows",
+        "eval-c-square-overflows", "kernel-c-square-overflows", "rh-zero-data-c-nan", "rh-zero-data-c-negative",
     ],  # fmt: skip
 )
 def test_non_finite_inputs_rejected(tmp_path, capsys, monkeypatch, invariants, argv):

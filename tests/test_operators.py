@@ -28,12 +28,11 @@ from armould.operators import (
     coarborify_homogeneous,
     contract_forest_sum,
     contract_word_sum,
-    increasing_structures,
     op_compose_word,
     restricted_norm,
 )
 from armould.series import TruncatedSeries
-from armould.words import EMPTY_WORD, contracting_covers, forests_of_norm, letter, parse_forest, word
+from armould.words import EMPTY_WORD, contracting_covers, forests_of_norm, letter, linear_extensions, parse_forest, word
 
 AB = [letter(1), letter(2)]
 
@@ -137,11 +136,11 @@ class TestCoarborification:
                 assert max(poly) == int(f.norm.re) + len(f.trees)
 
     def test_increasing_structures_cayley_count(self):
-        # r positions admit r! increasing forest structures
-        out = increasing_structures(word(1, 1, 1))
-        assert sum(out.values()) == 6
-        out = increasing_structures(word(1, 2, 1, 2))
-        assert sum(out.values()) == 24
+        # r positions admit r! increasing forest structures; a forest F
+        # carries linear_extensions(F)[w] / |Aut F| of them on w
+        for w, count in ((word(1, 1, 1), 6), (word(1, 2, 1, 2), 24)):
+            forests = forests_of_norm(list(set(w)), int(w.norm.re), max_nodes=w.length)
+            assert sum(Fraction(linear_extensions(f)[w], f.automorphism_count()) for f in forests) == count
 
     def test_decomposition_cap1(self):
         fam = DerivationFamily({1: Fraction(2, 7)})
@@ -149,6 +148,19 @@ class TestCoarborification:
 
     def test_decomposition_cap2(self):
         assert check_coarborified_decomposition(self.FAM, 2).passed
+
+    def test_decomposition_detects_a_wrong_kernel(self, monkeypatch):
+        # doubling B_F at F = 1(2) breaks B_(1,2) = B_{1(2)} + B_{1;2} and
+        # every longer word whose sum uses it
+        chain, exact = parse_forest("1(2)"), operators.coarborify_homogeneous
+        monkeypatch.setattr(operators, "coarborify_homogeneous", lambda fam, f: exact(fam, f).scale(2) if f == chain else exact(fam, f))
+        rep = check_coarborified_decomposition(DerivationFamily({1: Fraction(1, 3), 2: Fraction(-2, 5)}), 3)
+        assert str(rep) == "[FAIL] coarborified decomposition: 15 words, worst violation 2.667e-01, first at (1,2)"
+
+    def test_decomposition_of_the_empty_family(self):
+        # only the empty word, where B_() = Id = B_<empty>
+        rep = check_coarborified_decomposition(DerivationFamily({}), 2)
+        assert str(rep) == "[pass] coarborified decomposition: 1 words, worst violation 0.000e+00"
 
     def test_decomposition_cap3_random_rationals(self):
         rng = random.Random(3)

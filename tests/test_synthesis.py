@@ -67,8 +67,11 @@ class TestInvariantFamily:
             lambda: SynthesisConfig(c=1e200),
             lambda: SynthesisConfig(c=2.0, z_samples=(complex(math.nan, 1.0),)),
             lambda: SynthesisConfig(c=2.0, z_samples=(-math.inf,)),
+            # zero data never reach a monomial evaluation, so c is checked first
+            lambda: linear_rh_synthesize((1.0, 0.0), 0.0, 0.0, c=math.nan),
+            lambda: linear_rh_synthesize((1.0, 0.0), 0.0, 0.0, c=-1.0),
         ],
-        ids=["A-nan", "A-inf", "H-inf", "H-nan", "c-nan", "c-inf", "c-square-overflows", "z-nan", "z-inf"],
+        ids=["A-nan", "A-inf", "H-inf", "H-nan", "c-nan", "c-inf", "c-square-overflows", "z-nan", "z-inf", "rh-c-nan", "rh-c-negative"],
     )
     def test_non_finite_inputs_rejected(self, make):
         with pytest.raises(SynthesisError):
