@@ -25,7 +25,6 @@ from .words import (
     EMPTY_FOREST,
     EMPTY_WORD,
     Forest,
-    Letter,
     Tree,
     Word,
     contracting_covers,

@@ -46,7 +46,6 @@ from .values import format_exact, parse_exact
 from .words import (
     contracting_covers,
     contracting_shuffle,
-    letter,
     linear_extensions,
     parse_forest,
     parse_word,
@@ -219,7 +218,7 @@ def _print_word_table(table):
 def _dispatch_mould(args) -> int:
     if args.mould_command == "check":
         m = builtin_mould(args.builtin)
-        alphabet = [letter(parse_exact(tok)) for tok in args.alphabet.split(",")]
+        alphabet = [parse_exact(tok) for tok in args.alphabet.split(",")]
         rep = check_symmetry(m, args.kind, args.cap, alphabet)
         print(str(rep))
         return 0 if rep.passed else 1

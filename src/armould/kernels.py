@@ -26,8 +26,8 @@ class KernelDomainError(ValueError):
 
 @dataclass(frozen=True)
 class KernelParams:
-    """Kernel parameters: a c >= 0 with a finite square and a finite real
-    omega > 0."""
+    """Kernel parameters: a c >= 0 and a finite real omega > 0 with c^2 and
+    c^2 omega finite."""
 
     c: float
     omega: float
@@ -42,6 +42,8 @@ class KernelParams:
             raise KernelDomainError(f"parameter omega = {self.omega} must be finite")
         if om.imag != 0 or om.real <= 0:
             raise KernelDomainError("the saddle-node kernel needs real omega > 0")
+        if not math.isfinite(self.c * self.c * om.real):
+            raise KernelDomainError(f"parameter c = {self.c} is too large for omega = {self.omega}: c^2 omega is not finite")
 
 
 def saddle_node_kernel(om: complex, c: float, y: np.ndarray) -> np.ndarray:

@@ -93,15 +93,15 @@ class MonomialValue:
 
 
 def _decorations(w) -> tuple:
-    if isinstance(w, Word):
-        return tuple(complex(a.value) for a in w.letters)
     return tuple(complex(x) for x in w)
 
 
 def _check_z(z: complex, c: float, decorations: Sequence[complex]):
     """z as a complex number, after rejecting a negative c or one whose
-    square is not finite, a non-finite z, z = 0 and a z on or near a
-    singular ray of the decorations."""
+    square is not finite, a non-finite z, z = 0, a z on or near a singular
+    ray of the decorations, and a c or z too large for what the quadrature
+    computes: c^2 |omega| in every kernel value, and the square of y - z at
+    the farthest node y of every ray."""
     if not (math.isfinite(c * c) and c >= 0):
         raise ContourError(f"c = {c} must be a number >= 0 with a finite square")
     z = complex(z)
@@ -112,6 +112,12 @@ def _check_z(z: complex, c: float, decorations: Sequence[complex]):
     for om in decorations:
         if om == 0:
             raise ContourError("zero decoration")
+        if not math.isfinite(c * c * abs(om)):
+            raise ContourError(f"c = {c} is too large for decoration {om}: c^2 |omega| is not finite")
+        # every ray tilts by less than pi/4, which bounds its window from above
+        far = (c if c > 0 else 1.0) * math.exp(_t_window(c, abs(om), math.cos(math.pi / 4))[1]) + abs(z)
+        if not math.isfinite(far * far):
+            raise ContourError(f"c = {c} and z = {z} are too large for decoration {om}: |y - z|^2 overflows on its ray")
         # the ray arg(y) = -arg(om) is this decoration's singular ray and
         # carries its contour; z must stay outside a 0.3 rad sector around it
         ray = -cmath.phase(om)
@@ -177,7 +183,7 @@ def _preorder(f: Forest) -> tuple[tuple, tuple]:
 
     def walk(t: Tree, parent: int):
         j = len(decs)
-        decs.append(complex(t.root.value))
+        decs.append(complex(t.root))
         parents.append(parent)
         for ch in t.children.trees:
             walk(ch, j)
@@ -524,8 +530,6 @@ def borel_pole_probe(omega: float, c: float) -> tuple[complex, complex]:
     extract the simple pole: returns (location, residue); the expected values
     are (-omega, 1) for every c >= 0."""
     p = KernelParams(c, omega)
-    if c == 0:
-        return (-omega + 0.0j, 1.0 + 0.0j)
     rhos = [1e-2, 1e-3, 1e-4]
     vals = []
     for rho in rhos:

@@ -19,10 +19,10 @@ from .values import GaussianRational, as_gaussian, format_exact, parse_exact
 from .words import (
     EMPTY_WORD,
     Forest,
-    Letter,
     Word,
     _fiber_step,
     _forests,
+    _integer_values,
     contracting_covers,
     contracting_shuffle,
     forests_of_norm,
@@ -41,7 +41,7 @@ class Mould:
     composition closes it additively up to the length cap.
     """
 
-    def __init__(self, rule: Callable[[Word], object], alphabet: Sequence[Letter] | None = None, cap: int | None = None):
+    def __init__(self, rule: Callable[[Word], object], alphabet: Sequence[GaussianRational] | None = None, cap: int | None = None):
         self._rule = rule
         self.alphabet = tuple(alphabet) if alphabet is not None else None
         self.cap = cap
@@ -62,7 +62,7 @@ class Mould:
         return self.value(w)
 
     @classmethod
-    def from_table(cls, entries: dict[Word, object], cap: int, alphabet: Sequence[Letter]) -> "Mould":
+    def from_table(cls, entries: dict[Word, object], cap: int, alphabet: Sequence[GaussianRational]) -> "Mould":
         table = dict(entries)
 
         def rule(w: Word):
@@ -81,7 +81,7 @@ class Mould:
         for w in words_over(self.alphabet, self.cap):
             entries[str(w)] = format_exact(self.value(w))
         payload = {
-            "alphabet": [format_exact(a.value) for a in self.alphabet],
+            "alphabet": [format_exact(a) for a in self.alphabet],
             "cap": self.cap,
             "entries": entries,
         }
@@ -90,7 +90,7 @@ class Mould:
     @classmethod
     def from_json(cls, text: str) -> "Mould":
         payload = json.loads(text)
-        alphabet = [letter(parse_exact(a)) for a in payload["alphabet"]]
+        alphabet = [parse_exact(a) for a in payload["alphabet"]]
         entries = {parse_word(k): parse_exact(v) for k, v in payload["entries"].items()}
         return cls.from_table(entries, payload["cap"], alphabet)
 
@@ -115,7 +115,7 @@ class ArMould:
         return self.value(f)
 
 
-def words_over(alphabet: Sequence[Letter], max_length: int) -> list[Word]:
+def words_over(alphabet: Sequence[GaussianRational], max_length: int) -> list[Word]:
     """All words (including the empty one) over the alphabet up to a length."""
     out = [EMPTY_WORD]
     layer = [EMPTY_WORD]
@@ -129,11 +129,9 @@ def words_over(alphabet: Sequence[Letter], max_length: int) -> list[Word]:
     return out
 
 
-def words_of_norm_at_most(alphabet: Sequence[Letter], max_norm: int) -> list[Word]:
+def words_of_norm_at_most(alphabet: Sequence[GaussianRational], max_norm: int) -> list[Word]:
     """All nonempty words over positive-integer letters with norm <= max_norm."""
-    if any(not a.is_positive_integer for a in alphabet):
-        raise ValueError("norm enumeration needs positive integer letters")
-    values = sorted({int(a.value.re) for a in alphabet})
+    values = _integer_values(alphabet)
     found: list[tuple[int, int, tuple]] = []  # (norm, length, letters)
 
     def rec(prefix: tuple, budget: int):
@@ -176,7 +174,7 @@ def mould_compose(m: Mould, n: Mould) -> Mould:
             return m.value(EMPTY_WORD)
         total = None
         for blocks in _block_partitions(w):
-            norm_word = Word(tuple(Letter(b.norm) for b in blocks))
+            norm_word = Word(tuple(b.norm for b in blocks))
             term = m.value(norm_word)
             for b in blocks:
                 term = term * n.value(b)
@@ -236,14 +234,14 @@ def mould_inverse_comp(m: Mould, cap: int) -> Mould:
     def rule(w: Word):
         if w.length == 0:
             return Fraction(0)
-        head = m.value(Word((Letter(w.norm),)))
+        head = m.value(Word((w.norm,)))
         if head == 0:
             raise ZeroDivisionError(f"single-letter value vanishes at norm {w.norm}")
         acc = identity.value(w)
         for blocks in _block_partitions(w):
             if len(blocks) == 1:
                 continue
-            norm_word = Word(tuple(Letter(b.norm) for b in blocks))
+            norm_word = Word(tuple(b.norm for b in blocks))
             term = m.value(norm_word)
             for b in blocks:
                 term = term * out.value(b)
@@ -296,7 +294,7 @@ def _scan(kind: str, cases: Iterable[tuple[object, float]], tol: float = 0.0, un
     return IdentityReport(kind, worst <= tol, count, worst, first, unit)
 
 
-def check_symmetry(m: Mould, kind: str, cap: int, alphabet: Sequence[Letter] | None = None, tol: float | None = None) -> IdentityReport:
+def check_symmetry(m: Mould, kind: str, cap: int, alphabet: Sequence[GaussianRational] | None = None, tol: float | None = None) -> IdentityReport:
     """Verify the shuffle/contracting-shuffle symmetry up to combined length cap.
 
     Exact values compare with equality (tol=None); float-valued moulds use a
@@ -379,7 +377,7 @@ def arborify(m: Mould, mode: str = "simple", counting: str = "merges") -> ArMoul
     return ArMould(rule)
 
 
-def check_separative(a: ArMould, alphabet: Sequence[Letter], cap: int, tol: float | None = None) -> IdentityReport:
+def check_separative(a: ArMould, alphabet: Sequence[GaussianRational], cap: int, tol: float | None = None) -> IdentityReport:
     """Verify M^{F'F''} = M^{F'} M^{F''} for all forest pairs with total nodes <= cap."""
     singles = forests_of_norm(alphabet, cap, max_nodes=cap)
     if tol is None and not _is_exact(a.value(Forest(()))):
@@ -439,14 +437,14 @@ def builtin_mould(name: str) -> Mould:
             total = w.norm
             if not total:
                 raise ZeroDivisionError(f"{name} undefined on zero-norm word {w}")
-            val = (w[0].value + w[r - 1].value) / (total * 2)
+            val = (w[0] + w[r - 1]) / (total * 2)
             return val * ((-1) ** r * sign)
 
         return Mould(rule_org)
     raise ValueError(f"unknown builtin mould {name!r}")
 
 
-def symmetral_from_letter_weights(weights: dict[Letter, object]) -> Mould:
+def symmetral_from_letter_weights(weights: dict[GaussianRational, object]) -> Mould:
     """M^w = (prod of letter weights)/r!; the exponential of a single-letter
     (alternal) mould, hence symmetral."""
     wt = {letter(k): v for k, v in weights.items()}
@@ -495,7 +493,7 @@ class AlienWordExpansion:
     """Formal expansion of an alien operator at a given norm as a weighted sum
     of lateral-operator words; purely symbolic, never applied to functions."""
 
-    target: Letter
+    target: GaussianRational
     terms: dict[Word, object] = field(default_factory=dict)
 
     def __str__(self):
@@ -512,8 +510,8 @@ def transition_apply(led: Mould, target_norm) -> AlienWordExpansion:
     target = letter(target_norm)
     if not target.is_positive_integer:
         raise ValueError("transition expansion needs a positive integer norm")
-    n = int(target.value.re)
-    compositions = [w for w in words_of_norm_at_most([letter(k) for k in range(1, n + 1)], n) if w.norm == target.value]
+    n = int(target.re)
+    compositions = [w for w in words_of_norm_at_most([letter(k) for k in range(1, n + 1)], n) if w.norm == target]
     return AlienWordExpansion(target=target, terms={w: led.value(w) for w in compositions})
 
 
@@ -559,7 +557,7 @@ def organic_growth_report(max_nodes: int = 6, decorations: Sequence[int] = (1, 2
         # (weight, fiber sum, chain sums of what is left); when nothing is
         # left, its one empty chain counts 1 and its last fiber is this one
         for (dec, rest), w in _fiber_step(f, counting).items():
-            s = int(dec.value.re)
+            s = int(dec.re)
             yield w, s, tail(rest) if rest.trees else (1, s)
 
     def tail(f: Forest) -> tuple[int, int]:

@@ -14,12 +14,12 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
+from .values import GaussianRational
 from .series import TruncatedSeries, UPoly, _poly_add, _poly_diff, _poly_mul, _poly_scale, _zero
 from .words import (
     EMPTY_FOREST,
     EMPTY_WORD,
     Forest,
-    Letter,
     Tree,
     Word,
     _forests,
@@ -161,7 +161,7 @@ class DerivationFamily:
         if any(n < 1 for n in self.betas):
             raise ValueError("letters must be positive integers")
 
-    def letters(self) -> list[Letter]:
+    def letters(self) -> list[GaussianRational]:
         return [letter(n) for n in sorted(self.betas)]
 
     def beta_poly(self, n: int) -> UPoly:
@@ -183,10 +183,10 @@ def op_compose_word(family: DerivationFamily, w: Word) -> DiffOperator:
     return op
 
 
-def _as_int(a: Letter) -> int:
+def _as_int(a: GaussianRational) -> int:
     if not a.is_positive_integer:
         raise ValueError(f"letter {a} is not a positive integer")
-    return int(a.value.re)
+    return int(a.re)
 
 
 # ---------------------------------------------------------------------------

@@ -31,10 +31,12 @@ import numpy as np
 
 from .moulds import Mould, arborify, builtin_mould, mould_compose, words_of_norm_at_most
 from .monomials import (
+    ContourError,
     ContourSpec,
     MOULD_NORMALIZATION,
     Quadrature,
     _batch_order,
+    _check_z,
     paralog_Ua_eval,
     paralog_variants,
 )
@@ -59,9 +61,12 @@ class SynthesisError(ValueError):
     pass
 
 
-def _check_c(c: float):
-    if not (math.isfinite(c * c) and c >= 0):
-        raise SynthesisError(f"c = {c} must be a number >= 0 with a finite square")
+def _check_sample(z: complex, c: float, decorations: tuple):
+    """monomials._check_z, failing with a SynthesisError."""
+    try:
+        _check_z(z, c, decorations)
+    except ContourError as exc:
+        raise SynthesisError(str(exc)) from None
 
 
 @dataclass(frozen=True)
@@ -102,18 +107,18 @@ class SynthesisConfig:
     z_samples: tuple = (-2.0,)
 
     def __post_init__(self):
-        _check_c(self.c)
         if self.nu < 1 or self.r_max < 1:
             raise SynthesisError(f"caps nu = {self.nu} and r_max = {self.r_max} must both be >= 1")
         slots = len(ContourSpec().multipliers)
         if self.r_max > slots:
             raise SynthesisError(f"r_max = {self.r_max} exceeds the {slots} integration slots of the contour")
         zs = tuple(complex(z) for z in self.z_samples)
+        if not zs:
+            raise SynthesisError("a synthesis needs at least one z sample")
         for z in zs:
-            if not cmath.isfinite(z):
-                raise SynthesisError(f"z sample {z} is not finite")
-            if z.real >= 0 and abs(z.imag) < 1e-12:
-                raise SynthesisError(f"z sample {z} lies on the singular ray R>=0")
+            # every decoration a synthesis evaluates is a positive integer at
+            # most nu: they share the singular ray R+, and nu is the largest
+            _check_sample(z, self.c, (complex(self.nu),))
         object.__setattr__(self, "z_samples", zs)
 
 
@@ -424,10 +429,10 @@ def linear_rh_synthesize(lambdas: tuple, a12: complex, a21: complex, c: float, r
         raise SynthesisError(f"omega_12 = lambda1 - lambda2 = {om12} is not finite")
     if r_max < 1:
         raise SynthesisError(f"r_max = {r_max} must be >= 1")
-    _check_c(c)
     om21 = -om12
-    mats = {om12: np.array([[0, a12], [0, 0]], dtype=complex), om21: np.array([[0, 0], [a21, 0]], dtype=complex)}
     z = 2.4j
+    _check_sample(z, c, (om12, om21))
+    mats = {om12: np.array([[0, a12], [0, 0]], dtype=complex), om21: np.array([[0, 0], [a21, 0]], dtype=complex)}
     theta = np.eye(2, dtype=complex)
     term_norms: dict = {}
     for r in range(1, r_max + 1):

@@ -2,16 +2,17 @@
 morphisms between words and forests.
 
 Multiset semantics throughout: every operation returns a Counter mapping a
-Word (or Forest) to its multiplicity.  Decorations are exact Gaussian
-rationals; two letters are equal iff their decorations are equal exactly.
+Word (or Forest) to its multiplicity.  A letter is its decoration, an exact
+GaussianRational; two letters are equal iff their decorations are equal
+exactly.
 
 Contracting covers carry two counting conventions (see
 :func:`contracting_covers`); the choice matters as soon as a forest has
 incomparable nodes.
 
-Letters, words, trees and forests are immutable and build their canonical
-key once: a nested tuple of the letters' ``(re, im)`` keys (integer parts as
-ints), made from the parts' stored keys, with its hash beside it.  Equality
+Words, trees and forests are immutable and build their canonical key once:
+a nested tuple of the letters' ``(re, im)`` keys (integer parts as ints),
+made from the parts' stored keys, with its hash beside it.  Equality
 compares keys, and ``sort_key()`` returns the key.
 """
 
@@ -25,7 +26,7 @@ from functools import lru_cache
 from operator import attrgetter
 from typing import Iterable, Iterator, Sequence
 
-from .values import GaussianRational, as_gaussian, format_exact, parse_exact
+from .values import GaussianRational, as_gaussian, parse_exact
 
 _set = object.__setattr__
 _key_of = attrgetter("_key")
@@ -52,46 +53,21 @@ class _Keyed:
         _set(self, "_hash", hash(key))
 
 
-@dataclass(frozen=True, eq=False, slots=True)
-class Letter(_Keyed):
-    """A decoration omega from the alphabet; exact value, exact equality."""
-
-    value: GaussianRational
-    _key: tuple = field(init=False, repr=False)
-    _hash: int = field(init=False, repr=False)
-
-    def __post_init__(self):
-        if not isinstance(self.value, GaussianRational):
-            _set(self, "value", as_gaussian(self.value))
-        self._store_key(self.value.sort_key())
-
-    @property
-    def is_positive_integer(self) -> bool:
-        return self.value.is_positive_integer
-
-    def __add__(self, other: "Letter") -> "Letter":
-        return Letter(self.value + other.value)
-
-    def __str__(self):
-        return format_exact(self.value)
-
-    def __repr__(self):
-        return f"Letter({self.value})"
-
-
-def letter(x) -> Letter:
-    if isinstance(x, Letter):
+def letter(x) -> GaussianRational:
+    """A decoration as a letter: a GaussianRational as it is, an exact
+    literal string parsed, an int or Fraction coerced; floats are rejected."""
+    if isinstance(x, GaussianRational):
         return x
     if isinstance(x, str):
-        return Letter(parse_exact(x))
-    return Letter(as_gaussian(x))
+        return parse_exact(x)
+    return as_gaussian(x)
 
 
 @dataclass(frozen=True, eq=False, slots=True)
 class Word(_Keyed):
     """Finite sequence of letters; the index set of moulds."""
 
-    letters: tuple[Letter, ...]
+    letters: tuple[GaussianRational, ...]
     _key: tuple = field(init=False, repr=False)
     _hash: int = field(init=False, repr=False)
 
@@ -107,7 +83,7 @@ class Word(_Keyed):
     def norm(self) -> GaussianRational:
         total = GaussianRational(0)
         for a in self.letters:
-            total = total + a.value
+            total = total + a
         return total
 
     def __len__(self):
@@ -121,7 +97,7 @@ class Word(_Keyed):
     def __add__(self, other: "Word") -> "Word":
         return Word(self.letters + other.letters)
 
-    def __iter__(self) -> Iterator[Letter]:
+    def __iter__(self) -> Iterator[GaussianRational]:
         return iter(self.letters)
 
     def __str__(self):
@@ -137,7 +113,7 @@ EMPTY_WORD = Word(())
 def word(*decorations) -> Word:
     if len(decorations) == 1 and isinstance(decorations[0], (list, tuple)):
         decorations = tuple(decorations[0])
-    return Word(tuple(letter(x) for x in decorations))
+    return Word(decorations)
 
 
 def parse_word(text: str) -> Word:
@@ -148,17 +124,18 @@ def parse_word(text: str) -> Word:
     inner = s[1:-1].strip()
     if not inner:
         return EMPTY_WORD
-    return word(*[parse_exact(part) for part in _split_top(inner)])
+    return word(*[parse_exact(part) for part in _split_top(inner, ",")])
 
 
-def _split_top(s: str) -> list[str]:
+def _split_top(s: str, sep: str) -> list[str]:
+    """Split s at each sep outside parentheses."""
     parts, depth, cur = [], 0, []
     for ch in s:
         if ch == "(":
             depth += 1
         elif ch == ")":
             depth -= 1
-        if ch == "," and depth == 0:
+        if ch == sep and depth == 0:
             parts.append("".join(cur))
             cur = []
         else:
@@ -236,7 +213,7 @@ def _csh_rec(a: tuple, b: tuple) -> Counter:
 class Tree(_Keyed):
     """Decorated rooted tree; children form a Forest (canonically ordered)."""
 
-    root: Letter
+    root: GaussianRational
     children: "Forest"
     _key: tuple = field(init=False, repr=False)
     _hash: int = field(init=False, repr=False)
@@ -253,7 +230,7 @@ class Tree(_Keyed):
 
     @property
     def norm(self) -> GaussianRational:
-        return self.root.value + self.children.norm
+        return self.root + self.children.norm
 
     def __str__(self):
         if not self.children.trees:
@@ -324,7 +301,7 @@ def tree(root, children: Iterable = ()) -> Tree:
     kids = []
     for c in children:
         kids.append(c if isinstance(c, Tree) else tree(c))
-    return Tree(letter(root), Forest(tuple(kids)))
+    return Tree(root, Forest(tuple(kids)))
 
 
 def forest(*trees_: Tree) -> Forest:
@@ -338,19 +315,7 @@ def parse_forest(text: str) -> Forest:
     s = text.strip()
     if not s or s == "<empty>":
         return EMPTY_FOREST
-    parts, depth, cur = [], 0, []
-    for ch in s:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if ch == ";" and depth == 0:
-            parts.append("".join(cur))
-            cur = []
-        else:
-            cur.append(ch)
-    parts.append("".join(cur))
-    return Forest(tuple(_parse_tree(p) for p in parts))
+    return Forest(tuple(_parse_tree(p) for p in _split_top(s, ";")))
 
 
 def _parse_tree(text: str) -> Tree:
@@ -361,8 +326,8 @@ def _parse_tree(text: str) -> Tree:
     if not rest.endswith(")"):
         raise ValueError(f"bad tree literal: {text!r}")
     inner = rest[:-1]
-    children = [_parse_tree(p) for p in _split_top(inner)] if inner.strip() else []
-    return Tree(letter(parse_exact(head)), Forest(tuple(children)))
+    children = [_parse_tree(p) for p in _split_top(inner, ",")] if inner.strip() else []
+    return Tree(parse_exact(head), Forest(tuple(children)))
 
 
 # ---------------------------------------------------------------------------
@@ -378,11 +343,12 @@ def _fiber_step(f: Forest, counting: str) -> Counter:
     forest left after removing the fiber) -> summed weight, where a fiber of
     size k weighs k! for 'merges' and 1 for 'surjections'; 'extensions'
     takes singleton fibers only, weight 1.  Equal roots are distinct fibers.
-    A fiber's decorations are summed on their keys, one Letter per sum.
+    A fiber's decorations are summed on their keys, one GaussianRational
+    per sum.
     """
     roots = f.trees
     keys = [t.root.sort_key() for t in roots]
-    sums: dict[tuple, Letter] = {}
+    sums: dict[tuple, GaussianRational] = {}
     out: Counter = Counter()
     max_size = 1 if counting == "extensions" else len(roots)
     for size in range(1, max_size + 1):
@@ -394,7 +360,7 @@ def _fiber_step(f: Forest, counting: str) -> Counter:
                 total = (sum(keys[i][0] for i in combo), sum(keys[i][1] for i in combo))
                 dec = sums.get(total)
                 if dec is None:
-                    dec = sums[total] = Letter(GaussianRational(*total))
+                    dec = sums[total] = GaussianRational(*total)
             rest = [t for i, t in enumerate(roots) if i not in combo]
             for i in combo:
                 rest.extend(roots[i].children.trees)
@@ -446,16 +412,22 @@ def contracting_covers(f: Forest, counting: str = "merges") -> Counter:
     return Counter({Word(w): m for w, m in _covers(f, counting).items()})
 
 
-def forests_of_norm(letters: Sequence[Letter], max_norm: int, max_nodes: int | None = None) -> list[Forest]:
+def _integer_values(letters: Sequence[GaussianRational]) -> list[int]:
+    """The distinct values of positive-integer letters, ascending; any other
+    letter is rejected."""
+    if any(not a.is_positive_integer for a in letters):
+        raise ValueError("norm and forest enumeration need positive integer letters")
+    return sorted({int(a.re) for a in letters})
+
+
+def forests_of_norm(letters: Sequence[GaussianRational], max_norm: int, max_nodes: int | None = None) -> list[Forest]:
     """All canonical forests with positive-integer decorations drawn from
     ``letters`` and norm <= max_norm (and, optionally, nodes <= max_nodes).
 
     Deterministic enumeration order: by (norm, node count, sort key).
     """
-    if any(not a.is_positive_integer for a in letters):
-        raise ValueError("forest enumeration needs positive integer decorations")
     # every decoration is >= 1, so the norm caps the node count
-    stream = _forests(sorted({int(a.value.re) for a in letters}), max_norm, max_norm if max_nodes is None else max_nodes)
+    stream = _forests(_integer_values(letters), max_norm, max_norm if max_nodes is None else max_nodes)
     return [f for _, f in sorted(((n, k, f.sort_key()), f) for k, n, f in stream)]
 
 
@@ -493,12 +465,10 @@ def _forests(values: Sequence[int], max_norm: int, max_nodes: int) -> Iterator[t
             yield nodes, n, Forest(trees)
 
 
-def count_forests(letters: Sequence[Letter], max_norm: int, max_nodes: int | None = None) -> int:
+def count_forests(letters: Sequence[GaussianRational], max_norm: int, max_nodes: int | None = None) -> int:
     """How many forests :func:`forests_of_norm` lists, counted by norm and
     node count without building any."""
-    if any(not a.is_positive_integer for a in letters):
-        raise ValueError("forest enumeration needs positive integer decorations")
-    values = sorted({int(a.value.re) for a in letters})
+    values = _integer_values(letters)
     max_nodes = max_norm if max_nodes is None else max_nodes
     # counts[n][k]: forests (the empty one included) of norm n and k nodes
     # made of the trees of norm below the current one

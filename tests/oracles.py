@@ -23,7 +23,8 @@ from armould.monomials import CONTRACTION_UNIT, MOULD_NORMALIZATION, ContourSpec
 from armould.moulds import Mould, builtin_mould, mould_compose, words_of_norm_at_most
 from armould.operators import DerivationFamily, DiffOperator, _as_int, _fraction_inverse, _linear_combination, op_compose_word
 from armould.synthesis import InvariantFamily, SynthesisConfig
-from armould.words import Forest, Letter, Tree, Word, letter
+from armould.values import GaussianRational
+from armould.words import Forest, Tree, Word, letter
 
 
 def signed_monomial_moulds(z: complex, c: float, spec: ContourSpec) -> tuple[Mould, Mould]:
@@ -89,7 +90,7 @@ def z_free_word_side(fam: DerivationFamily, nu: int, r_max: int) -> dict[Word, D
         for mask in range(1 << (r - 1)):
             cuts = [0] + [g + 1 for g in range(r - 1) if mask >> g & 1] + [r]
             blocks = [v.letters[i:j] for i, j in zip(cuts, cuts[1:])]
-            u = Word(tuple(letter(sum(int(a.value.re) for a in blk)) for blk in blocks))
+            u = Word(tuple(letter(sum(int(a.re) for a in blk)) for blk in blocks))
             weight = Fraction(1, math.prod(math.factorial(len(blk)) for blk in blocks))
             out.setdefault(u, []).append((weight, b))
     return {u: _linear_combination(t) for u, t in out.items()}
@@ -158,7 +159,7 @@ def x_integral_r2(w: Word, z: complex, c: float, delta: float) -> complex:
     x2hat := -x (so Re x2hat < 0) this is the step-function-constrained double
     integral; the rotation keeps both Laplace factors convergent and fixes the
     branch of f2 at its cut."""
-    om1, om2 = (complex(a.value).real for a in w.letters)
+    om1, om2 = (complex(a).real for a in w.letters)
     z = complex(z)
     if c <= 0 or z.real >= 0:
         raise ValueError("the r = 2 x-integral needs c > 0 and Re z < 0")
@@ -198,7 +199,7 @@ class _Node:
 
     __slots__ = ("decoration", "parent")
 
-    def __init__(self, decoration: Letter):
+    def __init__(self, decoration: GaussianRational):
         self.decoration = decoration
         self.parent = None
 
@@ -229,7 +230,7 @@ def linear_extensions(f: Forest) -> Counter:
     out: Counter = Counter()
     available = [i for i, nd in enumerate(nodes) if nd.parent is None]
 
-    def rec(available: list[int], placed: tuple[Letter, ...]):
+    def rec(available: list[int], placed: tuple[GaussianRational, ...]):
         if not available:
             out[Word(placed)] += 1
             return
@@ -255,7 +256,7 @@ def contracting_covers(f: Forest, counting: str = "merges") -> Counter:
     out: Counter = Counter()
     roots = frozenset(i for i, nd in enumerate(nodes) if nd.parent is None)
 
-    def rec(avail: frozenset, placed: tuple[Letter, ...], weight: int):
+    def rec(avail: frozenset, placed: tuple[GaussianRational, ...], weight: int):
         if not avail:
             out[Word(placed)] += weight
             return
@@ -287,7 +288,7 @@ def forests_of_norm(letters, max_norm: int, max_nodes: int | None = None) -> lis
     """Oracle for :func:`armould.words.forests_of_norm`: trees built by norm,
     every candidate list materialised and deduplicated, then sorted by
     (norm, node count, sort key)."""
-    values = sorted({a.value.re for a in letters})
+    values = sorted({a.re for a in letters})
     if any(v < 1 or v.denominator != 1 for v in values):
         raise ValueError("forest enumeration needs positive integer decorations")
     trees_by_norm: dict[int, list[Tree]] = {}
@@ -353,12 +354,12 @@ def _dedup(items):
 
 
 def fraction_sort_key(x):
-    """Oracle for ``sort_key()`` of a Letter, Word, Tree or Forest: each
+    """Oracle for ``sort_key()`` of a letter, Word, Tree or Forest: each
     letter as its (Fraction re, Fraction im) pair, words and trees nested
     alike, and a forest's trees sorted by this key, whatever order it holds
     them in."""
-    if isinstance(x, Letter):
-        return (x.value.re, x.value.im)
+    if isinstance(x, GaussianRational):
+        return (x.re, x.im)
     if isinstance(x, Word):
         return tuple(fraction_sort_key(a) for a in x.letters)
     if isinstance(x, Tree):

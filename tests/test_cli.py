@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 from dataclasses import replace
 
 import pytest
@@ -128,6 +129,17 @@ class TestMonomialCommands:
     def test_pole_probe(self, capsys):
         rc, out = run(capsys, "monomial", "pole-probe", "--omega", "2", "--c", "0.5")
         assert rc == 0
+
+    def test_pole_probe_computes_at_c0(self, capsys, monkeypatch):
+        # the probe reads the pole off the closed form at c = 0 too, so a
+        # pole moved by 0.01 fails its gate
+        import armould.monomials as mono
+
+        exact = mono.f_closed_form_oracle
+        monkeypatch.setattr(mono, "f_closed_form_oracle", lambda p, x: exact(p, x + 0.01 if p.c == 0 else x))
+        rc, out = run(capsys, "monomial", "pole-probe", "--omega", "3", "--c", "0")
+        assert rc == 1
+        assert float(json.loads(out)["location_error"]) > 1e-3
 
     @pytest.mark.parametrize("norm_cap", ["0", "-1"])
     def test_growth_scan_norm_cap_below_one_rejected(self, capsys, norm_cap):
@@ -279,6 +291,71 @@ def test_non_finite_inputs_rejected(tmp_path, capsys, monkeypatch, invariants, a
     captured = capsys.readouterr()
     assert rc == 2 and captured.out == ""
     assert "error" in json.loads(captured.err)
+
+
+def _synthesize_argv(tmp_path, argv):
+    if argv[0] != "synthesize":
+        return argv
+    inv = tmp_path / "inv.json"
+    inv.write_text('{"A": {"1": "1/4"}}')
+    return argv + ["--invariants", str(inv)]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["synthesize", "--c", "1.2e154", "--caps", "4,4,2"],
+        ["monomial", "eval", "--word", "(1,2)", "--z=-2", "--c", "1.2e154"],
+        ["kernel", "eval", "--c", "1.2e154", "--omega", "2", "--y", "1", "--x", "1"],
+    ],
+    ids=["synthesize", "eval", "kernel"],
+)
+def test_c_too_large_for_what_is_computed_exits_2(tmp_path, capsys, argv):
+    # c^2 is finite, but c^2 omega or the square of the farthest ray node
+    # is not; the overflow warnings those would raise are errors here
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rc = main(_synthesize_argv(tmp_path, argv))
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert "c = 1.2e+154" in json.loads(captured.err)["error"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # farthest node (2c + 52/4)/cos(pi/4) + |z| of the nu = 4 ray: c < 4.740e153
+        ["synthesize", "--c", "4.7e153", "--caps", "4,4,2"],
+        # farthest node of the omega = 1 ray: c < 4.740e153
+        ["monomial", "eval", "--word", "(1,2)", "--z=-2", "--c", "4.7e153"],
+        # c^2 omega at omega = 10: c < 4.2399e153
+        ["monomial", "eval", "--word", "(10)", "--z=-2", "--c", "4.2e153"],
+        # c^2 omega at omega = 2: c < 9.4808e153
+        ["kernel", "eval", "--c", "9.4e153", "--omega", "2", "--y", "1", "--x", "1"],
+    ],
+    ids=["synthesize", "eval-far-node", "eval-c2-omega", "kernel"],
+)
+def test_c_just_inside_the_bounds_runs_without_warning(tmp_path, capsys, argv):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rc = main(_synthesize_argv(tmp_path, argv))
+    assert rc == 0 and capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("z_ray", ["0.2", "0"])
+def test_z_near_the_singular_ray_exits_before_any_forest_row(tmp_path, capsys, monkeypatch, z_ray):
+    import armould.synthesis as synth
+
+    def no_rows(*args):
+        raise AssertionError("a forest row was built")
+
+    monkeypatch.setattr(synth, "_forest_rows", no_rows)
+    inv = tmp_path / "inv.json"
+    inv.write_text('{"A": {"1": "1/4", "2": "1/8"}}')
+    rc = main(["synthesize", "--invariants", str(inv), "--c", "2", "--caps", "10,10,6", "--z-ray", z_ray, "--z-moduli", "1.5"])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert "singular ray" in json.loads(captured.err)["error"]
 
 
 def test_growth_scan_fails_on_a_nan_column(capsys, monkeypatch):

@@ -280,7 +280,7 @@ class TestContractedCoarborified:
             duals = coarborify_contracted(self.FAM, 4, counting=counting)
             covers = {f: contracting_covers(f, counting=counting) for f in duals}
             for w in words_of_norm_at_most([letter(n) for n in range(1, 5)], 4):
-                in_family = all(int(a.value.re) in self.FAM.betas for a in w)
+                in_family = all(int(a.re) in self.FAM.betas for a in w)
                 acc = op_compose_word(self.FAM, w) if in_family else DiffOperator.zero()
                 for f, op in duals.items():
                     mult = covers[f].get(w, 0)

@@ -113,7 +113,7 @@ class TestArborification:
         def rule(v: Word):
             acc = Fraction(1)
             for i, x in enumerate(v, start=1):
-                acc = (x.value * a + b * i) * acc
+                acc = (x * a + b * i) * acc
             return acc
 
         m = Mould(rule)

@@ -1,5 +1,6 @@
 """Synthesis pipeline: normalizer, conjugated field, diagnostics, linear RH."""
 
+import cmath
 import math
 from dataclasses import replace
 
@@ -47,6 +48,20 @@ class TestInvariantFamily:
     def test_z_sample_on_cut_rejected(self):
         with pytest.raises(SynthesisError):
             SynthesisConfig(c=1.0, z_samples=(3.0,))
+
+    def test_c_checked_without_z_samples(self):
+        # c is checked along with the z samples, so a config needs one
+        with pytest.raises(SynthesisError):
+            SynthesisConfig(c=math.nan, z_samples=())
+
+    def test_z_near_the_singular_ray_rejected_before_any_forest_row(self, monkeypatch):
+        # the quadrature refuses z within 0.3 rad of R+, so the config does
+        def no_rows(*args):
+            raise AssertionError("a forest row was built")
+
+        monkeypatch.setattr(synth, "_forest_rows", no_rows)
+        with pytest.raises(SynthesisError, match="singular ray"):
+            synthesize(InvariantFamily({1: 0.25, 2: 0.125}), SynthesisConfig(c=2.0, nu=10, r_max=6, z_samples=(1.5 * cmath.exp(0.2j),)))
 
     @pytest.mark.parametrize("nu, r_max", [(0, 4), (4, 0), (4, -1), (8, 7)])
     def test_degenerate_caps_rejected(self, nu, r_max):
@@ -221,7 +236,7 @@ class TestNormalizer:
             op = DiffOperator.identity()
             ok = True
             for a in w:
-                n = int(a.value.re)
+                n = int(a.re)
                 if n not in atoms:
                     ok = False
                     break

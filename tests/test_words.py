@@ -14,7 +14,6 @@ from armould.values import GaussianRational, parse_exact
 from armould.words import (
     EMPTY_WORD,
     Forest,
-    Letter,
     Tree,
     Word,
     contracting_covers,
@@ -283,10 +282,10 @@ class TestAgainstOracles:
                 count_forests([letter(1), letter(bad)], 2)
 
 
-def _fresh(a: Letter) -> Letter:
+def _fresh(a: GaussianRational) -> GaussianRational:
     """An equal letter that shares no object with ``a``."""
-    re, im = a.value.re, a.value.im
-    return Letter(GaussianRational(Fraction(re.numerator, re.denominator), Fraction(str(im))))
+    re, im = a.re, a.im
+    return GaussianRational(Fraction(re.numerator, re.denominator), Fraction(str(im)))
 
 
 def _rebuilt(f: Forest, permute) -> Forest:
