@@ -182,7 +182,9 @@ def _dispatch(args) -> int:
             if args.oracle:
                 ref = f_closed_form_oracle(p, x)
                 payload["f_oracle"] = _fnum(ref)
-                payload["f_vs_oracle_rel"] = _fnum(abs(v - ref) / abs(ref))
+                # both values underflow to 0 at a large c: a zero oracle is
+                # matched exactly or not at all
+                payload["f_vs_oracle_rel"] = _fnum(abs(v - ref) / abs(ref) if ref != 0 else (0.0 if v == 0 else math.inf))
         _emit(payload)
         return 0
 

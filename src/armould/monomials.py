@@ -34,7 +34,7 @@ import numpy as np
 from .kernels import KernelParams, f_closed_form_oracle, saddle_node_kernel
 from .moulds import words_of_norm_at_most
 from .quadrature import de_halfline, segment_quad
-from .words import Forest, Tree, Word, forests_of_norm, letter
+from .words import Forest, Tree, forests_of_norm, letter
 
 CONTRACTION_UNIT = -2j * math.pi
 MOULD_NORMALIZATION = 1.0 / CONTRACTION_UNIT  # per-letter factor -> symmetrel
@@ -204,7 +204,7 @@ class Quadrature:
     the ray it lands on (parent slot and decoration); z enters only the root
     sums.  One fold is held per (level, slot), so a batch shares the folds
     of items that come one after the other with a common subtree at a common
-    slot: walk the items depth first, e.g. words in reversed-word order."""
+    slot; paralog_batch_eval walks its items in that order."""
 
     def __init__(self, c: float, spec: ContourSpec | None = None):
         self.c = c
@@ -326,6 +326,11 @@ def paralog_Ua_eval(w, z: complex, c: float, spec: ContourSpec | None = None, qu
     return MonomialValue(value, err, dvalue, derr)
 
 
+def _ue_factor(nrm: complex, z: complex, c: float) -> complex:
+    """Ue^w(z) / Ua^w(z) = exp(||w||(z + c^2/z)) at norm nrm = ||w||."""
+    return cmath.exp(nrm * z + c * c * nrm / z)
+
+
 def paralog_variants(w, z: complex, c: float, spec: ContourSpec | None = None) -> tuple[MonomialValue, MonomialValue, MonomialValue]:
     """(Ua, U_c, Ue) from one Ua evaluation:
     U_c = Ua exp(c^2 ||w|| / z),   Ue = Ua exp(||w||(z + c^2/z))."""
@@ -333,7 +338,7 @@ def paralog_variants(w, z: complex, c: float, spec: ContourSpec | None = None) -
     z = complex(z)
     nrm = sum(_decorations(w))
     mid = cmath.exp(c * c * nrm / z)
-    full = cmath.exp(nrm * z + c * c * nrm / z)
+    full = _ue_factor(nrm, z, c)
     uc = MonomialValue(ua.value * mid, ua.error * abs(mid))
     ue = MonomialValue(ua.value * full, ua.error * abs(full))
     return ua, uc, ue
@@ -356,6 +361,30 @@ def paralog_forest_eval(f: Forest, z: complex, c: float, spec: ContourSpec | Non
         return MonomialValue(1.0 + 0.0j, 0.0)
     (value, err), _ = _refined(decs, parents, z, _batch(quad, c, spec))
     return MonomialValue(value, err)
+
+
+def paralog_batch_eval(items: Sequence, zs: Sequence[complex], c: float, spec: ContourSpec | None = None) -> list[list[MonomialValue]]:
+    """out[i][k] is items[i], a word (or decoration sequence) or a forest, at
+    zs[k]: one paralog_Ua_eval or paralog_forest_eval call with quad= per
+    pair, through one Quadrature, z the inner loop.  Items go depth first, by
+    node count, then by the preorder (decoration, parent link) pairs read from
+    the last node back, so that items sharing a subtree at a slot, such as a
+    word and its chain forest, come one after the other."""
+    quad = Quadrature(c, spec)
+
+    def key(i: int):
+        if isinstance(items[i], Forest):
+            decs, parents = _preorder(items[i])
+        else:
+            decs = _decorations(items[i])
+            parents = range(-1, len(decs) - 1)
+        return len(decs), [(d.real, d.imag, p) for d, p in zip(reversed(decs), reversed(parents))]
+
+    out: list[list] = [[] for _ in items]
+    for i in sorted(range(len(items)), key=key):
+        evaluate = paralog_forest_eval if isinstance(items[i], Forest) else paralog_Ua_eval
+        out[i] = [evaluate(items[i], z, c, spec, quad=quad) for z in zs]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -466,14 +495,11 @@ def growth_scan(c_values: Sequence[float], norm_cap: int, z: complex, include_fo
     khat: dict = {}
     details: dict = {}
     for c in c_values:
-        use = c0_spec if c == 0 else spec
-        quad = Quadrature(c, use)
-        values = [0j] * len(items)
-        for i in _batch_order(items):
-            evaluate = paralog_Ua_eval if isinstance(items[i], Word) else paralog_forest_eval
-            values[i] = evaluate(items[i], z, c, use, quad=quad).value
-        detail = {str(item): abs(v) ** (1.0 / nrm) for item, v, nrm in zip(items, values, norms)}
+        rows = paralog_batch_eval(items, [z], c, c0_spec if c == 0 else spec)
+        detail = {str(item): abs(row[0].value) ** (1.0 / nrm) for item, row, nrm in zip(items, rows, norms)}
         khat[float(c)] = float(np.max(list(detail.values()), initial=0.0))  # a NaN stays NaN
+        if c > 0 and khat[float(c)] == 0:
+            raise ValueError(f"K(c) underflows to 0 at c = {c}: every monomial value is 0, so log K(c) has no fit")
         details[float(c)] = detail
     positive = sorted(c for c in khat if c > 0)
     monotone = all(khat[a] > khat[b] for a, b in zip(positive, positive[1:]))
@@ -488,23 +514,6 @@ def growth_scan(c_values: Sequence[float], norm_cap: int, z: complex, include_fo
         fit_r2=r2,
         c0_khat=khat.get(0.0),
     )
-
-
-def _batch_order(items: Sequence) -> list[int]:
-    """Indices of words and forests in an order that walks them depth first:
-    by node count, then by the preorder (decoration, parent link) pairs read
-    from the last node back, so that items sharing a subtree at one slot,
-    such as a word and its chain forest, come one after the other."""
-
-    def key(i: int):
-        item = items[i]
-        if isinstance(item, Word):
-            decs, parents = _decorations(item), range(-1, item.length - 1)
-        else:
-            decs, parents = _preorder(item)
-        return len(decs), [(d.real, d.imag, p) for d, p in zip(reversed(decs), reversed(parents))]
-
-    return sorted(range(len(items)), key=key)
 
 
 def _loglinear_fit(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, float]:
@@ -543,6 +552,8 @@ def borel_pole_probe(omega: float, c: float) -> tuple[complex, complex]:
     z1, z2 = -omega + 1e-3, -omega + 2e-3
     f1 = f_closed_form_oracle(p, z1)
     f2 = f_closed_form_oracle(p, z2)
+    if f1 == 0 or f2 == 0:
+        raise ValueError(f"f underflows to 0 near its pole at c = {c}, omega = {omega}, so the pole has no fit")
     slope = (1.0 / f1 - 1.0 / f2) / (z1 - z2)
     location = complex(z1 - (1.0 / f1) / slope)
     return location, residue

@@ -30,16 +30,7 @@ from typing import Sequence
 import numpy as np
 
 from .moulds import Mould, arborify, builtin_mould, mould_compose, words_of_norm_at_most
-from .monomials import (
-    ContourError,
-    ContourSpec,
-    MOULD_NORMALIZATION,
-    Quadrature,
-    _batch_order,
-    _check_z,
-    paralog_Ua_eval,
-    paralog_variants,
-)
+from .monomials import ContourError, ContourSpec, MOULD_NORMALIZATION, _check_z, _ue_factor, paralog_batch_eval
 from .operators import (
     DerivationFamily,
     DiffOperator,
@@ -119,6 +110,14 @@ class SynthesisConfig:
             # every decoration a synthesis evaluates is a positive integer at
             # most nu: they share the singular ray R+, and nu is the largest
             _check_sample(z, self.c, (complex(self.nu),))
+            # so is every word norm, and |exp(n (z + c^2/z))| is largest at
+            # n = nu wherever it can overflow
+            try:
+                finite = cmath.isfinite(_ue_factor(complex(self.nu), z, self.c))
+            except OverflowError:
+                finite = False
+            if not finite:
+                raise SynthesisError(f"c = {self.c} and z = {z}: the Ue factor exp(nu (z + c^2/z)) overflows at norm nu = {self.nu}")
         object.__setattr__(self, "z_samples", zs)
 
 
@@ -205,19 +204,15 @@ def _forest_rows(fam: DerivationFamily, nu: int, r_max: int) -> tuple[list[Word]
 def _signed_monomials(words: list[Word], cfg: SynthesisConfig) -> list[tuple[dict, dict]]:
     """L^w = (-1)^r (2 pi i)^{-r} Ue_c^w(z), i.e. the per-letter
     normalization MOULD_NORMALIZATION that makes the family symmetrel, and
-    its exact z-derivative dL^w, for the given words at every z sample.  The
-    Ua values come from one Quadrature with z the inner loop, in the batch
-    order, so that words that share a tail, and with it their deeper Cauchy
-    folds, come one after the other."""
+    its exact z-derivative dL^w, for the given words at every z sample, from
+    one paralog_batch_eval."""
     c = cfg.c
-    quad = Quadrature(c, ContourSpec())
     tables: list[tuple[dict, dict]] = [({}, {}) for _ in cfg.z_samples]
-    for w in (words[i] for i in _batch_order(words)):
+    for w, row in zip(words, paralog_batch_eval(words, cfg.z_samples, c)):
         nrm = complex(w.norm)
         unit = MOULD_NORMALIZATION**w.length
-        for (ell, d_ell), z in zip(tables, cfg.z_samples):
-            ua = paralog_Ua_eval(w, z, c, quad=quad)
-            expo = cmath.exp(nrm * z + c * c * nrm / z)
+        for (ell, d_ell), z, ua in zip(tables, cfg.z_samples, row):
+            expo = _ue_factor(nrm, z, c)
             ell[w] = unit * ua.value * expo
             d_ell[w] = unit * (ua.derivative + nrm * (1.0 - c * c / (z * z)) * ua.value) * expo
     return tables
@@ -433,20 +428,24 @@ def linear_rh_synthesize(lambdas: tuple, a12: complex, a21: complex, c: float, r
     z = 2.4j
     _check_sample(z, c, (om12, om21))
     mats = {om12: np.array([[0, a12], [0, 0]], dtype=complex), om21: np.array([[0, 0], [a21, 0]], dtype=complex)}
-    theta = np.eye(2, dtype=complex)
-    term_norms: dict = {}
+    # A_12 and A_21 are nilpotent matrix units, so A_{w_r} ... A_{w_1} is zero
+    # unless w alternates: per length, the one ending in omega_21, then omega_12
+    terms = []
     for r in range(1, r_max + 1):
-        layer = np.zeros((2, 2), dtype=complex)
-        for bits in range(2**r):
-            seq = [om12 if (bits >> k) & 1 else om21 for k in range(r)]
+        for last, other in ((om21, om12), (om12, om21)):
+            seq = ((other, last) * r)[-r:]
             prod = np.eye(2, dtype=complex)
             for om in seq:  # A_{w_r} ... A_{w_1}
                 prod = mats[om] @ prod
-            if not prod.any():
-                continue
-            layer += ((-1.0) ** r) * paralog_variants(seq, z, c)[2].value * prod
-        term_norms[r] = float(np.max(np.abs(layer)))
+            if prod.any():
+                terms.append((r, seq, prod))
+    layers = {r: np.zeros((2, 2), dtype=complex) for r in range(1, r_max + 1)}
+    for (r, seq, prod), (ua,) in zip(terms, paralog_batch_eval([seq for _, seq, _ in terms], [z], c)):
+        layers[r] += ((-1.0) ** r) * (ua.value * _ue_factor(sum(seq), z, c)) * prod
+    theta = np.eye(2, dtype=complex)
+    for layer in layers.values():  # in r order
         theta += layer
+    term_norms = {r: float(np.max(np.abs(layer))) for r, layer in layers.items()}
     norms = [term_norms[r] for r in sorted(term_norms) if term_norms[r] > 0]
     decay = all(b < a for a, b in zip(norms, norms[1:])) and bool(norms)
     return LinearRHReport(lambdas=(l1, l2), c=c, term_norms=term_norms, geometric_decay=decay, theta_matrix=theta)

@@ -119,7 +119,7 @@ def cauchy_fold_dense(values: np.ndarray, y_from: np.ndarray, y_to: np.ndarray) 
     out = np.empty(len(y_to), dtype=complex)
     for lo in range(0, len(y_to), 512):
         hi = min(lo + 512, len(y_to))
-        out[lo:hi] = (values[None, :] / (y_from[None, :] - y_to[lo:hi, None])).sum(axis=1)
+        out[lo:hi] = np.reciprocal(y_from[None, :] - y_to[lo:hi, None]) @ values
     return out
 
 

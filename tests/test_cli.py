@@ -103,6 +103,22 @@ class TestKernelCommand:
         assert payload["f"].startswith("0.27973176363304")
 
 
+    def test_oracle_comparison_when_f_underflows(self, capsys):
+        # at c = 1e100 both f and its closed form underflow to 0
+        rc, out = run(capsys, "kernel", "eval", "--c", "1e100", "--omega", "2", "--x", "1", "--oracle")
+        assert rc == 0
+        payload = json.loads(out)
+        assert (payload["f"], payload["f_oracle"], payload["f_vs_oracle_rel"]) == ("0.0+0.0i", "0.0+0.0i", "0.0")
+
+    def test_oracle_comparison_when_only_the_oracle_is_zero(self, capsys, monkeypatch):
+        import armould.cli as cli
+
+        monkeypatch.setattr(cli, "f_closed_form_oracle", lambda p, x: 0j)
+        rc, out = run(capsys, "kernel", "eval", "--c", "1", "--omega", "1", "--x", "0", "--oracle")
+        assert rc == 0
+        assert json.loads(out)["f_vs_oracle_rel"] == "inf"
+
+
 class TestMonomialCommands:
     def test_eval_json(self, capsys):
         rc, out = run(capsys, "monomial", "eval", "--word", "(1)", "--z", "-2", "--c", "1")
@@ -140,6 +156,21 @@ class TestMonomialCommands:
         rc, out = run(capsys, "monomial", "pole-probe", "--omega", "3", "--c", "0")
         assert rc == 1
         assert float(json.loads(out)["location_error"]) > 1e-3
+
+    def test_pole_probe_with_an_underflowing_minor_exits_2(self, capsys):
+        # at c = 1e100 the closed form of f is 0 near the pole
+        rc = main(["monomial", "pole-probe", "--omega", "2", "--c", "1e100"])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        error = json.loads(captured.err)["error"]
+        assert "c = 1e+100" in error and "omega = 2.0" in error
+
+    def test_growth_scan_with_an_underflowing_column_exits_2(self, capsys):
+        # every monomial at c = 1e100 is 0, and log K(c) would be -inf
+        rc = main(["monomial", "growth-scan", "--c-grid", "1e100,1", "--norm-cap", "2", "--z", "-2"])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert "c = 1e+100" in json.loads(captured.err)["error"]
 
     @pytest.mark.parametrize("norm_cap", ["0", "-1"])
     def test_growth_scan_norm_cap_below_one_rejected(self, capsys, norm_cap):
@@ -225,15 +256,15 @@ class TestSynthesizeCommand:
     def test_non_finite_output_fails_the_gate(self, tmp_path, capsys, monkeypatch):
         # a NaN monomial value makes the field coefficients and both defects
         # come out NaN
-        import armould.synthesis as synth
+        import armould.monomials as mono
 
-        one_item = synth.paralog_Ua_eval
+        one_item = mono.paralog_Ua_eval
 
         def nan_value(*args, **kwargs):
             mv = one_item(*args, **kwargs)
             return replace(mv, value=complex(math.nan, 0.0), derivative=complex(math.nan, 0.0))
 
-        monkeypatch.setattr(synth, "paralog_Ua_eval", nan_value)
+        monkeypatch.setattr(mono, "paralog_Ua_eval", nan_value)
         inv = tmp_path / "inv.json"
         inv.write_text('{"A": {"1": "1/4"}, "H": 1.0}')
         rc, out = run(capsys, "synthesize", "--invariants", str(inv), "--c", "2", "--caps", "4,4,2")
@@ -356,6 +387,24 @@ def test_z_near_the_singular_ray_exits_before_any_forest_row(tmp_path, capsys, m
     captured = capsys.readouterr()
     assert rc == 2 and captured.out == ""
     assert "singular ray" in json.loads(captured.err)["error"]
+
+
+def test_ue_factor_overflow_exits_before_any_forest_row(tmp_path, capsys, monkeypatch):
+    # at z = 2 e^i, Re(z + c^2/z) = 5402 at c = 100, so exp(nu (z + c^2/z))
+    # overflows
+    import armould.synthesis as synth
+
+    def no_rows(*args):
+        raise AssertionError("a forest row was built")
+
+    monkeypatch.setattr(synth, "_forest_rows", no_rows)
+    inv = tmp_path / "inv.json"
+    inv.write_text('{"A": {"1": "1/4"}}')
+    rc = main(["synthesize", "--invariants", str(inv), "--c", "100", "--caps", "4,4,2", "--z-ray", "1"])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    error = json.loads(captured.err)["error"]
+    assert "c = 100.0" in error and "z = (1.080604611736+1.682941969616j)" in error
 
 
 def test_growth_scan_fails_on_a_nan_column(capsys, monkeypatch):

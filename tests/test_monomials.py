@@ -24,6 +24,7 @@ from armould.monomials import (
     hyperlog_V_borel,
     hyperlog_V_eval,
     paralog_Ua_eval,
+    paralog_batch_eval,
     paralog_forest_eval,
     paralog_variants,
 )
@@ -248,8 +249,8 @@ class TestFold:
         # every word and forest is evaluated with the library fold and with
         # the dense oracle; the bound is the smaller reported error, since
         # fold noise in the library value also widens its own Richardson
-        # error estimate.  Each fold evaluates all cases through its own
-        # Quadrature, in batch order, so a fold shared by cases runs once.
+        # error estimate.  Each fold evaluates all cases through one
+        # paralog_batch_eval, so a fold shared by cases runs once.
         letters = [letter(1), letter(2)]
         max_len, max_norm = (3, 3) if c == 0 else (4, 4)
         words = [word(*w) for r in range(1, max_len + 1) for w in itertools.product((1, 2), repeat=r)]
@@ -259,12 +260,7 @@ class TestFold:
         results = []
         for fold in (mono._cauchy_fold, _dense_fold):
             monkeypatch.setattr(mono, "_cauchy_fold", fold)
-            quad = Quadrature(c)
-            out = {}
-            for i in mono._batch_order(cases):
-                evaluate = paralog_Ua_eval if i < len(words) else paralog_forest_eval
-                out[i] = evaluate(cases[i], Z, c, quad=quad)
-            results.append(out)
+            results.append([row[0] for row in paralog_batch_eval(cases, [Z], c)])
         fast, dense = results
         for i, case in enumerate(cases):
             assert abs(fast[i].value - dense[i].value) <= min(fast[i].error, dense[i].error), (str(case), c)
@@ -272,6 +268,22 @@ class TestFold:
 
 def _repr_fields(mv) -> tuple:
     return tuple(repr(x) for x in (mv.value, mv.error, mv.derivative, mv.derivative_error))
+
+
+def _one_item(item, z, c, **kwargs):
+    evaluate = paralog_Ua_eval if isinstance(item, Word) else paralog_forest_eval
+    return evaluate(item, z, c, **kwargs)
+
+
+def _through_one_quadrature(batch, c) -> list:
+    quad = Quadrature(c)
+    return [_one_item(item, z, c, quad=quad) for item, z in batch]
+
+
+def _through_batch_eval(batch, c) -> list:
+    zs = list(dict.fromkeys(z for _, z in batch))
+    out = paralog_batch_eval([item for item, _ in batch], zs, c)
+    return [row[zs.index(z)] for row, (_, z) in zip(out, batch)]
 
 
 _LETTERS = (1, 2, 3)
@@ -285,14 +297,13 @@ class TestQuadrature:
 
     @settings(max_examples=25, deadline=None, derandomize=True, database=None)
     @given(
+        st.sampled_from([_through_one_quadrature, _through_batch_eval]),
         st.sampled_from([0.0, 1.0]),
         st.lists(st.tuples(st.one_of(_WORDS, _FORESTS), st.sampled_from([Z, -1.5 + 0.5j])), min_size=1, max_size=6),
     )
-    def test_batch_equals_one_item_evaluation(self, c, batch):
-        quad = Quadrature(c)
-        for item, z in batch:
-            evaluate = paralog_Ua_eval if isinstance(item, Word) else paralog_forest_eval
-            assert _repr_fields(evaluate(item, z, c, quad=quad)) == _repr_fields(evaluate(item, z, c)), (str(item), z, c)
+    def test_batch_equals_one_item_evaluation(self, evaluate_batch, c, batch):
+        for (item, z), mv in zip(batch, evaluate_batch(batch, c), strict=True):
+            assert _repr_fields(mv) == _repr_fields(_one_item(item, z, c)), (str(item), z, c)
 
     def test_words_in_reversed_order_build_each_ray_and_fold_once(self, monkeypatch):
         # by length, then reversed word, with z as the inner loop: words

@@ -328,13 +328,13 @@ class TestConvergenceReport:
         # a NaN Ua^(2) at the first of two z samples makes that sample's
         # norm-2 tail NaN; the max over samples and the ratios beside it
         # keep the NaN whichever sample comes first
-        one_item = synth.paralog_Ua_eval
+        one_item = mono.paralog_Ua_eval
 
         def nan_at_first_z(w, z, *args, **kwargs):
             mv = one_item(w, z, *args, **kwargs)
             return replace(mv, value=complex(math.nan, 0.0)) if (w, z) == (word(2), -1.5) else mv
 
-        monkeypatch.setattr(synth, "paralog_Ua_eval", nan_at_first_z)
+        monkeypatch.setattr(mono, "paralog_Ua_eval", nan_at_first_z)
         inv = InvariantFamily({1: 0.25, 2: 0.125})
         cfg = SynthesisConfig(c=2.0, nu=3, r_max=3, z_samples=(-1.5, -2.5))
         rep = convergence_report(inv, cfg, [2.0])
@@ -426,6 +426,26 @@ class TestLinearRH:
     def test_non_finite_inputs_rejected(self, lambdas, a12, a21, name):
         with pytest.raises(SynthesisError, match=f"{name} = .* is not finite"):
             linear_rh_synthesize(lambdas, a12, a21, c=1.0)
+
+    def test_one_batch_builds_each_ray_once(self, monkeypatch):
+        # only the alternating words are evaluated, through one batch: one
+        # ray per level, slot, decoration and step h = min_gap / 4.6.  From
+        # r = 4 on, min_gap rounds one ulp below eps, so the r = 4 rays are
+        # not those of r <= 3: 28 rays, where one evaluation per word builds
+        # 40 (2 levels x (1 + 2 + 3 + 4) slots x 2 words)
+        calls = []
+        library_ray = mono._ray
+
+        def counted(*args):
+            calls.append(args)
+            return library_ray(*args)
+
+        monkeypatch.setattr(mono, "_ray", counted)
+        linear_rh_synthesize((1.0, 0.0), 10.0, 10.0, c=0.5, r_max=4)
+        spec = ContourSpec()
+        levels = range(spec.richardson_levels)
+        rays = {(lvl, j, om, spec.min_gap(r, lvl)) for lvl in levels for r in range(1, 5) for j in range(r) for om in (1.0, -1.0)}
+        assert len(calls) == len(rays) == 28
 
     def test_alternating_structure(self):
         # odd layers are off-diagonal, even layers diagonal
