@@ -46,31 +46,36 @@ class ContourError(ValueError):
 
 @dataclass(frozen=True)
 class ContourSpec:
-    """Rotated-ray prescription: variable slot j (1-based) integrates along
-    e^{-i angle_j} R+ with angle_j = eps * multipliers[j-1]; multipliers must
-    be strictly increasing so deeper variables pass strictly further under
-    the axis (admissibility: all angles in (0, pi/4))."""
+    """Rotated-ray prescription: slot j (0-based) integrates along
+    e^{-i angle_j} R+, angle_j = eps * multipliers[j] / 2^level at Richardson
+    level `level`.  Construction checks that the angles increase strictly, so
+    deeper variables pass further under the axis, lie in (0, pi/4), and that
+    there is a level."""
 
     eps: float = 0.05
     multipliers: tuple = (1.0, 2.0, 3.0, 4.0, 5.0, 6.0)
     richardson_levels: int = 2
 
-    def angles(self, r: int, level: int = 0) -> tuple:
-        if r > len(self.multipliers):
-            raise ContourError(f"contour spec has {len(self.multipliers)} slots, the integral needs {r}")
-        eps = self.eps / (2**level)
-        out = tuple(eps * m for m in self.multipliers[:r])
-        if any(b <= a for a, b in zip(out, out[1:])):
-            raise ContourError("angles must be strictly increasing")
-        if out and not (0 < out[0] and out[-1] < math.pi / 4):
-            raise ContourError("angles must lie in (0, pi/4)")
-        return out
+    def __post_init__(self):
+        angles = [self.eps * m for m in self.multipliers]
+        if not angles or any(b <= a for a, b in zip(angles, angles[1:])):
+            raise ContourError(f"multipliers {self.multipliers} must be nonempty and strictly increasing")
+        if not (0 < angles[0] and angles[-1] < math.pi / 4):
+            raise ContourError(f"angles eps * multipliers = {angles} must lie in (0, pi/4)")
+        if self.richardson_levels < 1:
+            raise ContourError(f"richardson_levels = {self.richardson_levels} must be >= 1")
 
-    def min_gap(self, r: int, level: int = 0) -> float:
-        ang = self.angles(r, level)
-        if len(ang) <= 1:
-            return ang[0] if ang else self.eps
-        return min(b - a for a, b in zip(ang, ang[1:]))
+    def step(self, level: int) -> float:
+        """The trapezoid step of every ray at this level: the narrowest strip
+        between adjacent slots, slot 0 and the axis included, over 4.6, so
+        that the strip error e^{-2 pi gap/h} is about 3e-13."""
+        gap = min(b - a for a, b in zip((0.0, *self.multipliers), self.multipliers))
+        return self.eps / 2**level * gap / 4.6
+
+    def check_slots(self, r: int, what: str = "the integral"):
+        """Refuse an integral over more variables than the spec has slots."""
+        if r > len(self.multipliers):
+            raise ContourError(f"{what} needs {r} integration slots, the contour has {len(self.multipliers)}")
 
 
 @dataclass
@@ -198,26 +203,27 @@ class Quadrature:
     Cauchy folds shared by every word, forest and z sample evaluated through
     it, and freed with it.
 
-    A ray, with its weighted kernel values, depends on the level, the slot,
-    the decoration and the step, and is built once.  A fold depends on the
-    subtree it folds (decorations and parent links, from its slot on) and on
-    the ray it lands on (parent slot and decoration); z enters only the root
-    sums.  One fold is held per (level, slot), so a batch shares the folds
+    A ray, with its weighted kernel values, depends on the level, the slot
+    and the decoration alone, since the spec sets its tilt and step, and is
+    built once.  A fold depends on the subtree it folds (decorations and
+    parent links, from its slot on) and on the ray it lands on (parent slot
+    and decoration); z enters only the root sums.  One fold is held per (level, slot), so a batch shares the folds
     of items that come one after the other with a common subtree at a common
     slot; paralog_batch_eval walks its items in that order."""
 
     def __init__(self, c: float, spec: ContourSpec | None = None):
         self.c = c
         self.spec = spec or ContourSpec()
-        self._rays: dict = {}  # (level, slot, decoration, h) -> (y, log y_0, weighted kernel values)
+        self._rays: dict = {}  # (level, slot, decoration) -> (y, log y_0, weighted kernel values)
         self._folds: dict = {}  # (level, slot) -> (fold key, folded values)
 
-    def ray(self, level: int, slot: int, om: complex, tilt: float, h: float):
+    def ray(self, level: int, slot: int, om: complex):
         """The ray of decoration om at (level, slot), built on first use."""
-        key = (level, slot, om, h)
+        key = (level, slot, om)
         ray = self._rays.get(key)
         if ray is None:
-            c = self.c
+            c, h = self.c, self.spec.step(level)
+            tilt = self.spec.eps / 2**level * self.spec.multipliers[slot]
             t_lo, t_hi = _t_window(c, abs(om), math.cos(tilt))
             npts = max(int(math.ceil((t_hi - t_lo) / h)) + 1, 33)
             y, wgt, log0 = _ray(c if c > 0 else 1.0, -cmath.phase(om), tilt, t_lo, h, npts)
@@ -238,26 +244,17 @@ class Quadrature:
         return folded
 
 
-def _batch(quad: Quadrature | None, c: float, spec: ContourSpec) -> Quadrature:
-    if quad is None:
-        return Quadrature(c, spec)
-    if (c, spec) != (quad.c, quad.spec):
-        raise ValueError(f"quadrature for c = {quad.c}, {quad.spec} asked to evaluate at c = {c}, {spec}")
-    return quad
-
-
 def _pass(decorations: Sequence[complex], parents: Sequence[int], z: complex, quad: Quadrature, level: int) -> tuple[complex, complex]:
     """One trapezoid evaluation of the iterated integral over a preorder node
     list: a factor 1/(y_child - y_parent) per edge and 1/(y_root - z) per root.
     Returns that value and, from the same folds with 1/(y_root - z)^2 at the
     roots, the z-derivative of a one-root integral (a word).  Nodes are folded
     leaves first, each one's children multiplied in preorder; a word is the
-    chain (-1, 0, ..., r-2).  Every ray has the same step h, so each edge is
-    one Toeplitz fold.  Rays come from quad, and so does the fold of every
-    subtree quad holds, which spares the nodes below it."""
+    chain (-1, 0, ..., r-2).  Every ray of a level has the same step h, so each
+    edge is one Toeplitz fold.  Rays come from quad, and so does the fold of
+    every subtree quad holds, which spares the nodes below it."""
     n = len(decorations)
-    tilts = quad.spec.angles(n, level)
-    h = quad.spec.min_gap(n, level) / 4.6  # e^{-2 pi gap/h} ~ 3e-13
+    h = quad.spec.step(level)
     ends = list(range(1, n + 1))  # node j's subtree is the preorder slice j:ends[j]
     for j in range(n - 1, -1, -1):
         if parents[j] >= 0:
@@ -271,7 +268,7 @@ def _pass(decorations: Sequence[complex], parents: Sequence[int], z: complex, qu
             computed[j] = True
         elif computed[p]:  # below a held fold no node is visited
             children[p].append(j)
-            keys[j] = (h, decorations[j : ends[j]], tuple(q - j for q in parents[j + 1 : ends[j]]), p, decorations[p])
+            keys[j] = (decorations[j : ends[j]], tuple(q - j for q in parents[j + 1 : ends[j]]), p, decorations[p])
             held = quad.held(level, j, keys[j])
             if held is None:
                 computed[j] = True
@@ -280,12 +277,12 @@ def _pass(decorations: Sequence[complex], parents: Sequence[int], z: complex, qu
     for j in range(n - 1, -1, -1):
         if not computed[j]:
             continue
-        y, log0, vals = quad.ray(level, j, decorations[j], tilts[j], h)
+        y, log0, vals = quad.ray(level, j, decorations[j])
         for ch in children[j]:
             vals = vals * folded.pop(ch)
         p = parents[j]
         if p >= 0:
-            y_to, log_to, _ = quad.ray(level, p, decorations[p], tilts[p], h)
+            y_to, log_to, _ = quad.ray(level, p, decorations[p])
             folded[j] = quad.hold(level, j, keys[j], _cauchy_fold(vals, y, log0, y_to, log_to, h))
         else:
             d = y - z
@@ -310,19 +307,30 @@ def _refined(decorations, parents, z: complex, quad: Quadrature) -> tuple[tuple[
     return out[0], out[1]
 
 
+def _monomial(decorations, parents, z: complex, c: float, spec: ContourSpec | None, quad: Quadrature | None):
+    """The body of paralog_Ua_eval and paralog_forest_eval: check z, c and
+    the slot count, then refine through quad, or through a batch of one."""
+    spec = spec or ContourSpec()
+    z = _check_z(z, c, decorations)
+    spec.check_slots(len(decorations))
+    if not decorations:
+        return (1.0 + 0.0j, 0.0), (0.0j, 0.0)
+    if quad is None:
+        quad = Quadrature(c, spec)
+    elif (c, spec) != (quad.c, quad.spec):
+        raise ValueError(f"quadrature for c = {quad.c}, {quad.spec} asked to evaluate at c = {c}, {spec}")
+    return _refined(decorations, parents, z, quad)
+
+
 def paralog_Ua_eval(w, z: complex, c: float, spec: ContourSpec | None = None, quad: Quadrature | None = None) -> MonomialValue:
     """Raw auxiliary paralogarithmic monomial Ua^w(z) and its z-derivative,
     both from one set of passes, Richardson-refined in the tilt parameter;
     each reported error dominates the observed refinement delta.  quad, a
     Quadrature for the same (c, spec), shares rays and folds with the other
     evaluations of its batch; without it the word is a batch of one."""
-    spec = spec or ContourSpec()
     decs = _decorations(w)
-    z = _check_z(z, c, decs)
-    if not decs:
-        return MonomialValue(1.0 + 0.0j, 0.0, 0.0j, 0.0)
     chain = tuple(range(-1, len(decs) - 1))  # a word is the chain forest
-    (value, err), (dvalue, derr) = _refined(decs, chain, z, _batch(quad, c, spec))
+    (value, err), (dvalue, derr) = _monomial(decs, chain, z, c, spec, quad)
     return MonomialValue(value, err, dvalue, derr)
 
 
@@ -354,12 +362,7 @@ def paralog_forest_eval(f: Forest, z: complex, c: float, spec: ContourSpec | Non
     with variables indexed by nodes, a difference factor 1/(y_child - y_parent)
     per tree edge and a root factor 1/(y_root - z) per tree.  quad as for
     paralog_Ua_eval."""
-    spec = spec or ContourSpec()
-    decs, parents = _preorder(f)
-    z = _check_z(z, c, decs)
-    if not decs:
-        return MonomialValue(1.0 + 0.0j, 0.0)
-    (value, err), _ = _refined(decs, parents, z, _batch(quad, c, spec))
+    (value, err), _ = _monomial(*_preorder(f), z, c, spec, quad)
     return MonomialValue(value, err)
 
 

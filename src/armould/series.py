@@ -72,10 +72,7 @@ class TruncatedSeries:
         if not isinstance(other, TruncatedSeries):
             other = TruncatedSeries.constant(other, self.nu)
         self._check(other)
-        out = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            out[k] = out.get(k, 0) + c
-        return TruncatedSeries(out, self.nu)
+        return TruncatedSeries(_poly_add(self.coeffs, other.coeffs), self.nu)
 
     __radd__ = __add__
 

@@ -52,10 +52,10 @@ class SynthesisError(ValueError):
     pass
 
 
-def _check_sample(z: complex, c: float, decorations: tuple):
-    """monomials._check_z, failing with a SynthesisError."""
+def _refuse(check, *args):
+    """A monomials input check, failing with a SynthesisError."""
     try:
-        _check_z(z, c, decorations)
+        check(*args)
     except ContourError as exc:
         raise SynthesisError(str(exc)) from None
 
@@ -100,16 +100,14 @@ class SynthesisConfig:
     def __post_init__(self):
         if self.nu < 1 or self.r_max < 1:
             raise SynthesisError(f"caps nu = {self.nu} and r_max = {self.r_max} must both be >= 1")
-        slots = len(ContourSpec().multipliers)
-        if self.r_max > slots:
-            raise SynthesisError(f"r_max = {self.r_max} exceeds the {slots} integration slots of the contour")
+        _refuse(ContourSpec().check_slots, self.r_max, f"r_max = {self.r_max}")
         zs = tuple(complex(z) for z in self.z_samples)
         if not zs:
             raise SynthesisError("a synthesis needs at least one z sample")
         for z in zs:
             # every decoration a synthesis evaluates is a positive integer at
             # most nu: they share the singular ray R+, and nu is the largest
-            _check_sample(z, self.c, (complex(self.nu),))
+            _refuse(_check_z, z, self.c, (complex(self.nu),))
             # so is every word norm, and |exp(n (z + c^2/z))| is largest at
             # n = nu wherever it can overflow
             try:
@@ -424,9 +422,10 @@ def linear_rh_synthesize(lambdas: tuple, a12: complex, a21: complex, c: float, r
         raise SynthesisError(f"omega_12 = lambda1 - lambda2 = {om12} is not finite")
     if r_max < 1:
         raise SynthesisError(f"r_max = {r_max} must be >= 1")
+    _refuse(ContourSpec().check_slots, r_max, f"r_max = {r_max}")
     om21 = -om12
     z = 2.4j
-    _check_sample(z, c, (om12, om21))
+    _refuse(_check_z, z, c, (om12, om21))
     mats = {om12: np.array([[0, a12], [0, 0]], dtype=complex), om21: np.array([[0, 0], [a21, 0]], dtype=complex)}
     # A_12 and A_21 are nilpotent matrix units, so A_{w_r} ... A_{w_1} is zero
     # unless w alternates: per length, the one ending in omega_21, then omega_12

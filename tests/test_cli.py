@@ -454,6 +454,20 @@ class TestLinearRHCommand:
         assert rc == 2 and captured.out == ""
         assert "r_max" in json.loads(captured.err)["error"]
 
+    def test_r_max_above_the_slots_exits_before_any_monomial(self, capsys, monkeypatch):
+        # the contour has six slots, so a seventh letter is refused before
+        # any word is evaluated or any matrix product built
+        import armould.synthesis as synth
+
+        def no_batch(*args):
+            raise AssertionError("a monomial batch ran")
+
+        monkeypatch.setattr(synth, "paralog_batch_eval", no_batch)
+        rc = main(["linear-rh", "--a12", "10", "--a21", "10", "--c", "0.5", "--r-max", "7"])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert "r_max = 7" in json.loads(captured.err)["error"]
+
 
 @pytest.mark.parametrize(
     "argv",

@@ -38,19 +38,47 @@ C = 1.0
 
 
 class TestContourSpec:
+    """A spec checks its angles once, when it is constructed."""
+
     def test_angles_increasing_and_bounded(self):
-        spec = ContourSpec()
-        ang = spec.angles(4)
-        assert all(b > a for a, b in zip(ang, ang[1:]))
-        assert 0 < ang[0] and ang[-1] < math.pi / 4
+        # construction accepts the default and a spec whose deepest angle,
+        # 0.78, is just under pi/4
+        for spec in (ContourSpec(), ContourSpec(eps=0.13)):
+            ang = [spec.eps * m for m in spec.multipliers]
+            assert all(b > a for a, b in zip(ang, ang[1:]))
+            assert 0 < ang[0] and ang[-1] < math.pi / 4
 
     def test_too_many_slots(self):
-        with pytest.raises(ContourError):
-            ContourSpec(multipliers=(1, 2)).angles(3)
+        spec = ContourSpec(multipliers=(1, 2))
+        with pytest.raises(ContourError, match="3 integration slots"):
+            spec.check_slots(3)
+        with pytest.raises(ContourError, match="3 integration slots"):
+            paralog_Ua_eval(word(1, 1, 1), Z, C, spec)
 
     def test_non_monotone_rejected(self):
+        with pytest.raises(ContourError, match="strictly increasing"):
+            ContourSpec(multipliers=(2, 1, 3))
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"eps": math.pi / 4, "multipliers": (0.5, 1.0)},
+            {"eps": 0.2},
+            {"multipliers": (0.0, 1.0)},
+            {"multipliers": ()},
+            {"richardson_levels": 0},
+        ],
+        ids=["last-at-pi/4", "last-above-pi/4", "first-at-the-axis", "no-slot", "no-level"],
+    )
+    def test_inadmissible_spec_rejected(self, fields):
         with pytest.raises(ContourError):
-            ContourSpec(multipliers=(2, 1, 3)).angles(3)
+            ContourSpec(**fields)
+
+    def test_step_is_the_narrowest_gap_over_4_6(self):
+        # the strip of slot 0 reaches the axis; the default's gaps are all 1
+        assert ContourSpec().step(1) == 0.05 / 2 / 4.6
+        assert ContourSpec(eps=0.03, multipliers=(2, 2.5, 4)).step(0) == 0.03 * 0.5 / 4.6
+        assert ContourSpec(eps=0.03, multipliers=(0.4, 2, 3)).step(0) == 0.03 * 0.4 / 4.6
 
 
 class TestParalogUa:
@@ -331,6 +359,23 @@ class TestQuadrature:
         folds = {(lvl, j, ls[j:], ls[j - 1]) for lvl in levels for ls in letters for j in range(1, len(ls))}
         assert calls == {"_ray": len(rays), "_cauchy_fold": len(folds)}
 
+    def test_one_ray_per_level_slot_and_decoration_whatever_the_length(self, monkeypatch):
+        # the step is a property of the level, so a word of five letters
+        # reuses the rays that shorter words built
+        calls = []
+        library_ray = mono._ray
+
+        def counted(*args):
+            calls.append(args)
+            return library_ray(*args)
+
+        monkeypatch.setattr(mono, "_ray", counted)
+        quad = Quadrature(C)
+        for r in range(1, 6):
+            for w in itertools.product((1, 2), repeat=r):
+                paralog_Ua_eval(word(*w), Z, C, quad=quad)
+        assert len(calls) == ContourSpec().richardson_levels * 5 * 2
+
     def test_holds_at_most_one_fold_per_level_and_slot(self, monkeypatch):
         # every fold array still alive after an evaluation is one the
         # Quadrature holds, at most one per (level, slot), and all of them
@@ -360,8 +405,9 @@ class TestQuadrature:
     @pytest.mark.parametrize("c", [0.0, 0.5, 2.0])
     def test_ray_weights_are_kernel_times_trapezoid_weights(self, c, om):
         spec = ContourSpec()
-        h = spec.min_gap(2) / 4.6
-        y, _, vals = Quadrature(c, spec).ray(0, 1, complex(om), spec.angles(2)[1], h)
+        h = spec.step(0)
+        y, _, vals = Quadrature(c, spec).ray(0, 1, complex(om))
+        assert np.allclose(np.angle(y), -spec.eps * spec.multipliers[1])
         wgt = y * h
         wgt[[0, -1]] *= 0.5
         assert np.array_equal(vals, g_eval(KernelParams(c, om), y) * wgt)

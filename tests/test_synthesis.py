@@ -429,10 +429,9 @@ class TestLinearRH:
 
     def test_one_batch_builds_each_ray_once(self, monkeypatch):
         # only the alternating words are evaluated, through one batch: one
-        # ray per level, slot, decoration and step h = min_gap / 4.6.  From
-        # r = 4 on, min_gap rounds one ulp below eps, so the r = 4 rays are
-        # not those of r <= 3: 28 rays, where one evaluation per word builds
-        # 40 (2 levels x (1 + 2 + 3 + 4) slots x 2 words)
+        # ray per level, slot and decoration, since every item of a level
+        # shares its step: 16 rays, where one evaluation per word builds 40
+        # (2 levels x (1 + 2 + 3 + 4) slots x 2 words)
         calls = []
         library_ray = mono._ray
 
@@ -442,10 +441,17 @@ class TestLinearRH:
 
         monkeypatch.setattr(mono, "_ray", counted)
         linear_rh_synthesize((1.0, 0.0), 10.0, 10.0, c=0.5, r_max=4)
-        spec = ContourSpec()
-        levels = range(spec.richardson_levels)
-        rays = {(lvl, j, om, spec.min_gap(r, lvl)) for lvl in levels for r in range(1, 5) for j in range(r) for om in (1.0, -1.0)}
-        assert len(calls) == len(rays) == 28
+        levels = ContourSpec().richardson_levels
+        assert len(calls) == levels * 4 * 2 == 16
+
+    @pytest.mark.parametrize("r_max", [7, 100_000_000])
+    def test_r_max_above_the_slots_rejected_before_any_product(self, monkeypatch, r_max):
+        def no_batch(*args):
+            raise AssertionError("a monomial batch ran")
+
+        monkeypatch.setattr(synth, "paralog_batch_eval", no_batch)
+        with pytest.raises(SynthesisError, match=f"r_max = {r_max} needs {r_max} integration slots"):
+            linear_rh_synthesize((1.0, 0.0), 10.0, 10.0, c=0.5, r_max=r_max)
 
     def test_alternating_structure(self):
         # odd layers are off-diagonal, even layers diagonal
