@@ -25,7 +25,6 @@ from .moulds import (
     check_symmetry,
     mould_compose,
     mould_mul,
-    words_over,
 )
 from .monomials import (
     borel_pole_probe,
@@ -50,7 +49,12 @@ from .words import (
     parse_forest,
     parse_word,
     shuffle,
+    words_over,
 )
+
+
+# the largest automorphism and derivation defect a synthesis may report
+_DEFECT_TOL = 1e-6
 
 
 def _fnum(x) -> str:
@@ -131,8 +135,6 @@ def main(argv=None) -> int:
     p_sy.add_argument("--z-ray", default="pi", help="ray angle (radians, or 'pi')")
     p_sy.add_argument("--z-moduli", default="2", help="comma list of |z| samples on the ray")
     p_sy.add_argument("--out", default=None, help="write the JSON report here as well")
-    p_sy.add_argument("--tol-automorphism", type=float, default=1e-6)
-    p_sy.add_argument("--tol-derivation", type=float, default=1e-6)
 
     p_rh = sub.add_parser("linear-rh", help="rank-two linear inverse problem demo")
     p_rh.add_argument("--lambda1", type=str, default="1")
@@ -194,22 +196,20 @@ def _dispatch(args) -> int:
     if args.command == "synthesize":
         return _dispatch_synthesize(args)
 
-    if args.command == "linear-rh":
-        l1 = _parse_complex(args.lambda1)
-        l2 = _parse_complex(args.lambda2)
-        a12 = _parse_complex(args.a12)
-        a21 = _parse_complex(args.a21)
-        rep = linear_rh_synthesize((l1, l2), a12, a21, c=args.c, r_max=args.r_max)
-        payload = {
-            "omega_12": _fnum(l1 - l2),
-            "c": _fnum(args.c),
-            "term_norms": {str(r): _fnum(v) for r, v in sorted(rep.term_norms.items())},
-            "geometric_decay": rep.geometric_decay,
-        }
-        _emit(payload)
-        return 0
-
-    raise ValueError(f"unknown command {args.command!r}")
+    # argparse admits no other command: linear-rh
+    l1 = _parse_complex(args.lambda1)
+    l2 = _parse_complex(args.lambda2)
+    a12 = _parse_complex(args.a12)
+    a21 = _parse_complex(args.a21)
+    rep = linear_rh_synthesize((l1, l2), a12, a21, c=args.c, r_max=args.r_max)
+    payload = {
+        "omega_12": _fnum(l1 - l2),
+        "c": _fnum(args.c),
+        "term_norms": {str(r): _fnum(v) for r, v in sorted(rep.term_norms.items())},
+        "geometric_decay": rep.geometric_decay,
+    }
+    _emit(payload)
+    return 0
 
 
 def _print_word_table(table):
@@ -237,13 +237,12 @@ def _dispatch_mould(args) -> int:
             entries[str(w)] = format_exact(out.value(w))
         _emit({"cap": cap, "entries": entries})
         return 0
-    if args.mould_command == "arborify":
-        m = builtin_mould(args.builtin)
-        arb = arborify(m, args.mode, counting=args.counting)
-        f = parse_forest(args.forest)
-        print(format_exact(arb.value(f)))
-        return 0
-    raise ValueError(f"unknown mould command {args.mould_command!r}")
+    # arborify
+    m = builtin_mould(args.builtin)
+    arb = arborify(m, args.mode, counting=args.counting)
+    f = parse_forest(args.forest)
+    print(format_exact(arb.value(f)))
+    return 0
 
 
 def _parse_complex(text: str) -> complex:
@@ -292,19 +291,18 @@ def _dispatch_monomial(args) -> int:
         finite = all(math.isfinite(k) for k in rep.khat.values())
         ok = finite and rep.monotone_decreasing and rep.fit_slope < 0 and rep.fit_r2 >= 0.9
         return 0 if ok else 1
-    if args.monomial_command == "pole-probe":
-        loc, res = borel_pole_probe(args.omega, args.c)
-        payload = {
-            "expected_location": _fnum(-args.omega),
-            "location": _fnum(loc),
-            "residue": _fnum(res),
-            "location_error": _fnum(abs(loc + args.omega)),
-            "residue_error": _fnum(abs(res - 1.0)),
-        }
-        _emit(payload)
-        ok = abs(loc + args.omega) <= 1e-3 and abs(res - 1.0) <= 1e-4
-        return 0 if ok else 1
-    raise ValueError(f"unknown monomial command {args.monomial_command!r}")
+    # pole-probe
+    loc, res = borel_pole_probe(args.omega, args.c)
+    payload = {
+        "expected_location": _fnum(-args.omega),
+        "location": _fnum(loc),
+        "residue": _fnum(res),
+        "location_error": _fnum(abs(loc + args.omega)),
+        "residue_error": _fnum(abs(res - 1.0)),
+    }
+    _emit(payload)
+    ok = abs(loc + args.omega) <= 1e-3 and abs(res - 1.0) <= 1e-4
+    return 0 if ok else 1
 
 
 def _dispatch_synthesize(args) -> int:
@@ -348,10 +346,7 @@ def _dispatch_synthesize(args) -> int:
         "c": _fnum(args.c),
         "caps": {"nu": nu, "r_max": rmax},
         "z_samples": [_fnum(z) for z in cfg.z_samples],
-        "tolerances": {
-            "automorphism": _fnum(args.tol_automorphism),
-            "derivation": _fnum(args.tol_derivation),
-        },
+        "tolerances": {"automorphism": _fnum(_DEFECT_TOL), "derivation": _fnum(_DEFECT_TOL)},
         "automorphism_defect": _fnum(worst_auto),
         "derivation_defect": _fnum(worst_deriv),
         "tail_ratios": tail_ratios,
@@ -360,10 +355,9 @@ def _dispatch_synthesize(args) -> int:
     }
     failures = []
     # "not <=" so that a NaN defect fails its check
-    if not worst_auto <= args.tol_automorphism:
-        failures.append({"check": "automorphism_defect", "value": _fnum(worst_auto), "tolerance": _fnum(args.tol_automorphism)})
-    if not worst_deriv <= args.tol_derivation:
-        failures.append({"check": "derivation_defect", "value": _fnum(worst_deriv), "tolerance": _fnum(args.tol_derivation)})
+    for check, worst in (("automorphism_defect", worst_auto), ("derivation_defect", worst_deriv)):
+        if not worst <= _DEFECT_TOL:
+            failures.append({"check": check, "value": _fnum(worst), "tolerance": _fnum(_DEFECT_TOL)})
     if non_finite_rows:
         failures.append({"check": "finite_coefficient_rows", "value": str(non_finite_rows), "tolerance": "0"})
     report["failures"] = failures

@@ -32,9 +32,8 @@ from typing import Sequence
 import numpy as np
 
 from .kernels import KernelParams, f_closed_form_oracle, saddle_node_kernel
-from .moulds import words_of_norm_at_most
 from .quadrature import de_halfline, segment_quad
-from .words import Forest, Tree, forests_of_norm, letter
+from .words import Forest, Tree, forests_of_norm, letter, words_of_norm_at_most
 
 CONTRACTION_UNIT = -2j * math.pi
 MOULD_NORMALIZATION = 1.0 / CONTRACTION_UNIT  # per-letter factor -> symmetrel
@@ -87,9 +86,6 @@ class MonomialValue:
     error: float
     derivative: complex | None = None
     derivative_error: float | None = None
-
-    def __complex__(self):
-        return complex(self.value)
 
 
 # ---------------------------------------------------------------------------
@@ -470,14 +466,6 @@ class GrowthReport:
     monotone_decreasing: bool
     fit_slope: float
     fit_r2: float
-    c0_khat: float | None = None
-
-    def __str__(self):
-        rows = ", ".join(f"K({c:g})={k:.4f}" for c, k in sorted(self.khat.items()))
-        s = f"growth scan at z={self.z}, norms<={self.norm_cap}: {rows}; slope={self.fit_slope:.3f}, R2={self.fit_r2:.3f}"
-        if self.c0_khat is not None:
-            s += f"; c=0 column K={self.c0_khat:.4f}"
-        return s
 
 
 def growth_scan(c_values: Sequence[float], norm_cap: int, z: complex, include_forests: bool = True) -> GrowthReport:
@@ -515,7 +503,6 @@ def growth_scan(c_values: Sequence[float], norm_cap: int, z: complex, include_fo
         monotone_decreasing=monotone,
         fit_slope=slope,
         fit_r2=r2,
-        c0_khat=khat.get(0.0),
     )
 
 

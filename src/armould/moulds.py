@@ -22,7 +22,6 @@ from .words import (
     Word,
     _fiber_step,
     _forests,
-    _integer_values,
     contracting_covers,
     contracting_shuffle,
     forests_of_norm,
@@ -30,7 +29,8 @@ from .words import (
     linear_extensions,
     parse_word,
     shuffle,
-    word,
+    words_of_norm_at_most,
+    words_over,
 )
 
 
@@ -57,9 +57,6 @@ class Mould:
         v = self._rule(w)
         self._memo.setdefault(w, v)
         return v
-
-    def __call__(self, w: Word):
-        return self.value(w)
 
     @classmethod
     def from_table(cls, entries: dict[Word, object], cap: int, alphabet: Sequence[GaussianRational]) -> "Mould":
@@ -110,40 +107,6 @@ class ArMould:
         v = self._rule(f)
         self._memo.setdefault(f, v)
         return v
-
-    def __call__(self, f: Forest):
-        return self.value(f)
-
-
-def words_over(alphabet: Sequence[GaussianRational], max_length: int) -> list[Word]:
-    """All words (including the empty one) over the alphabet up to a length."""
-    out = [EMPTY_WORD]
-    layer = [EMPTY_WORD]
-    for _ in range(max_length):
-        nxt = []
-        for w in layer:
-            for a in alphabet:
-                nxt.append(w + Word((a,)))
-        out.extend(nxt)
-        layer = nxt
-    return out
-
-
-def words_of_norm_at_most(alphabet: Sequence[GaussianRational], max_norm: int) -> list[Word]:
-    """All nonempty words over positive-integer letters with norm <= max_norm."""
-    values = _integer_values(alphabet)
-    found: list[tuple[int, int, tuple]] = []  # (norm, length, letters)
-
-    def rec(prefix: tuple, budget: int):
-        for v in values:
-            if v <= budget:
-                w = prefix + (v,)
-                found.append((max_norm - budget + v, len(w), w))
-                rec(w, budget - v)
-
-    rec((), max_norm)
-    # integer tuples sort as the words' keys do
-    return [word(*w) for _, _, w in sorted(found)]
 
 
 # ---------------------------------------------------------------------------
@@ -496,12 +459,6 @@ class AlienWordExpansion:
     target: GaussianRational
     terms: dict[Word, object] = field(default_factory=dict)
 
-    def __str__(self):
-        bits = []
-        for w in sorted(self.terms, key=lambda w: (w.length, w.sort_key())):
-            bits.append(f"{format_exact(self.terms[w])} * D+{w}")
-        return f"Gamma[{self.target}] = " + (" + ".join(bits) if bits else "0")
-
 
 def transition_apply(led: Mould, target_norm) -> AlienWordExpansion:
     """Expand an alien operator of the given positive-integer norm through the
@@ -531,10 +488,6 @@ class OrganicGrowthReport:
     @property
     def bound(self) -> float:
         return max(self.sup_by_nodes.values())
-
-    def __str__(self):
-        rows = ", ".join(f"r={r}: {v:.4f} ({self.forest_counts[r]} forests)" for r, v in sorted(self.sup_by_nodes.items()))
-        return f"organic growth ({self.counting}): {rows}; measured bound {self.bound:.4f}"
 
 
 def organic_growth_report(max_nodes: int = 6, decorations: Sequence[int] = (1, 2, 3), counting: str = "merges") -> OrganicGrowthReport:

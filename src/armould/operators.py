@@ -15,7 +15,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .values import GaussianRational
-from .series import TruncatedSeries, UPoly, _poly_add, _poly_diff, _poly_mul, _poly_scale, _zero
+from .series import TruncatedSeries, UPoly, _poly_add, _poly_diff, _poly_max_abs_diff, _poly_mul, _poly_scale, _zero
 from .words import (
     EMPTY_FOREST,
     EMPTY_WORD,
@@ -27,8 +27,10 @@ from .words import (
     forests_of_norm,
     letter,
     linear_extensions,
+    words_of_norm_at_most,
+    words_over,
 )
-from .moulds import ArMould, IdentityReport, Mould, _scan, words_of_norm_at_most, words_over
+from .moulds import ArMould, IdentityReport, Mould, _scan
 
 
 class DiffOperator:
@@ -116,11 +118,8 @@ class DiffOperator:
 
     def max_abs_diff(self, other: "DiffOperator") -> float:
         """Largest coefficient difference; NaN if any difference is NaN."""
-        diffs = []
-        for k in set(self.terms) | set(other.terms):
-            a, b = self.terms.get(k, {}), other.terms.get(k, {})
-            diffs += [abs(complex(a.get(d, 0)) - complex(b.get(d, 0))) for d in set(a) | set(b)]
-        return float(np.max(diffs, initial=0.0))
+        orders = self.terms.keys() | other.terms.keys()
+        return float(np.max([_poly_max_abs_diff(self.terms.get(k, {}), other.terms.get(k, {})) for k in orders], initial=0.0))
 
     def dump(self) -> list:
         """JSON-friendly: list of (order, [(degree, str(coeff)), ...])."""

@@ -47,6 +47,11 @@ def _poly_diff(a: UPoly, times: int = 1) -> UPoly:
     return {k: c for k, c in out.items() if not _zero(c)}
 
 
+def _poly_max_abs_diff(a: UPoly, b: UPoly) -> float:
+    """Largest coefficient difference; NaN if any difference is NaN."""
+    return float(np.max([abs(complex(a.get(k, 0)) - complex(b.get(k, 0))) for k in a.keys() | b.keys()], initial=0.0))
+
+
 class TruncatedSeries:
     """sum c_k u^k with 0 <= k <= nu."""
 
@@ -112,9 +117,7 @@ class TruncatedSeries:
 
     def max_abs_diff(self, other: "TruncatedSeries") -> float:
         """Largest coefficient difference; NaN if any difference is NaN."""
-        keys = set(self.coeffs) | set(other.coeffs)
-        diffs = [abs(complex(self.coeffs.get(k, 0)) - complex(other.coeffs.get(k, 0))) for k in keys]
-        return float(np.max(diffs, initial=0.0))
+        return _poly_max_abs_diff(self.coeffs, other.coeffs)
 
     def __repr__(self):
         bits = [f"({self.coeffs[k]})*u^{k}" for k in sorted(self.coeffs)]

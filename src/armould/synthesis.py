@@ -29,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .moulds import Mould, arborify, builtin_mould, mould_compose, words_of_norm_at_most
+from .moulds import Mould, arborify, builtin_mould, mould_compose
 from .monomials import ContourError, ContourSpec, MOULD_NORMALIZATION, _check_z, _ue_factor, paralog_batch_eval
 from .operators import (
     DerivationFamily,
@@ -40,9 +40,9 @@ from .operators import (
     restricted_norm,
 )
 from .series import TruncatedSeries
-from .words import Word, count_forests, forests_of_norm
+from .words import Word, count_forests, forests_of_norm, words_of_norm_at_most
 
-# build_theta refuses caps whose forest sum has more canonical forests than
+# _forest_rows refuses caps whose forest sum has more canonical forests than
 # this; besides the quadrature, a synthesis costs about 0.5 ms per forest
 # once (its z-free forest rows) plus about 0.02 ms per forest and z sample.
 MAX_FORESTS = 20_000
@@ -137,12 +137,14 @@ class NormalizerExpansion:
         return _invert_tangent_to_identity(self.operator, self.config.nu)
 
     def tail_ratios(self) -> dict:
-        norms = sorted(self.tail_norms)
-        out = {}
-        for a, b in zip(norms, norms[1:]):
-            if self.tail_norms[a] != 0:  # a NaN tail gives a NaN ratio
-                out[b] = self.tail_norms[b] / self.tail_norms[a]
-        return out
+        return _consecutive_ratios(self.tail_norms)
+
+
+def _consecutive_ratios(sums: dict) -> dict:
+    """b -> sums[b] / sums[a] over consecutive keys a < b with sums[a] != 0;
+    a NaN sum gives NaN ratios."""
+    keys = sorted(sums)
+    return {b: sums[b] / sums[a] for a, b in zip(keys, keys[1:]) if sums[a] != 0}
 
 
 def _invert_tangent_to_identity(op: DiffOperator, nu: int) -> DiffOperator:
@@ -183,7 +185,14 @@ def _forest_rows(fam: DerivationFamily, nu: int, r_max: int) -> tuple[list[Word]
         (L o exp)^F_arb = sum_i coefs[i] L^{words[cols[i]]}.
 
     The rows are the simple arborified of (E o exp), E^w the unit linear
-    form on w, evaluated once per synthesis."""
+    form on w, evaluated once per synthesis.  Caps whose forest sum would
+    hold more than MAX_FORESTS forests are refused before any row is built."""
+    n_forests = count_forests(fam.letters(), nu, r_max)
+    if n_forests > MAX_FORESTS:
+        raise SynthesisError(
+            f"caps nu = {nu}, r_max = {r_max} on the support {sorted(fam.betas)} give {n_forests} forests,"
+            f" above the limit MAX_FORESTS = {MAX_FORESTS}"
+        )
     index: dict = {}
     unit = Mould(lambda w: _LinearForm({index.setdefault(w, len(index)): 1.0}))
     composed = mould_compose(unit, builtin_mould("exp"))
@@ -218,17 +227,15 @@ def _signed_monomials(words: list[Word], cfg: SynthesisConfig) -> list[tuple[dic
 
 def build_theta(inv: InvariantFamily, cfg: SynthesisConfig) -> list[NormalizerExpansion]:
     """Assemble the normalizer and its z-derivative at every z sample: the
-    z-free forest rows are built once, the L values they ask for are
-    computed, and each z sample sums every row against its L and dL values,
-    each forest weighted by 1/|Aut F|."""
-    fam = inv.derivations()
-    n_forests = count_forests(fam.letters(), cfg.nu, cfg.r_max)
-    if n_forests > MAX_FORESTS:
-        raise SynthesisError(
-            f"caps nu = {cfg.nu}, r_max = {cfg.r_max} on the support {list(inv.support)} give {n_forests} forests,"
-            f" above the limit MAX_FORESTS = {MAX_FORESTS}"
-        )
-    words, rows = _forest_rows(fam, cfg.nu, cfg.r_max)
+    z-free forest rows are built once, then assembled at (cfg.c, z)."""
+    return _assemble(cfg, *_forest_rows(inv.derivations(), cfg.nu, cfg.r_max))
+
+
+def _assemble(cfg: SynthesisConfig, words: list[Word], rows: list[tuple]) -> list[NormalizerExpansion]:
+    """The normalizer at c = cfg.c and every z sample from the z-free forest
+    rows: the L values the rows ask for are computed, and each z sample sums
+    every row against its L and dL values, each forest weighted by
+    1/|Aut F|."""
     expansions = []
     for z, (ell, d_ell) in zip(cfg.z_samples, _signed_monomials(words, cfg)):
         vec = np.array([(ell[w], d_ell[w]) for w in words], dtype=complex).reshape(-1, 2)
@@ -338,49 +345,38 @@ class ConvergenceReport:
     word_sums_by_length: dict  # c -> {r: sum of |L^w| ||A_w||}
     word_ratios: dict  # c -> {r: ratio}
 
-    def __str__(self):
-        lines = []
-        for c in self.c_values:
-            ratios = ", ".join(f"t{n}={v:.3g}" for n, v in sorted(self.tail_ratios[c].items()))
-            wr = ", ".join(f"s{r}={v:.3g}" for r, v in sorted(self.word_ratios[c].items()))
-            lines.append(f"c={c:g}: forest tail ratios {ratios}; word-length ratios {wr}")
-        return "\n".join(lines)
-
 
 def convergence_report(inv: InvariantFamily, cfg: SynthesisConfig, c_values: Sequence[float]) -> ConvergenceReport:
     """Per-norm forest tails and, for comparison, the plain word-sum organised
-    by length r, whose r!-driven growth the arborified organisation removes."""
+    by length r, whose r!-driven growth the arborified organisation removes.
+    The z-free forest rows are built once for the whole c grid, after every
+    per-c config has been checked."""
     tails: dict = {}
-    ratios: dict = {}
     word_sums: dict = {}
-    word_ratios: dict = {}
+    cfgs = [replace(cfg, c=c) for c in c_values]
     fam = inv.derivations()
+    forest_rows = _forest_rows(fam, cfg.nu, cfg.r_max)
     # the word organisation weighs L^w by ||B_w||, which is free of c and z
     words = [w for w in words_of_norm_at_most(fam.letters(), cfg.nu) if w.length <= cfg.r_max]
     word_norms = [restricted_norm(op_compose_word(fam, w), cfg.nu) for w in words]
-    for c in c_values:
-        exps = build_theta(inv, replace(cfg, c=c))
+    for c, c_cfg in zip(c_values, cfgs):
+        exps = _assemble(c_cfg, *forest_rows)
         per_norm: dict = {}
         for e in exps:
             for n, t in e.tail_norms.items():
                 per_norm.setdefault(n, []).append(t)
-        agg = {n: float(np.max(ts)) for n, ts in per_norm.items()}  # a NaN tail stays NaN
-        tails[c] = agg
-        norms = sorted(agg)
-        ratios[c] = {b: agg[b] / agg[a] for a, b in zip(norms, norms[1:]) if agg[a] != 0}
+        tails[c] = {n: float(np.max(ts)) for n, ts in per_norm.items()}  # a NaN tail stays NaN
         ws: dict = {}
         for e in exps:
             for w, nrm in zip(words, word_norms):
                 ws[w.length] = ws.get(w.length, 0.0) + abs(e.ell[w]) * nrm
         word_sums[c] = ws
-        rs = sorted(ws)
-        word_ratios[c] = {b: ws[b] / ws[a] for a, b in zip(rs, rs[1:]) if ws[a] != 0}
     return ConvergenceReport(
         c_values=tuple(c_values),
         tail_norms=tails,
-        tail_ratios=ratios,
+        tail_ratios={c: _consecutive_ratios(t) for c, t in tails.items()},
         word_sums_by_length=word_sums,
-        word_ratios=word_ratios,
+        word_ratios={c: _consecutive_ratios(ws) for c, ws in word_sums.items()},
     )
 
 
@@ -396,10 +392,6 @@ class LinearRHReport:
     term_norms: dict  # r -> matrix max-norm of the length-r layer
     geometric_decay: bool
     theta_matrix: np.ndarray
-
-    def __str__(self):
-        rows = ", ".join(f"T{r}={v:.4g}" for r, v in sorted(self.term_norms.items()))
-        return f"linear RH c={self.c:g}: {rows}; geometric decay: {self.geometric_decay}"
 
 
 def linear_rh_synthesize(lambdas: tuple, a12: complex, a21: complex, c: float, r_max: int = 4) -> LinearRHReport:

@@ -198,8 +198,7 @@ def format_exact(x) -> str:
     g = as_gaussian(x)
     if g.im == 0:
         return str(g.re)
-    im = f"{g.im}i" if g.im >= 0 else f"{g.im}i"
-    sign = "+" if g.im >= 0 else ""
     if g.re == 0:
         return f"{g.im}i"
-    return f"{g.re}{sign}{im}"
+    sign = "+" if g.im >= 0 else ""
+    return f"{g.re}{sign}{g.im}i"

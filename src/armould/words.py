@@ -420,6 +420,37 @@ def _integer_values(letters: Sequence[GaussianRational]) -> list[int]:
     return sorted({int(a.re) for a in letters})
 
 
+def words_over(alphabet: Sequence[GaussianRational], max_length: int) -> list[Word]:
+    """All words (including the empty one) over the alphabet up to a length."""
+    out = [EMPTY_WORD]
+    layer = [EMPTY_WORD]
+    for _ in range(max_length):
+        nxt = []
+        for w in layer:
+            for a in alphabet:
+                nxt.append(w + Word((a,)))
+        out.extend(nxt)
+        layer = nxt
+    return out
+
+
+def words_of_norm_at_most(alphabet: Sequence[GaussianRational], max_norm: int) -> list[Word]:
+    """All nonempty words over positive-integer letters with norm <= max_norm."""
+    values = _integer_values(alphabet)
+    found: list[tuple[int, int, tuple]] = []  # (norm, length, letters)
+
+    def rec(prefix: tuple, budget: int):
+        for v in values:
+            if v <= budget:
+                w = prefix + (v,)
+                found.append((max_norm - budget + v, len(w), w))
+                rec(w, budget - v)
+
+    rec((), max_norm)
+    # integer tuples sort as the words' keys do
+    return [word(*w) for _, _, w in sorted(found)]
+
+
 def forests_of_norm(letters: Sequence[GaussianRational], max_norm: int, max_nodes: int | None = None) -> list[Forest]:
     """All canonical forests with positive-integer decorations drawn from
     ``letters`` and norm <= max_norm (and, optionally, nodes <= max_nodes).

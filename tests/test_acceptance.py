@@ -250,7 +250,7 @@ def test_criterion_10_growth_law():
     ok = rep.monotone_decreasing
     ok &= rep.fit_slope < 0 and rep.fit_r2 >= 0.9
     positive = {c: k for c, k in rep.khat.items() if c > 0}
-    ok &= rep.c0_khat is not None and rep.c0_khat > max(positive.values())
+    ok &= 0.0 in rep.khat and rep.khat[0.0] > max(positive.values())
     detail = (
         f"K(c): " + ", ".join(f"{c:g}->{k:.4f}" for c, k in sorted(rep.khat.items()))
         + f"; slope {rep.fit_slope:.2f}, R2 {rep.fit_r2:.3f}"

@@ -511,6 +511,65 @@ class TestHyperlogV:
         assert abs(v - 0.02454514257480675) <= 1e-12 * 0.02454514257480675
 
 
+LATERAL_X = (1.5, 3.0)
+LATERAL_WORDS = [(1, 1), (1, 2), (2, 1), (1, 3), (2, 3)]
+
+
+def _lateral_residuals(c: float) -> list[tuple]:
+    """(r, case, residual, |Ua|, summed reported error) of the lateral-jump
+    identities at every x in LATERAL_X.
+
+    At real x > 0 every ray passes under the singular axis R+, so Ua^w(x) is
+    the lower-lateral value and conj(Ua^w(x)) the upper one.  Moving slot 1
+    up crosses the pole y1 = x, and moving slot 2 up crosses slot 1's ray,
+    which merges two letters:
+
+        Im Ua^(a)(x) = pi g_a(x),
+        conj(Ua^(a,b)) - Ua^(a,b) = -2 pi i (g_a Ua^(b) + conj(Ua^(a+b))),
+
+    g_a the kernel g_{c,a}.  The public entries keep z 0.3 rad away from R+
+    (_check_z), so the values come from the refinement itself."""
+    quad = Quadrature(c)
+
+    def lower(*decorations):
+        decs = tuple(complex(a) for a in decorations)
+        (value, err), _ = mono._refined(decs, tuple(range(-1, len(decs) - 1)), complex(x), quad)
+        return value, err
+
+    out = []
+    for x in LATERAL_X:
+        g = {a: g_eval(KernelParams(c, a), x).real for a in (1, 2, 3)}
+        for a in (1, 2, 3):
+            v, e = lower(a)
+            out.append((1, (a, x), abs(v.imag - math.pi * g[a]), abs(v), e))
+        for a, b in LATERAL_WORDS:
+            (v, e), (vb, eb), (vs, es) = lower(a, b), lower(b), lower(a + b)
+            residual = abs(v.conjugate() - v + 2j * math.pi * (g[a] * vb + vs.conjugate()))
+            out.append((2, (a, b, x), residual, abs(v), 2 * e + 2 * math.pi * (g[a] * eb + es)))
+    return out
+
+
+class TestLateralJump:
+    """The lateral-jump identities at r = 1 and r = 2, an r >= 2 reference
+    that needs no reference file (ROADMAP item 2)."""
+
+    @pytest.mark.parametrize("c", [0.0, 1.0, 2.0])
+    def test_identities_hold_relative_to_the_value(self, c):
+        # largest residuals seen: 3.8e-13 at r = 1 and 1.5e-12 at r = 2
+        for r, case, residual, size, _ in _lateral_residuals(c):
+            assert residual <= {1: 1e-12, 2: 5e-12}[r] * size, (r, case)
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 1: the reported error, a Richardson level delta, does not see the trapezoid strip error; "
+        "the residual reaches 5.5x the summed reported errors at c = 0, 1.40x on (1,3) at x = 3, c = 2 and 2.9x at r = 1, c = 1, x = 3",
+    )
+    def test_reported_errors_dominate_the_residuals(self):
+        for c in (0.0, 1.0, 2.0):
+            for r, case, residual, _, reported in _lateral_residuals(c):
+                assert residual <= reported, (c, r, case, residual / reported)
+
+
 class TestGrowthScan:
     def test_decay_and_fit(self):
         rep = growth_scan([0.5, 1.0, 2.0], 2, Z, include_forests=False)
@@ -520,8 +579,7 @@ class TestGrowthScan:
 
     def test_c0_column_does_not_decay(self):
         rep = growth_scan([0.0, 1.0, 2.0], 2, Z, include_forests=False)
-        assert rep.c0_khat is not None
-        assert rep.c0_khat > 2.0 * rep.khat[2.0]
+        assert rep.khat[0.0] > 2.0 * rep.khat[2.0]
 
     @pytest.mark.parametrize("norm_cap", [0, -1])
     def test_norm_cap_below_one_rejected(self, norm_cap):

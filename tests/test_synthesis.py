@@ -364,6 +364,34 @@ class TestConvergenceReport:
         assert len(calls) == len(set(calls)) == 6
         assert sum(rep.word_sums_by_length[2.0].values()) > 0
 
+    def test_forest_rows_built_once_for_the_c_grid(self, monkeypatch):
+        # the z-free rows depend on neither c nor z: one build serves every c,
+        # with the tails that a build_theta per c gives
+        inv = InvariantFamily({1: 0.25, 2: 0.125})
+        cfg = SynthesisConfig(c=2.0, nu=4, r_max=3, z_samples=(-1.5, -2.5))
+        grid = [0.5, 1.0, 2.0]
+        per_c = {c: build_theta(inv, replace(cfg, c=c)) for c in grid}
+        calls = []
+        one_build = synth._forest_rows
+
+        def counted(*args):
+            calls.append(args)
+            return one_build(*args)
+
+        monkeypatch.setattr(synth, "_forest_rows", counted)
+        rep = convergence_report(inv, cfg, grid)
+        assert len(calls) == 1
+        for c, exps in per_c.items():
+            assert rep.tail_norms[c] == {n: max(e.tail_norms[n] for e in exps) for n in exps[0].tail_norms}
+
+    def test_every_c_checked_before_any_forest_row(self, monkeypatch):
+        def no_rows(*args):
+            raise AssertionError("a forest row was built")
+
+        monkeypatch.setattr(synth, "_forest_rows", no_rows)
+        with pytest.raises(SynthesisError, match="c = nan"):
+            convergence_report(InvariantFamily({1: 0.25}), CFG, [2.0, 1.0, math.nan])
+
 
 class TestNanReductions:
     """A NaN in the data stays NaN in every maximum and ratio over it."""
