@@ -27,7 +27,7 @@ from armould.moulds import (
     _scan,
 )
 from armould.values import GaussianRational
-from armould.words import EMPTY_WORD, letter, parse_forest, parse_word, word
+from armould.words import EMPTY_WORD, forests_of_norm, letter, parse_forest, parse_word, word
 
 AB = [letter(1), letter(2)]
 CLOSED = [letter(n) for n in range(1, 9)]  # additively closed up to total norm 8
@@ -344,6 +344,20 @@ class TestOrganicGrowth:
         assert list(rep.sup_by_nodes) == [1, 2, 3, 4, 5]
         for r, want in enumerate(sups, start=1):
             assert abs(rep.sup_by_nodes[r] - want) <= 1e-12
+
+    @pytest.mark.parametrize("counting", ["merges", "surjections"])
+    @pytest.mark.parametrize("decs", [(1, 2, 3), (1, 3)], ids=["123", "13"])
+    def test_fold_matches_materialised_covers(self, decs, counting):
+        # the fold never builds a cover word; here every cover is summed
+        redom = arborify(builtin_mould("redom"), "contracting", counting)
+        want = {r: 0.0 for r in range(1, 5)}
+        for f in forests_of_norm([letter(d) for d in decs], 4 * max(decs), max_nodes=4):
+            r = f.node_count
+            want[r] = max(want[r], abs(complex(redom.value(f))) ** (1 / r))
+        got = organic_growth_report(4, decs, counting).sup_by_nodes
+        assert list(got) == list(want)
+        for r in want:
+            assert abs(got[r] - want[r]) <= 1e-12 * want[r]
 
 
 class TestTransition:

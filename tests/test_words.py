@@ -258,6 +258,34 @@ class TestAgainstOracles:
         for counting in ("merges", "surjections"):
             assert contracting_covers(f, counting=counting) == oracles.contracting_covers(f, counting=counting)
 
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(random_forests(KEY_DECORATIONS))
+    def test_extensions_and_covers_match_oracle_on_key_decorations(self, f):
+        # fiber sums such as 1/2 + 1/2 and 1 + (-1) land on integers and on 0;
+        # the oracle sums letters with GaussianRational addition
+        assert linear_extensions(f) == oracles.linear_extensions(f)
+        for counting in ("merges", "surjections"):
+            got = contracting_covers(f, counting=counting)
+            want = oracles.contracting_covers(f, counting=counting)
+            assert got == want
+            same = {w: w for w in want}
+            for w in got:
+                for a, b in zip(w, same[w]):
+                    assert a == b and hash(a) == hash(b)
+                    assert [type(x) for x in a.sort_key()] == [type(x) for x in b.sort_key()]
+
+    @pytest.mark.parametrize(
+        "text, total",
+        [("1/2;1/2", "1"), ("1;-1", "0"), ("1/2+i;1/2-i", "1"), ("-1i;1+i", "1"), ("-2/3;1/2;1/2", "1/3"), ("3/4-2i;1+i", "7/4-i")],
+    )
+    def test_merged_letter_is_the_letter_of_its_sum(self, text, total):
+        want = letter(total)
+        for counting in ("merges", "surjections"):
+            (merged,) = [w[0] for w in contracting_covers(parse_forest(text), counting=counting) if len(w) == 1]
+            assert merged == want and hash(merged) == hash(want)
+            assert merged.sort_key() == want.sort_key()
+            assert [type(x) for x in merged.sort_key()] == [type(x) for x in want.sort_key()]
+
     # the cap shapes the library's callers use
     @pytest.mark.parametrize(
         "values, caps",
