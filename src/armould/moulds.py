@@ -22,6 +22,7 @@ from .words import (
     Word,
     _fiber_step,
     _forests,
+    _integer_values,
     contracting_covers,
     contracting_shuffle,
     forests_of_norm,
@@ -429,7 +430,8 @@ def symmetrel_geometric(x) -> Mould:
 
     Needs positive-integer decorations so (-x)^{||w||} is polynomial in x.
     """
-    xg = as_gaussian(x)
+    neg_x = -as_gaussian(x)
+    powers = [GaussianRational(1)]  # (-x)^k, grown as norms ask for them
 
     def rule(w: Word):
         r = w.length
@@ -438,10 +440,10 @@ def symmetrel_geometric(x) -> Mould:
         n = w.norm
         if not n.is_positive_integer:
             raise ValueError("geometric symmetrel mould needs positive integer norms")
-        acc = GaussianRational(1)
-        for _ in range(int(n.re)):
-            acc = acc * (-xg)
-        return acc * ((-1) ** r)
+        k = int(n.re)
+        while len(powers) <= k:
+            powers.append(powers[-1] * neg_x)
+        return powers[k] * ((-1) ** r)
 
     return Mould(rule)
 
@@ -497,40 +499,47 @@ def organic_growth_report(max_nodes: int = 6, decorations: Sequence[int] = (1, 2
     redom^{(w_1..w_s)} = (-1)^s (w_1 + w_s) / (2 ||w||) depends only on the
     first letter, the last letter, the length and the (fixed) norm, so the
     cover sum folds over the fiber step of the cover recursion without
-    materialising cover words.  A memo per residual forest keeps two exact
-    integers over its fiber chains, sum w (-1)^len and sum w (-1)^len last;
-    only the final quotient is a float.
+    materialising cover words.  A memo on forest keys keeps three exact
+    integers over the fiber chains of each forest: sum w (-1)^len, the same
+    sum weighted by the first fiber, and by the last.  Each forest takes one
+    fiber step, and only the final quotient is a float.
     """
     if counting not in ("merges", "surjections"):
         raise ValueError(f"unknown counting {counting!r}")
-    decs = tuple(sorted(set(int(d) for d in decorations)))
-    tails: dict = {}
+    if not isinstance(max_nodes, int) or max_nodes < 1:
+        raise ValueError(f"max_nodes must be a positive integer, got {max_nodes!r}")
+    try:
+        decs = tuple(_integer_values([letter(d) for d in decorations]))
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"decorations must be positive integers, got {decorations!r}") from exc
+    if not decs:
+        raise ValueError("decorations must name at least one letter")
+    chains: dict[tuple, tuple[int, int, int]] = {}
 
-    def fibers(f: Forest):
-        # (weight, fiber sum, chain sums of what is left); when nothing is
-        # left, its one empty chain counts 1 and its last fiber is this one
-        for (dec, rest), w in _fiber_step(f, counting).items():
-            s = int(dec.re)
-            yield w, s, tail(rest) if rest.trees else (1, s)
-
-    def tail(f: Forest) -> tuple[int, int]:
-        # (sum w (-1)^len, sum w (-1)^len last) over the fiber chains of f
-        hit = tails.get(f)
+    def fold(fk: tuple) -> tuple[int, int, int]:
+        # (sum w (-1)^len, the same times the first fiber, times the last)
+        # over the fiber chains of the forest key fk; forests come by node
+        # count, so every residual's fold is already held
+        hit = chains.get(fk)
         if hit is None:
-            signed = last = 0
-            for w, _, (rest_signed, rest_last) in fibers(f):
+            signed = first = last = 0
+            for (dec, rest), w in _fiber_step(fk, counting).items():
+                s = dec[0]
+                # when nothing is left, its one empty chain counts 1 and the
+                # last fiber is this one
+                rest_signed, _, rest_last = fold(rest) if rest else (1, 0, s)
                 signed -= w * rest_signed
+                first -= w * s * rest_signed
                 last -= w * rest_last
-            hit = tails[f] = (signed, last)
+            hit = chains[fk] = (signed, first, last)
         return hit
 
     sup_by_nodes = {r: 0.0 for r in range(1, max_nodes + 1)}
     counts = {r: 0 for r in range(1, max_nodes + 1)}
     for r, norm, f in _forests(decs, max_nodes * max(decs), max_nodes):
         counts[r] += 1
-        # sum w (-1)^len (first + last) over the fiber chains of f
-        total = -sum(w * (s * rest_signed + rest_last) for w, s, (rest_signed, rest_last) in fibers(f))
-        v = abs(total / (2 * norm))
+        _, first, last = fold(f._key)
+        v = abs((first + last) / (2 * norm))
         if v > 0:
             sup_by_nodes[r] = max(sup_by_nodes[r], v ** (1.0 / r))
     return OrganicGrowthReport(

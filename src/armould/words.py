@@ -13,7 +13,13 @@ incomparable nodes.
 Words, trees and forests are immutable and build their canonical key once:
 a nested tuple of the letters' ``(re, im)`` keys (integer parts as ints),
 made from the parts' stored keys, with its hash beside it.  Equality
-compares keys, and ``sort_key()`` returns the key.
+compares keys, ``sort_key()`` returns the key, and a norm is one sum over
+the key's atoms.
+
+The cover recursion runs on forest keys alone: a fiber step removes a set of
+root keys and sorts what is left into the residual key, and its fiber sum is
+a key too.  No Tree, Forest or GaussianRational is built inside it; the
+cover words become Words once, at the boundary.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ from functools import lru_cache
 from operator import attrgetter
 from typing import Iterable, Iterator, Sequence
 
-from .values import GaussianRational, as_gaussian, parse_exact
+from .values import GaussianRational, _atom, as_gaussian, parse_exact
 
 _set = object.__setattr__
 _key_of = attrgetter("_key")
@@ -81,21 +87,18 @@ class Word(_Keyed):
 
     @property
     def norm(self) -> GaussianRational:
-        total = GaussianRational(0)
-        for a in self.letters:
-            total = total + a
-        return total
+        return GaussianRational(sum(k[0] for k in self._key), sum(k[1] for k in self._key))
 
     def __len__(self):
         return len(self.letters)
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return Word(self.letters[i])
+            return _word(self.letters[i])
         return self.letters[i]
 
     def __add__(self, other: "Word") -> "Word":
-        return Word(self.letters + other.letters)
+        return _word(self.letters + other.letters)
 
     def __iter__(self) -> Iterator[GaussianRational]:
         return iter(self.letters)
@@ -105,6 +108,14 @@ class Word(_Keyed):
 
     def __repr__(self):
         return f"Word{str(self)}"
+
+
+def _word(letters: tuple) -> Word:
+    """A Word on a tuple of GaussianRational letters, taken as they are."""
+    w = object.__new__(Word)
+    _set(w, "letters", letters)
+    w._store_key(tuple(a._key for a in letters))
+    return w
 
 
 EMPTY_WORD = Word(())
@@ -161,10 +172,10 @@ def shuffle(w1: Word, w2: Word) -> Counter:
 
 def _shuffle_rec(a, b, out, prefix):
     if not a:
-        out[Word(prefix + b)] += 1
+        out[_word(prefix + b)] += 1
         return
     if not b:
-        out[Word(prefix + a)] += 1
+        out[_word(prefix + a)] += 1
         return
     _shuffle_rec(a[1:], b, out, prefix + (a[0],))
     _shuffle_rec(a, b[1:], out, prefix + (b[0],))
@@ -181,7 +192,7 @@ def contracting_shuffle(w1: Word, w2: Word) -> Counter:
     """
     out: Counter = Counter()
     for suffix, mult in _csh_rec(w1.letters, w2.letters).items():
-        out[Word(suffix)] += mult
+        out[_word(suffix)] += mult
     return out
 
 
@@ -230,7 +241,7 @@ class Tree(_Keyed):
 
     @property
     def norm(self) -> GaussianRational:
-        return self.root + self.children.norm
+        return GaussianRational(*_key_norm((self._key,)))
 
     def __str__(self):
         if not self.children.trees:
@@ -260,10 +271,7 @@ class Forest(_Keyed):
 
     @property
     def norm(self) -> GaussianRational:
-        total = GaussianRational(0)
-        for t in self.trees:
-            total = total + t.norm
-        return total
+        return GaussianRational(*_key_norm(self._key))
 
     def __mul__(self, other: "Forest") -> "Forest":
         return Forest(self.trees + other.trees)
@@ -295,6 +303,18 @@ class Forest(_Keyed):
 
 
 EMPTY_FOREST = Forest(())
+
+
+def _key_norm(fk: tuple) -> tuple:
+    """The summed (re, im) atoms of every node of a forest key."""
+    re = im = 0
+    stack = list(fk)
+    while stack:
+        (r, i), kids = stack.pop()
+        re += r
+        im += i
+        stack.extend(kids)
+    return re, im
 
 
 def tree(root, children: Iterable = ()) -> Tree:
@@ -335,52 +355,58 @@ def _parse_tree(text: str) -> Tree:
 # ---------------------------------------------------------------------------
 
 
-def _fiber_step(f: Forest, counting: str) -> Counter:
-    """One step of the cover recursion on a canonical forest.
+def _fiber_step(fk: tuple, counting: str) -> Counter:
+    """One step of the cover recursion on a canonical forest key.
 
     Every nonempty set of roots is a fiber; roots are pairwise incomparable,
-    so every fiber is an antichain.  Returns (fiber decoration sum, canonical
-    forest left after removing the fiber) -> summed weight, where a fiber of
-    size k weighs k! for 'merges' and 1 for 'surjections'; 'extensions'
-    takes singleton fibers only, weight 1.  Equal roots are distinct fibers.
-    A fiber's decorations are summed on their keys, one GaussianRational
-    per sum.
+    so every fiber is an antichain.  Returns (fiber decoration key, key of
+    the canonical forest left after removing the fiber) -> summed weight,
+    where a fiber of size k weighs k! for 'merges' and 1 for 'surjections';
+    'extensions' takes singleton fibers only, weight 1.  Equal roots are
+    distinct fibers.  A fiber's decoration key is its root key, or the
+    summed atoms of its roots' keys, each an int when it is integral.
     """
-    roots = f.trees
-    keys = [t.root.sort_key() for t in roots]
-    sums: dict[tuple, GaussianRational] = {}
     out: Counter = Counter()
-    max_size = 1 if counting == "extensions" else len(roots)
-    for size in range(1, max_size + 1):
+    n = len(fk)
+    for size in range(1, (1 if counting == "extensions" else n) + 1):
         weight = math.factorial(size) if counting == "merges" else 1
-        for combo in itertools.combinations(range(len(roots)), size):
+        for combo in itertools.combinations(range(n), size):
+            rest = [t for i, t in enumerate(fk) if i not in combo]
             if size == 1:
-                dec = roots[combo[0]].root
+                dec, kids = fk[combo[0]]
+                rest.extend(kids)
             else:
-                total = (sum(keys[i][0] for i in combo), sum(keys[i][1] for i in combo))
-                dec = sums.get(total)
-                if dec is None:
-                    dec = sums[total] = GaussianRational(*total)
-            rest = [t for i, t in enumerate(roots) if i not in combo]
-            for i in combo:
-                rest.extend(roots[i].children.trees)
-            out[dec, Forest(tuple(rest))] += weight
+                re = im = 0
+                for i in combo:
+                    (r, j), kids = fk[i]
+                    re += r
+                    im += j
+                    rest.extend(kids)
+                dec = (_atom(re), _atom(im))
+            rest.sort()
+            out[dec, tuple(rest)] += weight
     return out
 
 
 @lru_cache(maxsize=1 << 14)
-def _covers(f: Forest, counting: str) -> Counter:
+def _covers(fk: tuple, counting: str) -> Counter:
     """covers(F) = sum over fibers of weight * [(fiber sum) followed by each
-    word of covers(rest)], as letter tuples, memoised on the canonical forest.
-    Forests share residual forests, so the memo spans calls; it is bounded,
-    and its Counters are read, never mutated."""
-    if not f.trees:
+    word of covers(rest)], as tuples of letter keys, memoised on the forest
+    key.  Forests share residual forests, so the memo spans calls; it is
+    bounded, and its Counters are read, never mutated."""
+    if not fk:
         return Counter({(): 1})
     out: Counter = Counter()
-    for (dec, rest), weight in _fiber_step(f, counting).items():
+    for (dec, rest), weight in _fiber_step(fk, counting).items():
         for tail, mult in _covers(rest, counting).items():
             out[(dec,) + tail] += weight * mult
     return out
+
+
+def _cover_words(covers: Counter) -> Counter:
+    """Letter-key tuples as Words, one GaussianRational per distinct key."""
+    letters = {k: GaussianRational(*k) for k in {k for w in covers for k in w}}
+    return Counter({_word(tuple(map(letters.__getitem__, w))): m for w, m in covers.items()})
 
 
 def linear_extensions(f: Forest) -> Counter:
@@ -389,7 +415,7 @@ def linear_extensions(f: Forest) -> Counter:
 
     An antichain of r distinct decorations yields r! words.
     """
-    return Counter({Word(w): m for w, m in _covers(f, "extensions").items()})
+    return _cover_words(_covers(f._key, "extensions"))
 
 
 def contracting_covers(f: Forest, counting: str = "merges") -> Counter:
@@ -409,7 +435,7 @@ def contracting_covers(f: Forest, counting: str = "merges") -> Counter:
     """
     if counting not in ("merges", "surjections"):
         raise ValueError(f"unknown counting {counting!r}")
-    return Counter({Word(w): m for w, m in _covers(f, counting).items()})
+    return _cover_words(_covers(f._key, counting))
 
 
 def _integer_values(letters: Sequence[GaussianRational]) -> list[int]:

@@ -359,6 +359,28 @@ class TestOrganicGrowth:
         for r in want:
             assert abs(got[r] - want[r]) <= 1e-12 * want[r]
 
+    @pytest.mark.parametrize(
+        "kwargs, field",
+        [
+            ({"decorations": (1.5, 2)}, "decorations"),
+            ({"decorations": (0, 1)}, "decorations"),
+            ({"decorations": (-1, 2)}, "decorations"),
+            ({"decorations": ("1/2",)}, "decorations"),
+            ({"decorations": ()}, "decorations"),
+            ({"max_nodes": 0}, "max_nodes"),
+            ({"max_nodes": -2}, "max_nodes"),
+        ],
+        ids=["float", "zero", "negative", "fraction", "empty", "no-nodes", "negative-nodes"],
+    )
+    def test_bad_inputs_are_refused(self, kwargs, field):
+        with pytest.raises(ValueError, match=field):
+            organic_growth_report(**{"max_nodes": 3, **kwargs})
+
+    def test_decorations_are_letters(self):
+        rep = organic_growth_report(3, ("2", 1, Fraction(3), 2))
+        assert rep.decorations == (1, 2, 3)
+        assert rep.sup_by_nodes == organic_growth_report(3, (1, 2, 3)).sup_by_nodes
+
 
 class TestTransition:
     def test_ledom_norm_one(self):
