@@ -3,6 +3,8 @@ saddle-node synthesis.
 
 Layers, bottom up:
 
+- values:     Gaussian rationals, exact literals, and the accumulation
+              kernel (sparse_sum, linear_sum) every sum of products uses
 - words:      decorated words and forests, shuffles, contracting shuffles,
               linear extensions and contracting covers (two countings)
 - moulds:     mould product/composition/inverses, symmetry checks,

@@ -310,10 +310,12 @@ def _dispatch_synthesize(args) -> int:
         data = json.load(fh)
     coeffs = {}
     for k, v in data.get("A", {}).items():
-        if isinstance(v, str):
-            coeffs[int(k)] = complex(parse_exact(v))
-        else:
-            coeffs[int(k)] = complex(v)
+        # one spelling per index, so that no entry overwrites another
+        if not (k.isascii() and k.isdigit() and k[0] != "0"):
+            raise ValueError(f"invariants key A[{k!r}] must be a positive integer without sign, spaces or leading zeros")
+        if type(v) not in (str, int, float):
+            raise ValueError(f"invariants value A[{k!r}] = {json.dumps(v)} must be an exact literal string or a number")
+        coeffs[int(k)] = complex(parse_exact(v) if type(v) is str else v)
     growth = float(data.get("H", 1.0))
     inv = InvariantFamily(coeffs, growth_bound=growth)
     caps = args.caps.split(",")

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
-from .values import GaussianRational, as_gaussian, format_exact, parse_exact
+from .values import GaussianRational, as_gaussian, format_exact, linear_sum, parse_exact
 from .words import (
     EMPTY_WORD,
     Forest,
@@ -119,11 +119,7 @@ def mould_mul(m: Mould, n: Mould) -> Mould:
     """Mould product: P^w = sum over splits w = uv of M^u N^v."""
 
     def rule(w: Word):
-        total = None
-        for i in range(w.length + 1):
-            term = m.value(w[:i]) * n.value(w[i:])
-            total = term if total is None else total + term
-        return total
+        return linear_sum((m.value(w[:i]), n.value(w[i:])) for i in range(w.length + 1))
 
     return Mould(rule, alphabet=m.alphabet, cap=_min_cap(m, n))
 
@@ -134,34 +130,23 @@ def mould_compose(m: Mould, n: Mould) -> Mould:
     where |wi| is the block norm."""
 
     def rule(w: Word):
-        if w.length == 0:
-            return m.value(EMPTY_WORD)
-        total = None
-        for blocks in _block_partitions(w):
-            norm_word = Word(tuple(b.norm for b in blocks))
-            term = m.value(norm_word)
-            for b in blocks:
-                term = term * n.value(b)
-            total = term if total is None else total + term
-        return total
+        return m.value(EMPTY_WORD) if w.length == 0 else linear_sum(_composition_terms(m, n, w))
 
     return Mould(rule, cap=_min_cap(m, n))
 
 
-def _block_partitions(w: Word):
+def _composition_terms(m: Mould, n: Mould, w: Word, start: int = 0):
+    """(M^{(|w1|,...,|ws|)} N^{w1}...N^{w(s-1)}, N^{ws}) over the partitions of
+    a nonempty w into consecutive blocks, each product the term as it reads
+    from the left; partitions are cut masks on the gaps, 0 the single block."""
     r = w.length
-    if r == 0:
-        return
-    # cut positions encoded by bitmask over the r-1 gaps
-    for mask in range(1 << (r - 1)):
-        blocks = []
-        start = 0
-        for gap in range(r - 1):
-            if mask & (1 << gap):
-                blocks.append(w[start : gap + 1])
-                start = gap + 1
-        blocks.append(w[start:r])
-        yield blocks
+    for mask in range(start, 1 << (r - 1)):
+        cuts = [0] + [gap + 1 for gap in range(r - 1) if mask >> gap & 1] + [r]
+        blocks = [w[i:j] for i, j in zip(cuts, cuts[1:])]
+        head = m.value(Word(tuple(b.norm for b in blocks)))
+        for b in blocks[:-1]:
+            head = head * n.value(b)
+        yield head, n.value(blocks[-1])
 
 
 def _min_cap(m: Mould, n: Mould):
@@ -178,11 +163,7 @@ def mould_inverse_mul(m: Mould, cap: int) -> Mould:
     def rule(w: Word):
         if w.length == 0:
             return inv_e
-        total = None
-        for i in range(1, w.length + 1):
-            term = m.value(w[:i]) * out.value(w[i:])
-            total = term if total is None else total + term
-        return -(total * inv_e)
+        return -(linear_sum((m.value(w[:i]), out.value(w[i:])) for i in range(1, w.length + 1)) * inv_e)
 
     out._rule = rule
     return out
@@ -202,14 +183,8 @@ def mould_inverse_comp(m: Mould, cap: int) -> Mould:
         if head == 0:
             raise ZeroDivisionError(f"single-letter value vanishes at norm {w.norm}")
         acc = identity.value(w)
-        for blocks in _block_partitions(w):
-            if len(blocks) == 1:
-                continue
-            norm_word = Word(tuple(b.norm for b in blocks))
-            term = m.value(norm_word)
-            for b in blocks:
-                term = term * out.value(b)
-            acc = acc - term
+        for term, last in _composition_terms(m, out, w, start=1):
+            acc = acc - term * last
         return acc * (1 / head)
 
     out._rule = rule
@@ -289,10 +264,7 @@ def check_symmetry(m: Mould, kind: str, cap: int, alphabet: Sequence[GaussianRat
                 if w1.length + w2.length > cap:
                     continue
                 lhs = m.value(w1) * m.value(w2) if multiplicative else 0
-                rhs = None
-                for w, mult in shuffler(w1, w2).items():
-                    term = m.value(w) * mult
-                    rhs = term if rhs is None else rhs + term
+                rhs = linear_sum((m.value(w), mult) for w, mult in shuffler(w1, w2).items())
                 yield (w1, w2), _violation(rhs, lhs, tol)
 
     return _scan(kind, cases(), tol or 0.0)
@@ -328,15 +300,8 @@ def arborify(m: Mould, mode: str = "simple", counting: str = "merges") -> ArMoul
     def rule(f: Forest):
         if not f.trees:
             return m.value(EMPTY_WORD)
-        if mode == "simple":
-            cover = linear_extensions(f)
-        else:
-            cover = contracting_covers(f, counting=counting)
-        total = None
-        for w, mult in cover.items():
-            term = m.value(w) * mult
-            total = term if total is None else total + term
-        return total
+        cover = linear_extensions(f) if mode == "simple" else contracting_covers(f, counting=counting)
+        return linear_sum((m.value(w), mult) for w, mult in cover.items())
 
     return ArMould(rule)
 
@@ -506,7 +471,7 @@ def organic_growth_report(max_nodes: int = 6, decorations: Sequence[int] = (1, 2
     """
     if counting not in ("merges", "surjections"):
         raise ValueError(f"unknown counting {counting!r}")
-    if not isinstance(max_nodes, int) or max_nodes < 1:
+    if isinstance(max_nodes, bool) or not isinstance(max_nodes, int) or max_nodes < 1:
         raise ValueError(f"max_nodes must be a positive integer, got {max_nodes!r}")
     try:
         decs = tuple(_integer_values([letter(d) for d in decorations]))

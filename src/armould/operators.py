@@ -14,8 +14,8 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .values import GaussianRational
-from .series import TruncatedSeries, UPoly, _poly_add, _poly_diff, _poly_max_abs_diff, _poly_mul, _poly_scale, _zero
+from .values import GaussianRational, _zero, sparse_sum
+from .series import TruncatedSeries, UPoly, _poly_add, _poly_diff, _poly_max_abs_diff, _poly_mul, _poly_scale
 from .words import (
     EMPTY_FOREST,
     EMPTY_WORD,
@@ -115,6 +115,10 @@ class DiffOperator:
             if any(a.get(d, 0) != b.get(d, 0) for d in degs):
                 return False
         return True
+
+    def items(self):
+        """((order, degree), coefficient) pairs: the operator as a sparse vector."""
+        return (((k, d), c) for k, poly in self.terms.items() for d, c in poly.items())
 
     def max_abs_diff(self, other: "DiffOperator") -> float:
         """Largest coefficient difference; NaN if any difference is NaN."""
@@ -267,16 +271,12 @@ def check_coseparative(family: DerivationFamily, cap: int, f: TruncatedSeries, g
 
 
 def _linear_combination(terms: Iterable[tuple[object, DiffOperator]]) -> DiffOperator:
-    """sum of s * op over (s, op) pairs, accumulated in place into one operator;
-    zero scalars are skipped."""
-    out: dict[int, UPoly] = {}
-    for s, op in terms:
-        if _zero(s):
-            continue
-        for k, poly in op.terms.items():
-            acc = out.setdefault(k, {})
-            for d, c in poly.items():
-                acc[d] = acc.get(d, 0) + c * s
+    """sum of s * op over (s, op) pairs, one sparse_sum over (order, degree)
+    keys; the orders come as the terms with a nonzero scalar first name them."""
+    terms = [(s, op) for s, op in terms if not _zero(s)]
+    out: dict[int, UPoly] = {k: {} for _, op in terms for k in op.terms}
+    for (k, d), c in sparse_sum(terms).items():
+        out[k][d] = c
     return DiffOperator(out)
 
 
@@ -364,12 +364,12 @@ def _contracted_duals(norm_cap: int, counting: str) -> dict[Forest, dict[Word, F
             eq_words = list(dict.fromkeys(w for _, cover in unknowns for w in cover if w.length == nodes))
             # b_w = e_w - sum over the forests with more nodes of mult(w, F) X[F]
             known = [(f, cover) for k, f, cover in layer if k > nodes]
-            rhs = [_sparse_sum([(1, {w: 1})] + [(-cover[w], duals[f]) for f, cover in known if w in cover]) for w in eq_words]
+            rhs = [sparse_sum([(1, {w: 1})] + [(-cover[w], duals[f]) for f, cover in known if w in cover]) for w in eq_words]
             matrix = [[cover.get(w, 0) for _, cover in unknowns] for w in eq_words]
             inv = _fraction_inverse([[sum(a * b for a, b in zip(ri, rj)) for rj in matrix] for ri in matrix])
-            y = [_sparse_sum(zip(inv_row, rhs)) for inv_row in inv]
+            y = [sparse_sum(zip(inv_row, rhs)) for inv_row in inv]
             for col, (f, _) in enumerate(unknowns):
-                duals[f] = _sparse_sum((row[col], yi) for row, yi in zip(matrix, y))
+                duals[f] = sparse_sum((row[col], yi) for row, yi in zip(matrix, y))
     # consistency: sum_F mult(w, F) X[F] must be the unit vector at w
     check: dict[Word, list] = {}
     for layer in layers.values():
@@ -377,19 +377,9 @@ def _contracted_duals(norm_cap: int, counting: str) -> dict[Forest, dict[Word, F
             for w, mult in cover.items():
                 check.setdefault(w, []).append((mult, duals[f]))
     for w, terms in check.items():
-        if _sparse_sum(terms) != {w: 1}:
+        if sparse_sum(terms) != {w: 1}:
             raise ArithmeticError(f"contracted coarborification inconsistent at {w}")
     return duals
-
-
-def _sparse_sum(terms: Iterable[tuple[object, Mapping]]) -> dict:
-    """sum of s * vec over (s, vec) pairs of sparse vectors, zeros dropped."""
-    out: dict = {}
-    for s, vec in terms:
-        if s:
-            for k, v in vec.items():
-                out[k] = out.get(k, 0) + s * v
-    return {k: v for k, v in out.items() if v}
 
 
 def _fraction_inverse(m: list[list[Fraction]]) -> list[list[Fraction]]:

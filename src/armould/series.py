@@ -11,14 +11,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from .values import _zero
+
 UPoly = dict  # degree -> coefficient
-
-
-def _zero(c) -> bool:
-    try:
-        return c == 0
-    except Exception:
-        return False
 
 
 def _poly_add(a: UPoly, b: UPoly) -> UPoly:

@@ -1,4 +1,6 @@
-"""Exact scalar values: Gaussian rationals and literal parsing.
+"""Exact scalar values: Gaussian rationals, literal parsing, and the kernel
+of every sum of products (:func:`sparse_sum`, :func:`linear_sum`): one integer
+numerator over a running denominator on real exact factors (TAOCP 4.5.1).
 
 Decorations, mould tables and golden files use exact arithmetic; floats are
 rejected at parse time so that shuffle and contraction identities can be
@@ -9,6 +11,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import gcd
 from typing import Union
 
 Exactable = Union[int, Fraction, "GaussianRational"]
@@ -202,3 +205,75 @@ def format_exact(x) -> str:
         return f"{g.im}i"
     sign = "+" if g.im >= 0 else ""
     return f"{g.re}{sign}{g.im}i"
+
+
+def _zero(c) -> bool:
+    try:
+        return c == 0
+    except Exception:
+        return False
+
+
+class _Inexact(Exception):
+    pass
+
+
+def _parts(x) -> tuple[int, int, int]:
+    # numerator, denominator and type bit of an int (0), a Fraction (1) or a
+    # real GaussianRational (2)
+    t = type(x)
+    if t is GaussianRational and x._key[1] == 0:
+        x, bit = x._key[0], 2
+    elif t is int or t is Fraction:
+        bit = 1 if t is Fraction else 0
+    else:
+        raise _Inexact
+    return x.numerator, x.denominator, bit
+
+
+def _sum(terms, keyed: bool) -> dict:
+    """key -> sum of s * v over (s, vec) terms, or over (s, v) pairs under the
+    key None when not keyed; keyed sums skip zero scalars."""
+    terms = list(terms)
+    acc: dict = {}  # key -> [numerator, lcm of the denominators, type bits]
+    try:
+        for s, vec in terms:
+            sn, sd, sbit = _parts(s)
+            if keyed and not sn:
+                continue
+            for key, v in vec.items() if keyed else ((None, vec),):
+                vn, vd, vbit = _parts(v)
+                p, q, e = sn * vn, sd * vd, acc.get(key)
+                if e is None:
+                    acc[key] = [p, q, sbit | vbit]
+                    continue
+                if q != e[1]:
+                    g = gcd(e[1], q)
+                    e[0], e[1], p = e[0] * (q // g), e[1] // g * q, p * (e[1] // g)
+                e[0] += p
+                e[2] |= sbit | vbit
+    except _Inexact:
+        out: dict = {}
+        for s, vec in terms:
+            if keyed and _zero(s):
+                continue
+            for key, v in vec.items() if keyed else ((None, vec),):
+                # the plain loops: a keyed sum starts at 0, a scalar one at its first term
+                prev = out.get(key, 0 if keyed else None)
+                out[key] = s * v if prev is None else prev + s * v
+        return out
+    # one reduction per entry: a GaussianRational if any factor was one, else
+    # a Fraction if any was, else an int (whose denominator is 1)
+    return {k: _real(Fraction(n, d)) if bits & 2 else Fraction(n, d) if bits else n for k, (n, d, bits) in acc.items()}
+
+
+def sparse_sum(terms) -> dict:
+    """sum of s * vec over (s, vec) pairs, vec anything with ``.items()``;
+    zero scalars are skipped and entries that sum to zero dropped."""
+    return {k: v for k, v in _sum(terms, keyed=True).items() if not _zero(v)}
+
+
+def linear_sum(pairs):
+    """sum of s * v over (s, v) pairs: the one-key case of sparse_sum, with no
+    term skipped and a typed zero for a sum that cancels."""
+    return _sum(pairs, keyed=False).get(None, 0)

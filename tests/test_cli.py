@@ -208,6 +208,27 @@ class TestSynthesizeCommand:
         assert payload["invariants"]["1"] == "0.25+0.0i"
         assert float(payload["automorphism_defect"]) <= 1e-6
 
+    @pytest.mark.parametrize(
+        "table, key",
+        [
+            ('{"1": "1/4", "1 ": "1/16"}', "1 "),
+            ('{"1": "1/4", "01": "1/16"}', "01"),
+            ('{"1": true}', "1"),
+            ('{"1": [1]}', "1"),
+            ('{"1": null}', "1"),
+            ('{"1.5": "1/4"}', "1.5"),
+        ],
+        ids=["trailing-space", "leading-zero", "bool", "list", "null", "non-integer"],
+    )
+    def test_bad_invariant_entries_exit_2_naming_the_key(self, tmp_path, capsys, table, key):
+        # each would overwrite A_1, read true as 1, crash, or not say which key
+        inv = tmp_path / "inv.json"
+        inv.write_text(f'{{"A": {table}}}')
+        rc = main(["synthesize", "--invariants", str(inv), "--c", "2", "--caps", "4,4,2"])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert f"A[{key!r}]" in json.loads(captured.err)["error"]
+
     def test_double_run_byte_identical(self, tmp_path, capsys):
         inv = tmp_path / "inv.json"
         inv.write_text('{"A": {"1": "1/4"}, "H": 1.0}')

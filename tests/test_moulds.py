@@ -369,8 +369,9 @@ class TestOrganicGrowth:
             ({"decorations": ()}, "decorations"),
             ({"max_nodes": 0}, "max_nodes"),
             ({"max_nodes": -2}, "max_nodes"),
+            ({"max_nodes": True}, "max_nodes"),
         ],
-        ids=["float", "zero", "negative", "fraction", "empty", "no-nodes", "negative-nodes"],
+        ids=["float", "zero", "negative", "fraction", "empty", "no-nodes", "negative-nodes", "bool-nodes"],
     )
     def test_bad_inputs_are_refused(self, kwargs, field):
         with pytest.raises(ValueError, match=field):

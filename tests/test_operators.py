@@ -15,6 +15,7 @@ from armould.moulds import (
     arborify,
     builtin_mould,
     mould_compose,
+    mould_mul,
     symmetrel_geometric,
     words_over,
     words_of_norm_at_most,
@@ -32,6 +33,7 @@ from armould.operators import (
     restricted_norm,
 )
 from armould.series import TruncatedSeries
+from armould.values import parse_exact
 from armould.words import EMPTY_WORD, contracting_covers, forests_of_norm, letter, linear_extensions, parse_forest, word
 
 AB = [letter(1), letter(2)]
@@ -268,6 +270,37 @@ class TestContractions:
         nu = 4
         f = TruncatedSeries.u_power(1, nu)
         assert theta.apply(f * f) != theta.apply(f) * theta.apply(f)
+
+    MODES = (("simple", "merges"), ("contracting", "merges"), ("contracting", "surjections"))
+
+    @pytest.mark.parametrize("x1", [parse_exact("3/7"), parse_exact("1+1i")], ids=["real", "complex"])
+    def test_forest_sums_match_the_word_sum_on_both_kernel_paths(self, x1):
+        # real Gaussian values take the kernel's integer path, complex ones
+        # its plain loop; both must give the word sum in every mode
+        fam = DerivationFamily({1: Fraction(1, 3), 2: Fraction(-2, 5)})
+        geometric = [symmetrel_geometric(x1), symmetrel_geometric(Fraction(-2, 9))]
+        m = mould_mul(*geometric)
+        assert (m.value(word(1)).im != 0) == (x1.im != 0)
+        lhs = contract_word_sum(m, fam, 4)
+        for mode, counting in self.MODES:
+            assert contract_forest_sum(arborify(m, mode, counting=counting), fam, 4, mode=mode, counting=counting) == lhs
+        if x1.im == 0:
+            assert lhs.dump() == _loop_word_sum(geometric, fam, 4).dump()
+
+
+def _loop_word_sum(factors, fam, cap):
+    """sum over words of the product mould's value times B_w, each sum a plain
+    loop over exact values"""
+    g, h = factors
+    out = {}
+    for w in [EMPTY_WORD] + words_of_norm_at_most(fam.letters(), cap):
+        s = sum((g.value(w[:i]) * h.value(w[i:]) for i in range(w.length + 1)), start=0)
+        if s != 0:
+            for k, poly in op_compose_word(fam, w).terms.items():
+                acc = out.setdefault(k, {})
+                for d, c in poly.items():
+                    acc[d] = acc.get(d, 0) + c * s
+    return DiffOperator(out)
 
 
 class TestContractedCoarborified:

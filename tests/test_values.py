@@ -1,5 +1,6 @@
 """Gaussian rationals: stored keys and hashes, the real fast path, literal
-parsing, and copying and pickling of exact values."""
+parsing, copying and pickling of exact values, and the accumulation kernel
+against the plain loops it replaces."""
 
 import copy
 import pickle
@@ -10,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from armould.values import GaussianRational, parse_exact
+from armould.series import TruncatedSeries
+from armould.values import GaussianRational, linear_sum, parse_exact, sparse_sum
 from armould.words import letter, parse_forest, word
 
 fractions = st.builds(Fraction, st.integers(-20, 20), st.integers(1, 12))
@@ -87,3 +89,96 @@ def test_exact_values_copy_and_pickle():
     for x in values:
         for y in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
             assert type(y) is type(x) and y == x and hash(y) == hash(x)
+
+
+# -- accumulation kernel ------------------------------------------------------
+
+ints = st.integers(-20, 20)
+real = ints | fractions | st.builds(GaussianRational, fractions)
+exact = real | st.builds(GaussianRational, fractions, fractions)
+inexact = (
+    ints
+    | fractions
+    | st.floats(-1e3, 1e3, allow_nan=False)
+    | st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False)
+)
+series = st.builds(
+    lambda cs: TruncatedSeries(dict(enumerate(cs)), 3),
+    st.lists(st.floats(-10, 10, allow_nan=False) | fractions, min_size=1, max_size=4),
+)
+
+
+def loop_sum(pairs):
+    total = None
+    for s, v in pairs:
+        term = s * v
+        total = term if total is None else total + term
+    return total
+
+
+def loop_sparse_sum(terms):
+    out = {}
+    for s, vec in terms:
+        if s != 0:
+            for k, v in vec.items():
+                out[k] = out.get(k, 0) + s * v
+    return {k: v for k, v in out.items() if v != 0}
+
+
+def typed(x):
+    # the value with its type, and the bits of a float or complex
+    return type(x), repr(x) if isinstance(x, (float, complex, TruncatedSeries)) else x
+
+
+def sparse_terms(values):
+    return st.lists(st.tuples(values, st.dictionaries(st.integers(0, 3), values, max_size=3)), max_size=6)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(
+    st.lists(st.tuples(real, real), min_size=1, max_size=8) | st.lists(st.tuples(exact, exact), min_size=1, max_size=8),
+    sparse_terms(real) | sparse_terms(exact),
+)
+def test_kernel_matches_the_loop_on_exact_values(pairs, terms):
+    # real factors take the integer path; a complex GaussianRational anywhere
+    # sends the whole sum through the loop
+    assert typed(linear_sum(pairs)) == typed(loop_sum(pairs))
+    got, want = sparse_sum(terms), loop_sparse_sum(terms)
+    assert list(got) == list(want)
+    assert [typed(v) for v in got.values()] == [typed(v) for v in want.values()]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(
+    st.lists(st.tuples(inexact, inexact), min_size=1, max_size=8),
+    sparse_terms(inexact),
+    st.lists(st.tuples(series, series | inexact), min_size=1, max_size=4),
+)
+def test_kernel_keeps_the_bits_of_the_loop_on_other_values(pairs, terms, series_pairs):
+    for got, want in ((linear_sum(pairs), loop_sum(pairs)), (linear_sum(series_pairs), loop_sum(series_pairs))):
+        assert got == want and typed(got) == typed(want)
+    got, want = sparse_sum(terms), loop_sparse_sum(terms)
+    assert got == want and [typed(v) for v in got.values()] == [typed(v) for v in want.values()]
+
+
+@pytest.mark.parametrize(
+    "pairs, zero",
+    [
+        ([(2, 3), (-3, 2)], 0),
+        ([(Fraction(1, 2), 2), (-1, 1)], Fraction(0)),
+        ([(GaussianRational(Fraction(1, 3)), 3), (-1, 1)], GaussianRational(0)),
+    ],
+)
+def test_a_cancelled_sum_is_a_typed_zero_or_no_entry(pairs, zero):
+    assert typed(linear_sum(pairs)) == typed(zero)
+    assert sparse_sum((s, {"gone": v, "kept": 1}) for s, v in pairs) == {"kept": sum(s for s, _ in pairs)}
+
+
+def test_zero_scalars_are_skipped_and_keyed_loops_start_at_zero():
+    # a skipped zero scalar sets neither an entry nor its type
+    got = sparse_sum([(GaussianRational(0), {0: 1, 1: 2}), (1, {0: 1})])
+    assert [typed(v) for v in got.values()] == [typed(1)] and list(got) == [0]
+    # -1.0 * (-1+0j) is (1-0j); the keyed loop adds it to 0, which clears the
+    # negative zero, and the scalar loop starts at it
+    assert typed(sparse_sum([(-1.0, {0: complex(-1, 0.0)})])[0]) == typed(complex(1, 0.0))
+    assert typed(linear_sum([(-1.0, complex(-1, 0.0))])) == typed(complex(1, -0.0))
