@@ -225,6 +225,8 @@ def _dispatch_mould(args) -> int:
         print(str(rep))
         return 0 if rep.passed else 1
     if args.mould_command in ("mul", "compose"):
+        if args.cap is not None and args.cap < 0:
+            raise ValueError(f"--cap {args.cap} must be at least 0")
         with open(args.table1) as fh:
             m1 = Mould.from_json(fh.read())
         with open(args.table2) as fh:
@@ -305,19 +307,38 @@ def _dispatch_monomial(args) -> int:
     return 0 if ok else 1
 
 
+def _json_object(value, name: str) -> dict:
+    """A JSON object read as a tuple of pairs, as a dict; any other value and
+    any repeated key are refused, naming the field."""
+    if type(value) is not tuple:
+        raise ValueError(f"{name} must be a JSON object, got {json.dumps(value)}")
+    out: dict = {}
+    for k, v in value:
+        if k in out:
+            raise ValueError(f"{name}[{k!r}] is given twice")
+        out[k] = v
+    return out
+
+
 def _dispatch_synthesize(args) -> int:
     with open(args.invariants) as fh:
-        data = json.load(fh)
+        # objects as tuples of pairs, so a repeated key is seen, not overwritten
+        data = _json_object(json.load(fh, object_pairs_hook=tuple), "invariants")
+    unknown = sorted(set(data) - {"A", "H"})
+    if unknown:
+        raise ValueError(f"invariants field {unknown[0]!r} is neither A nor H")
     coeffs = {}
-    for k, v in data.get("A", {}).items():
+    for k, v in _json_object(data.get("A", ()), "invariants A").items():
         # one spelling per index, so that no entry overwrites another
         if not (k.isascii() and k.isdigit() and k[0] != "0"):
             raise ValueError(f"invariants key A[{k!r}] must be a positive integer without sign, spaces or leading zeros")
         if type(v) not in (str, int, float):
             raise ValueError(f"invariants value A[{k!r}] = {json.dumps(v)} must be an exact literal string or a number")
         coeffs[int(k)] = complex(parse_exact(v) if type(v) is str else v)
-    growth = float(data.get("H", 1.0))
-    inv = InvariantFamily(coeffs, growth_bound=growth)
+    growth = data.get("H", 1.0)
+    if type(growth) not in (int, float):
+        raise ValueError(f"invariants field H = {json.dumps(growth)} must be a number")
+    inv = InvariantFamily(coeffs, growth_bound=float(growth))
     caps = args.caps.split(",")
     if len(caps) != 3:
         raise ValueError(f"--caps {args.caps!r} must have the three fields N_u,N_z,R_max")

@@ -1,14 +1,16 @@
-"""Decorated words and forests: shuffles, contracting shuffles, and the order
-morphisms between words and forests.
+"""Decorated words and forests, and the order morphisms between them.
 
 Multiset semantics throughout: every operation returns a Counter mapping a
 Word (or Forest) to its multiplicity.  A letter is its decoration, an exact
 GaussianRational; two letters are equal iff their decorations are equal
 exactly.
 
-Contracting covers carry two counting conventions (see
-:func:`contracting_covers`); the choice matters as soon as a forest has
-incomparable nodes.
+One fiber recursion enumerates every order morphism.  A word is a chain
+forest, so the shuffle of two words is the set of linear extensions of
+their two-chain forest, and their contracting shuffle is that forest's
+covers counted once per surjection.  Contracting covers carry two counting
+conventions (see :func:`contracting_covers`); the choice matters as soon as
+a forest has incomparable nodes.
 
 Words, trees and forests are immutable and build their canonical key once:
 a nested tuple of the letters' ``(re, im)`` keys (integer parts as ints),
@@ -153,66 +155,6 @@ def _split_top(s: str, sep: str) -> list[str]:
             cur.append(ch)
     parts.append("".join(cur))
     return parts
-
-
-# ---------------------------------------------------------------------------
-# shuffles
-# ---------------------------------------------------------------------------
-
-
-def shuffle(w1: Word, w2: Word) -> Counter:
-    """All interleavings of w1 and w2 preserving internal orders.
-
-    Returns a multiset; the total count is C(r1+r2, r1).
-    """
-    out: Counter = Counter()
-    _shuffle_rec(w1.letters, w2.letters, out, ())
-    return out
-
-
-def _shuffle_rec(a, b, out, prefix):
-    if not a:
-        out[_word(prefix + b)] += 1
-        return
-    if not b:
-        out[_word(prefix + a)] += 1
-        return
-    _shuffle_rec(a[1:], b, out, prefix + (a[0],))
-    _shuffle_rec(a, b[1:], out, prefix + (b[0],))
-
-
-def contracting_shuffle(w1: Word, w2: Word) -> Counter:
-    """Quasi-shuffle of w1 and w2: ordinary shuffles plus all contractions
-    merging one letter of w1 with one adjacent letter of w2 per merged slot.
-
-    Recursion on the last letters: csh(u.a, v.b) = csh(u, v.b).a
-    + csh(u.a, v).b + csh(u, v).(a+b).  Each contracted word is produced
-    once per quasi-shuffle realization, so csh((a),(b)) has a single
-    contraction term (a+b).
-    """
-    out: Counter = Counter()
-    for suffix, mult in _csh_rec(w1.letters, w2.letters).items():
-        out[_word(suffix)] += mult
-    return out
-
-
-@lru_cache(maxsize=1 << 14)
-def _csh_rec(a: tuple, b: tuple) -> Counter:
-    """Contracting shuffle of two letter tuples, memoised on the pair.  The
-    memo spans calls and is bounded; its Counters are read, never mutated."""
-    if not a:
-        return Counter({b: 1})
-    if not b:
-        return Counter({a: 1})
-    out: Counter = Counter()
-    for prefix, mult in _csh_rec(a[:-1], b).items():
-        out[prefix + (a[-1],)] += mult
-    for prefix, mult in _csh_rec(a, b[:-1]).items():
-        out[prefix + (b[-1],)] += mult
-    merged = a[-1] + b[-1]
-    for prefix, mult in _csh_rec(a[:-1], b[:-1]).items():
-        out[prefix + (merged,)] += mult
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -436,6 +378,38 @@ def contracting_covers(f: Forest, counting: str = "merges") -> Counter:
     if counting not in ("merges", "surjections"):
         raise ValueError(f"unknown counting {counting!r}")
     return _cover_words(_covers(f._key, counting))
+
+
+def _two_chain_key(w1: Word, w2: Word) -> tuple:
+    """The canonical key of the forest of two chains, one per word: each
+    letter the only child of the letter before it, an empty word no tree.
+    Built from the words' stored letter keys, with no Tree or Forest."""
+    trees = []
+    for w in (w1, w2):
+        chain = ()
+        for k in reversed(w._key):
+            chain = ((k, chain),)
+        trees.extend(chain)
+    return tuple(sorted(trees))
+
+
+def shuffle(w1: Word, w2: Word) -> Counter:
+    """All interleavings of w1 and w2 preserving internal orders: the linear
+    extensions of their two-chain forest.
+
+    Returns a multiset; the total count is C(r1+r2, r1).
+    """
+    return _cover_words(_covers(_two_chain_key(w1, w2), "extensions"))
+
+
+def contracting_shuffle(w1: Word, w2: Word) -> Counter:
+    """Quasi-shuffle of w1 and w2: the covers of their two-chain forest,
+    counted once per surjection.
+
+    Each step places the next letter of w1, the next letter of w2, or their
+    sum, so csh((a),(b)) = (a,b) + (b,a) + (a+b), one contraction term.
+    """
+    return _cover_words(_covers(_two_chain_key(w1, w2), "surjections"))
 
 
 def _integer_values(letters: Sequence[GaussianRational]) -> list[int]:

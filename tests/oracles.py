@@ -1,8 +1,9 @@
 """Test oracles: slower, independently built constructions that the library
 is checked against.  The normalizer's word assembly, with its own scalar
 L and dL, checks its forest assembly, and the word side of the z-free
-coarborification identity checks its forest rows; the index-walk enumerators check the memoised fiber recursion and
-the streamed forest generator of :mod:`armould.words`; the dense Cauchy fold
+coarborification identity checks its forest rows; the index-walk enumerators
+and the position-subset shuffles check the memoised fiber recursion and the
+streamed forest generator of :mod:`armould.words`; the dense Cauchy fold
 checks the FFT-Toeplitz fold of :mod:`armould.monomials`, and the cover sum
 of word values checks its structured forest integral, and the Laplace-side
 double integral checks its value at r = 2.  The operator-valued
@@ -274,6 +275,36 @@ def contracting_covers(f: Forest, counting: str = "merges") -> Counter:
                 rec(frozenset(nxt), placed + (dec,), w)
 
     rec(roots, (), 1)
+    return out
+
+
+def shuffle(w1: Word, w2: Word) -> Counter:
+    """Oracle for :func:`armould.words.shuffle`, with no recursion: w1's
+    letters, in order, at each r1-subset of the r1 + r2 positions, and w2's
+    letters, in order, at the remaining positions."""
+    n = len(w1) + len(w2)
+    out: Counter = Counter()
+    for places in itertools.combinations(range(n), len(w1)):
+        a, b = iter(w1.letters), iter(w2.letters)
+        out[Word(tuple(next(a) if p in places else next(b) for p in range(n)))] += 1
+    return out
+
+
+def contracting_shuffle(w1: Word, w2: Word) -> Counter:
+    """Oracle for :func:`armould.words.contracting_shuffle`, with no
+    recursion: one term per pair of strictly increasing maps from w1's and
+    w2's positions into [n] whose images cover [n], position p holding the
+    sum of the letters mapped to it."""
+    out: Counter = Counter()
+    for n in range(max(len(w1), len(w2)), len(w1) + len(w2) + 1):
+        for im1 in itertools.combinations(range(n), len(w1)):
+            for im2 in itertools.combinations(range(n), len(w2)):
+                if set(im1) | set(im2) != set(range(n)):
+                    continue
+                slots: list[list] = [[] for _ in range(n)]
+                for p, a in itertools.chain(zip(im1, w1.letters), zip(im2, w2.letters)):
+                    slots[p].append(a)
+                out[Word(tuple(sum(s[1:], s[0]) for s in slots))] += 1
     return out
 
 

@@ -82,6 +82,16 @@ class TestMouldCommands:
         # 1/3 + 1/3 + 2 * (-1/2) = -1/3
         assert out.strip() == "-1/3"
 
+    @pytest.mark.parametrize("op", ["mul", "compose"])
+    def test_negative_cap_exits_2_naming_it(self, tmp_path, capsys, op):
+        # a cap below 0 used to print the empty word's entry and exit 0
+        table = tmp_path / "m.json"
+        table.write_text('{"alphabet": ["1"], "cap": 2, "entries": {"()": "1", "(1)": "1/2"}}')
+        rc = main(["mould", op, str(table), str(table), "--cap", "-1"])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert "--cap -1" in json.loads(captured.err)["error"]
+
 
 class TestForestCommand:
     def test_extensions(self, capsys):
@@ -217,8 +227,9 @@ class TestSynthesizeCommand:
             ('{"1": [1]}', "1"),
             ('{"1": null}', "1"),
             ('{"1.5": "1/4"}', "1.5"),
+            ('{"1": "1/4", "1": "1/16"}', "1"),
         ],
-        ids=["trailing-space", "leading-zero", "bool", "list", "null", "non-integer"],
+        ids=["trailing-space", "leading-zero", "bool", "list", "null", "non-integer", "repeated"],
     )
     def test_bad_invariant_entries_exit_2_naming_the_key(self, tmp_path, capsys, table, key):
         # each would overwrite A_1, read true as 1, crash, or not say which key
@@ -228,6 +239,28 @@ class TestSynthesizeCommand:
         captured = capsys.readouterr()
         assert rc == 2 and captured.out == ""
         assert f"A[{key!r}]" in json.loads(captured.err)["error"]
+
+    @pytest.mark.parametrize(
+        "text, field",
+        [
+            ("[1, 2]", "invariants"),
+            ('"x"', "invariants"),
+            ('{"A": [1]}', "A"),
+            ('{"a": {"1": "1/4"}}', "'a'"),
+            ('{"A": {"1": "1/4"}, "H": null}', "H"),
+            ('{"A": {"1": "1/4"}, "H": [1]}', "H"),
+            ('{"A": {"1": "1/4"}, "H": true}', "H"),
+        ],
+        ids=["top-list", "top-string", "A-list", "unknown-field", "H-null", "H-list", "H-bool"],
+    )
+    def test_bad_invariant_files_exit_2_naming_the_field(self, tmp_path, capsys, text, field):
+        # each would crash with a traceback, drop the invariants, or read true as 1
+        inv = tmp_path / "inv.json"
+        inv.write_text(text)
+        rc = main(["synthesize", "--invariants", str(inv), "--c", "2", "--caps", "4,4,2"])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert field in json.loads(captured.err)["error"]
 
     def test_double_run_byte_identical(self, tmp_path, capsys):
         inv = tmp_path / "inv.json"

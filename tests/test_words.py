@@ -234,6 +234,7 @@ DECORATIONS = [letter(x) for x in ("1", "2", "3", "1/2+i")]
 
 # Gaussian, fractional and negative letters, some with integer parts
 KEY_DECORATIONS = [letter(x) for x in ("1", "2", "-1", "-2/3", "1/2", "1/2+i", "-1i", "3/4-2i", "1+i")]
+SHORT_WORDS = st.lists(st.sampled_from(KEY_DECORATIONS), max_size=3).map(lambda letters: Word(tuple(letters)))
 
 
 @st.composite
@@ -285,6 +286,14 @@ class TestAgainstOracles:
             assert merged == want and hash(merged) == hash(want)
             assert merged.sort_key() == want.sort_key()
             assert [type(x) for x in merged.sort_key()] == [type(x) for x in want.sort_key()]
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(SHORT_WORDS, SHORT_WORDS)
+    def test_shuffles_match_oracle(self, w1, w2):
+        # letters repeat, either word may be empty, and merged letters such as
+        # 1/2 + 1/2 and 1 + (-1) land on integers and on 0
+        assert shuffle(w1, w2) == oracles.shuffle(w1, w2)
+        assert contracting_shuffle(w1, w2) == oracles.contracting_shuffle(w1, w2)
 
     # the cap shapes the library's callers use
     @pytest.mark.parametrize(
