@@ -247,6 +247,14 @@ def _dispatch_mould(args) -> int:
     return 0
 
 
+def _numbers(text: str, flag: str, kind=float) -> list:
+    """The comma-separated numbers of a field, refused naming its flag."""
+    try:
+        return [kind(tok) for tok in text.split(",")]
+    except ValueError:
+        raise ValueError(f"{flag} {text!r} must be comma-separated {'integers' if kind is int else 'numbers'}") from None
+
+
 def _parse_complex(text: str) -> complex:
     """A complex number with ``i`` or ``j`` as its imaginary unit.  Only a
     trailing unit is translated, so ``inf``, ``-inf``, ``infinity`` and
@@ -279,7 +287,9 @@ def _dispatch_monomial(args) -> int:
         _emit(payload)
         return 0
     if args.monomial_command == "growth-scan":
-        cs = [float(tok) for tok in args.c_grid.split(",")]
+        cs = _numbers(args.c_grid, "--c-grid")
+        if len({c for c in cs if c > 0}) < 2:
+            raise ValueError(f"--c-grid {args.c_grid!r} needs at least two distinct positive c values to fit log K(c)")
         rep = growth_scan(cs, args.norm_cap, _parse_complex(args.z), include_forests=args.forests)
         payload = {
             "z": _fnum(rep.z),
@@ -339,12 +349,17 @@ def _dispatch_synthesize(args) -> int:
     if type(growth) not in (int, float):
         raise ValueError(f"invariants field H = {json.dumps(growth)} must be a number")
     inv = InvariantFamily(coeffs, growth_bound=float(growth))
-    caps = args.caps.split(",")
+    caps = _numbers(args.caps, "--caps", int)
     if len(caps) != 3:
         raise ValueError(f"--caps {args.caps!r} must have the three fields N_u,N_z,R_max")
-    nu, _, rmax = (int(tok) for tok in caps)
-    theta_ray = cmath.pi if args.z_ray.strip() in ("pi", "PI") else float(args.z_ray)
-    moduli = [float(tok) for tok in args.z_moduli.split(",")]
+    nu, _, rmax = caps
+    try:
+        theta_ray = cmath.pi if args.z_ray.strip() in ("pi", "PI") else float(args.z_ray)
+    except ValueError:
+        theta_ray = math.nan  # refused below, naming the flag
+    if not math.isfinite(theta_ray):
+        raise ValueError(f"--z-ray {args.z_ray!r} must be a finite angle in radians, or pi")
+    moduli = _numbers(args.z_moduli, "--z-moduli")
     z_samples = tuple(m * cmath.exp(1j * theta_ray) for m in moduli)
     z_samples = tuple(complex(round(z.real, 12), round(z.imag, 12)) for z in z_samples)
     cfg = SynthesisConfig(c=args.c, nu=nu, r_max=rmax, z_samples=z_samples)

@@ -390,6 +390,17 @@ def paralog_batch_eval(items: Sequence, zs: Sequence[complex], c: float, spec: C
 # hyperlogarithms
 # ---------------------------------------------------------------------------
 
+# each letter nests one more Gauss-Legendre rule and costs about 80x more:
+# 3 letters take seconds, 4 take minutes
+HYPERLOG_MAX_LETTERS = 3
+
+
+def _hyperlog_decorations(w) -> tuple:
+    decs = _decorations(w)
+    if len(decs) > HYPERLOG_MAX_LETTERS:
+        raise ValueError(f"a word of {len(decs)} letters is above the hyperlog limit HYPERLOG_MAX_LETTERS = {HYPERLOG_MAX_LETTERS}")
+    return decs
+
 
 def hyperlog_V_borel(w, zeta: complex) -> complex:
     """Borel-plane hyperlogarithm by length recursion:
@@ -398,8 +409,9 @@ def hyperlog_V_borel(w, zeta: complex) -> complex:
         (-zeta + ||w||) V^w(zeta) = - int_0^zeta V^(w minus last)(s) ds
 
     along the straight segment from 0, 48 Gauss-Legendre nodes on each half;
-    raises if the segment passes near a singular partial sum w1 + ... + wi."""
-    decs = _decorations(w)
+    raises if the segment passes near a singular partial sum w1 + ... + wi,
+    or if w has more than HYPERLOG_MAX_LETTERS letters."""
+    decs = _hyperlog_decorations(w)
     if not decs:
         raise ValueError("empty word has no Borel minor")
     zeta = complex(zeta)
@@ -429,9 +441,9 @@ def _v_borel_rec(decs: tuple, zeta: complex, nodes: int) -> complex:
 def hyperlog_V_eval(w, z: complex) -> MonomialValue:
     """Laplace transform of the Borel hyperlogarithm along e^{i pi} R+, with
     40 Gauss-Legendre nodes per half segment inside the integrand;
-    V^empty = 1.  Needs Re(z) < 0 and no singular partial sum on the
-    negative real axis."""
-    decs = _decorations(w)
+    V^empty = 1.  Needs Re(z) < 0, no singular partial sum on the
+    negative real axis and at most HYPERLOG_MAX_LETTERS letters."""
+    decs = _hyperlog_decorations(w)
     z = complex(z)
     if not decs:
         return MonomialValue(1.0 + 0.0j, 0.0)
@@ -507,8 +519,10 @@ def growth_scan(c_values: Sequence[float], norm_cap: int, z: complex, include_fo
 
 
 def _loglinear_fit(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, float]:
+    """Slope and R^2 of the least-squares line through (x, log y); NaN for
+    both when there are fewer than two points."""
     if len(xs) < 2:
-        return 0.0, 1.0
+        return math.nan, math.nan
     x = np.asarray(xs, dtype=float)
     y = np.log(np.asarray(ys, dtype=float))
     slope, intercept = np.polyfit(x, y, 1)

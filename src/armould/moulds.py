@@ -182,10 +182,7 @@ def mould_inverse_comp(m: Mould, cap: int) -> Mould:
         head = m.value(Word((w.norm,)))
         if head == 0:
             raise ZeroDivisionError(f"single-letter value vanishes at norm {w.norm}")
-        acc = identity.value(w)
-        for term, last in _composition_terms(m, out, w, start=1):
-            acc = acc - term * last
-        return acc * (1 / head)
+        return (identity.value(w) - linear_sum(_composition_terms(m, out, w, start=1))) * (1 / head)
 
     out._rule = rule
     return out

@@ -15,12 +15,11 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .values import GaussianRational, _zero, sparse_sum
-from .series import TruncatedSeries, UPoly, _poly_add, _poly_diff, _poly_max_abs_diff, _poly_mul, _poly_scale
+from .series import TruncatedSeries, UPoly, _poly_max_abs_diff
 from .words import (
     EMPTY_FOREST,
     EMPTY_WORD,
     Forest,
-    Tree,
     Word,
     _forests,
     contracting_covers,
@@ -55,39 +54,37 @@ class DiffOperator:
         return cls({})
 
     def __add__(self, other: "DiffOperator") -> "DiffOperator":
-        out = {k: dict(p) for k, p in self.terms.items()}
-        for k, p in other.terms.items():
-            out[k] = _poly_add(out.get(k, {}), p)
-        return DiffOperator(out)
+        return _linear_combination([(1, self), (1, other)])
 
     def __sub__(self, other: "DiffOperator") -> "DiffOperator":
-        return self + other.scale(-1)
+        return _linear_combination([(1, self), (-1, other)])
 
     def scale(self, s) -> "DiffOperator":
-        return DiffOperator({k: _poly_scale(p, s) for k, p in self.terms.items()})
+        return _linear_combination([(s, self)])
 
     def compose(self, other: "DiffOperator") -> "DiffOperator":
-        """Operator product self o other: (self o other)(f) = self(other(f))."""
-        out: dict[int, UPoly] = {}
+        """Operator product self o other: (self o other)(f) = self(other(f)).
+
+        By Leibniz, a d^k o b d^m = sum_i C(k,i) a b^(i) d^(k-i+m), with
+        d^i u^e = e!/(e-i)! u^(e-i): one sparse sum per group (k, m, i),
+        then one over the groups."""
+        groups = []
         for k, a in self.terms.items():
             for m, b in other.terms.items():
-                # d^k (b f^(m)) = sum_i C(k,i) b^(i) f^(k-i+m)
                 for i in range(k + 1):
-                    coeff = math.comb(k, i)
-                    poly = _poly_mul(a, _poly_scale(_poly_diff(b, i), coeff))
-                    order = k - i + m
-                    if poly:
-                        out[order] = _poly_add(out.get(order, {}), poly)
-        return DiffOperator(out)
+                    order, comb = k - i + m, math.comb(k, i)
+                    bi = {e - i: c * (comb * math.perm(e, i)) for e, c in b.items() if e >= i}
+                    groups.append((1, sparse_sum((ca, {(order, d + e): c for e, c in bi.items()}) for d, ca in a.items())))
+        return _operator(sparse_sum(groups))
 
     def apply_u_poly(self, f: UPoly, nu: int | None = None) -> UPoly:
-        out: UPoly = {}
+        """The image of a u-polynomial, cut at degree nu if one is given:
+        a d^k u^e = e!/(e-k)! a u^(e-k), all in one sparse sum."""
+        terms = []
         for k, a in self.terms.items():
-            fk = _poly_diff(f, k)
-            for d, c in _poly_mul(a, fk).items():
-                if nu is None or d <= nu:
-                    out[d] = out.get(d, 0) + c
-        return {k: c for k, c in out.items() if not _zero(c)}
+            fk = {e - k: c * math.perm(e, k) for e, c in f.items() if e >= k}
+            terms += [(ca, {d + e: c for e, c in fk.items() if nu is None or d + e <= nu}) for d, ca in a.items()]
+        return sparse_sum(terms)
 
     def apply(self, f: TruncatedSeries) -> TruncatedSeries:
         """Act on a truncated u-series, cut at its cap."""
@@ -143,11 +140,8 @@ class DiffOperator:
 
 def restricted_norm(op: DiffOperator, nu: int) -> float:
     """Max-row-sum norm of the operator on the u-degree <= nu block."""
-    rows: dict[int, float] = {}
-    for j in range(nu + 1):
-        img = op.apply_u_poly({j: 1}, nu=nu)
-        for d, c in img.items():
-            rows[d] = rows.get(d, 0.0) + abs(complex(c))
+    images = [op.apply_u_poly({j: 1}, nu=nu) for j in range(nu + 1)]
+    rows = sparse_sum((1, {d: abs(complex(c)) for d, c in img.items()}) for img in images)
     return max(rows.values(), default=0.0)
 
 
@@ -167,13 +161,13 @@ class DerivationFamily:
     def letters(self) -> list[GaussianRational]:
         return [letter(n) for n in sorted(self.betas)]
 
-    def beta_poly(self, n: int) -> UPoly:
+    def beta(self, n: int):
         if n not in self.betas:
             raise KeyError(f"unknown letter {n} in derivation family")
-        return {n + 1: self.betas[n]}
+        return self.betas[n]
 
     def operator(self, n: int) -> DiffOperator:
-        return DiffOperator({1: self.beta_poly(n)})
+        return DiffOperator({1: {n + 1: self.beta(n)}})
 
 
 def op_compose_word(family: DerivationFamily, w: Word) -> DiffOperator:
@@ -198,26 +192,21 @@ def _as_int(a: GaussianRational) -> int:
 
 
 def coarborify_homogeneous(family: DerivationFamily, f: Forest) -> DiffOperator:
-    """Homogeneous coarborified of a derivation family.
+    """Homogeneous coarborified of a derivation family: each child of a node
+    n takes one u-derivative of the node's beta_n u^{n+1}, so B_F is the term
 
-    Tree with root omega and child subtrees S_1..S_m:
-        c_T = (c_{S_1} ... c_{S_m}) * (d^m beta_omega / du^m)
-    Forest of trees T_1..T_k:  B_F = (c_{T_1} ... c_{T_k}) d^k.
-    The u-degree of c_F is norm(F) + #trees exactly.
-    """
-    poly = {0: Fraction(1)}
-    for t in f.trees:
-        poly = _poly_mul(poly, _tree_coeff(family, t))
-    return DiffOperator({len(f.trees): poly})
+        kappa_F u^{norm(F) + k} d^k,  kappa_F = prod over the nodes of beta_n (n+1)!/(n+1-m)!,
 
-
-def _tree_coeff(family: DerivationFamily, t: Tree) -> UPoly:
-    m = len(t.children.trees)
-    beta = family.beta_poly(_as_int(t.root))
-    acc = _poly_diff(beta, m)
-    for s in t.children.trees:
-        acc = _poly_mul(acc, _tree_coeff(family, s))
-    return acc
+    with k the number of trees and m the node's number of children; a factor
+    is 0 when m > n+1, and then B_F = 0."""
+    kappa, nodes = Fraction(1), list(f.trees)
+    while nodes:
+        t = nodes.pop()
+        n = _as_int(t.root)
+        kappa = kappa * family.beta(n) * math.perm(n + 1, len(t.children.trees))
+        nodes += t.children.trees
+    k = len(f.trees)
+    return DiffOperator({k: {int(f.norm.re) + k: kappa}})
 
 
 def check_coarborified_decomposition(family: DerivationFamily, cap: int) -> IdentityReport:
@@ -272,12 +261,17 @@ def check_coseparative(family: DerivationFamily, cap: int, f: TruncatedSeries, g
 
 def _linear_combination(terms: Iterable[tuple[object, DiffOperator]]) -> DiffOperator:
     """sum of s * op over (s, op) pairs, one sparse_sum over (order, degree)
-    keys; the orders come as the terms with a nonzero scalar first name them."""
-    terms = [(s, op) for s, op in terms if not _zero(s)]
-    out: dict[int, UPoly] = {k: {} for _, op in terms for k in op.terms}
-    for (k, d), c in sparse_sum(terms).items():
-        out[k][d] = c
-    return DiffOperator(out)
+    keys."""
+    return _operator(sparse_sum(terms))
+
+
+def _operator(vec: Mapping[tuple[int, int], object]) -> DiffOperator:
+    """The operator of a sparse vector over (order, degree) keys, the orders
+    and degrees in the vector's order."""
+    terms: dict[int, UPoly] = {}
+    for (k, d), c in vec.items():
+        terms.setdefault(k, {})[d] = c
+    return DiffOperator(terms)
 
 
 def contract_word_sum(m: Mould, family: DerivationFamily, norm_cap: int) -> DiffOperator:

@@ -1,45 +1,19 @@
-"""Truncated power series in one variable, and the polynomial arithmetic the
-operators share with them.
+"""Truncated power series in one variable.
 
 A ``TruncatedSeries`` of cap ``nu`` is a u-series of the synthesis.
 Coefficients are duck-typed: exact Fractions/GaussianRationals for identity
 checks, complex floats in the synthesis pipeline.  Terms beyond the cap are
-discarded on construction and after every product.
+discarded on construction and after every product; sums and products go
+through the one kernel of :func:`armould.values.sparse_sum`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .values import _zero
+from .values import _zero, sparse_sum
 
 UPoly = dict  # degree -> coefficient
-
-
-def _poly_add(a: UPoly, b: UPoly) -> UPoly:
-    out = dict(a)
-    for k, c in b.items():
-        out[k] = out.get(k, 0) + c
-    return {k: c for k, c in out.items() if not _zero(c)}
-
-
-def _poly_mul(a: UPoly, b: UPoly) -> UPoly:
-    out: UPoly = {}
-    for i, c in a.items():
-        for j, d in b.items():
-            out[i + j] = out.get(i + j, 0) + c * d
-    return {k: c for k, c in out.items() if not _zero(c)}
-
-
-def _poly_scale(a: UPoly, s) -> UPoly:
-    return {k: c * s for k, c in a.items() if not _zero(c * s)}
-
-
-def _poly_diff(a: UPoly, times: int = 1) -> UPoly:
-    out = dict(a)
-    for _ in range(times):
-        out = {k - 1: c * k for k, c in out.items() if k >= 1}
-    return {k: c for k, c in out.items() if not _zero(c)}
 
 
 def _poly_max_abs_diff(a: UPoly, b: UPoly) -> float:
@@ -72,7 +46,7 @@ class TruncatedSeries:
         if not isinstance(other, TruncatedSeries):
             other = TruncatedSeries.constant(other, self.nu)
         self._check(other)
-        return TruncatedSeries(_poly_add(self.coeffs, other.coeffs), self.nu)
+        return TruncatedSeries(sparse_sum([(1, self.coeffs), (1, other.coeffs)]), self.nu)
 
     __radd__ = __add__
 
@@ -92,12 +66,8 @@ class TruncatedSeries:
             return TruncatedSeries({k: c * other for k, c in self.coeffs.items()}, self.nu)
         self._check(other)
         nu = self.nu
-        out: UPoly = {}
-        for i, c in self.coeffs.items():
-            for j, d in other.coeffs.items():
-                if i + j <= nu:
-                    out[i + j] = out.get(i + j, 0) + c * d
-        return TruncatedSeries(out, nu)
+        terms = [(c, {i + j: d for j, d in other.coeffs.items() if i + j <= nu}) for i, c in self.coeffs.items()]
+        return TruncatedSeries(sparse_sum(terms), nu)
 
     def __rmul__(self, other):
         return self.__mul__(other)

@@ -7,7 +7,10 @@ streamed forest generator of :mod:`armould.words`; the dense Cauchy fold
 checks the FFT-Toeplitz fold of :mod:`armould.monomials`, and the cover sum
 of word values checks its structured forest integral, and the Laplace-side
 double integral checks its value at r = 2.  The operator-valued
-layered solve checks the scalar solve of the contracted coarborified.  The (Fraction re,
+layered solve checks the scalar solve of the contracted coarborified, and
+the nested-loop Leibniz product, action and tree recursion check the
+sparse sums of the operator product, the operator action and the
+single-term homogeneous coarborified.  The (Fraction re,
 Fraction im) sort key checks the canonical order of words and forests."""
 
 import cmath
@@ -24,7 +27,7 @@ from armould.monomials import CONTRACTION_UNIT, MOULD_NORMALIZATION, ContourSpec
 from armould.moulds import Mould, builtin_mould, mould_compose, words_of_norm_at_most
 from armould.operators import DerivationFamily, DiffOperator, _as_int, _fraction_inverse, _linear_combination, op_compose_word
 from armould.synthesis import InvariantFamily, SynthesisConfig
-from armould.values import GaussianRational
+from armould.values import GaussianRational, _zero
 from armould.words import Forest, Tree, Word, letter
 
 
@@ -478,3 +481,74 @@ def _min_norm_solve(matrix: list[list[Fraction]], rhs: list[DiffOperator]) -> li
                 acc = acc + y[i].scale(matrix[i][k])
         out.append(acc)
     return out
+
+
+# ---------------------------------------------------------------------------
+# operator products by nested loops, one polynomial at a time
+# ---------------------------------------------------------------------------
+
+
+def _poly_add(a: dict, b: dict) -> dict:
+    out = dict(a)
+    for k, c in b.items():
+        out[k] = out.get(k, 0) + c
+    return {k: c for k, c in out.items() if not _zero(c)}
+
+
+def _poly_mul(a: dict, b: dict) -> dict:
+    out: dict = {}
+    for i, c in a.items():
+        for j, d in b.items():
+            out[i + j] = out.get(i + j, 0) + c * d
+    return {k: c for k, c in out.items() if not _zero(c)}
+
+
+def _poly_diff(a: dict, times: int) -> dict:
+    out = dict(a)
+    for _ in range(times):
+        out = {k - 1: c * k for k, c in out.items() if k >= 1}
+    return {k: c for k, c in out.items() if not _zero(c)}
+
+
+def compose(left: DiffOperator, right: DiffOperator) -> DiffOperator:
+    """Oracle for :meth:`DiffOperator.compose`: d^k (b f^(m)) = sum_i
+    C(k,i) b^(i) f^(k-i+m), each b^(i) by i single derivatives and each
+    group multiplied and added as polynomials."""
+    out: dict = {}
+    for k, a in left.terms.items():
+        for m, b in right.terms.items():
+            for i in range(k + 1):
+                poly = _poly_mul(a, {d: c * math.comb(k, i) for d, c in _poly_diff(b, i).items()})
+                if poly:
+                    out[k - i + m] = _poly_add(out.get(k - i + m, {}), poly)
+    return DiffOperator(out)
+
+
+def apply_u_poly(op: DiffOperator, f: dict, nu: int | None = None) -> dict:
+    """Oracle for :meth:`DiffOperator.apply_u_poly`: per order k, the
+    polynomial product of c_k(u) with the k-th derivative of f."""
+    out: dict = {}
+    for k, a in op.terms.items():
+        for d, c in _poly_mul(a, _poly_diff(f, k)).items():
+            if nu is None or d <= nu:
+                out[d] = out.get(d, 0) + c
+    return {k: c for k, c in out.items() if not _zero(c)}
+
+
+def coarborify_homogeneous(family: DerivationFamily, f: Forest) -> DiffOperator:
+    """Oracle for :func:`armould.operators.coarborify_homogeneous` by
+    recursion on the trees: a tree of root n and child subtrees S_1..S_m has
+    c_T = (c_{S_1} ... c_{S_m}) d^m (beta_n u^{n+1}) / du^m, and
+    B_F = (c_{T_1} ... c_{T_k}) d^k."""
+
+    def tree_coeff(t: Tree) -> dict:
+        n = _as_int(t.root)
+        acc = _poly_diff({n + 1: family.betas[n]}, len(t.children.trees))
+        for s in t.children.trees:
+            acc = _poly_mul(acc, tree_coeff(s))
+        return acc
+
+    poly = {0: Fraction(1)}
+    for t in f.trees:
+        poly = _poly_mul(poly, tree_coeff(t))
+    return DiffOperator({len(f.trees): poly})

@@ -152,6 +152,13 @@ class TestMonomialCommands:
         assert rc == 2 and captured.out == ""
         assert named in json.loads(captured.err)["error"]
 
+    def test_hyperlog_word_above_the_letter_limit_exits_2(self, capsys):
+        rc = main(["monomial", "eval", "--family", "hyperlog", "--word", "(1,1,1,1)", "--z=-3", "--c", "0"])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        error = json.loads(captured.err)["error"]
+        assert "4 letters" in error and "HYPERLOG_MAX_LETTERS = 3" in error
+
     def test_pole_probe(self, capsys):
         rc, out = run(capsys, "monomial", "pole-probe", "--omega", "2", "--c", "0.5")
         assert rc == 0
@@ -425,6 +432,36 @@ def test_c_just_inside_the_bounds_runs_without_warning(tmp_path, capsys, argv):
         warnings.simplefilter("error", RuntimeWarning)
         rc = main(_synthesize_argv(tmp_path, argv))
     assert rc == 0 and capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["synthesize", "--c", "2", "--caps", "4,x,4"], "--caps"),
+        (["synthesize", "--c", "2", "--z-moduli", "2,,3"], "--z-moduli"),
+        (["synthesize", "--c", "2", "--z-moduli", "abc"], "--z-moduli"),
+        (["synthesize", "--c", "2", "--z-ray", "foo"], "--z-ray"),
+        (["synthesize", "--c", "2", "--z-ray", "inf"], "--z-ray"),
+        (["monomial", "growth-scan", "--c-grid", "abc"], "--c-grid"),
+        (["monomial", "growth-scan", "--c-grid", "1"], "--c-grid"),
+        (["monomial", "growth-scan", "--c-grid", "1,1"], "--c-grid"),
+        (["monomial", "growth-scan", "--c-grid", "0,1"], "--c-grid"),
+    ],
+    ids=["caps-x", "z-moduli-empty", "z-moduli-abc", "z-ray-foo", "z-ray-inf", "c-grid-abc", "c-grid-one", "c-grid-repeated", "c-grid-one-positive"],
+)
+def test_bad_numeric_fields_exit_2_naming_the_flag(tmp_path, capsys, monkeypatch, argv, flag):
+    # a field that does not read as the numbers it needs, or a c grid with
+    # fewer than two positive values to fit, is refused before any quadrature
+    import armould.monomials as mono
+
+    def no_quadrature(*args):
+        raise AssertionError("a quadrature pass ran")
+
+    monkeypatch.setattr(mono, "_pass", no_quadrature)
+    rc = main(_synthesize_argv(tmp_path, argv))
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert flag in json.loads(captured.err)["error"]
 
 
 @pytest.mark.parametrize("z_ray", ["0.2", "0"])

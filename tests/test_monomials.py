@@ -486,6 +486,13 @@ class TestHyperlogV:
         v21 = hyperlog_V_eval(word(2, 1), -3.0).value
         assert abs(v1 * v2 - v12 - v21) <= 1e-6 * abs(v1 * v2)
 
+    def test_words_above_the_letter_limit_refused(self):
+        # each letter nests one more quadrature: 3 take seconds, 4 minutes
+        w = word(1, 1, 1, 1)
+        for evaluate in (lambda: hyperlog_V_eval(w, -3.0), lambda: hyperlog_V_borel(w, -1.0)):
+            with pytest.raises(ValueError, match="4 letters .* HYPERLOG_MAX_LETTERS = 3"):
+                evaluate()
+
     def test_singular_direction_rejected(self):
         # the Laplace ray is e^{i pi} R+: z = 3 is not damped along it, and
         # the partial sum -1 lies on it
@@ -599,6 +606,11 @@ class TestGrowthScan:
         rep = growth_scan([1.0, 2.0], 2, Z, include_forests=False)
         assert all(math.isnan(k) for k in rep.khat.values())
         assert math.isnan(rep.fit_slope) and math.isnan(rep.fit_r2)
+
+    @pytest.mark.parametrize("xs", [[], [2.0]])
+    def test_fit_of_fewer_than_two_points_is_nan(self, xs):
+        slope, r2 = mono._loglinear_fit(xs, [0.5] * len(xs))
+        assert math.isnan(slope) and math.isnan(r2)
 
     def test_details_keep_words_then_forests_order(self):
         rep = growth_scan([1.0], 2, Z)

@@ -1,8 +1,10 @@
 """Property-based checks of the algebraic identities the exact layer rests on:
 shuffle counts, contracting-shuffle associativity, closure of symmetral and
-symmetrel moulds under the mould product, the arborification identities, and
-the coarborification identity behind the normalizer's forest matrix.
-They add to the fixed-seed examples of test_words.py and test_moulds.py."""
+symmetrel moulds under the mould product, the arborification identities,
+the coarborification identity behind the normalizer's forest matrix, and
+the operator product, action and homogeneous coarborified against their
+nested-loop oracles.  They add to the fixed-seed examples of test_words.py,
+test_moulds.py and test_operators.py."""
 
 import math
 from collections import Counter
@@ -19,9 +21,23 @@ from armould.moulds import (
     symmetral_from_letter_weights,
     symmetrel_geometric,
 )
-from armould.operators import DerivationFamily, _linear_combination
+from armould.operators import DerivationFamily, DiffOperator, _linear_combination, coarborify_homogeneous
 from armould.synthesis import _forest_rows
-from armould.words import EMPTY_WORD, Forest, Tree, Word, contracting_shuffle, letter, shuffle, tree
+from armould.values import GaussianRational
+from armould.words import (
+    EMPTY_FOREST,
+    EMPTY_WORD,
+    Forest,
+    Tree,
+    Word,
+    contracting_shuffle,
+    forests_of_norm,
+    letter,
+    parse_forest,
+    shuffle,
+    tree,
+)
+import oracles
 from oracles import z_free_word_side
 
 PROPERTY = settings(deadline=None, derandomize=True, database=None)
@@ -32,6 +48,11 @@ AB = [letter(1), letter(2)]
 
 fractions = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))
 nonzero_fractions = fractions.filter(bool)
+exact_scalars = st.one_of(
+    st.integers(-9, 9), fractions, fractions.map(GaussianRational), st.builds(GaussianRational, fractions, nonzero_fractions)
+)
+reals = st.floats(-4, 4)
+float_scalars = st.one_of(reals, st.builds(complex, reals, reals))
 
 
 def words(alphabet, max_size):
@@ -161,3 +182,67 @@ class TestForestMatrix:
                 for d, s in poly.items():
                     diff = complex(got.terms.get(k, {}).get(d, 0)) - complex(want.terms.get(k, {}).get(d, 0))
                     assert abs(diff) <= 1e-13 * s
+
+
+def operators(scalars):
+    """c_k(u) d^k with orders 0..3, u-degrees 0..5 and up to three of each."""
+    polys = st.dictionaries(st.integers(0, 5), scalars, max_size=3)
+    return st.dictionaries(st.integers(0, 3), polys, max_size=3).map(DiffOperator)
+
+
+def polys(scalars):
+    return st.dictionaries(st.integers(0, 6), scalars, max_size=4)
+
+
+def _abs(op: DiffOperator) -> DiffOperator:
+    return DiffOperator({k: {d: abs(c) for d, c in p.items()} for k, p in op.terms.items()})
+
+
+def _largest(coefficients) -> float:
+    return max((abs(c) for c in coefficients), default=0.0)
+
+
+class TestOperatorKernel:
+    """The sparse-sum operator product and action, and the closed-form
+    homogeneous coarborified, against the nested loops they replace: equal
+    values and printed forms on exact coefficients, and on floats agreement
+    within 1e-15 of the largest coefficient of the same sum taken over
+    |terms|: each product groups its integer factors differently, and the
+    action adds its terms in one pass rather than order by order."""
+
+    @settings(PROPERTY, max_examples=100)
+    @given(operators(exact_scalars), operators(exact_scalars))
+    def test_exact_product(self, left, right):
+        got, want = left.compose(right), oracles.compose(left, right)
+        assert got == want and got.dump() == want.dump()
+
+    @settings(PROPERTY, max_examples=100)
+    @given(operators(exact_scalars), polys(exact_scalars), st.none() | st.integers(0, 8))
+    def test_exact_action(self, op, f, nu):
+        got, want = op.apply_u_poly(f, nu), oracles.apply_u_poly(op, f, nu)
+        assert got == want and DiffOperator({0: got}).dump() == DiffOperator({0: want}).dump()
+
+    @settings(PROPERTY, max_examples=100)
+    @given(operators(float_scalars), operators(float_scalars))
+    def test_float_product(self, left, right):
+        largest = _largest(c for _, c in oracles.compose(_abs(left), _abs(right)).items())
+        assert left.compose(right).max_abs_diff(oracles.compose(left, right)) <= 1e-15 * largest
+
+    @settings(PROPERTY, max_examples=100)
+    @given(operators(float_scalars), polys(float_scalars), st.none() | st.integers(0, 8))
+    def test_float_action(self, op, f, nu):
+        largest = _largest(oracles.apply_u_poly(_abs(op), {d: abs(c) for d, c in f.items()}, nu).values())
+        got = DiffOperator({0: op.apply_u_poly(f, nu)})
+        assert got.max_abs_diff(DiffOperator({0: oracles.apply_u_poly(op, f, nu)})) <= 1e-15 * largest
+
+    @settings(PROPERTY, max_examples=20)
+    @given(st.lists(nonzero_fractions, min_size=3, max_size=3))
+    def test_homogeneous_coarborified_on_every_small_forest(self, betas):
+        # every forest of at most 4 nodes on {1, 2, 3}, zero kernels such as
+        # 1(2,2,3), whose root takes three derivatives of u^2, among them
+        fam = DerivationFamily(dict(zip((1, 2, 3), betas)))
+        forests = [EMPTY_FOREST] + forests_of_norm([letter(n) for n in (1, 2, 3)], 12, max_nodes=4)
+        assert parse_forest("1(2,2,3)") in forests and coarborify_homogeneous(fam, parse_forest("1(2,2,3)")).is_zero()
+        for f in forests:
+            got, want = coarborify_homogeneous(fam, f), oracles.coarborify_homogeneous(fam, f)
+            assert got == want and got.dump() == want.dump(), f
