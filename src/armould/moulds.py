@@ -372,17 +372,17 @@ def builtin_mould(name: str) -> Mould:
 
 def symmetral_from_letter_weights(weights: dict[GaussianRational, object]) -> Mould:
     """M^w = (prod of letter weights)/r!; the exponential of a single-letter
-    (alternal) mould, hence symmetral."""
-    wt = {letter(k): v for k, v in weights.items()}
+    (alternal) mould, hence symmetral.  Weights are rationals, and each value
+    is one Fraction of the products of their numerators and denominators."""
+    wt = {letter(k): Fraction(v).as_integer_ratio() for k, v in weights.items()}
 
     def rule(w: Word):
-        r = w.length
-        if r == 0:
-            return Fraction(1)
-        acc = Fraction(1, 1)
+        num = den = 1
         for a in w:
-            acc = acc * wt[a]
-        return acc / math.factorial(r)
+            n, d = wt[a]
+            num *= n
+            den *= d
+        return Fraction(num, den * math.factorial(w.length))
 
     return Mould(rule, alphabet=tuple(wt))
 
@@ -405,7 +405,7 @@ def symmetrel_geometric(x) -> Mould:
         k = int(n.re)
         while len(powers) <= k:
             powers.append(powers[-1] * neg_x)
-        return powers[k] * ((-1) ** r)
+        return -powers[k] if r % 2 else powers[k]
 
     return Mould(rule)
 
@@ -498,9 +498,9 @@ def organic_growth_report(max_nodes: int = 6, decorations: Sequence[int] = (1, 2
 
     sup_by_nodes = {r: 0.0 for r in range(1, max_nodes + 1)}
     counts = {r: 0 for r in range(1, max_nodes + 1)}
-    for r, norm, f in _forests(decs, max_nodes * max(decs), max_nodes):
+    for r, norm, fk in _forests(decs, max_nodes * max(decs), max_nodes):
         counts[r] += 1
-        _, first, last = fold(f._key)
+        _, first, last = fold(fk)
         v = abs((first + last) / (2 * norm))
         if v > 0:
             sup_by_nodes[r] = max(sup_by_nodes[r], v ** (1.0 / r))

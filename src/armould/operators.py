@@ -21,6 +21,7 @@ from .words import (
     EMPTY_WORD,
     Forest,
     Word,
+    _forest,
     _forests,
     contracting_covers,
     forests_of_norm,
@@ -346,7 +347,9 @@ def _contracted_duals(norm_cap: int, counting: str) -> dict[Forest, dict[Word, F
     raising ArithmeticError if the system were inconsistent.
     """
     layers: dict[int, list[tuple[int, Forest, Counter]]] = {}
-    for nodes, norm, f in _forests(range(1, norm_cap + 1), norm_cap, norm_cap):
+    trees: dict = {}
+    for nodes, norm, fk in _forests(range(1, norm_cap + 1), norm_cap, norm_cap):
+        f = _forest(fk, trees)
         layers.setdefault(norm, []).append((nodes, f, contracting_covers(f, counting=counting)))
     duals: dict[Forest, dict[Word, Fraction]] = {}
     for norm in sorted(layers):

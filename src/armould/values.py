@@ -132,6 +132,7 @@ class GaussianRational:
 
 _set = object.__setattr__
 _ZERO = Fraction(0)
+_REAL = (int, Fraction, float)
 
 
 def _atom(q: Fraction):
@@ -258,9 +259,12 @@ def _sum(terms, keyed: bool) -> dict:
             if keyed and _zero(s):
                 continue
             for key, v in vec.items() if keyed else ((None, vec),):
-                # the plain loops: a keyed sum starts at 0, a scalar one at its first term
+                # the plain loops: a keyed sum starts at 0, a scalar one at its first
+                # term; a real scalar goes into a complex value part by part, since
+                # CPython widens 1 to 1+0j and 1 * complex(inf, 0) is inf+nanj
                 prev = out.get(key, 0 if keyed else None)
-                out[key] = s * v if prev is None else prev + s * v
+                sv = v.__class__(s * v.real, s * v.imag) if isinstance(v, complex) and isinstance(s, _REAL) else s * v
+                out[key] = sv if prev is None else prev + sv
         return out
     # one reduction per entry: a GaussianRational if any factor was one, else
     # a Fraction if any was, else an int (whose denominator is 1)

@@ -18,10 +18,11 @@ made from the parts' stored keys, with its hash beside it.  Equality
 compares keys, ``sort_key()`` returns the key, and a norm is one sum over
 the key's atoms.
 
-The cover recursion runs on forest keys alone: a fiber step removes a set of
-root keys and sorts what is left into the residual key, and its fiber sum is
-a key too.  No Tree, Forest or GaussianRational is built inside it; the
-cover words become Words once, at the boundary.
+The cover recursion and the forest enumerator run on forest keys alone: a
+fiber step removes a set of root keys and sorts what is left into the
+residual key, and its fiber sum is a key too.  No Tree, Forest or
+GaussianRational is built inside them; cover words become Words and forest
+keys Forests once, at the boundary, on letters from one bounded memo.
 """
 
 from __future__ import annotations
@@ -96,11 +97,11 @@ class Word(_Keyed):
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return _word(self.letters[i])
+            return _word(self.letters[i], self._key[i])
         return self.letters[i]
 
     def __add__(self, other: "Word") -> "Word":
-        return _word(self.letters + other.letters)
+        return _word(self.letters + other.letters, self._key + other._key)
 
     def __iter__(self) -> Iterator[GaussianRational]:
         return iter(self.letters)
@@ -112,11 +113,12 @@ class Word(_Keyed):
         return f"Word{str(self)}"
 
 
-def _word(letters: tuple) -> Word:
-    """A Word on a tuple of GaussianRational letters, taken as they are."""
+def _word(letters: tuple, key: tuple) -> Word:
+    """A Word on a tuple of GaussianRational letters and the tuple of their
+    keys, both taken as they are."""
     w = object.__new__(Word)
     _set(w, "letters", letters)
-    w._store_key(tuple(a._key for a in letters))
+    w._store_key(key)
     return w
 
 
@@ -309,24 +311,23 @@ def _fiber_step(fk: tuple, counting: str) -> Counter:
     summed atoms of its roots' keys, each an int when it is integral.
     """
     out: Counter = Counter()
+    for i, (dec, kids) in enumerate(fk):
+        rest = [*fk[:i], *fk[i + 1 :], *kids]
+        rest.sort()
+        out[dec, tuple(rest)] += 1
     n = len(fk)
-    for size in range(1, (1 if counting == "extensions" else n) + 1):
+    for size in range(2, (1 if counting == "extensions" else n) + 1):
         weight = math.factorial(size) if counting == "merges" else 1
         for combo in itertools.combinations(range(n), size):
             rest = [t for i, t in enumerate(fk) if i not in combo]
-            if size == 1:
-                dec, kids = fk[combo[0]]
+            re = im = 0
+            for i in combo:
+                (r, j), kids = fk[i]
+                re += r
+                im += j
                 rest.extend(kids)
-            else:
-                re = im = 0
-                for i in combo:
-                    (r, j), kids = fk[i]
-                    re += r
-                    im += j
-                    rest.extend(kids)
-                dec = (_atom(re), _atom(im))
             rest.sort()
-            out[dec, tuple(rest)] += weight
+            out[(_atom(re), _atom(im)), tuple(rest)] += weight
     return out
 
 
@@ -345,10 +346,15 @@ def _covers(fk: tuple, counting: str) -> Counter:
     return out
 
 
+@lru_cache(maxsize=1 << 12)
+def _letter(key: tuple) -> GaussianRational:
+    """The letter of a decoration key, shared by cover words and forest roots."""
+    return GaussianRational(*key)
+
+
 def _cover_words(covers: Counter) -> Counter:
-    """Letter-key tuples as Words, one GaussianRational per distinct key."""
-    letters = {k: GaussianRational(*k) for k in {k for w in covers for k in w}}
-    return Counter({_word(tuple(map(letters.__getitem__, w))): m for w, m in covers.items()})
+    """Letter-key tuples as Words on the shared letters of :func:`_letter`."""
+    return Counter({_word(tuple(map(_letter, w)), w): m for w, m in covers.items()})
 
 
 def linear_extensions(f: Forest) -> Counter:
@@ -459,16 +465,31 @@ def forests_of_norm(letters: Sequence[GaussianRational], max_norm: int, max_node
     """
     # every decoration is >= 1, so the norm caps the node count
     stream = _forests(_integer_values(letters), max_norm, max_norm if max_nodes is None else max_nodes)
-    return [f for _, f in sorted(((n, k, f.sort_key()), f) for k, n, f in stream)]
+    trees: dict = {}
+    return [_forest(fk, trees) for _, _, fk in sorted((n, k, fk) for k, n, fk in stream)]
 
 
-def _forests(values: Sequence[int], max_norm: int, max_nodes: int) -> Iterator[tuple[int, int, Forest]]:
+def _forest(fk: tuple, trees: dict) -> Forest:
+    """The Forest of a canonical forest key, taken as it is; each subtree
+    key's Tree is built once and kept in ``trees``, its root a shared letter."""
+    f = object.__new__(Forest)
+    kept = []
+    for tk in fk:
+        t = trees.get(tk)
+        if t is None:
+            t = trees[tk] = Tree(_letter(tk[0]), _forest(tk[1], trees))
+        kept.append(t)
+    _set(f, "trees", tuple(kept))
+    f._store_key(fk)
+    return f
+
+
+def _forests(values: Sequence[int], max_norm: int, max_nodes: int) -> Iterator[tuple[int, int, tuple]]:
     """Nonempty canonical forests decorated by ``values`` (positive integers)
     with norm <= max_norm and at most max_nodes nodes, as (nodes, norm,
-    forest), in increasing node count.  Only the tree pool is kept; the
-    forests of each node count are rebuilt from it."""
-    roots = [letter(v) for v in values]
-    pool: list[tuple[int, int, Tree]] = []  # (nodes, norm, tree), by node count
+    forest key), in increasing node count.  Only the pool of tree keys is
+    kept, and no Tree or Forest is built."""
+    pool: list[tuple[int, int, tuple]] = []  # (nodes, norm, tree key), by node count
 
     def multisets(nodes: int, budget: int, start: int) -> Iterator[tuple[int, tuple]]:
         # multisets of pool trees from index `start` on, with `nodes` nodes in
@@ -486,14 +507,14 @@ def _forests(values: Sequence[int], max_norm: int, max_nodes: int) -> Iterator[t
 
     for nodes in range(1, max_nodes + 1):
         grown = []
-        for v, root in zip(values, roots):
+        for v in values:
             if v > max_norm:
                 continue
             for n, kids in multisets(nodes - 1, max_norm - v, 0):
-                grown.append((nodes, v + n, Tree(root, Forest(kids))))
+                grown.append((nodes, v + n, ((v, 0), tuple(sorted(kids)))))
         pool.extend(grown)
         for n, trees in multisets(nodes, max_norm, 0):
-            yield nodes, n, Forest(trees)
+            yield nodes, n, tuple(sorted(trees))
 
 
 def count_forests(letters: Sequence[GaussianRational], max_norm: int, max_nodes: int | None = None) -> int:

@@ -2,8 +2,9 @@
 is checked against.  The normalizer's word assembly, with its own scalar
 L and dL, checks its forest assembly, and the word side of the z-free
 coarborification identity checks its forest rows; the index-walk enumerators
-and the position-subset shuffles check the memoised fiber recursion and the
-streamed forest generator of :mod:`armould.words`; the dense Cauchy fold
+and the position-subset shuffles check the memoised fiber recursion of
+:mod:`armould.words`, and the by-norm forest builder and the Forest-building
+stream that it replaced check its key-level forest enumerator; the dense Cauchy fold
 checks the FFT-Toeplitz fold of :mod:`armould.monomials`, and the cover sum
 of word values checks its structured forest integral, and the Laplace-side
 double integral checks its value at r = 2.  The operator-valued
@@ -352,6 +353,37 @@ def forests_of_norm(letters, max_norm: int, max_nodes: int | None = None) -> lis
     out = _dedup(out)
     out.sort(key=lambda f: (int(f.norm.re), f.node_count, fraction_sort_key(f)))
     return out
+
+
+def forest_stream(values, max_norm: int, max_nodes: int):
+    """Oracle for the key-level enumerator ``armould.words._forests``: the
+    same streamed pool of trees, built as Tree and Forest objects, yielding
+    (nodes, norm, Forest) in increasing node count."""
+    roots = [letter(v) for v in values]
+    pool: list[tuple[int, int, Tree]] = []  # (nodes, norm, tree), by node count
+
+    def multisets(nodes: int, budget: int, start: int):
+        if nodes == 0:
+            yield 0, ()
+            return
+        for i in range(start, len(pool)):
+            k, n, t = pool[i]
+            if k > nodes:
+                break
+            if n <= budget:
+                for rest_norm, rest in multisets(nodes - k, budget - n, i):
+                    yield n + rest_norm, (t,) + rest
+
+    for nodes in range(1, max_nodes + 1):
+        grown = []
+        for v, root in zip(values, roots):
+            if v > max_norm:
+                continue
+            for n, kids in multisets(nodes - 1, max_norm - v, 0):
+                grown.append((nodes, v + n, Tree(root, Forest(kids))))
+        pool.extend(grown)
+        for n, trees in multisets(nodes, max_norm, 0):
+            yield nodes, n, Forest(trees)
 
 
 def _forests_with_norm(trees_pool, norm_budget, include_all_below=False):

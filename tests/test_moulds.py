@@ -27,7 +27,7 @@ from armould.moulds import (
     _scan,
 )
 from armould.values import GaussianRational
-from armould.words import EMPTY_WORD, forests_of_norm, letter, parse_forest, parse_word, word
+from armould.words import EMPTY_WORD, count_forests, forests_of_norm, letter, parse_forest, parse_word, word
 
 AB = [letter(1), letter(2)]
 CLOSED = [letter(n) for n in range(1, 9)]  # additively closed up to total norm 8
@@ -206,6 +206,17 @@ class TestSymmetry:
         m = symmetrel_geometric(Fraction(3, 7))
         assert check_symmetry(m, "symmetrel", 4, AB).passed
 
+    def test_generated_moulds_match_their_closed_forms(self):
+        x = Fraction(-3, 7)
+        weights = {1: Fraction(2, 3), 2: Fraction(-1, 5), 3: 4}
+        se, sy = symmetrel_geometric(x), symmetral_from_letter_weights(weights)
+        for w in words_over([letter(1), letter(2), letter(3)], 4):
+            r, n = w.length, int(w.norm.re)
+            got = se.value(w)
+            assert type(got) is GaussianRational and got == (-1) ** r * (-x) ** n
+            got = sy.value(w)
+            assert type(got) is Fraction and got == Fraction(math.prod(weights[int(a.re)] for a in w), math.factorial(r))
+
     def test_products_preserve_symmetry(self):
         rng = random.Random(15)
         for _ in range(20):
@@ -376,6 +387,13 @@ class TestOrganicGrowth:
     def test_bad_inputs_are_refused(self, kwargs, field):
         with pytest.raises(ValueError, match=field):
             organic_growth_report(**{"max_nodes": 3, **kwargs})
+
+    @pytest.mark.parametrize("decs, max_nodes", [((1, 2, 3), 5), ((1, 3), 4), ((2, 5), 4), ((1,), 6)], ids=str)
+    def test_forest_counts_match_count_forests(self, decs, max_nodes):
+        letters = [letter(d) for d in decs]
+        cap = max_nodes * max(decs)
+        want = {r: count_forests(letters, cap, r) - count_forests(letters, cap, r - 1) for r in range(1, max_nodes + 1)}
+        assert organic_growth_report(max_nodes, decs).forest_counts == want
 
     def test_decorations_are_letters(self):
         rep = organic_growth_report(3, ("2", 1, Fraction(3), 2))

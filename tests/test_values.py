@@ -182,3 +182,15 @@ def test_zero_scalars_are_skipped_and_keyed_loops_start_at_zero():
     # negative zero, and the scalar loop starts at it
     assert typed(sparse_sum([(-1.0, {0: complex(-1, 0.0)})])[0]) == typed(complex(1, 0.0))
     assert typed(linear_sum([(-1.0, complex(-1, 0.0))])) == typed(complex(1, -0.0))
+
+
+@pytest.mark.parametrize("s", [1, -1, 2, Fraction(1, 2)], ids=str)
+def test_a_real_scalar_keeps_a_zero_imaginary_part(s):
+    # CPython widens s to s+0j, so a plain s * complex(inf, 0) is inf+nanj
+    inf = float("inf")
+    (got,) = sparse_sum([(s, {0: complex(inf, 0)})]).values()
+    assert got.real == s * inf and got.imag == 0
+    got = linear_sum([(s, complex(inf, 0)), (s, complex(1, 0))])
+    assert got.real == s * inf and got.imag == 0
+    total = TruncatedSeries({0: complex(inf, 0), 1: 1.0}, 2) + TruncatedSeries({1: 2.0}, 2)
+    assert total.coeffs[0] == complex(inf, 0) and total.coeffs[0].imag == 0 and total.coeffs[1] == 3.0

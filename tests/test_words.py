@@ -319,6 +319,43 @@ class TestAgainstOracles:
                 count_forests([letter(1), letter(bad)], 2)
 
 
+class TestKeyLevelForests:
+    """forests_of_norm enumerates keys and builds each Forest at the end; it
+    must list what the Forest-building stream it replaced lists."""
+
+    @pytest.mark.parametrize("max_nodes", [None, 1, 3], ids=["no-cap", "nodes1", "nodes3"])
+    @pytest.mark.parametrize("values", [[1], [1, 2], [1, 3], [1, 2, 3], [2, 5]], ids=str)
+    def test_forests_of_norm_matches_the_forest_stream(self, values, max_nodes):
+        letters = [letter(v) for v in values]
+        roots = {a.sort_key(): a for a in letters}
+        for max_norm in range(1, 8):
+            stream = oracles.forest_stream(values, max_norm, max_norm if max_nodes is None else max_nodes)
+            want = [f for _, f in sorted(((n, k, f.sort_key()), f) for k, n, f in stream)]
+            got = forests_of_norm(letters, max_norm, max_nodes)
+            assert [f.sort_key() for f in got] == [f.sort_key() for f in want]
+            assert [str(f) for f in got] == [str(f) for f in want]
+            assert [hash(f) for f in got] == [hash(f) for f in want]
+            for f in got:
+                assert Forest(f.trees) == f
+                nodes = list(f.trees)
+                while nodes:
+                    t = nodes.pop()
+                    assert Tree(t.root, t.children) == t and hash(Tree(t.root, t.children)) == hash(t)
+                    assert t.root == roots[t.root.sort_key()]
+                    assert [type(x) for x in t.root.sort_key()] == [int, int]
+                    nodes += t.children.trees
+
+    def test_covers_share_the_letter_of_a_merged_key(self):
+        want = GaussianRational(Fraction(3, 2), Fraction(1))
+        merged = []
+        for text in ("1/2+i;1", "1/2;1+i"):
+            (a,) = [w[0] for w in contracting_covers(parse_forest(text)) if len(w) == 1]
+            merged.append(a)
+        assert merged[0] is merged[1]
+        assert merged[0] == want and merged[0].sort_key() == want.sort_key()
+        assert type(merged[0].re) is Fraction and type(merged[0].im) is Fraction
+
+
 def _fresh(a: GaussianRational) -> GaussianRational:
     """An equal letter that shares no object with ``a``."""
     re, im = a.re, a.im
