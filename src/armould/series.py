@@ -63,7 +63,7 @@ class TruncatedSeries:
 
     def __mul__(self, other):
         if not isinstance(other, TruncatedSeries):
-            return TruncatedSeries({k: c * other for k, c in self.coeffs.items()}, self.nu)
+            return TruncatedSeries(sparse_sum([(other, self.coeffs)]), self.nu)
         self._check(other)
         nu = self.nu
         terms = [(c, {i + j: d for j, d in other.coeffs.items() if i + j <= nu}) for i, c in self.coeffs.items()]

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import random
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -284,9 +285,9 @@ def automorphism_defect(exp: NormalizerExpansion) -> float:
 
 def _sampled_defect(seed: int, nu: int, identity) -> float:
     """Max coefficient difference of the two sides identity(f, g) returns,
-    over three pairs of random series drawn from the seed; NaN if any
-    difference is NaN."""
-    rng = np.random.default_rng(seed)
+    over three pairs of random series drawn by random.Random(seed); NaN if
+    any difference is NaN."""
+    rng = random.Random(seed)
     diffs = []
     for _ in range(3):
         f = _random_series(rng, nu)

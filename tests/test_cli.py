@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 from dataclasses import replace
 
@@ -275,6 +278,24 @@ class TestSynthesizeCommand:
         _, out1 = run(capsys, "synthesize", "--invariants", str(inv), "--c", "2", "--caps", "4,4,2")
         _, out2 = run(capsys, "synthesize", "--invariants", str(inv), "--c", "2", "--caps", "4,4,2")
         assert out1 == out2
+
+    def test_synthesis_leaves_numpy_random_unloaded(self, tmp_path):
+        # a fresh interpreter, since this one may hold numpy.random already;
+        # the defects draw their series from the standard library's random,
+        # and NumPy 2 (the floor in pyproject.toml) loads numpy.random lazily
+        inv = tmp_path / "inv.json"
+        inv.write_text('{"A": {"1": "1/4"}}')
+        code = (
+            "import sys\n"
+            "from armould.cli import main\n"
+            f"rc = main(['synthesize', '--invariants', {str(inv)!r}, '--c', '2', '--caps', '1,1,1'])\n"
+            "print(rc, 'numpy.random' in sys.modules)\n"
+        )
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "0 False"
 
     @pytest.mark.parametrize("caps", ["0,4,2", "4,4,-1", "8,4,7"])
     def test_degenerate_caps_fail_before_quadrature(self, tmp_path, capsys, monkeypatch, caps):

@@ -191,6 +191,16 @@ class TestNormalizer:
         e = build_theta(self.INV, CFG)[0]
         assert automorphism_defect(e) <= 1e-9
 
+    def test_automorphism_defect_detects_one_perturbed_coefficient(self):
+        # large data at r_max = nu, so that Theta is an automorphism at the cap
+        # and its lowest non-derivation term u^4 d^2 is far above rounding
+        cfg = SynthesisConfig(c=0.5, nu=4, r_max=4, z_samples=(-2.0,))
+        e = build_theta(InvariantFamily({1: 100.0}, growth_bound=100.0), cfg)[0]
+        assert automorphism_defect(e) <= 1e-9
+        terms = {k: dict(p) for k, p in e.operator.terms.items()}
+        terms[2][4] *= 1 + 1e-3
+        assert automorphism_defect(replace(e, operator=DiffOperator(terms))) > 1e-6
+
     def test_theta_times_inverse_is_identity(self):
         e = build_theta(self.INV, CFG)[0]
         composed = e.operator.compose(e.inverse_operator()).truncate_u(CFG.nu)
@@ -262,6 +272,14 @@ class TestField:
         s = field.samples[0]
         assert s.automorphism_defect <= 1e-9
         assert s.derivation_defect <= 1e-9
+
+    def test_derivation_defect_detects_a_non_derivation(self):
+        # d^2(fg) - d^2(f) g - f d^2(g) = 2 f' g', while u^2 d is a derivation
+        def leibniz(op):
+            return lambda f, g: (op.apply(f * g), op.apply(f) * g + f * op.apply(g))
+
+        assert synth._sampled_defect(7, CFG.nu, leibniz(DiffOperator({1: {2: 1.0 + 0.0j}}))) <= 1e-15
+        assert synth._sampled_defect(7, CFG.nu, leibniz(DiffOperator({2: {0: 1.0 + 0.0j}}))) > 1e-6
 
     def test_u2_coefficient_against_fd_conjugation(self):
         # oracle: replace the analytic z-derivative with centered differences

@@ -194,3 +194,24 @@ def test_a_real_scalar_keeps_a_zero_imaginary_part(s):
     assert got.real == s * inf and got.imag == 0
     total = TruncatedSeries({0: complex(inf, 0), 1: 1.0}, 2) + TruncatedSeries({1: 2.0}, 2)
     assert total.coeffs[0] == complex(inf, 0) and total.coeffs[0].imag == 0 and total.coeffs[1] == 3.0
+
+
+@pytest.mark.parametrize("s", [1, -1, 2, Fraction(1, 2)], ids=str)
+def test_a_series_times_a_real_scalar_keeps_a_zero_imaginary_part(s):
+    series = TruncatedSeries({0: complex(float("inf"), 0), 1: 1.0}, 2)
+    for product in (series * s, s * series):
+        assert product.coeffs[0].real == s * float("inf") and product.coeffs[0].imag == 0
+        assert product.coeffs[1] == s
+
+
+def test_a_series_times_zero_is_the_zero_series_as_an_operator_is():
+    # the kernel skips a zero scalar, so 0 * nan leaves no coefficient, as in
+    # DiffOperator.scale(0); a nonzero scalar keeps the nan
+    from armould.operators import DiffOperator
+
+    series = TruncatedSeries({0: float("nan"), 1: 1.0}, 2)
+    for product in (series * 0, 0 * series, series * 0.0):
+        assert product.coeffs == {}
+    assert DiffOperator({0: {0: float("nan")}}).scale(0).is_zero()
+    doubled = (series * 2).coeffs
+    assert doubled[0] != doubled[0] and doubled[1] == 2
