@@ -47,8 +47,11 @@ class KernelParams:
 
 
 def saddle_node_kernel(om: complex, c: float, y: np.ndarray) -> np.ndarray:
-    """exp(-om y - c^2 conj(om) / y), elementwise; no domain checks."""
-    return np.exp(-om * y - (c * c) * np.conjugate(om) / y)
+    """exp(-om y - c^2 conj(om) / y), elementwise, computed in the one array
+    it returns; no domain checks."""
+    out = np.multiply(-om, y, out=np.empty(np.shape(y), complex))
+    out -= (c * c) * np.conjugate(om) / y
+    return np.exp(out, out=out)
 
 
 def g_eval(p: KernelParams, y):

@@ -159,21 +159,32 @@ def _cauchy_fold(
     Its kernel splits as [|x| < 1] + r with r = x / (1 - x) inside the unit
     circle and 1 / (1 - x) outside; |x| grows with m, so the step part is a
     suffix sum of u, and r, which decays at both ends, goes through one FFT
-    convolution of power-of-two length >= N + M - 1."""
+    convolution of power-of-two length >= N + M - 1.  r and u are built in
+    their zero-padded FFT buffers, which are transformed and multiplied in
+    place, so the fold allocates little beyond the two buffers and its result."""
     n, m = len(y_from), len(y_to)
-    u = values / y_from
-    lags = np.arange(-(n - 1), m)
     shift = log_to - log_from
-    inside = shift.real + h * lags < 0  # |x| < 1: a prefix of the lags
-    x = np.exp(shift + h * lags)
-    r = np.where(inside, x, 1.0) / (1.0 - x)
-    # lag index i - k + n - 1 is inside below p, i.e. for k >= i + n - p
-    p = np.count_nonzero(inside)
-    suffix = np.append(np.cumsum(u[::-1])[::-1], 0.0)
-    step = suffix[np.clip(np.arange(m) + n - p, 0, n)]
+    h_lags = h * np.arange(-(n - 1), m)
+    # |x| < 1 on a prefix of the lags: lag index i - k + n - 1 is inside
+    # below p, i.e. for k >= i + n - p
+    p = np.count_nonzero(shift.real + h_lags < 0)
     size = 1 << (n + m - 2).bit_length()
-    conv = np.fft.ifft(np.fft.fft(u, size) * np.fft.fft(r, size))[n - 1 : n - 1 + m]
-    return step + conv
+    r, u = np.zeros(size, complex), np.zeros(size, complex)
+    x, one_minus_x = r[: n + m - 1], u[: n + m - 1]  # u's buffer holds 1 - x until u is written
+    np.exp(np.add(shift, h_lags, out=x), out=x)
+    del h_lags
+    np.subtract(1.0, x, out=one_minus_x)
+    x[p:] = 1.0
+    x /= one_minus_x
+    np.divide(values, y_from, out=u[:n])
+    u[n:] = 0.0
+    suffix = np.zeros(n + 1, complex)
+    np.cumsum(u[n - 1 :: -1], out=suffix[n - 1 :: -1])
+    out = suffix[np.clip(np.arange(n - p, m + n - p), 0, n)]
+    np.fft.fft(u, out=u)
+    u *= np.fft.fft(r, out=r)
+    out += np.fft.ifft(u, out=u)[n - 1 : n - 1 + m]
+    return out
 
 
 def _preorder(f: Forest) -> tuple[tuple, tuple]:
@@ -197,15 +208,17 @@ def _preorder(f: Forest) -> tuple[tuple, tuple]:
 class Quadrature:
     """The quadrature of one batch of evaluations at one (c, spec): rays and
     Cauchy folds shared by every word, forest and z sample evaluated through
-    it, and freed with it.
+    it, and freed with it, or a ray earlier: paralog_batch_eval releases each
+    ray after the last item of its batch that can touch it.
 
     A ray, with its weighted kernel values, depends on the level, the slot
     and the decoration alone, since the spec sets its tilt and step, and is
     built once.  A fold depends on the subtree it folds (decorations and
     parent links, from its slot on) and on the ray it lands on (parent slot
-    and decoration); z enters only the root sums.  One fold is held per (level, slot), so a batch shares the folds
-    of items that come one after the other with a common subtree at a common
-    slot; paralog_batch_eval walks its items in that order."""
+    and decoration); z enters only the root sums.  One fold is held per
+    (level, slot), so a batch shares the folds of items that come one after
+    the other with a common subtree at a common slot; paralog_batch_eval
+    walks its items in that order."""
 
     def __init__(self, c: float, spec: ContourSpec | None = None):
         self.c = c
@@ -223,7 +236,8 @@ class Quadrature:
             t_lo, t_hi = _t_window(c, abs(om), math.cos(tilt))
             npts = max(int(math.ceil((t_hi - t_lo) / h)) + 1, 33)
             y, wgt, log0 = _ray(c if c > 0 else 1.0, -cmath.phase(om), tilt, t_lo, h, npts)
-            ray = self._rays[key] = (y, log0, saddle_node_kernel(om, c, y) * wgt)
+            vals = np.multiply(saddle_node_kernel(om, c, y), wgt, out=wgt)  # kernel times weights, in this order, in place
+            ray = self._rays[key] = (y, log0, vals)
         return ray
 
     def held(self, level: int, slot: int, key: tuple) -> np.ndarray | None:
@@ -368,21 +382,33 @@ def paralog_batch_eval(items: Sequence, zs: Sequence[complex], c: float, spec: C
     pair, through one Quadrature, z the inner loop.  Items go depth first, by
     node count, then by the preorder (decoration, parent link) pairs read from
     the last node back, so that items sharing a subtree at a slot, such as a
-    word and its chain forest, come one after the other."""
+    word and its chain forest, come one after the other.  A ray is released
+    after the z loop of the last item in that order that can touch it, one
+    with its decoration at its slot."""
     quad = Quadrature(c, spec)
 
+    def preorder(item) -> tuple:
+        if isinstance(item, Forest):
+            return _preorder(item)
+        decs = _decorations(item)
+        return decs, range(-1, len(decs) - 1)
+
+    nodes = [preorder(item) for item in items]
+
     def key(i: int):
-        if isinstance(items[i], Forest):
-            decs, parents = _preorder(items[i])
-        else:
-            decs = _decorations(items[i])
-            parents = range(-1, len(decs) - 1)
+        decs, parents = nodes[i]
         return len(decs), [(d.real, d.imag, p) for d, p in zip(reversed(decs), reversed(parents))]
 
+    order = sorted(range(len(items)), key=key)
+    rays = [[(lvl, j, om) for lvl in range(quad.spec.richardson_levels) for j, om in enumerate(decs)] for decs, _ in nodes]
+    last = {ray: i for i in order for ray in rays[i]}
     out: list[list] = [[] for _ in items]
-    for i in sorted(range(len(items)), key=key):
+    for i in order:
         evaluate = paralog_forest_eval if isinstance(items[i], Forest) else paralog_Ua_eval
         out[i] = [evaluate(items[i], z, c, spec, quad=quad) for z in zs]
+        for ray in rays[i]:
+            if last[ray] == i:
+                quad._rays.pop(ray, None)
     return out
 
 

@@ -5,7 +5,8 @@ coarborification identity checks its forest rows; the index-walk enumerators
 and the position-subset shuffles check the memoised fiber recursion of
 :mod:`armould.words`, and the by-norm forest builder and the Forest-building
 stream that it replaced check its key-level forest enumerator; the dense Cauchy fold
-checks the FFT-Toeplitz fold of :mod:`armould.monomials`, and the cover sum
+checks the FFT-Toeplitz fold of :mod:`armould.monomials`, the same fold with
+every step in a new array checks its in-place buffers bit for bit, and the cover sum
 of word values checks its structured forest integral, and the Laplace-side
 double integral checks its value at r = 2.  The operator-valued
 layered solve checks the scalar solve of the contracted coarborified, and
@@ -126,6 +127,28 @@ def cauchy_fold_dense(values: np.ndarray, y_from: np.ndarray, y_to: np.ndarray) 
         hi = min(lo + 512, len(y_to))
         out[lo:hi] = np.reciprocal(y_from[None, :] - y_to[lo:hi, None]) @ values
     return out
+
+
+def cauchy_fold_allocating(
+    values: np.ndarray, y_from: np.ndarray, log_from: complex, y_to: np.ndarray, log_to: complex, h: float
+) -> np.ndarray:
+    """Oracle for :func:`armould.monomials._cauchy_fold`, bit for bit: the
+    same operations of the FFT-Toeplitz fold in the same order, each into a
+    new array (np.where, np.append, np.fft.fft with its own zero padding)."""
+    n, m = len(y_from), len(y_to)
+    u = values / y_from
+    lags = np.arange(-(n - 1), m)
+    shift = log_to - log_from
+    inside = shift.real + h * lags < 0  # |x| < 1: a prefix of the lags
+    x = np.exp(shift + h * lags)
+    r = np.where(inside, x, 1.0) / (1.0 - x)
+    # lag index i - k + n - 1 is inside below p, i.e. for k >= i + n - p
+    p = np.count_nonzero(inside)
+    suffix = np.append(np.cumsum(u[::-1])[::-1], 0.0)
+    step = suffix[np.clip(np.arange(m) + n - p, 0, n)]
+    size = 1 << (n + m - 2).bit_length()
+    conv = np.fft.ifft(np.fft.fft(u, size) * np.fft.fft(r, size))[n - 1 : n - 1 + m]
+    return step + conv
 
 
 def forest_cover_sum(f: Forest, z: complex, c: float, spec: ContourSpec | None = None) -> tuple[complex, float]:

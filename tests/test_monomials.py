@@ -3,6 +3,7 @@
 import cmath
 import itertools
 import math
+import tracemalloc
 import weakref
 from dataclasses import replace
 
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import cauchy_fold_dense, forest_cover_sum, x_integral_r2
+from oracles import cauchy_fold_allocating, cauchy_fold_dense, forest_cover_sum, x_integral_r2
 import armould.monomials as mono
 from armould.monomials import (
     CONTRACTION_UNIT,
@@ -31,7 +32,7 @@ from armould.monomials import (
 from armould.kernels import KernelParams, g_eval
 from armould.moulds import Mould, check_symmetry
 from armould.quadrature import de_halfline
-from armould.words import EMPTY_WORD, Word, forests_of_norm, letter, parse_forest, word
+from armould.words import EMPTY_WORD, Forest, Word, forests_of_norm, letter, parse_forest, word
 
 Z = -2.0
 C = 1.0
@@ -272,6 +273,38 @@ class TestFold:
         dense = cauchy_fold_dense(values, y_from, y_to)
         assert np.max(np.abs(fast - dense)) <= 1e-12 * np.max(np.abs(dense))
 
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(ray_pairs())
+    def test_fold_is_bit_identical_to_the_allocating_fold(self, pair):
+        # the in-place buffers run every operation of the allocating fold,
+        # in its order, and write nothing into the fold's arguments
+        h, (y_from, wgt, log_from), (y_to, _, log_to) = pair
+        args = (np.exp(-y_from) * wgt, y_from, log_from, y_to, log_to, h)
+        copies = [a.copy() if isinstance(a, np.ndarray) else a for a in args]
+        assert np.array_equal(mono._cauchy_fold(*args), cauchy_fold_allocating(*args))
+        assert all(np.array_equal(a, b) for a, b in zip(args, copies))
+
+    def test_fold_peaks_below_four_padded_arrays(self):
+        # the c = 0 level-1 rays of decoration 1 at slots 1 and 0, the
+        # longest rays of the c = 0 synthesis: besides its result the fold
+        # keeps two zero-padded FFT buffers, where the allocating fold
+        # peaked at 5.5 arrays of the padded length
+        quad = Quadrature(0.0)
+        y_from, log_from, values = quad.ray(1, 1, 1 + 0j)
+        y_to, log_to, _ = quad.ray(1, 0, 1 + 0j)
+        args = (values, y_from, log_from, y_to, log_to, quad.spec.step(1))
+        size = 1 << (len(y_from) + len(y_to) - 2).bit_length()
+        assert (len(y_from), len(y_to), size) == (6962, 6962, 16384)
+        mono._cauchy_fold(*args)  # warm-up: numpy's FFT plan cache
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            mono._cauchy_fold(*args)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * size * 16, peak / (size * 16)
+
     @pytest.mark.parametrize("c", [0.5, 1.0, 2.0, 0.0])
     def test_values_match_dense_fold_within_reported_error(self, monkeypatch, c):
         # every word and forest is evaluated with the library fold and with
@@ -400,6 +433,52 @@ class TestQuadrature:
         assert len(alive) > slots
         del quad
         assert all(ref() is None for ref in alive)
+
+    @pytest.mark.parametrize("c", [0.0, 1.0])
+    def test_batch_releases_each_ray_after_its_last_item(self, monkeypatch, c):
+        # a ray is built once, and released after the last item in batch
+        # order that has its decoration at its slot
+        builds = []
+        library_ray = mono._ray
+
+        def counted(*args):
+            builds.append(args)
+            return library_ray(*args)
+
+        monkeypatch.setattr(mono, "_ray", counted)
+        arrays = {}  # (level, slot, decoration) -> weakrefs of y and its weighted kernel values
+        quadrature_ray = Quadrature.ray
+
+        def tracked_ray(quad, level, slot, om):
+            ray = quadrature_ray(quad, level, slot, om)
+            arrays.setdefault((level, slot, om), (weakref.ref(ray[0]), weakref.ref(ray[2])))
+            return ray
+
+        monkeypatch.setattr(Quadrature, "ray", tracked_ray)
+        zs = [Z, -1.5 + 0.5j]
+        started = []  # (item, rays alive) as each item's z loop starts
+        for name in ("paralog_Ua_eval", "paralog_forest_eval"):
+
+            def entered(item, z, *args, _evaluate=getattr(mono, name), **kwargs):
+                if z == zs[0]:
+                    started.append((item, {ray for ray, refs in arrays.items() if any(ref() is not None for ref in refs)}))
+                return _evaluate(item, z, *args, **kwargs)
+
+            monkeypatch.setattr(mono, name, entered)
+        items = [word(1, 2, 3), parse_forest("1(2,3)"), word(3, 2, 1), parse_forest("2(1(3))"), word(1, 1), parse_forest("3;1(2)"), word(2), word(2, 1)]
+        paralog_batch_eval(items, zs, c)
+
+        def rays(item) -> set:
+            decs = mono._preorder(item)[0] if isinstance(item, Forest) else mono._decorations(item)
+            return {(lvl, j, om) for lvl in range(ContourSpec().richardson_levels) for j, om in enumerate(decs)}
+
+        assert sorted(map(str, (item for item, _ in started))) == sorted(map(str, items))
+        last = {ray: k for k, (item, _) in enumerate(started) for ray in rays(item)}
+        assert len(builds) == len(last) == len(arrays)
+        assert min(last.values()) < len(items) - 1  # some ray is released before the batch ends
+        for k, (item, alive) in enumerate(started):
+            assert all(last[ray] >= k for ray in alive), (str(item), [ray for ray in alive if last[ray] < k])
+        assert all(ref() is None for refs in arrays.values() for ref in refs)
 
     @pytest.mark.parametrize("om", [1.0, 2.0])
     @pytest.mark.parametrize("c", [0.0, 0.5, 2.0])
