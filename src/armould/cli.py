@@ -16,8 +16,6 @@ import json
 import math
 import sys
 
-import numpy as np
-
 from .moulds import (
     Mould,
     arborify,
@@ -34,13 +32,7 @@ from .monomials import (
     paralog_variants,
 )
 from .kernels import KernelParams, f_closed_form_oracle, f_eval, g_eval, g_sup_bound
-from .synthesis import (
-    InvariantFamily,
-    SynthesisConfig,
-    build_theta,
-    conjugate_normal_field,
-    linear_rh_synthesize,
-)
+from .synthesis import DEFECT_TOL, InvariantFamily, SynthesisConfig, linear_rh_synthesize, synthesize
 from .values import format_exact, parse_exact
 from .words import (
     contracting_covers,
@@ -53,15 +45,16 @@ from .words import (
 )
 
 
-# the largest automorphism and derivation defect a synthesis may report
-_DEFECT_TOL = 1e-6
-
-
 def _fnum(x) -> str:
     """Full-precision decimal encoding; never a raw float in payloads."""
     if isinstance(x, complex):
         return f"{x.real!r}{'+' if x.imag >= 0 else '-'}{abs(x.imag)!r}i"
     return repr(float(x))
+
+
+def _fcheck(x) -> str:
+    """A number of a failure record: a count as an integer, else as _fnum."""
+    return str(x) if isinstance(x, int) else _fnum(x)
 
 
 def _emit(payload):
@@ -363,48 +356,26 @@ def _dispatch_synthesize(args) -> int:
     z_samples = tuple(m * cmath.exp(1j * theta_ray) for m in moduli)
     z_samples = tuple(complex(round(z.real, 12), round(z.imag, 12)) for z in z_samples)
     cfg = SynthesisConfig(c=args.c, nu=nu, r_max=rmax, z_samples=z_samples)
-    expansions = build_theta(inv, cfg)
-    samples = [conjugate_normal_field(e) for e in expansions]
-    rows = []
-    for s in samples:
-        for deg in sorted(s.action_on_u):
-            v = s.action_on_u[deg]
-            rows.append((_fnum(s.z), deg, _fnum(v.real), _fnum(v.imag)))
-    # np.max, unlike max(), keeps a NaN defect
-    worst_auto = float(np.max([s.automorphism_defect for s in samples], initial=0.0))
-    worst_deriv = float(np.max([s.derivation_defect for s in samples], initial=0.0))
-    non_finite_rows = sum(not cmath.isfinite(v) for s in samples for v in s.action_on_u.values())
-    per_norm: dict = {}
-    for e in expansions:
-        for n, r in e.tail_ratios().items():
-            per_norm.setdefault(str(n), []).append(r)
-    tail_ratios = {n: _fnum(float(np.max(rs))) for n, rs in per_norm.items()}  # a NaN ratio stays NaN
+    field = synthesize(inv, cfg)
+    rows = [(_fnum(s.z), deg, _fnum(v.real), _fnum(v.imag)) for s in field.samples for deg, v in sorted(s.action_on_u.items())]
     report = {
         "invariants": {str(n): _fnum(a) for n, a in sorted(inv.coefficients.items())},
         "c": _fnum(args.c),
         "caps": {"nu": nu, "r_max": rmax},
         "z_samples": [_fnum(z) for z in cfg.z_samples],
-        "tolerances": {"automorphism": _fnum(_DEFECT_TOL), "derivation": _fnum(_DEFECT_TOL)},
-        "automorphism_defect": _fnum(worst_auto),
-        "derivation_defect": _fnum(worst_deriv),
-        "tail_ratios": tail_ratios,
+        "tolerances": {"automorphism": _fnum(DEFECT_TOL), "derivation": _fnum(DEFECT_TOL)},
+        **{check: _fnum(worst) for check, worst in field.worst_defects().items()},
+        "tail_ratios": {str(n): _fnum(r) for n, r in field.tail_ratios.items()},
         "coefficient_rows_header": ["z", "u_degree", "re", "im"],
         "coefficient_rows": rows,
+        "failures": [{"check": check, "value": _fcheck(value), "tolerance": _fcheck(tol)} for check, value, tol in field.failures],
     }
-    failures = []
-    # "not <=" so that a NaN defect fails its check
-    for check, worst in (("automorphism_defect", worst_auto), ("derivation_defect", worst_deriv)):
-        if not worst <= _DEFECT_TOL:
-            failures.append({"check": check, "value": _fnum(worst), "tolerance": _fnum(_DEFECT_TOL)})
-    if non_finite_rows:
-        failures.append({"check": "finite_coefficient_rows", "value": str(non_finite_rows), "tolerance": "0"})
-    report["failures"] = failures
     text = json.dumps(report, indent=2, sort_keys=True)
     print(text)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text + "\n")
-    return 1 if failures else 0
+    return 1 if field.failures else 0
 
 
 if __name__ == "__main__":

@@ -513,6 +513,9 @@ def growth_scan(c_values: Sequence[float], norm_cap: int, z: complex, include_fo
     if norm_cap < 1:
         raise ValueError(f"norm cap {norm_cap} must be >= 1")
     spec = ContourSpec()
+    # the all-ones word of norm norm_cap has norm_cap letters: refuse a cap
+    # the contour cannot integrate before any word is built
+    spec.check_slots(norm_cap, f"norm cap {norm_cap}")
     # the hyperlogarithmic column needs a much longer t-window; a single
     # contour level at scan accuracy keeps the column affordable
     c0_spec = replace(spec, richardson_levels=1)

@@ -48,6 +48,9 @@ from .words import Word, count_forests, forests_of_norm, words_of_norm_at_most
 # once (its z-free forest rows) plus about 0.02 ms per forest and z sample.
 MAX_FORESTS = 20_000
 
+# the largest automorphism and derivation defect a synthesized field may have
+DEFECT_TOL = 1e-6
+
 
 class SynthesisError(ValueError):
     pass
@@ -131,14 +134,21 @@ class NormalizerExpansion:
     ell: dict  # word -> L^w at z, for every word the forest rows ask for
     tail_norms: dict  # norm n -> sum over ||F|| = n of |value| * ||B_F|| / |Aut F|
 
-    def apply(self, f: TruncatedSeries) -> TruncatedSeries:
-        return self.operator.apply(f)
-
     def inverse_operator(self) -> DiffOperator:
         return _invert_tangent_to_identity(self.operator, self.config.nu)
 
     def tail_ratios(self) -> dict:
         return _consecutive_ratios(self.tail_norms)
+
+
+def _max_per_key(tables) -> dict:
+    """key -> the largest value under that key over the tables; np.max,
+    unlike max(), keeps a NaN."""
+    per_key: dict = {}
+    for table in tables:
+        for k, v in table.items():
+            per_key.setdefault(k, []).append(v)
+    return {k: float(np.max(vs)) for k, vs in per_key.items()}
 
 
 def _consecutive_ratios(sums: dict) -> dict:
@@ -266,6 +276,12 @@ class FieldSample:
 class SynthesizedField:
     config: SynthesisConfig
     samples: list
+    tail_ratios: dict  # norm -> largest tail ratio over the z samples
+    failures: list  # (check, value, tolerance) for every failed check
+
+    def worst_defects(self) -> dict:
+        """Defect name -> its largest value over the z samples, a NaN kept."""
+        return {d: float(np.max([getattr(s, d) for s in self.samples], initial=0.0)) for d in ("automorphism_defect", "derivation_defect")}
 
     def max_relative_imag(self) -> float:
         """Largest |Im| over the largest |coefficient| of a sample; NaN if any
@@ -280,7 +296,7 @@ class SynthesizedField:
 def automorphism_defect(exp: NormalizerExpansion) -> float:
     """Max coefficient of Theta(fg) - Theta(f) Theta(g) on random series
     (NaN if any coefficient is NaN)."""
-    return _sampled_defect(11, exp.config.nu, lambda f, g: (exp.apply(f * g), exp.apply(f) * exp.apply(g)))
+    return _sampled_defect(11, exp.config.nu, lambda f, g: (exp.operator.apply(f * g), exp.operator.apply(f) * exp.operator.apply(g)))
 
 
 def _sampled_defect(seed: int, nu: int, identity) -> float:
@@ -305,32 +321,42 @@ def _random_series(rng, nu) -> TruncatedSeries:
 
 
 def conjugate_normal_field(exp: NormalizerExpansion) -> FieldSample:
-    """X_c = Theta (d_z + u d_u) Theta^{-1} at the sample: the u-component is
+    """X_c = Theta (d_z + u d_u) Theta^{-1} at the sample, by its action
 
-        X_c(u) = [Theta o (u d_u) o Theta^{-1}](u) - [(d_z Theta) o Theta^{-1}](u)
+        X_c(h) = Theta(u d_u (Theta^{-1} h)) - (d_z Theta)(Theta^{-1} h)
 
-    with d_z Theta from the exact z-derivative of the mould values.  At A = 0
-    this is u exactly."""
+    on u-series cut at nu (no operator here lowers the u-degree), with d_z
+    Theta from the exact z-derivative of the mould values.  At A = 0,
+    X_c(u) = u exactly."""
     nu = exp.config.nu
-    theta = exp.operator
     theta_inv = exp.inverse_operator()
     euler = DiffOperator({1: {1: 1.0 + 0.0j}})
-    xc_op = theta.compose(euler).compose(theta_inv) - exp.d_operator.compose(theta_inv)
-    xc_op = xc_op.truncate_u(nu)
-    u_series = TruncatedSeries.u_power(1, nu, coeff=1.0 + 0.0j)
-    img = xc_op.apply(u_series)
-    action = {k: complex(v) for k, v in img.coeffs.items()}
+
+    def field(h: TruncatedSeries) -> TruncatedSeries:
+        g = theta_inv.apply(h)
+        return exp.operator.apply(euler.apply(g)) - exp.d_operator.apply(g)
+
+    img = field(TruncatedSeries.u_power(1, nu, coeff=1.0 + 0.0j))
     return FieldSample(
         z=exp.z,
-        action_on_u=action,
-        derivation_defect=_sampled_defect(7, nu, lambda f, g: (xc_op.apply(f * g), xc_op.apply(f) * g + f * xc_op.apply(g))),
+        action_on_u={k: complex(v) for k, v in img.coeffs.items()},
+        derivation_defect=_sampled_defect(7, nu, lambda f, g: (field(f * g), field(f) * g + f * field(g))),
         automorphism_defect=automorphism_defect(exp),
     )
 
 
 def synthesize(inv: InvariantFamily, cfg: SynthesisConfig) -> SynthesizedField:
+    """The conjugated field at every z sample, the per-norm tail ratios, each
+    the largest over the z samples, and a failure record per failed check: a
+    defect above DEFECT_TOL or a non-finite coefficient of X_c(u)."""
     expansions = build_theta(inv, cfg)
-    return SynthesizedField(config=cfg, samples=[conjugate_normal_field(e) for e in expansions])
+    field = SynthesizedField(cfg, [conjugate_normal_field(e) for e in expansions], _max_per_key(e.tail_ratios() for e in expansions), [])
+    # "not <=" so that a NaN defect fails
+    field.failures += [(check, worst, DEFECT_TOL) for check, worst in field.worst_defects().items() if not worst <= DEFECT_TOL]
+    non_finite = sum(not cmath.isfinite(v) for s in field.samples for v in s.action_on_u.values())
+    if non_finite:
+        field.failures.append(("finite_coefficient_rows", non_finite, 0))
+    return field
 
 
 # ---------------------------------------------------------------------------
@@ -362,11 +388,7 @@ def convergence_report(inv: InvariantFamily, cfg: SynthesisConfig, c_values: Seq
     word_norms = [restricted_norm(op_compose_word(fam, w), cfg.nu) for w in words]
     for c, c_cfg in zip(c_values, cfgs):
         exps = _assemble(c_cfg, *forest_rows)
-        per_norm: dict = {}
-        for e in exps:
-            for n, t in e.tail_norms.items():
-                per_norm.setdefault(n, []).append(t)
-        tails[c] = {n: float(np.max(ts)) for n, ts in per_norm.items()}  # a NaN tail stays NaN
+        tails[c] = _max_per_key(e.tail_norms for e in exps)
         ws: dict = {}
         for e in exps:
             for w, nrm in zip(words, word_norms):

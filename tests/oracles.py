@@ -1,6 +1,7 @@
 """Test oracles: slower, independently built constructions that the library
 is checked against.  The normalizer's word assembly, with its own scalar
-L and dL, checks its forest assembly, and the word side of the z-free
+L and dL, checks its forest assembly, the conjugated field built from
+operator products checks the field built from operator actions, and the word side of the z-free
 coarborification identity checks its forest rows; the index-walk enumerators
 and the position-subset shuffles check the memoised fiber recursion of
 :mod:`armould.words`, and the by-norm forest builder and the Forest-building
@@ -28,7 +29,8 @@ from armould.bessel import bessel_k1
 from armould.monomials import CONTRACTION_UNIT, MOULD_NORMALIZATION, ContourSpec, paralog_Ua_eval
 from armould.moulds import Mould, builtin_mould, mould_compose, words_of_norm_at_most
 from armould.operators import DerivationFamily, DiffOperator, _as_int, _fraction_inverse, _linear_combination, op_compose_word
-from armould.synthesis import InvariantFamily, SynthesisConfig
+from armould.series import TruncatedSeries
+from armould.synthesis import FieldSample, InvariantFamily, NormalizerExpansion, SynthesisConfig, _sampled_defect, automorphism_defect
 from armould.values import GaussianRational, _zero
 from armould.words import Forest, Tree, Word, letter
 
@@ -117,6 +119,30 @@ def exp_atom_operators(inv: InvariantFamily, cfg: SynthesisConfig) -> dict[int, 
         if not acc.is_zero():
             atoms[n] = acc
     return atoms
+
+
+def conjugate_by_products(exp: NormalizerExpansion) -> FieldSample:
+    """X_c = Theta (d_z + u d_u) Theta^{-1} as one operator cut at nu: the
+    u-component is
+
+        X_c(u) = [Theta o (u d_u) o Theta^{-1}](u) - [(d_z Theta) o Theta^{-1}](u)
+
+    and the derivation defect is that operator's."""
+    nu = exp.config.nu
+    theta = exp.operator
+    theta_inv = exp.inverse_operator()
+    euler = DiffOperator({1: {1: 1.0 + 0.0j}})
+    xc_op = theta.compose(euler).compose(theta_inv) - exp.d_operator.compose(theta_inv)
+    xc_op = xc_op.truncate_u(nu)
+    u_series = TruncatedSeries.u_power(1, nu, coeff=1.0 + 0.0j)
+    img = xc_op.apply(u_series)
+    action = {k: complex(v) for k, v in img.coeffs.items()}
+    return FieldSample(
+        z=exp.z,
+        action_on_u=action,
+        derivation_defect=_sampled_defect(7, nu, lambda f, g: (xc_op.apply(f * g), xc_op.apply(f) * g + f * xc_op.apply(g))),
+        automorphism_defect=automorphism_defect(exp),
+    )
 
 
 def cauchy_fold_dense(values: np.ndarray, y_from: np.ndarray, y_to: np.ndarray) -> np.ndarray:

@@ -672,6 +672,14 @@ class TestGrowthScan:
         with pytest.raises(ValueError):
             growth_scan([1.0, 2.0], norm_cap, Z)
 
+    def test_norm_cap_above_the_slots_rejected_before_any_word(self, monkeypatch):
+        def no_words(*args):
+            raise AssertionError("a word was enumerated")
+
+        monkeypatch.setattr(mono, "words_of_norm_at_most", no_words)
+        with pytest.raises(ContourError, match="norm cap 7"):
+            growth_scan([1.0, 2.0], 7, -2.0)
+
     def test_nan_value_makes_khat_nan(self, monkeypatch):
         # one NaN monomial makes its column's sup NaN instead of vanishing
         # from it

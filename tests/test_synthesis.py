@@ -27,7 +27,7 @@ from armould.synthesis import (
     synthesize,
 )
 from armould.words import word
-from oracles import exp_atom_operators, signed_monomial_moulds, theta_word_assembly
+from oracles import conjugate_by_products, exp_atom_operators, signed_monomial_moulds, theta_word_assembly
 
 CFG = SynthesisConfig(c=2.0, nu=6, r_max=4, z_samples=(-2.0,))
 
@@ -176,16 +176,16 @@ class TestNormalizer:
         ell, _ = signed_monomial_moulds(-2.0, 2.0, ContourSpec())
         expected = ell.value(word(1)) * 0.25
         u = TruncatedSeries.u_power(1, CFG.nu, coeff=1.0 + 0.0j)
-        img = e.apply(u)
+        img = e.operator.apply(u)
         assert abs(img.coeff(2) - expected) <= 1e-12 * abs(expected)
 
     def test_tangent_to_identity(self):
         e = build_theta(self.INV, CFG)[0]
         u = TruncatedSeries.u_power(1, CFG.nu, coeff=1.0 + 0.0j)
-        img = e.apply(u)
+        img = e.operator.apply(u)
         assert img.coeff(1) == 1.0
         one = TruncatedSeries.constant(1.0 + 0.0j, CFG.nu)
-        assert e.apply(one) == one
+        assert e.operator.apply(one) == one
 
     def test_automorphism_defect_small(self):
         e = build_theta(self.INV, CFG)[0]
@@ -259,7 +259,7 @@ class TestNormalizer:
         e = build_theta(inv, cfg2)[0]
         u = TruncatedSeries.u_power(1, cfg2.nu, coeff=1.0 + 0.0j)
         a_img = out.apply(u)
-        b_img = e.apply(u)
+        b_img = e.operator.apply(u)
         for deg in (2, 3):
             assert abs(a_img.coeff(deg) - b_img.coeff(deg)) <= 1e-10
 
@@ -295,6 +295,33 @@ class TestField:
         c2_fd = xc_fd.apply(u).coeff(2)
         c2 = conjugate_normal_field(e).action_on_u[2]
         assert abs(c2 - c2_fd) <= 1e-3 * abs(c2)
+
+    @pytest.mark.parametrize("c", [0.0, 2.0])
+    def test_field_from_actions_matches_operator_products(self, c):
+        cfg = SynthesisConfig(c=c, nu=6, r_max=4, z_samples=(-1.5, -2.5))
+        for e in build_theta(InvariantFamily({1: 0.25, 2: 0.125}), cfg):
+            got, ref = conjugate_normal_field(e), conjugate_by_products(e)
+            scale = max(abs(v) for v in ref.action_on_u.values())
+            assert set(got.action_on_u) == set(ref.action_on_u)
+            for k, v in ref.action_on_u.items():
+                assert abs(got.action_on_u[k] - v) <= 1e-14 * scale
+            assert got.derivation_defect <= 1e-12 and ref.derivation_defect <= 1e-12
+
+    def test_non_finite_field_fails_its_checks(self, monkeypatch):
+        # a NaN monomial value makes the field coefficients and both defects
+        # come out NaN, and each is a failed check
+        one_item = mono.paralog_Ua_eval
+
+        def nan_value(*args, **kwargs):
+            mv = one_item(*args, **kwargs)
+            return replace(mv, value=complex(math.nan, 0.0), derivative=complex(math.nan, 0.0))
+
+        monkeypatch.setattr(mono, "paralog_Ua_eval", nan_value)
+        field = synthesize(self.INV, SynthesisConfig(c=2.0, nu=4, r_max=2, z_samples=(-2.0,)))
+        checks = {check: value for check, value, _ in field.failures}
+        assert set(checks) == {"automorphism_defect", "derivation_defect", "finite_coefficient_rows"}
+        assert math.isnan(checks["automorphism_defect"]) and math.isnan(checks["derivation_defect"])
+        assert checks["finite_coefficient_rows"] == 3
 
     def test_tail_ratios_below_one(self):
         e = build_theta(self.INV, CFG)[0]
@@ -425,7 +452,7 @@ class TestNanReductions:
     @pytest.mark.parametrize("bad", [complex(math.nan, 1e-3), complex(1.0, math.nan)], ids=["nan-real", "nan-imag"])
     def test_max_relative_imag(self, bad):
         sample = FieldSample(z=-2.0, action_on_u={1: 1.0 + 0.0j, 2: bad}, derivation_defect=0.0, automorphism_defect=0.0)
-        assert math.isnan(SynthesizedField(config=CFG, samples=[sample]).max_relative_imag())
+        assert math.isnan(SynthesizedField(config=CFG, samples=[sample], tail_ratios={}, failures=[]).max_relative_imag())
 
 
 class TestLinearRH:
