@@ -167,8 +167,7 @@ def _dispatch(args) -> int:
         p = KernelParams(args.c, args.omega)
         payload = {"c": _fnum(args.c), "omega": _fnum(args.omega), "sup_bound": _fnum(g_sup_bound(p))}
         if args.y is not None:
-            y = _parse_complex(args.y)
-            payload["g"] = _fnum(g_eval(p, y))
+            payload["g"] = _fnum(g_eval(p, _parse_complex(args.y)))
         if args.x is not None:
             x = _parse_complex(args.x)
             v, err = f_eval(p, x)
@@ -190,10 +189,7 @@ def _dispatch(args) -> int:
         return _dispatch_synthesize(args)
 
     # argparse admits no other command: linear-rh
-    l1 = _parse_complex(args.lambda1)
-    l2 = _parse_complex(args.lambda2)
-    a12 = _parse_complex(args.a12)
-    a21 = _parse_complex(args.a21)
+    l1, l2, a12, a21 = (_parse_complex(text) for text in (args.lambda1, args.lambda2, args.a12, args.a21))
     rep = linear_rh_synthesize((l1, l2), a12, a21, c=args.c, r_max=args.r_max)
     payload = {
         "omega_12": _fnum(l1 - l2),
@@ -227,10 +223,7 @@ def _dispatch_mould(args) -> int:
         op = mould_mul if args.mould_command == "mul" else mould_compose
         out = op(m1, m2)
         cap = args.cap if args.cap is not None else min(m1.cap, m2.cap)
-        entries = {}
-        for w in words_over(m1.alphabet, cap):
-            entries[str(w)] = format_exact(out.value(w))
-        _emit({"cap": cap, "entries": entries})
+        _emit({"cap": cap, "entries": {str(w): format_exact(out.value(w)) for w in words_over(m1.alphabet, cap)}})
         return 0
     # arborify
     m = builtin_mould(args.builtin)

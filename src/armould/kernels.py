@@ -12,38 +12,45 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .bessel import bessel_k1
 from .quadrature import adaptive_exp_trapezoid, de_halfline
+from .values import _set
 
 
 class KernelDomainError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
 class KernelParams:
     """Kernel parameters: a c >= 0 and a finite real omega > 0 with c^2 and
-    c^2 omega finite."""
+    c^2 omega finite.  Immutable."""
 
-    c: float
-    omega: float
+    __slots__ = ("c", "omega")
 
-    def __post_init__(self):
-        if not math.isfinite(self.c * self.c):
-            raise KernelDomainError(f"parameter c = {self.c} must be finite, and so must c^2")
-        if self.c < 0:
+    def __init__(self, c: float, omega: float):
+        if not math.isfinite(c * c):
+            raise KernelDomainError(f"parameter c = {c} must be finite, and so must c^2")
+        if c < 0:
             raise KernelDomainError("parameter c must be >= 0")
-        om = complex(self.omega)
+        om = complex(omega)
         if not cmath.isfinite(om):
-            raise KernelDomainError(f"parameter omega = {self.omega} must be finite")
+            raise KernelDomainError(f"parameter omega = {omega} must be finite")
         if om.imag != 0 or om.real <= 0:
             raise KernelDomainError("the saddle-node kernel needs real omega > 0")
-        if not math.isfinite(self.c * self.c * om.real):
-            raise KernelDomainError(f"parameter c = {self.c} is too large for omega = {self.omega}: c^2 omega is not finite")
+        if not math.isfinite(c * c * om.real):
+            raise KernelDomainError(f"parameter c = {c} is too large for omega = {omega}: c^2 omega is not finite")
+        _set(self, "c", c)
+        _set(self, "omega", omega)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("KernelParams is immutable")
+
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, since __setattr__ refuses
+        return (KernelParams, (self.c, self.omega))
 
 
 def saddle_node_kernel(om: complex, c: float, y: np.ndarray) -> np.ndarray:

@@ -26,13 +26,13 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
 from .kernels import KernelParams, f_closed_form_oracle, saddle_node_kernel
 from .quadrature import de_halfline, segment_quad
+from .values import _set
 from .words import Forest, Tree, forests_of_norm, letter, words_of_norm_at_most
 
 CONTRACTION_UNIT = -2j * math.pi
@@ -43,26 +43,45 @@ class ContourError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
 class ContourSpec:
     """Rotated-ray prescription: slot j (0-based) integrates along
     e^{-i angle_j} R+, angle_j = eps * multipliers[j] / 2^level at Richardson
     level `level`.  Construction checks that the angles increase strictly, so
     deeper variables pass further under the axis, lie in (0, pi/4), and that
-    there is a level."""
+    there is a level.  Immutable; two specs are equal when their three fields
+    are."""
 
-    eps: float = 0.05
-    multipliers: tuple = (1.0, 2.0, 3.0, 4.0, 5.0, 6.0)
-    richardson_levels: int = 2
+    __slots__ = ("eps", "multipliers", "richardson_levels")
 
-    def __post_init__(self):
-        angles = [self.eps * m for m in self.multipliers]
+    def __init__(self, eps: float = 0.05, multipliers: tuple = (1.0, 2.0, 3.0, 4.0, 5.0, 6.0), richardson_levels: int = 2):
+        angles = [eps * m for m in multipliers]
         if not angles or any(b <= a for a, b in zip(angles, angles[1:])):
-            raise ContourError(f"multipliers {self.multipliers} must be nonempty and strictly increasing")
+            raise ContourError(f"multipliers {multipliers} must be nonempty and strictly increasing")
         if not (0 < angles[0] and angles[-1] < math.pi / 4):
             raise ContourError(f"angles eps * multipliers = {angles} must lie in (0, pi/4)")
-        if self.richardson_levels < 1:
-            raise ContourError(f"richardson_levels = {self.richardson_levels} must be >= 1")
+        if richardson_levels < 1:
+            raise ContourError(f"richardson_levels = {richardson_levels} must be >= 1")
+        _set(self, "eps", eps)
+        _set(self, "multipliers", multipliers)
+        _set(self, "richardson_levels", richardson_levels)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("ContourSpec is immutable")
+
+    def __reduce__(self):
+        return (ContourSpec, self._fields())
+
+    def _fields(self) -> tuple:
+        return (self.eps, self.multipliers, self.richardson_levels)
+
+    def __eq__(self, other):
+        return self._fields() == other._fields() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        return f"ContourSpec(eps={self.eps!r}, multipliers={self.multipliers!r}, richardson_levels={self.richardson_levels!r})"
 
     def step(self, level: int) -> float:
         """The trapezoid step of every ray at this level: the narrowest strip
@@ -77,15 +96,15 @@ class ContourSpec:
             raise ContourError(f"{what} needs {r} integration slots, the contour has {len(self.multipliers)}")
 
 
-@dataclass
 class MonomialValue:
     """A monomial value with its error estimate; a word's value also carries
     its z-derivative, computed from the same quadrature passes."""
 
-    value: complex
-    error: float
-    derivative: complex | None = None
-    derivative_error: float | None = None
+    def __init__(self, value: complex, error: float, derivative: complex | None = None, derivative_error: float | None = None):
+        self.value = value
+        self.error = error
+        self.derivative = derivative
+        self.derivative_error = derivative_error
 
 
 # ---------------------------------------------------------------------------
@@ -357,8 +376,7 @@ def paralog_variants(w, z: complex, c: float, spec: ContourSpec | None = None) -
     nrm = sum(_decorations(w))
     mid = cmath.exp(c * c * nrm / z)
     full = _ue_factor(nrm, z, c)
-    uc = MonomialValue(ua.value * mid, ua.error * abs(mid))
-    ue = MonomialValue(ua.value * full, ua.error * abs(full))
+    uc, ue = (MonomialValue(ua.value * f, ua.error * abs(f)) for f in (mid, full))
     return ua, uc, ue
 
 
@@ -495,15 +513,15 @@ def hyperlog_V_eval(w, z: complex) -> MonomialValue:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class GrowthReport:
-    z: complex
-    norm_cap: int
-    khat: dict  # c -> estimated growth constant
-    details: dict  # c -> {label: |Ua|^{1/norm}}
-    monotone_decreasing: bool
-    fit_slope: float
-    fit_r2: float
+    def __init__(self, z: complex, norm_cap: int, khat: dict, details: dict, monotone_decreasing: bool, fit_slope: float, fit_r2: float):
+        self.z = z
+        self.norm_cap = norm_cap
+        self.khat = khat  # c -> estimated growth constant
+        self.details = details  # c -> {label: |Ua|^{1/norm}}
+        self.monotone_decreasing = monotone_decreasing
+        self.fit_slope = fit_slope
+        self.fit_r2 = fit_r2
 
 
 def growth_scan(c_values: Sequence[float], norm_cap: int, z: complex, include_forests: bool = True) -> GrowthReport:
@@ -518,7 +536,7 @@ def growth_scan(c_values: Sequence[float], norm_cap: int, z: complex, include_fo
     spec.check_slots(norm_cap, f"norm cap {norm_cap}")
     # the hyperlogarithmic column needs a much longer t-window; a single
     # contour level at scan accuracy keeps the column affordable
-    c0_spec = replace(spec, richardson_levels=1)
+    c0_spec = ContourSpec(richardson_levels=1)
     letters = [letter(n) for n in range(1, norm_cap + 1)]
     items = words_of_norm_at_most(letters, norm_cap)
     if include_forests:
@@ -573,10 +591,7 @@ def borel_pole_probe(omega: float, c: float) -> tuple[complex, complex]:
     are (-omega, 1) for every c >= 0."""
     p = KernelParams(c, omega)
     rhos = [1e-2, 1e-3, 1e-4]
-    vals = []
-    for rho in rhos:
-        zeta = -omega + rho
-        vals.append((zeta + omega) * f_closed_form_oracle(p, zeta))
+    vals = [(zeta + omega) * f_closed_form_oracle(p, zeta) for zeta in (-omega + rho for rho in rhos)]
     # model v(rho) = R + a rho log rho + b rho
     m = np.array([[1.0, r * math.log(r), r] for r in rhos])
     coef = np.linalg.solve(m, np.array(vals))

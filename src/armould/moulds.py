@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
@@ -75,14 +74,8 @@ class Mould:
         """Serialize a table-backed mould: exact values as literal strings."""
         if self.cap is None or self.alphabet is None:
             raise ValueError("only capped moulds with a declared alphabet serialize")
-        entries = {}
-        for w in words_over(self.alphabet, self.cap):
-            entries[str(w)] = format_exact(self.value(w))
-        payload = {
-            "alphabet": [format_exact(a) for a in self.alphabet],
-            "cap": self.cap,
-            "entries": entries,
-        }
+        entries = {str(w): format_exact(self.value(w)) for w in words_over(self.alphabet, self.cap)}
+        payload = {"alphabet": [format_exact(a) for a in self.alphabet], "cap": self.cap, "entries": entries}
         return json.dumps(payload, indent=2, sort_keys=True)
 
     @classmethod
@@ -193,18 +186,18 @@ def mould_inverse_comp(m: Mould, cap: int) -> Mould:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class IdentityReport:
     """Outcome of one identity check over its cases: a pair of words or
     forests, a word, or a forest."""
 
-    kind: str
-    passed: bool
-    pairs_checked: int  # name read by perfbench/workloads.py; counts words or forests for the operator checks
-    worst_violation: float
-    first_violation: object = None
-    unit: str = "pairs"
-    detail: str = ""
+    def __init__(self, kind: str, passed: bool, pairs_checked: int, worst_violation: float, first_violation=None, unit="pairs", detail=""):
+        self.kind = kind
+        self.passed = passed
+        self.pairs_checked = pairs_checked  # name read by perfbench/workloads.py; counts words or forests for the operator checks
+        self.worst_violation = worst_violation
+        self.first_violation = first_violation
+        self.unit = unit
+        self.detail = detail
 
     def __str__(self):
         status = "pass" if self.passed else "FAIL"
@@ -415,13 +408,13 @@ def symmetrel_geometric(x) -> Mould:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class AlienWordExpansion:
     """Formal expansion of an alien operator at a given norm as a weighted sum
     of lateral-operator words; purely symbolic, never applied to functions."""
 
-    target: GaussianRational
-    terms: dict[Word, object] = field(default_factory=dict)
+    def __init__(self, target: GaussianRational, terms: dict[Word, object] | None = None):
+        self.target = target
+        self.terms = {} if terms is None else terms
 
 
 def transition_apply(led: Mould, target_norm) -> AlienWordExpansion:
@@ -441,13 +434,13 @@ def transition_apply(led: Mould, target_norm) -> AlienWordExpansion:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class OrganicGrowthReport:
-    max_nodes: int
-    decorations: tuple
-    counting: str
-    sup_by_nodes: dict  # r -> sup over r-node forests of |redom^F|^(1/r)
-    forest_counts: dict
+    def __init__(self, max_nodes: int, decorations: tuple, counting: str, sup_by_nodes: dict, forest_counts: dict):
+        self.max_nodes = max_nodes
+        self.decorations = decorations
+        self.counting = counting
+        self.sup_by_nodes = sup_by_nodes  # r -> sup over r-node forests of |redom^F|^(1/r)
+        self.forest_counts = forest_counts
 
     @property
     def bound(self) -> float:

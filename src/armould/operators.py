@@ -125,18 +125,11 @@ class DiffOperator:
 
     def dump(self) -> list:
         """JSON-friendly: list of (order, [(degree, str(coeff)), ...])."""
-        out = []
-        for k in sorted(self.terms):
-            poly = [(d, str(self.terms[k][d])) for d in sorted(self.terms[k])]
-            out.append((k, poly))
-        return out
+        return [(k, [(d, str(self.terms[k][d])) for d in sorted(self.terms[k])]) for k in sorted(self.terms)]
 
     def __repr__(self):
-        bits = []
-        for k in sorted(self.terms):
-            poly = " + ".join(f"({c})u^{d}" for d, c in sorted(self.terms[k].items()))
-            bits.append(f"[{poly}] d^{k}")
-        return " + ".join(bits) if bits else "0"
+        polys = {k: " + ".join(f"({c})u^{d}" for d, c in sorted(p.items())) for k, p in self.terms.items()}
+        return " + ".join(f"[{polys[k]}] d^{k}" for k in sorted(polys)) or "0"
 
 
 def restricted_norm(op: DiffOperator, nu: int) -> float:
@@ -279,10 +272,7 @@ def contract_word_sum(m: Mould, family: DerivationFamily, norm_cap: int) -> Diff
     """Phi = sum over words of norm <= cap of M^w B_w; homogeneity makes the
     sum finite under the u-degree cap.  Includes the empty word."""
     terms = [(m.value(EMPTY_WORD), DiffOperator.identity())]
-    for w in words_of_norm_at_most(family.letters(), norm_cap):
-        val = m.value(w)
-        if not _zero(val):
-            terms.append((val, op_compose_word(family, w)))
+    terms += [(val, op_compose_word(family, w)) for w in words_of_norm_at_most(family.letters(), norm_cap) if not _zero(val := m.value(w))]
     return _linear_combination(terms)
 
 

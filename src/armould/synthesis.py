@@ -25,7 +25,6 @@ from __future__ import annotations
 import cmath
 import math
 import random
-from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -41,6 +40,7 @@ from .operators import (
     restricted_norm,
 )
 from .series import TruncatedSeries
+from .values import _set
 from .words import Word, count_forests, forests_of_norm, words_of_norm_at_most
 
 # _forest_rows refuses caps whose forest sum has more canonical forests than
@@ -64,19 +64,17 @@ def _refuse(check, *args):
         raise SynthesisError(str(exc)) from None
 
 
-@dataclass(frozen=True)
 class InvariantFamily:
     """Prescribed invariants n -> A_n (finite support in Z>=1) with a declared
-    exponential growth bound |A_n| <= H^n."""
+    exponential growth bound |A_n| <= H^n.  Immutable."""
 
-    coefficients: dict
-    growth_bound: float = 1.0
+    __slots__ = ("coefficients", "growth_bound")
 
-    def __post_init__(self):
-        coeffs = {int(n): complex(a) for n, a in self.coefficients.items() if complex(a) != 0}
+    def __init__(self, coefficients: dict, growth_bound: float = 1.0):
+        coeffs = {int(n): complex(a) for n, a in coefficients.items() if complex(a) != 0}
         if any(n < 1 for n in coeffs):
             raise SynthesisError("invariants are indexed by positive integers (A_{-1} = 0 throughout)")
-        h = self.growth_bound
+        h = growth_bound
         if not (math.isfinite(h) and h > 0):
             raise SynthesisError(f"growth bound H = {h} must be a finite positive number")
         for n, a in coeffs.items():
@@ -84,7 +82,14 @@ class InvariantFamily:
                 raise SynthesisError(f"A_{n} = {a} is not finite")
             if abs(a) > h**n * (1 + 1e-12):
                 raise SynthesisError(f"|A_{n}| = {abs(a)} exceeds declared bound H^n = {h ** n}")
-        object.__setattr__(self, "coefficients", coeffs)
+        _set(self, "coefficients", coeffs)
+        _set(self, "growth_bound", growth_bound)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("InvariantFamily is immutable")
+
+    def __reduce__(self):
+        return (InvariantFamily, (self.coefficients, self.growth_bound))
 
     @property
     def support(self) -> tuple:
@@ -94,45 +99,50 @@ class InvariantFamily:
         return DerivationFamily(self.coefficients)
 
 
-@dataclass(frozen=True)
 class SynthesisConfig:
-    c: float
-    nu: int = 6
-    r_max: int = 4
-    z_samples: tuple = (-2.0,)
+    __slots__ = ("c", "nu", "r_max", "z_samples")
 
-    def __post_init__(self):
-        if self.nu < 1 or self.r_max < 1:
-            raise SynthesisError(f"caps nu = {self.nu} and r_max = {self.r_max} must both be >= 1")
-        _refuse(ContourSpec().check_slots, self.r_max, f"r_max = {self.r_max}")
-        zs = tuple(complex(z) for z in self.z_samples)
+    def __init__(self, c: float, nu: int = 6, r_max: int = 4, z_samples: tuple = (-2.0,)):
+        if nu < 1 or r_max < 1:
+            raise SynthesisError(f"caps nu = {nu} and r_max = {r_max} must both be >= 1")
+        _refuse(ContourSpec().check_slots, r_max, f"r_max = {r_max}")
+        zs = tuple(complex(z) for z in z_samples)
         if not zs:
             raise SynthesisError("a synthesis needs at least one z sample")
         for z in zs:
             # every decoration a synthesis evaluates is a positive integer at
             # most nu: they share the singular ray R+, and nu is the largest
-            _refuse(_check_z, z, self.c, (complex(self.nu),))
+            _refuse(_check_z, z, c, (complex(nu),))
             # so is every word norm, and |exp(n (z + c^2/z))| is largest at
             # n = nu wherever it can overflow
             try:
-                finite = cmath.isfinite(_ue_factor(complex(self.nu), z, self.c))
+                finite = cmath.isfinite(_ue_factor(complex(nu), z, c))
             except OverflowError:
                 finite = False
             if not finite:
-                raise SynthesisError(f"c = {self.c} and z = {z}: the Ue factor exp(nu (z + c^2/z)) overflows at norm nu = {self.nu}")
-        object.__setattr__(self, "z_samples", zs)
+                raise SynthesisError(f"c = {c} and z = {z}: the Ue factor exp(nu (z + c^2/z)) overflows at norm nu = {nu}")
+        _set(self, "c", c)
+        _set(self, "nu", nu)
+        _set(self, "r_max", r_max)
+        _set(self, "z_samples", zs)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("SynthesisConfig is immutable")
+
+    def __reduce__(self):
+        return (SynthesisConfig, (self.c, self.nu, self.r_max, self.z_samples))
 
 
-@dataclass
 class NormalizerExpansion:
     """Assembled normalizer at one z sample, with per-norm diagnostics."""
 
-    z: complex
-    config: SynthesisConfig
-    operator: DiffOperator
-    d_operator: DiffOperator  # z-derivative of the mould side
-    ell: dict  # word -> L^w at z, for every word the forest rows ask for
-    tail_norms: dict  # norm n -> sum over ||F|| = n of |value| * ||B_F|| / |Aut F|
+    def __init__(self, z: complex, config: SynthesisConfig, operator: DiffOperator, d_operator: DiffOperator, ell: dict, tail_norms: dict):
+        self.z = z
+        self.config = config
+        self.operator = operator
+        self.d_operator = d_operator  # z-derivative of the mould side
+        self.ell = ell  # word -> L^w at z, for every word the forest rows ask for
+        self.tail_norms = tail_norms  # norm n -> sum over ||F|| = n of |value| * ||B_F|| / |Aut F|
 
     def inverse_operator(self) -> DiffOperator:
         return _invert_tangent_to_identity(self.operator, self.config.nu)
@@ -264,20 +274,20 @@ def _assemble(cfg: SynthesisConfig, words: list[Word], rows: list[tuple]) -> lis
     return expansions
 
 
-@dataclass
 class FieldSample:
-    z: complex
-    action_on_u: dict  # u-degree -> complex coefficient of X_c(u)
-    derivation_defect: float
-    automorphism_defect: float
+    def __init__(self, z: complex, action_on_u: dict, derivation_defect: float, automorphism_defect: float):
+        self.z = z
+        self.action_on_u = action_on_u  # u-degree -> complex coefficient of X_c(u)
+        self.derivation_defect = derivation_defect
+        self.automorphism_defect = automorphism_defect
 
 
-@dataclass
 class SynthesizedField:
-    config: SynthesisConfig
-    samples: list
-    tail_ratios: dict  # norm -> largest tail ratio over the z samples
-    failures: list  # (check, value, tolerance) for every failed check
+    def __init__(self, config: SynthesisConfig, samples: list, tail_ratios: dict, failures: list):
+        self.config = config
+        self.samples = samples
+        self.tail_ratios = tail_ratios  # norm -> largest tail ratio over the z samples
+        self.failures = failures  # (check, value, tolerance) for every failed check
 
     def worst_defects(self) -> dict:
         """Defect name -> its largest value over the z samples, a NaN kept."""
@@ -304,13 +314,8 @@ def _sampled_defect(seed: int, nu: int, identity) -> float:
     over three pairs of random series drawn by random.Random(seed); NaN if
     any difference is NaN."""
     rng = random.Random(seed)
-    diffs = []
-    for _ in range(3):
-        f = _random_series(rng, nu)
-        g = _random_series(rng, nu)
-        lhs, rhs = identity(f, g)
-        diffs.append(lhs.max_abs_diff(rhs))
-    return float(np.max(diffs))
+    pairs = [(_random_series(rng, nu), _random_series(rng, nu)) for _ in range(3)]
+    return float(np.max([lhs.max_abs_diff(rhs) for lhs, rhs in (identity(f, g) for f, g in pairs)]))
 
 
 def _random_series(rng, nu) -> TruncatedSeries:
@@ -364,13 +369,13 @@ def synthesize(inv: InvariantFamily, cfg: SynthesisConfig) -> SynthesizedField:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class ConvergenceReport:
-    c_values: tuple
-    tail_norms: dict  # c -> {norm: tail}
-    tail_ratios: dict  # c -> {norm: ratio}
-    word_sums_by_length: dict  # c -> {r: sum of |L^w| ||A_w||}
-    word_ratios: dict  # c -> {r: ratio}
+    def __init__(self, c_values: tuple, tail_norms: dict, tail_ratios: dict, word_sums_by_length: dict, word_ratios: dict):
+        self.c_values = c_values
+        self.tail_norms = tail_norms  # c -> {norm: tail}
+        self.tail_ratios = tail_ratios  # c -> {norm: ratio}
+        self.word_sums_by_length = word_sums_by_length  # c -> {r: sum of |L^w| ||A_w||}
+        self.word_ratios = word_ratios  # c -> {r: ratio}
 
 
 def convergence_report(inv: InvariantFamily, cfg: SynthesisConfig, c_values: Sequence[float]) -> ConvergenceReport:
@@ -380,7 +385,7 @@ def convergence_report(inv: InvariantFamily, cfg: SynthesisConfig, c_values: Seq
     per-c config has been checked."""
     tails: dict = {}
     word_sums: dict = {}
-    cfgs = [replace(cfg, c=c) for c in c_values]
+    cfgs = [SynthesisConfig(c, cfg.nu, cfg.r_max, cfg.z_samples) for c in c_values]
     fam = inv.derivations()
     forest_rows = _forest_rows(fam, cfg.nu, cfg.r_max)
     # the word organisation weighs L^w by ||B_w||, which is free of c and z
@@ -408,13 +413,13 @@ def convergence_report(inv: InvariantFamily, cfg: SynthesisConfig, c_values: Seq
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class LinearRHReport:
-    lambdas: tuple
-    c: float
-    term_norms: dict  # r -> matrix max-norm of the length-r layer
-    geometric_decay: bool
-    theta_matrix: np.ndarray
+    def __init__(self, lambdas: tuple, c: float, term_norms: dict, geometric_decay: bool, theta_matrix: np.ndarray):
+        self.lambdas = lambdas
+        self.c = c
+        self.term_norms = term_norms  # r -> matrix max-norm of the length-r layer
+        self.geometric_decay = geometric_decay
+        self.theta_matrix = theta_matrix
 
 
 def linear_rh_synthesize(lambdas: tuple, a12: complex, a21: complex, c: float, r_max: int = 4) -> LinearRHReport:

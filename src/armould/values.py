@@ -169,7 +169,7 @@ _LITERAL = re.compile(
 def parse_exact(text: str) -> GaussianRational:
     """Parse an exact literal: ``3``, ``-1/2``, ``2+1i``, ``-i``, ``1/3-2/5i``.
 
-    Floating literals (``0.5``) are rejected.
+    Floating literals (``0.5``) and zero denominators (``1/0``) are rejected.
     """
     s = text.strip()
     if not s:
@@ -179,6 +179,8 @@ def parse_exact(text: str) -> GaussianRational:
     m = _LITERAL.match(s)
     if not m:
         raise ValueError(f"bad exact literal: {text!r}")
+    if re.search(r"/0+(?!\d)", s):  # in the real or the imaginary part
+        raise ValueError(f"zero denominator in exact literal: {text!r}")
     re_part, im_part, unit = m.group("re"), m.group("im"), m.group("unit")
     if unit is None:
         if im_part is not None:

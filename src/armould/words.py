@@ -30,21 +30,23 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import attrgetter
 from typing import Iterable, Iterator, Sequence
 
-from .values import GaussianRational, _atom, as_gaussian, parse_exact
+from .values import GaussianRational, _atom, _set, as_gaussian, parse_exact
 
-_set = object.__setattr__
 _key_of = attrgetter("_key")
 
 
 class _Keyed:
-    """Equality and hashing on the canonical key stored at construction."""
+    """Equality and hashing on the canonical key stored at construction, and
+    immutability: every field is set once, through ``_set``."""
 
     __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -72,17 +74,18 @@ def letter(x) -> GaussianRational:
     return as_gaussian(x)
 
 
-@dataclass(frozen=True, eq=False, slots=True)
 class Word(_Keyed):
     """Finite sequence of letters; the index set of moulds."""
 
-    letters: tuple[GaussianRational, ...]
-    _key: tuple = field(init=False, repr=False)
-    _hash: int = field(init=False, repr=False)
+    __slots__ = ("letters", "_key", "_hash")
 
-    def __post_init__(self):
-        _set(self, "letters", tuple(letter(a) for a in self.letters))
+    def __init__(self, letters: Iterable):
+        _set(self, "letters", tuple(letter(a) for a in letters))
         self._store_key(tuple(a._key for a in self.letters))
+
+    def __reduce__(self):
+        # copy and pickle rebuild from the letters, since __setattr__ refuses
+        return (Word, (self.letters,))
 
     @property
     def length(self) -> int:
@@ -164,20 +167,18 @@ def _split_top(s: str, sep: str) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False, slots=True)
 class Tree(_Keyed):
     """Decorated rooted tree; children form a Forest (canonically ordered)."""
 
-    root: GaussianRational
-    children: "Forest"
-    _key: tuple = field(init=False, repr=False)
-    _hash: int = field(init=False, repr=False)
+    __slots__ = ("root", "children", "_key", "_hash")
 
-    def __post_init__(self):
-        _set(self, "root", letter(self.root))
-        if not isinstance(self.children, Forest):
-            _set(self, "children", Forest(tuple(self.children)))
+    def __init__(self, root, children):
+        _set(self, "root", letter(root))
+        _set(self, "children", children if isinstance(children, Forest) else Forest(tuple(children)))
         self._store_key((self.root._key, self.children._key))
+
+    def __reduce__(self):
+        return (Tree, (self.root, self.children))
 
     @property
     def node_count(self) -> int:
@@ -196,18 +197,18 @@ class Tree(_Keyed):
         return f"Tree[{self}]"
 
 
-@dataclass(frozen=True, eq=False, slots=True)
 class Forest(_Keyed):
     """Multiset of decorated trees, stored sorted so equal forests compare equal."""
 
-    trees: tuple[Tree, ...]
-    _key: tuple = field(init=False, repr=False)
-    _hash: int = field(init=False, repr=False)
+    __slots__ = ("trees", "_key", "_hash")
 
-    def __post_init__(self):
-        ordered = tuple(sorted(self.trees, key=_key_of))
+    def __init__(self, trees: Iterable[Tree]):
+        ordered = tuple(sorted(trees, key=_key_of))
         _set(self, "trees", ordered)
         self._store_key(tuple(t._key for t in ordered))
+
+    def __reduce__(self):
+        return (Forest, (self.trees,))
 
     @property
     def node_count(self) -> int:
@@ -262,10 +263,7 @@ def _key_norm(fk: tuple) -> tuple:
 
 
 def tree(root, children: Iterable = ()) -> Tree:
-    kids = []
-    for c in children:
-        kids.append(c if isinstance(c, Tree) else tree(c))
-    return Tree(root, Forest(tuple(kids)))
+    return Tree(root, Forest(tuple(c if isinstance(c, Tree) else tree(c) for c in children)))
 
 
 def forest(*trees_: Tree) -> Forest:
@@ -431,10 +429,7 @@ def words_over(alphabet: Sequence[GaussianRational], max_length: int) -> list[Wo
     out = [EMPTY_WORD]
     layer = [EMPTY_WORD]
     for _ in range(max_length):
-        nxt = []
-        for w in layer:
-            for a in alphabet:
-                nxt.append(w + Word((a,)))
+        nxt = [w + Word((a,)) for w in layer for a in alphabet]
         out.extend(nxt)
         layer = nxt
     return out

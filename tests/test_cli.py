@@ -6,7 +6,6 @@ import os
 import subprocess
 import sys
 import warnings
-from dataclasses import replace
 
 import pytest
 
@@ -46,6 +45,25 @@ class TestShuffleCommand:
             capsys.readouterr()
             assert main(argv) == 2, argv
             assert "error" in json.loads(capsys.readouterr().err), argv
+
+    @pytest.mark.parametrize(
+        "argv, literal",
+        [
+            (["shuffle", "(1/0)", "(2)"], "1/0"),
+            (["forest", "extensions", "1/0(2)"], "1/0"),
+            (["mould", "check", "--builtin", "redom", "--kind", "alternel", "--alphabet", "1,2/0"], "2/0"),
+            (["synthesize", "--invariants", "INV", "--c", "2", "--caps", "2,2,1"], "1+1/0i"),
+        ],
+        ids=["shuffle", "forest", "alphabet", "invariants"],
+    )
+    def test_zero_denominator_exits_2_naming_the_literal(self, capsys, tmp_path, argv, literal):
+        # the error once read "Fraction(1, 0)", naming neither the literal nor its field
+        inv = tmp_path / "inv.json"
+        inv.write_text(json.dumps({"A": {"1": literal}}))
+        rc = main([str(inv) if a == "INV" else a for a in argv])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert f"zero denominator in exact literal: {literal!r}" in json.loads(captured.err)["error"]
 
 
 class TestMouldCommands:
@@ -279,23 +297,24 @@ class TestSynthesizeCommand:
         _, out2 = run(capsys, "synthesize", "--invariants", str(inv), "--c", "2", "--caps", "4,4,2")
         assert out1 == out2
 
-    def test_synthesis_leaves_numpy_random_unloaded(self, tmp_path):
-        # a fresh interpreter, since this one may hold numpy.random already;
+    def test_synthesis_leaves_unused_modules_unloaded(self, tmp_path):
+        # a fresh interpreter, since this one may hold these modules already;
         # the defects draw their series from the standard library's random,
-        # and NumPy 2 (the floor in pyproject.toml) loads numpy.random lazily
+        # NumPy 2 (the floor in pyproject.toml) loads numpy.random lazily, and
+        # armould's classes are plain classes, so dataclasses and copy stay out
         inv = tmp_path / "inv.json"
         inv.write_text('{"A": {"1": "1/4"}}')
         code = (
             "import sys\n"
             "from armould.cli import main\n"
             f"rc = main(['synthesize', '--invariants', {str(inv)!r}, '--c', '2', '--caps', '1,1,1'])\n"
-            "print(rc, 'numpy.random' in sys.modules)\n"
+            "print(rc, [m for m in ('numpy.random', 'dataclasses', 'copy') if m in sys.modules])\n"
         )
         src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
         env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
         proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines()[-1] == "0 False"
+        assert proc.stdout.splitlines()[-1] == "0 []"
 
     @pytest.mark.parametrize("caps", ["0,4,2", "4,4,-1", "8,4,7"])
     def test_degenerate_caps_fail_before_quadrature(self, tmp_path, capsys, monkeypatch, caps):
@@ -344,7 +363,7 @@ class TestSynthesizeCommand:
 
         def nan_value(*args, **kwargs):
             mv = one_item(*args, **kwargs)
-            return replace(mv, value=complex(math.nan, 0.0), derivative=complex(math.nan, 0.0))
+            return mono.MonomialValue(complex(math.nan, 0.0), mv.error, complex(math.nan, 0.0), mv.derivative_error)
 
         monkeypatch.setattr(mono, "paralog_Ua_eval", nan_value)
         inv = tmp_path / "inv.json"

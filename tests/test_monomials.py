@@ -5,7 +5,6 @@ import itertools
 import math
 import tracemalloc
 import weakref
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -687,7 +686,7 @@ class TestGrowthScan:
 
         def nan_at_11(w, *args, **kwargs):
             mv = one_item(w, *args, **kwargs)
-            return replace(mv, value=complex(math.nan, 0.0)) if w == word(1, 1) else mv
+            return mono.MonomialValue(complex(math.nan, 0.0), mv.error, mv.derivative, mv.derivative_error) if w == word(1, 1) else mv
 
         monkeypatch.setattr(mono, "paralog_Ua_eval", nan_at_11)
         rep = growth_scan([1.0, 2.0], 2, Z, include_forests=False)

@@ -2,7 +2,6 @@
 
 import cmath
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -199,7 +198,7 @@ class TestNormalizer:
         assert automorphism_defect(e) <= 1e-9
         terms = {k: dict(p) for k, p in e.operator.terms.items()}
         terms[2][4] *= 1 + 1e-3
-        assert automorphism_defect(replace(e, operator=DiffOperator(terms))) > 1e-6
+        assert automorphism_defect(NormalizerExpansion(e.z, e.config, DiffOperator(terms), e.d_operator, e.ell, e.tail_norms)) > 1e-6
 
     def test_theta_times_inverse_is_identity(self):
         e = build_theta(self.INV, CFG)[0]
@@ -314,7 +313,7 @@ class TestField:
 
         def nan_value(*args, **kwargs):
             mv = one_item(*args, **kwargs)
-            return replace(mv, value=complex(math.nan, 0.0), derivative=complex(math.nan, 0.0))
+            return mono.MonomialValue(complex(math.nan, 0.0), mv.error, complex(math.nan, 0.0), mv.derivative_error)
 
         monkeypatch.setattr(mono, "paralog_Ua_eval", nan_value)
         field = synthesize(self.INV, SynthesisConfig(c=2.0, nu=4, r_max=2, z_samples=(-2.0,)))
@@ -377,7 +376,7 @@ class TestConvergenceReport:
 
         def nan_at_first_z(w, z, *args, **kwargs):
             mv = one_item(w, z, *args, **kwargs)
-            return replace(mv, value=complex(math.nan, 0.0)) if (w, z) == (word(2), -1.5) else mv
+            return mono.MonomialValue(complex(math.nan, 0.0), mv.error, mv.derivative, mv.derivative_error) if (w, z) == (word(2), -1.5) else mv
 
         monkeypatch.setattr(mono, "paralog_Ua_eval", nan_at_first_z)
         inv = InvariantFamily({1: 0.25, 2: 0.125})
@@ -415,7 +414,7 @@ class TestConvergenceReport:
         inv = InvariantFamily({1: 0.25, 2: 0.125})
         cfg = SynthesisConfig(c=2.0, nu=4, r_max=3, z_samples=(-1.5, -2.5))
         grid = [0.5, 1.0, 2.0]
-        per_c = {c: build_theta(inv, replace(cfg, c=c)) for c in grid}
+        per_c = {c: build_theta(inv, SynthesisConfig(c, cfg.nu, cfg.r_max, cfg.z_samples)) for c in grid}
         calls = []
         one_build = synth._forest_rows
 

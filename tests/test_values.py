@@ -1,9 +1,10 @@
 """Gaussian rationals: stored keys and hashes, the real fast path, literal
-parsing, copying and pickling of exact values, and the accumulation kernel
-against the plain loops it replaces."""
+parsing, copying and pickling of exact values, immutability of the value
+types, and the accumulation kernel against the plain loops it replaces."""
 
 import copy
 import pickle
+import re
 from fractions import Fraction
 
 import pytest
@@ -11,7 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from armould.kernels import KernelParams
+from armould.monomials import ContourSpec
 from armould.series import TruncatedSeries
+from armould.synthesis import InvariantFamily, SynthesisConfig
 from armould.values import GaussianRational, linear_sum, parse_exact, sparse_sum
 from armould.words import letter, parse_forest, word
 
@@ -83,12 +87,46 @@ def test_parse_rejects_malformed_literals(text):
         parse_exact(text)
 
 
+@pytest.mark.parametrize("text", ["1/0", "-3/00", "1/0+2i", "2-1/0i", "1/0i"])
+def test_parse_rejects_a_zero_denominator_naming_the_literal(text):
+    # Fraction would raise ZeroDivisionError("Fraction(1, 0)"), naming neither
+    with pytest.raises(ValueError, match="zero denominator in exact literal: " + re.escape(repr(text))):
+        parse_exact(text)
+
+
 def test_exact_values_copy_and_pickle():
     forest = parse_forest("1(2,3/2);1+i")
     values = [parse_exact("1/3-2i"), letter("3/2"), word(1, "1+i", 2), forest.trees[0], forest]
     for x in values:
         for y in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
             assert type(y) is type(x) and y == x and hash(y) == hash(x)
+
+
+@pytest.mark.parametrize(
+    "make, field",
+    [
+        (lambda: KernelParams(1.0, 2.0), "omega"),
+        (ContourSpec, "eps"),
+        (lambda: InvariantFamily({1: 0.25}), "coefficients"),
+        (lambda: SynthesisConfig(c=2.0), "nu"),
+        (lambda: word(1, 2), "letters"),
+        (lambda: parse_forest("1(2)").trees[0], "children"),
+        (lambda: parse_forest("1(2);3"), "trees"),
+    ],
+    ids=["KernelParams", "ContourSpec", "InvariantFamily", "SynthesisConfig", "Word", "Tree", "Forest"],
+)
+def test_immutable_value_types(make, field):
+    x = make()
+    before = getattr(x, field)
+    with pytest.raises(AttributeError):
+        setattr(x, field, before)
+    assert getattr(x, field) is before
+    # copies and pickles rebuild through the constructor, since assignment is refused
+    for y in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+        assert type(y) is type(x) and getattr(y, field) == before
+    # a quadrature checks its spec by equality, so two distinct default specs match
+    assert ContourSpec() is not ContourSpec() and ContourSpec() == ContourSpec()
+    assert hash(ContourSpec()) == hash(ContourSpec()) and ContourSpec(eps=0.04) != ContourSpec()
 
 
 # -- accumulation kernel ------------------------------------------------------
