@@ -9,12 +9,14 @@ Layers, bottom up:
               linear extensions and contracting covers (two countings)
 - moulds:     mould product/composition/inverses, symmetry checks,
               arborification, built-in scalar moulds, transition expansions
-- series:     truncated u-series and the polynomial arithmetic the
-              operators share
+- series:     truncated u-series; their sums and products are sparse_sum
+              calls
 - operators:  homogeneous derivations, comoulds, (contracted)
               coarborification, exact mould-comould contraction
-- kernels:    the saddle-node kernel g_{c,omega}, its Laplace transform,
-              in-house Bessel K1 closed form
+- quadrature: the exp-sinh half-line rule and Gauss-Legendre on a segment
+- bessel:     in-house modified Bessel K0 and K1
+- kernels:    the saddle-node kernel g_{c,omega}, its Laplace transform by
+              one half-line rule, and its Bessel-K1 closed form
 - monomials:  hyperlogarithmic V and paralogarithmic Ua/Uc/Ue evaluations,
               forest values, growth scans, the r=1 singularity probe
 - synthesis:  normalizer assembly, conjugated field, convergence
@@ -47,7 +49,6 @@ from .moulds import (
     Mould,
     arborify,
     builtin_mould,
-    check_separative,
     check_symmetry,
     mould_compose,
     mould_inverse_comp,
@@ -62,8 +63,6 @@ from .series import TruncatedSeries
 from .operators import (
     DerivationFamily,
     DiffOperator,
-    check_coarborified_decomposition,
-    check_coseparative,
     coarborify_contracted,
     coarborify_homogeneous,
     contract_forest_sum,
@@ -88,7 +87,6 @@ from .monomials import (
     MonomialValue,
     borel_pole_probe,
     growth_scan,
-    hyperlog_V_borel,
     hyperlog_V_eval,
     paralog_Ua_eval,
     paralog_forest_eval,

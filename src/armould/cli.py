@@ -145,7 +145,9 @@ def main(argv=None) -> int:
     try:
         return _dispatch(args)
     except (ValueError, KeyError, OSError, ArithmeticError) as exc:
-        print(json.dumps({"error": str(exc)}), file=sys.stderr)
+        # str() of a KeyError is the repr of its message
+        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        print(json.dumps({"error": str(message)}), file=sys.stderr)
         return 2
 
 
@@ -220,9 +222,12 @@ def _dispatch_mould(args) -> int:
             m1 = Mould.from_json(fh.read())
         with open(args.table2) as fh:
             m2 = Mould.from_json(fh.read())
+        table_cap = min(m1.cap, m2.cap)
+        cap = table_cap if args.cap is None else args.cap
+        if cap > table_cap:
+            raise ValueError(f"--cap {cap} is above the tables' cap {table_cap}, beyond which they have no values")
         op = mould_mul if args.mould_command == "mul" else mould_compose
         out = op(m1, m2)
-        cap = args.cap if args.cap is not None else min(m1.cap, m2.cap)
         _emit({"cap": cap, "entries": {str(w): format_exact(out.value(w)) for w in words_over(m1.alphabet, cap)}})
         return 0
     # arborify

@@ -446,34 +446,6 @@ def _hyperlog_decorations(w) -> tuple:
     return decs
 
 
-def hyperlog_V_borel(w, zeta: complex) -> complex:
-    """Borel-plane hyperlogarithm by length recursion:
-
-        V^(w1) (zeta) = 1/(zeta - w1)
-        (-zeta + ||w||) V^w(zeta) = - int_0^zeta V^(w minus last)(s) ds
-
-    along the straight segment from 0, 48 Gauss-Legendre nodes on each half;
-    raises if the segment passes near a singular partial sum w1 + ... + wi,
-    or if w has more than HYPERLOG_MAX_LETTERS letters."""
-    decs = _hyperlog_decorations(w)
-    if not decs:
-        raise ValueError("empty word has no Borel minor")
-    zeta = complex(zeta)
-    _check_borel_path(decs, zeta)
-    return _v_borel_rec(decs, zeta, 48)
-
-
-def _check_borel_path(decs: Sequence[complex], zeta: complex):
-    partial = 0.0 + 0.0j
-    for om in decs:
-        partial += om
-        # distance from the segment [0, zeta] to the singular point
-        t = max(0.0, min(1.0, (partial.conjugate() * zeta).real / max(abs(zeta) ** 2, 1e-300)))
-        d = abs(partial - t * zeta)
-        if d < 1e-6:
-            raise ContourError(f"integration path [0, {zeta}] passes through singular point {partial}")
-
-
 def _v_borel_rec(decs: tuple, zeta: complex, nodes: int) -> complex:
     if len(decs) == 1:
         return 1.0 / (zeta - decs[0])

@@ -12,10 +12,8 @@ from collections import Counter
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-import numpy as np
-
 from .values import GaussianRational, _zero, sparse_sum
-from .series import TruncatedSeries, UPoly, _poly_max_abs_diff
+from .series import TruncatedSeries, UPoly
 from .words import (
     EMPTY_FOREST,
     EMPTY_WORD,
@@ -26,11 +24,9 @@ from .words import (
     contracting_covers,
     forests_of_norm,
     letter,
-    linear_extensions,
     words_of_norm_at_most,
-    words_over,
 )
-from .moulds import ArMould, IdentityReport, Mould, _scan
+from .moulds import ArMould, Mould
 
 
 class DiffOperator:
@@ -49,10 +45,6 @@ class DiffOperator:
     @classmethod
     def identity(cls) -> "DiffOperator":
         return cls({0: {0: Fraction(1)}})
-
-    @classmethod
-    def zero(cls) -> "DiffOperator":
-        return cls({})
 
     def __add__(self, other: "DiffOperator") -> "DiffOperator":
         return _linear_combination([(1, self), (1, other)])
@@ -117,11 +109,6 @@ class DiffOperator:
     def items(self):
         """((order, degree), coefficient) pairs: the operator as a sparse vector."""
         return (((k, d), c) for k, poly in self.terms.items() for d, c in poly.items())
-
-    def max_abs_diff(self, other: "DiffOperator") -> float:
-        """Largest coefficient difference; NaN if any difference is NaN."""
-        orders = self.terms.keys() | other.terms.keys()
-        return float(np.max([_poly_max_abs_diff(self.terms.get(k, {}), other.terms.get(k, {})) for k in orders], initial=0.0))
 
     def dump(self) -> list:
         """JSON-friendly: list of (order, [(degree, str(coeff)), ...])."""
@@ -201,51 +188,6 @@ def coarborify_homogeneous(family: DerivationFamily, f: Forest) -> DiffOperator:
         nodes += t.children.trees
     k = len(f.trees)
     return DiffOperator({k: {int(f.norm.re) + k: kappa}})
-
-
-def check_coarborified_decomposition(family: DerivationFamily, cap: int) -> IdentityReport:
-    """Verify B_w = sum over forests admitting w as a linear extension of B_F,
-    with each increasing structure on the positions counted once, exactly as
-    operators, on the words over the family's letters.  F carries
-    linear_extensions(F)[w] / |Aut F| of them on w (orbit-stabiliser)."""
-    letters = family.letters()
-    terms: dict[Word, list] = {}
-    for f in [EMPTY_FOREST] + forests_of_norm(letters, cap * max(family.betas, default=0), max_nodes=cap):
-        op = coarborify_homogeneous(family, f)
-        for w, mult in linear_extensions(f).items():
-            terms.setdefault(w, []).append((mult // f.automorphism_count(), op))
-
-    def cases():
-        for w in words_over(letters, cap):
-            lhs = op_compose_word(family, w)
-            rhs = _linear_combination(terms.get(w, ()))
-            yield w, 0.0 if lhs == rhs else lhs.max_abs_diff(rhs)
-
-    return _scan("coarborified decomposition", cases(), unit="words")
-
-
-def check_coseparative(family: DerivationFamily, cap: int, f: TruncatedSeries, g: TruncatedSeries) -> IdentityReport:
-    """Verify B_F(fg) = sum over ordered splittings F = F' F'' of B_{F'}(f) B_{F''}(g).
-
-    Splittings enumerate complementary sub-multisets with binomial
-    multiplicity (trees treated as distinguishable slots), matching the
-    product rule of d^k on fg.
-    """
-
-    def cases():
-        for forest_ in [EMPTY_FOREST] + forests_of_norm(family.letters(), cap, max_nodes=cap):
-            lhs = coarborify_homogeneous(family, forest_).apply(f * g)
-            rhs = TruncatedSeries({}, f.nu)
-            trees = forest_.trees
-            for mask in range(1 << len(trees)):
-                left = Forest(tuple(t for i, t in enumerate(trees) if mask & (1 << i)))
-                right = Forest(tuple(t for i, t in enumerate(trees) if not mask & (1 << i)))
-                fl = coarborify_homogeneous(family, left).apply(f)
-                fr = coarborify_homogeneous(family, right).apply(g)
-                rhs = rhs + fl * fr
-            yield forest_, 0.0 if lhs == rhs else lhs.max_abs_diff(rhs)
-
-    return _scan("coseparative", cases(), unit="forests")
 
 
 # ---------------------------------------------------------------------------

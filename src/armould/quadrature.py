@@ -1,5 +1,7 @@
-"""Shared quadrature rules: double-exponential half-line rule, composite
-Gauss-Legendre on segments, and adaptive trapezoid on exponential variables.
+"""Shared quadrature rules: the exp-sinh double-exponential rule on the half
+line (the Laplace transform ``kernels.f_eval``, the hyperlogarithm's Laplace
+integral and the test oracles) and composite Gauss-Legendre on a segment (the
+hyperlogarithm's Borel recursion).
 
 Node tables are cached per rule parameters and shared read-only.
 """
@@ -51,7 +53,7 @@ def de_halfline(f, scale: float = 1.0, max_level: int = 9):
     until the delta is within 1e-12 relative or at max_level.  Returns
     (value, error_estimate); the estimate is the last refinement delta.
     """
-    lo, hi = -3.6, 3.6  # u-range: t spans ~ [1e-180, 1e180] relative to scale
+    lo, hi = -3.6, 3.6  # u-range: t spans ~ [3e-13, 3e12] relative to scale
     prev = None
     value = 0.0 + 0.0j
     err = math.inf
@@ -65,32 +67,4 @@ def de_halfline(f, scale: float = 1.0, max_level: int = 9):
             if err <= 1e-12 * max(abs(value), 1e-300):
                 break
         prev = value
-    return value, err
-
-
-def adaptive_exp_trapezoid(f, t_lo: float, t_hi: float):
-    """Trapezoid on [t_lo, t_hi] with halving, from 129 nodes, until the value
-    settles within 1e-13 relative or a further halving would pass 40,000 nodes.
-
-    Intended for integrands that decay (at least) exponentially at both ends
-    after an exponential substitution; endpoint weights are irrelevant at the
-    stated decay, full weights are used anyway.
-    """
-    n = 129
-    prev = None
-    err = math.inf
-    value = 0.0 + 0.0j
-    while True:
-        t = np.linspace(t_lo, t_hi, n)
-        h = t[1] - t[0]
-        vals = f(t)
-        value = complex(np.sum(vals) * h - (vals[0] + vals[-1]) * h / 2)
-        if prev is not None:
-            err = abs(value - prev)
-            if err <= 1e-13 * max(abs(value), 1e-300):
-                break
-        if 2 * (n - 1) + 1 > 40000:
-            break
-        prev = value
-        n = 2 * (n - 1) + 1
     return value, err

@@ -16,11 +16,6 @@ from .values import _zero, sparse_sum
 UPoly = dict  # degree -> coefficient
 
 
-def _poly_max_abs_diff(a: UPoly, b: UPoly) -> float:
-    """Largest coefficient difference; NaN if any difference is NaN."""
-    return float(np.max([abs(complex(a.get(k, 0)) - complex(b.get(k, 0))) for k in a.keys() | b.keys()], initial=0.0))
-
-
 class TruncatedSeries:
     """sum c_k u^k with 0 <= k <= nu."""
 
@@ -82,7 +77,8 @@ class TruncatedSeries:
 
     def max_abs_diff(self, other: "TruncatedSeries") -> float:
         """Largest coefficient difference; NaN if any difference is NaN."""
-        return _poly_max_abs_diff(self.coeffs, other.coeffs)
+        a, b = self.coeffs, other.coeffs
+        return float(np.max([abs(complex(a.get(k, 0)) - complex(b.get(k, 0))) for k in a.keys() | b.keys()], initial=0.0))
 
     def __repr__(self):
         bits = [f"({self.coeffs[k]})*u^{k}" for k in sorted(self.coeffs)]

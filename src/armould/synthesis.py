@@ -91,10 +91,6 @@ class InvariantFamily:
     def __reduce__(self):
         return (InvariantFamily, (self.coefficients, self.growth_bound))
 
-    @property
-    def support(self) -> tuple:
-        return tuple(sorted(self.coefficients))
-
     def derivations(self) -> DerivationFamily:
         return DerivationFamily(self.coefficients)
 

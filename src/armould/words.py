@@ -218,9 +218,6 @@ class Forest(_Keyed):
     def norm(self) -> GaussianRational:
         return GaussianRational(*_key_norm(self._key))
 
-    def __mul__(self, other: "Forest") -> "Forest":
-        return Forest(self.trees + other.trees)
-
     def decorations(self) -> Counter:
         out: Counter = Counter()
         for t in self.trees:

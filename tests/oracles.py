@@ -14,25 +14,36 @@ layered solve checks the scalar solve of the contracted coarborified, and
 the nested-loop Leibniz product, action and tree recursion check the
 sparse sums of the operator product, the operator action and the
 single-term homogeneous coarborified.  The (Fraction re,
-Fraction im) sort key checks the canonical order of words and forests."""
+Fraction im) sort key checks the canonical order of words and forests.
+
+The identity checks that only the tests run live here too: separativity of
+an arborified mould, the coarborified decomposition and coseparativity, with
+the forest product and the operator difference they use; so do the
+Borel-plane hyperlogarithm on the library's own recursion and the writer of
+the table format that ``Mould.from_json`` reads."""
 
 import cmath
 import itertools
+import json
 import math
 from collections import Counter
 from fractions import Fraction
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
+import armould.operators
+import armould.words
 from armould.bessel import bessel_k1
-from armould.monomials import CONTRACTION_UNIT, MOULD_NORMALIZATION, ContourSpec, paralog_Ua_eval
-from armould.moulds import Mould, builtin_mould, mould_compose, words_of_norm_at_most
+from armould.monomials import CONTRACTION_UNIT, MOULD_NORMALIZATION, ContourError, ContourSpec, paralog_Ua_eval
+from armould.monomials import _hyperlog_decorations, _v_borel_rec
+from armould.moulds import ArMould, IdentityReport, Mould, builtin_mould, mould_compose, words_of_norm_at_most, words_over
+from armould.moulds import _is_exact, _scan, _violation
 from armould.operators import DerivationFamily, DiffOperator, _as_int, _fraction_inverse, _linear_combination, op_compose_word
 from armould.series import TruncatedSeries
 from armould.synthesis import FieldSample, InvariantFamily, NormalizerExpansion, SynthesisConfig, _sampled_defect, automorphism_defect
-from armould.values import GaussianRational, _zero
-from armould.words import Forest, Tree, Word, letter
+from armould.values import GaussianRational, _zero, format_exact
+from armould.words import EMPTY_FOREST, Forest, Tree, Word, letter
 
 
 def signed_monomial_moulds(z: complex, c: float, spec: ContourSpec) -> tuple[Mould, Mould]:
@@ -74,7 +85,7 @@ def theta_word_assembly(inv: InvariantFamily, cfg: SynthesisConfig, z: complex) 
     magnitudes = [mould_compose(Mould(lambda w, m=m: abs(m.value(w))), expm) for m in moulds]
     terms: list[list] = [[(1, DiffOperator.identity())], []]
     scales: list[list] = [[(1, DiffOperator.identity())], []]
-    for v in words_of_norm_at_most([letter(n) for n in inv.support], cfg.nu):
+    for v in words_of_norm_at_most([letter(n) for n in support(inv)], cfg.nu):
         if v.length > cfg.r_max:
             continue
         b = op_compose_word(fam, v)
@@ -112,8 +123,8 @@ def exp_atom_operators(inv: InvariantFamily, cfg: SynthesisConfig) -> dict[int, 
     expm = builtin_mould("exp")
     atoms: dict[int, DiffOperator] = {}
     for n in range(1, cfg.nu + 1):
-        acc = DiffOperator.zero()
-        for v in words_of_norm_at_most([letter(m) for m in inv.support], cfg.nu):
+        acc = DiffOperator()
+        for v in words_of_norm_at_most([letter(m) for m in support(inv)], cfg.nu):
             if int(v.norm.re) == n and v.length <= cfg.r_max:
                 acc = acc + op_compose_word(fam, v).scale(expm.value(v))
         if not acc.is_zero():
@@ -496,7 +507,7 @@ def coarborify_contracted(family: DerivationFamily, norm_cap: int, counting: str
     def b_word(w: Word) -> DiffOperator:
         betas = family.betas
         if any(_as_int(x) not in betas for x in w):
-            return DiffOperator.zero()
+            return DiffOperator()
         return op_compose_word(family, w)
 
     solution: dict[Forest, DiffOperator] = {}
@@ -542,21 +553,21 @@ def _min_norm_solve(matrix: list[list[Fraction]], rhs: list[DiffOperator]) -> li
     """
     rows = len(matrix)
     if rows == 0:
-        return [DiffOperator.zero() for _ in range(0)]
+        return [DiffOperator() for _ in range(0)]
     cols = len(matrix[0])
     gram = [[sum(matrix[i][k] * matrix[j][k] for k in range(cols)) for j in range(rows)] for i in range(rows)]
     inv = _fraction_inverse(gram)
     # y = (A A^T)^{-1} b  (operator-valued), then x = A^T y
     y = []
     for i in range(rows):
-        acc = DiffOperator.zero()
+        acc = DiffOperator()
         for j in range(rows):
             if inv[i][j]:
                 acc = acc + rhs[j].scale(inv[i][j])
         y.append(acc)
     out = []
     for k in range(cols):
-        acc = DiffOperator.zero()
+        acc = DiffOperator()
         for i in range(rows):
             if matrix[i][k]:
                 acc = acc + y[i].scale(matrix[i][k])
@@ -633,3 +644,124 @@ def coarborify_homogeneous(family: DerivationFamily, f: Forest) -> DiffOperator:
     for t in f.trees:
         poly = _poly_mul(poly, tree_coeff(t))
     return DiffOperator({len(f.trees): poly})
+
+
+# ---------------------------------------------------------------------------
+# identity checks and writers that only the tests call
+# ---------------------------------------------------------------------------
+
+
+def support(inv: InvariantFamily) -> tuple:
+    """The indices n of the nonzero invariants A_n, in order."""
+    return tuple(sorted(inv.coefficients))
+
+
+def forest_product(f1: Forest, f2: Forest) -> Forest:
+    """The forest whose trees are those of both forests."""
+    return Forest(f1.trees + f2.trees)
+
+
+def max_abs_diff(a: DiffOperator, b: DiffOperator) -> float:
+    """Largest coefficient difference of two operators; NaN if any
+    difference is NaN."""
+    x, y = dict(a.items()), dict(b.items())
+    return float(np.max([abs(complex(x.get(k, 0)) - complex(y.get(k, 0))) for k in x.keys() | y.keys()], initial=0.0))
+
+
+def mould_to_json(m: Mould) -> str:
+    """Serialize a table-backed mould, exact values as literal strings: the
+    format ``Mould.from_json`` reads."""
+    if m.cap is None or m.alphabet is None:
+        raise ValueError("only capped moulds with a declared alphabet serialize")
+    entries = {str(w): format_exact(m.value(w)) for w in words_over(m.alphabet, m.cap)}
+    payload = {"alphabet": [format_exact(a) for a in m.alphabet], "cap": m.cap, "entries": entries}
+    return json.dumps(payload, indent=2, sort_keys=True)
+
+
+def check_separative(a: ArMould, alphabet: Sequence[GaussianRational], cap: int, tol: float | None = None) -> IdentityReport:
+    """Verify M^{F'F''} = M^{F'} M^{F''} for all forest pairs with total nodes <= cap."""
+    singles = armould.words.forests_of_norm(alphabet, cap, max_nodes=cap)
+    if tol is None and not _is_exact(a.value(Forest(()))):
+        tol = 1e-9
+
+    def cases():
+        for f1 in singles:
+            for f2 in singles:
+                if f1.node_count + f2.node_count <= cap:
+                    yield (f1, f2), _violation(a.value(forest_product(f1, f2)), a.value(f1) * a.value(f2), tol)
+
+    return _scan("separative", cases(), tol or 0.0)
+
+
+def check_coarborified_decomposition(family: DerivationFamily, cap: int) -> IdentityReport:
+    """Verify B_w = sum over forests admitting w as a linear extension of B_F,
+    with each increasing structure on the positions counted once, exactly as
+    operators, on the words over the family's letters.  F carries
+    linear_extensions(F)[w] / |Aut F| of them on w (orbit-stabiliser)."""
+    letters = family.letters()
+    terms: dict[Word, list] = {}
+    for f in [EMPTY_FOREST] + armould.words.forests_of_norm(letters, cap * max(family.betas, default=0), max_nodes=cap):
+        op = armould.operators.coarborify_homogeneous(family, f)
+        for w, mult in armould.words.linear_extensions(f).items():
+            terms.setdefault(w, []).append((mult // f.automorphism_count(), op))
+
+    def cases():
+        for w in words_over(letters, cap):
+            lhs = op_compose_word(family, w)
+            rhs = _linear_combination(terms.get(w, ()))
+            yield w, 0.0 if lhs == rhs else max_abs_diff(lhs, rhs)
+
+    return _scan("coarborified decomposition", cases(), unit="words")
+
+
+def check_coseparative(family: DerivationFamily, cap: int, f: TruncatedSeries, g: TruncatedSeries) -> IdentityReport:
+    """Verify B_F(fg) = sum over ordered splittings F = F' F'' of B_{F'}(f) B_{F''}(g).
+
+    Splittings enumerate complementary sub-multisets with binomial
+    multiplicity (trees treated as distinguishable slots), matching the
+    product rule of d^k on fg.
+    """
+
+    def cases():
+        for forest_ in [EMPTY_FOREST] + armould.words.forests_of_norm(family.letters(), cap, max_nodes=cap):
+            lhs = armould.operators.coarborify_homogeneous(family, forest_).apply(f * g)
+            rhs = TruncatedSeries({}, f.nu)
+            trees = forest_.trees
+            for mask in range(1 << len(trees)):
+                left = Forest(tuple(t for i, t in enumerate(trees) if mask & (1 << i)))
+                right = Forest(tuple(t for i, t in enumerate(trees) if not mask & (1 << i)))
+                fl = armould.operators.coarborify_homogeneous(family, left).apply(f)
+                fr = armould.operators.coarborify_homogeneous(family, right).apply(g)
+                rhs = rhs + fl * fr
+            yield forest_, 0.0 if lhs == rhs else lhs.max_abs_diff(rhs)
+
+    return _scan("coseparative", cases(), unit="forests")
+
+
+def hyperlog_V_borel(w, zeta: complex) -> complex:
+    """Borel-plane hyperlogarithm by length recursion:
+
+        V^(w1) (zeta) = 1/(zeta - w1)
+        (-zeta + ||w||) V^w(zeta) = - int_0^zeta V^(w minus last)(s) ds
+
+    along the straight segment from 0, 48 Gauss-Legendre nodes on each half,
+    by the library's recursion ``_v_borel_rec``; raises if the segment passes
+    near a singular partial sum w1 + ... + wi, or if w has more than
+    HYPERLOG_MAX_LETTERS letters."""
+    decs = _hyperlog_decorations(w)
+    if not decs:
+        raise ValueError("empty word has no Borel minor")
+    zeta = complex(zeta)
+    _check_borel_path(decs, zeta)
+    return _v_borel_rec(decs, zeta, 48)
+
+
+def _check_borel_path(decs: Sequence[complex], zeta: complex):
+    partial = 0.0 + 0.0j
+    for om in decs:
+        partial += om
+        # distance from the segment [0, zeta] to the singular point
+        t = max(0.0, min(1.0, (partial.conjugate() * zeta).real / max(abs(zeta) ** 2, 1e-300)))
+        d = abs(partial - t * zeta)
+        if d < 1e-6:
+            raise ContourError(f"integration path [0, {zeta}] passes through singular point {partial}")

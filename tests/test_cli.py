@@ -113,6 +113,79 @@ class TestMouldCommands:
         assert rc == 2 and captured.out == ""
         assert "--cap -1" in json.loads(captured.err)["error"]
 
+    @pytest.mark.parametrize("op", ["mul", "compose"])
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"alphabet": ["1"], "cap": "2", "entries": {"()": "1"}}', "mould table field 'cap' must be an integer >= 0, got \"2\""),
+            ('{"alphabet": ["1"], "cap": -1, "entries": {"()": "1"}}', "mould table field 'cap' must be an integer >= 0, got -1"),
+            ("[1, 2]", "a mould table must be a JSON object, got [1, 2]"),
+            ('{"alphabet": ["1"], "cap": 1, "entries": {"()": "1", "(1)": 0.5}}', "mould table entries['(1)'] = 0.5 must be an exact literal string"),
+            ('{"alphabet": [1], "cap": 1, "entries": {"()": "1"}}', "mould table alphabet[0] = 1 must be an exact literal string"),
+            ('{"cap": 1, "entries": {"()": "1"}}', "mould table has no field 'alphabet'"),
+            ('{"alphabet": ["1"], "cap": 1, "entries": []}', "mould table field 'entries' must be an object, got []"),
+        ],
+        ids=["string-cap", "negative-cap", "array", "float-entry", "integer-letter", "no-alphabet", "array-entries"],
+    )
+    def test_malformed_table_exits_2_naming_the_field(self, tmp_path, capsys, op, text, message):
+        # each of these once crashed with a traceback and exit 1, or printed
+        # a bare "'alphabet'"
+        good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+        good.write_text('{"alphabet": ["1"], "cap": 1, "entries": {"()": "1", "(1)": "1/2"}}')
+        bad.write_text(text)
+        rc = main(["mould", op, str(good), str(bad)])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert json.loads(captured.err) == {"error": message}
+
+    def test_missing_entry_message_has_no_quotes(self, tmp_path, capsys):
+        # the KeyError's message, not its repr
+        table = tmp_path / "m.json"
+        table.write_text('{"alphabet": ["1", "2"], "cap": 1, "entries": {"()": "1", "(1)": "1/2"}}')
+        rc = main(["mould", "mul", str(table), str(table)])
+        assert rc == 2
+        assert json.loads(capsys.readouterr().err) == {"error": "table mould has no entry for (2)"}
+
+    @pytest.mark.parametrize("op", ["mul", "compose"])
+    def test_cap_above_the_tables_exits_2_before_any_word(self, tmp_path, capsys, monkeypatch, op):
+        # every word up to --cap was built before the first missing value
+        import armould.cli as cli
+
+        def no_words(*args):
+            raise AssertionError("words were built")
+
+        monkeypatch.setattr(cli, "words_over", no_words)
+        small, large = tmp_path / "small.json", tmp_path / "large.json"
+        small.write_text('{"alphabet": ["1"], "cap": 1, "entries": {"()": "1", "(1)": "1/2"}}')
+        large.write_text('{"alphabet": ["1"], "cap": 2, "entries": {"()": "1", "(1)": "1/2", "(1,1)": "1/3"}}')
+        rc = main(["mould", op, str(large), str(small), "--cap", "2"])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert json.loads(captured.err)["error"] == "--cap 2 is above the tables' cap 1, beyond which they have no values"
+
+    @pytest.mark.parametrize("cap", ["10", "1000000000"])
+    def test_check_above_the_pair_limit_exits_2_before_any_word(self, capsys, monkeypatch, cap):
+        # --cap 10 on two letters took 18 s, and no larger cap was refused
+        import armould.moulds as moulds
+
+        def no_words(*args):
+            raise AssertionError("words were built")
+
+        monkeypatch.setattr(moulds, "words_over", no_words)
+        rc = main(["mould", "check", "--builtin", "redom", "--kind", "alternel", "--alphabet", "1,2", "--cap", cap])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert "more than MAX_SYMMETRY_PAIRS = 10000 pairs" in json.loads(captured.err)["error"]
+
+    def test_pair_limit_counts_the_pairs_the_check_tests(self, capsys, monkeypatch):
+        import armould.moulds as moulds
+
+        argv = ["mould", "check", "--builtin", "redom", "--kind", "alternel", "--alphabet", "1,2", "--cap", "6"]
+        monkeypatch.setattr(moulds, "MAX_SYMMETRY_PAIRS", 516)
+        assert run(capsys, *argv) == (0, "[pass] alternel: 516 pairs, worst violation 0.000e+00\n")
+        monkeypatch.setattr(moulds, "MAX_SYMMETRY_PAIRS", 515)
+        assert main(argv) == 2
+
 
 class TestForestCommand:
     def test_extensions(self, capsys):

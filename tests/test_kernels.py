@@ -143,17 +143,40 @@ class TestFEval:
         v, err = f_eval(KernelParams(1.0, 1.0), 0.0)
         assert abs(v - 2.0 * bessel_k1(2.0)) < 1e-12
 
+    GRID = [
+        (KernelParams(c, om), x)
+        for c in (0.0, 0.25, 1.0, 2.3, 4.0)
+        for om in (1.0, 2.0, 3.0)
+        for x in (0.0, 0.6, 3.0, 10.0, 2.4j, -0.5 + 1j, 4.6j, -3.3j)
+        if (complex(x) + om).real >= 0.25
+    ]
+
     def test_against_closed_form_grid(self):
         worst = 0.0
-        for c in (0.25, 1.0, 2.3, 4.0):
-            for om in (1.0, 2.0, 3.0):
-                for x in (0.0, 0.6, 3.0, 10.0, 2.4j, -0.5 + 1j):
-                    if (complex(x) + om).real < 0.25:
-                        continue
-                    p = KernelParams(c, om)
-                    v, _ = f_eval(p, x)
-                    ref = f_closed_form_oracle(p, x)
-                    worst = max(worst, abs(v - ref) / abs(ref))
+        for p, x in self.GRID:
+            v, _ = f_eval(p, x)
+            ref = f_closed_form_oracle(p, x)
+            worst = max(worst, abs(v - ref) / abs(ref))
+        assert worst <= 1e-10
+
+    def test_error_estimate_is_positive_for_nonzero_values(self):
+        # the rule's last refinement delta can read 0 at a converged value
+        for p, x in self.GRID:
+            v, err = f_eval(p, x)
+            assert v != 0 and err > 0
+
+    @pytest.mark.parametrize("c", [1.0, 4.0, 10.0])
+    def test_oscillating_integrand(self, c):
+        # Re(x + omega) small against Im x: on the real axis exp(-x y) turns
+        # many times within the decay length, and a real-axis rule lost up to
+        # all digits here at c = 10
+        worst = 0.0
+        for re in (0.1, 0.25, 0.5):
+            for im in (3.0, 5.0, 10.0, -4.6):
+                p, x = KernelParams(c, 1.0), complex(re - 1.0, im)
+                v, _ = f_eval(p, x)
+                ref = f_closed_form_oracle(p, x)
+                worst = max(worst, abs(v - ref) / abs(ref))
         assert worst <= 1e-10
 
     def test_large_x_matches_oracle(self):

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import cauchy_fold_allocating, cauchy_fold_dense, forest_cover_sum, x_integral_r2
+from oracles import cauchy_fold_allocating, cauchy_fold_dense, forest_cover_sum, hyperlog_V_borel, x_integral_r2
 import armould.monomials as mono
 from armould.monomials import (
     CONTRACTION_UNIT,
@@ -21,7 +21,6 @@ from armould.monomials import (
     Quadrature,
     borel_pole_probe,
     growth_scan,
-    hyperlog_V_borel,
     hyperlog_V_eval,
     paralog_Ua_eval,
     paralog_batch_eval,
