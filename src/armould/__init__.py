@@ -29,7 +29,6 @@ from .words import (
     EMPTY_FOREST,
     EMPTY_WORD,
     Forest,
-    Tree,
     Word,
     contracting_covers,
     contracting_shuffle,

@@ -36,6 +36,8 @@ def _k0k1(w: complex) -> tuple[complex, complex]:
         raise BesselDomainError(f"K implemented for Re w >= 0 only, got {w}")
     if r <= 2.0 or (w.real < 0.35 * r and r <= 26.0):
         return _k_series(w)
+    if cmath.exp(-w) == 0:  # K0 and K1 underflow, where the continued fraction may not converge
+        return 0j, 0j
     return _k_cf2(w)
 
 

@@ -85,7 +85,8 @@ def f_eval(p: KernelParams, x) -> tuple[complex, float]:
     exponent, so it stays finite where exp(-x y) alone overflows (Re x < 0).
     At c > 0 the ray turns by -arg(a)/2, through the saddle sqrt(b/a): a y and
     b/y then share one phase, so the integrand turns by less than a radian
-    per e-fold of its decay.  The nodes are scaled to 1/Re(a) on the ray.
+    per e-fold of its decay.  At c = 0 it turns by -arg(a), where exp(-a y)
+    does not oscillate at all.  The nodes are scaled to 1/Re(a) on the ray.
     The error is the rule's last refinement delta, at least 5e-14 |f|, since
     the delta can read 0 at a converged value.
     """
@@ -94,7 +95,7 @@ def f_eval(p: KernelParams, x) -> tuple[complex, float]:
     if (x + om).real <= 0:
         raise KernelDomainError(f"need Re(x + omega) > 0, got {x + om}")
     a, b = x + om, p.c * p.c * om.real
-    turn = cmath.exp(-0.5j * cmath.phase(a)) if b else 1.0
+    turn = cmath.exp((-0.5j if b else -1j) * cmath.phase(a))
     a, b = a * turn, b / turn
     with np.errstate(over="ignore"):  # b/y overflows at the first nodes of a huge c, where the integrand is 0
         val, err = de_halfline(lambda y: np.exp(-a * y - b / y), scale=1.0 / a.real)

@@ -33,7 +33,7 @@ import numpy as np
 from .kernels import KernelParams, f_closed_form_oracle, saddle_node_kernel
 from .quadrature import de_halfline, segment_quad
 from .values import _set
-from .words import Forest, Tree, forests_of_norm, letter, words_of_norm_at_most
+from .words import Forest, forests_of_norm, letter, words_of_norm_at_most
 
 CONTRACTION_UNIT = -2j * math.pi
 MOULD_NORMALIZATION = 1.0 / CONTRACTION_UNIT  # per-letter factor -> symmetrel
@@ -212,15 +212,16 @@ def _preorder(f: Forest) -> tuple[tuple, tuple]:
     decs: list[complex] = []
     parents: list[int] = []
 
-    def walk(t: Tree, parent: int):
+    def walk(tk: tuple, parent: int):
         j = len(decs)
-        decs.append(complex(t.root))
+        (re, im), kids = tk
+        decs.append(complex(float(re), float(im)))
         parents.append(parent)
-        for ch in t.children.trees:
+        for ch in kids:
             walk(ch, j)
 
-    for t in f.trees:
-        walk(t, -1)
+    for tk in f._key:
+        walk(tk, -1)
     return tuple(decs), tuple(parents)
 
 

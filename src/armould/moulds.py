@@ -305,7 +305,7 @@ def arborify(m: Mould, mode: str = "simple", counting: str = "merges") -> ArMoul
         raise ValueError(f"unknown arborification mode {mode!r}")
 
     def rule(f: Forest):
-        if not f.trees:
+        if not f._key:
             return m.value(EMPTY_WORD)
         cover = linear_extensions(f) if mode == "simple" else contracting_covers(f, counting=counting)
         return linear_sum((m.value(w), mult) for w, mult in cover.items())

@@ -21,6 +21,7 @@ from .words import (
     Word,
     _forest,
     _forests,
+    _letter,
     contracting_covers,
     forests_of_norm,
     letter,
@@ -180,13 +181,13 @@ def coarborify_homogeneous(family: DerivationFamily, f: Forest) -> DiffOperator:
 
     with k the number of trees and m the node's number of children; a factor
     is 0 when m > n+1, and then B_F = 0."""
-    kappa, nodes = Fraction(1), list(f.trees)
+    kappa, nodes = Fraction(1), list(f._key)
     while nodes:
-        t = nodes.pop()
-        n = _as_int(t.root)
-        kappa = kappa * family.beta(n) * math.perm(n + 1, len(t.children.trees))
-        nodes += t.children.trees
-    k = len(f.trees)
+        dec, kids = nodes.pop()
+        n = _as_int(_letter(dec))
+        kappa = kappa * family.beta(n) * math.perm(n + 1, len(kids))
+        nodes += kids
+    k = len(f._key)
     return DiffOperator({k: {int(f.norm.re) + k: kappa}})
 
 
@@ -279,9 +280,8 @@ def _contracted_duals(norm_cap: int, counting: str) -> dict[Forest, dict[Word, F
     raising ArithmeticError if the system were inconsistent.
     """
     layers: dict[int, list[tuple[int, Forest, Counter]]] = {}
-    trees: dict = {}
     for nodes, norm, fk in _forests(range(1, norm_cap + 1), norm_cap, norm_cap):
-        f = _forest(fk, trees)
+        f = _forest(fk)
         layers.setdefault(norm, []).append((nodes, f, contracting_covers(f, counting=counting)))
     duals: dict[Forest, dict[Word, Fraction]] = {}
     for norm in sorted(layers):

@@ -53,7 +53,9 @@ def de_halfline(f, scale: float = 1.0, max_level: int = 9):
     until the delta is within 1e-12 relative or at max_level.  Returns
     (value, error_estimate); the estimate is the last refinement delta.
     """
-    lo, hi = -3.6, 3.6  # u-range: t spans ~ [3e-13, 3e12] relative to scale
+    # u-range: t spans ~ [2e-16, 3e12] relative to scale, so an integrand
+    # that is O(1) at 0 loses below an ulp of its integral there
+    lo, hi = -4.0, 3.6
     prev = None
     value = 0.0 + 0.0j
     err = math.inf

@@ -12,15 +12,17 @@ covers counted once per surjection.  Contracting covers carry two counting
 conventions (see :func:`contracting_covers`); the choice matters as soon as
 a forest has incomparable nodes.
 
-Words, trees and forests are immutable and build their canonical key once:
-a nested tuple of the letters' ``(re, im)`` keys (integer parts as ints),
-made from the parts' stored keys, with its hash beside it.  Equality
-compares keys, ``sort_key()`` returns the key, and a norm is one sum over
-the key's atoms.
+Words and forests are immutable and build their canonical key once: a
+nested tuple of the letters' ``(re, im)`` keys (integer parts as ints).  A
+word keeps its letters beside it; a forest is its key alone, the sorted
+tuple of its trees' ``(root key, children's forest key)`` pairs, and a tree
+is a one-tree forest.  Equality compares keys, ``sort_key()`` returns the
+key, and a norm, a node count, an automorphism count or a printed literal
+is one walk over the key.
 
-The cover recursion and the forest enumerator run on forest keys alone: a
+The cover recursion and the forest enumerator run on bare forest keys: a
 fiber step removes a set of root keys and sorts what is left into the
-residual key, and its fiber sum is a key too.  No Tree, Forest or
+residual key, and its fiber sum is a key too.  No Forest or
 GaussianRational is built inside them; cover words become Words and forest
 keys Forests once, at the boundary, on letters from one bounded memo.
 """
@@ -31,12 +33,9 @@ import itertools
 import math
 from collections import Counter
 from functools import lru_cache
-from operator import attrgetter
 from typing import Iterable, Iterator, Sequence
 
 from .values import GaussianRational, _atom, _set, as_gaussian, parse_exact
-
-_key_of = attrgetter("_key")
 
 
 class _Keyed:
@@ -163,110 +162,93 @@ def _split_top(s: str, sep: str) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# trees and forests
+# forests
 # ---------------------------------------------------------------------------
 
 
-class Tree(_Keyed):
-    """Decorated rooted tree; children form a Forest (canonically ordered)."""
-
-    __slots__ = ("root", "children", "_key", "_hash")
-
-    def __init__(self, root, children):
-        _set(self, "root", letter(root))
-        _set(self, "children", children if isinstance(children, Forest) else Forest(tuple(children)))
-        self._store_key((self.root._key, self.children._key))
-
-    def __reduce__(self):
-        return (Tree, (self.root, self.children))
-
-    @property
-    def node_count(self) -> int:
-        return 1 + self.children.node_count
-
-    @property
-    def norm(self) -> GaussianRational:
-        return GaussianRational(*_key_norm((self._key,)))
-
-    def __str__(self):
-        if not self.children.trees:
-            return str(self.root)
-        return f"{self.root}({','.join(str(t) for t in self.children.trees)})"
-
-    def __repr__(self):
-        return f"Tree[{self}]"
-
-
 class Forest(_Keyed):
-    """Multiset of decorated trees, stored sorted so equal forests compare equal."""
+    """Multiset of decorated trees, held as its canonical key alone: the
+    sorted tuple of its trees' keys, a tree's key being its root's letter key
+    and its children's forest key.  ``Forest(parts)`` is the union of forests
+    and of one-node trees given by their decorations."""
 
-    __slots__ = ("trees", "_key", "_hash")
+    __slots__ = ("_key", "_hash")
 
-    def __init__(self, trees: Iterable[Tree]):
-        ordered = tuple(sorted(trees, key=_key_of))
-        _set(self, "trees", ordered)
-        self._store_key(tuple(t._key for t in ordered))
+    def __init__(self, parts: Iterable):
+        keys = [k for p in parts for k in (p._key if isinstance(p, Forest) else ((letter(p)._key, ()),))]
+        self._store_key(tuple(sorted(keys)))
 
     def __reduce__(self):
-        return (Forest, (self.trees,))
+        # copy and pickle rebuild from the key, since __setattr__ refuses
+        return (_forest, (self._key,))
 
     @property
     def node_count(self) -> int:
-        return sum(t.node_count for t in self.trees)
+        return sum(1 for _ in _nodes(self._key))
 
     @property
     def norm(self) -> GaussianRational:
-        return GaussianRational(*_key_norm(self._key))
-
-    def decorations(self) -> Counter:
-        out: Counter = Counter()
-        for t in self.trees:
-            out[t.root] += 1
-            out.update(t.children.decorations())
-        return out
+        re = im = 0
+        for r, i in _nodes(self._key):
+            re += r
+            im += i
+        return GaussianRational(re, im)
 
     def automorphism_count(self) -> int:
-        """Order of the decorated-forest automorphism group."""
-        n = 1
-        for _, group in itertools.groupby(self.trees, key=_key_of):
-            block = list(group)
-            n *= math.factorial(len(block))
-            for t in block:
-                n *= t.children.automorphism_count()
+        """Order of the decorated-forest automorphism group: m! for every
+        block of m equal trees among the roots or among one node's children."""
+        n, stack = 1, [self._key]
+        while stack:
+            fk = stack.pop()
+            for (_, kids), block in itertools.groupby(fk):
+                m = len(list(block))
+                n *= math.factorial(m)
+                stack += [kids] * m
         return n
 
     def __str__(self):
-        if not self.trees:
-            return "<empty>"
-        return ";".join(str(t) for t in self.trees)
+        return ";".join(map(_tree_str, self._key)) if self._key else "<empty>"
 
     def __repr__(self):
         return f"Forest[{self}]"
 
 
-EMPTY_FOREST = Forest(())
+def _forest(fk: tuple) -> Forest:
+    """The Forest of a canonical forest key, taken as it is."""
+    f = object.__new__(Forest)
+    f._store_key(fk)
+    return f
 
 
-def _key_norm(fk: tuple) -> tuple:
-    """The summed (re, im) atoms of every node of a forest key."""
-    re = im = 0
+EMPTY_FOREST = _forest(())
+
+
+def _nodes(fk: tuple) -> Iterator[tuple]:
+    """The letter key of every node of a forest key."""
     stack = list(fk)
     while stack:
-        (r, i), kids = stack.pop()
-        re += r
-        im += i
+        dec, kids = stack.pop()
+        yield dec
         stack.extend(kids)
-    return re, im
 
 
-def tree(root, children: Iterable = ()) -> Tree:
-    return Tree(root, Forest(tuple(c if isinstance(c, Tree) else tree(c) for c in children)))
+def _tree_str(tk: tuple) -> str:
+    """The literal ``a(b,c)`` of a tree key."""
+    dec, kids = tk
+    root = str(_letter(dec))
+    return f"{root}({','.join(map(_tree_str, kids))})" if kids else root
 
 
-def forest(*trees_: Tree) -> Forest:
-    if len(trees_) == 1 and isinstance(trees_[0], (list, tuple)):
-        trees_ = tuple(trees_[0])
-    return Forest(tuple(t if isinstance(t, Tree) else tree(t) for t in trees_))
+def tree(root, children: Iterable = ()) -> Forest:
+    """The one-tree forest of a root decoration over children, each a forest
+    or the decoration of a one-node tree."""
+    return _forest(((letter(root)._key, Forest(children)._key),))
+
+
+def forest(*parts) -> Forest:
+    if len(parts) == 1 and isinstance(parts[0], (list, tuple)):
+        parts = tuple(parts[0])
+    return Forest(parts)
 
 
 def parse_forest(text: str) -> Forest:
@@ -274,10 +256,10 @@ def parse_forest(text: str) -> Forest:
     s = text.strip()
     if not s or s == "<empty>":
         return EMPTY_FOREST
-    return Forest(tuple(_parse_tree(p) for p in _split_top(s, ";")))
+    return Forest(_parse_tree(p) for p in _split_top(s, ";"))
 
 
-def _parse_tree(text: str) -> Tree:
+def _parse_tree(text: str) -> Forest:
     s = text.strip()
     if "(" not in s:
         return tree(parse_exact(s))
@@ -286,7 +268,7 @@ def _parse_tree(text: str) -> Tree:
         raise ValueError(f"bad tree literal: {text!r}")
     inner = rest[:-1]
     children = [_parse_tree(p) for p in _split_top(inner, ",")] if inner.strip() else []
-    return Tree(parse_exact(head), Forest(tuple(children)))
+    return tree(parse_exact(head), children)
 
 
 # ---------------------------------------------------------------------------
@@ -384,7 +366,7 @@ def contracting_covers(f: Forest, counting: str = "merges") -> Counter:
 def _two_chain_key(w1: Word, w2: Word) -> tuple:
     """The canonical key of the forest of two chains, one per word: each
     letter the only child of the letter before it, an empty word no tree.
-    Built from the words' stored letter keys, with no Tree or Forest."""
+    Built from the words' stored letter keys, with no Forest."""
     trees = []
     for w in (w1, w2):
         chain = ()
@@ -457,30 +439,14 @@ def forests_of_norm(letters: Sequence[GaussianRational], max_norm: int, max_node
     """
     # every decoration is >= 1, so the norm caps the node count
     stream = _forests(_integer_values(letters), max_norm, max_norm if max_nodes is None else max_nodes)
-    trees: dict = {}
-    return [_forest(fk, trees) for _, _, fk in sorted((n, k, fk) for k, n, fk in stream)]
-
-
-def _forest(fk: tuple, trees: dict) -> Forest:
-    """The Forest of a canonical forest key, taken as it is; each subtree
-    key's Tree is built once and kept in ``trees``, its root a shared letter."""
-    f = object.__new__(Forest)
-    kept = []
-    for tk in fk:
-        t = trees.get(tk)
-        if t is None:
-            t = trees[tk] = Tree(_letter(tk[0]), _forest(tk[1], trees))
-        kept.append(t)
-    _set(f, "trees", tuple(kept))
-    f._store_key(fk)
-    return f
+    return [_forest(fk) for _, _, fk in sorted((n, k, fk) for k, n, fk in stream)]
 
 
 def _forests(values: Sequence[int], max_norm: int, max_nodes: int) -> Iterator[tuple[int, int, tuple]]:
     """Nonempty canonical forests decorated by ``values`` (positive integers)
     with norm <= max_norm and at most max_nodes nodes, as (nodes, norm,
     forest key), in increasing node count.  Only the pool of tree keys is
-    kept, and no Tree or Forest is built."""
+    kept, and no Forest is built."""
     pool: list[tuple[int, int, tuple]] = []  # (nodes, norm, tree key), by node count
 
     def multisets(nodes: int, budget: int, start: int) -> Iterator[tuple[int, tuple]]:

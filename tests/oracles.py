@@ -4,8 +4,10 @@ L and dL, checks its forest assembly, the conjugated field built from
 operator products checks the field built from operator actions, and the word side of the z-free
 coarborification identity checks its forest rows; the index-walk enumerators
 and the position-subset shuffles check the memoised fiber recursion of
-:mod:`armould.words`, and the by-norm forest builder and the Forest-building
-stream that it replaced check its key-level forest enumerator; the dense Cauchy fold
+:mod:`armould.words`, the by-norm builder of forest keys and the stream
+that builds its trees with ``tree`` and ``Forest`` check its key-level forest
+enumerator, and the recursive key walks check the node counts, norms and
+automorphism counts that a forest reads off its key; the dense Cauchy fold
 checks the FFT-Toeplitz fold of :mod:`armould.monomials`, the same fold with
 every step in a new array checks its in-place buffers bit for bit, and the cover sum
 of word values checks its structured forest integral, and the Laplace-side
@@ -23,6 +25,7 @@ Borel-plane hyperlogarithm on the library's own recursion and the writer of
 the table format that ``Mould.from_json`` reads."""
 
 import cmath
+import heapq
 import itertools
 import json
 import math
@@ -43,7 +46,7 @@ from armould.operators import DerivationFamily, DiffOperator, _as_int, _fraction
 from armould.series import TruncatedSeries
 from armould.synthesis import FieldSample, InvariantFamily, NormalizerExpansion, SynthesisConfig, _sampled_defect, automorphism_defect
 from armould.values import GaussianRational, _zero, format_exact
-from armould.words import EMPTY_FOREST, Forest, Tree, Word, letter
+from armould.words import EMPTY_FOREST, Forest, Word, _forest, letter, tree
 
 
 def signed_monomial_moulds(z: complex, c: float, spec: ContourSpec) -> tuple[Mould, Mould]:
@@ -272,16 +275,38 @@ class _Node:
 def _flatten(f: Forest) -> list[_Node]:
     nodes: list[_Node] = []
 
-    def walk(t: Tree, parent):
-        node = _Node(t.root)
+    def walk(tk: tuple, parent):
+        node = _Node(_key_letter(tk[0]))
         node.parent = parent
         nodes.append(node)
-        for c in t.children.trees:
+        for c in tk[1]:
             walk(c, node)
 
-    for t in f.trees:
-        walk(t, None)
+    for tk in f._key:
+        walk(tk, None)
     return nodes
+
+
+def _key_letter(dec: tuple) -> GaussianRational:
+    """A new letter from a node's (re, im) key."""
+    re, im = dec
+    return GaussianRational(Fraction(re), Fraction(im))
+
+
+def key_letters(fk: tuple) -> list[GaussianRational]:
+    """Oracle for the walks of ``Forest.node_count`` and ``Forest.norm``: the
+    letter of every node of a forest key, by recursion on its trees, each
+    root before its children."""
+    return [a for dec, kids in fk for a in [_key_letter(dec), *key_letters(kids)]]
+
+
+def key_automorphisms(fk: tuple) -> int:
+    """Oracle for ``Forest.automorphism_count``, by recursion on the distinct
+    trees of a forest key: m equal trees with children C give m! |Aut C|^m."""
+    n = 1
+    for (_, kids), m in Counter(fk).items():
+        n *= _factorial(m) * key_automorphisms(kids) ** m
+    return n
 
 
 def linear_extensions(f: Forest) -> Counter:
@@ -380,47 +405,46 @@ def _factorial(n: int) -> int:
 
 
 def forests_of_norm(letters, max_norm: int, max_nodes: int | None = None) -> list[Forest]:
-    """Oracle for :func:`armould.words.forests_of_norm`: trees built by norm,
-    every candidate list materialised and deduplicated, then sorted by
+    """Oracle for :func:`armould.words.forests_of_norm`: tree keys built by
+    norm, every candidate list materialised and deduplicated, then sorted by
     (norm, node count, sort key)."""
     values = sorted({a.re for a in letters})
     if any(v < 1 or v.denominator != 1 for v in values):
         raise ValueError("forest enumeration needs positive integer decorations")
-    trees_by_norm: dict[int, list[Tree]] = {}
+    trees_by_norm: dict[int, list[tuple]] = {}
 
-    def trees_up_to(n: int) -> list[Tree]:
+    def trees_up_to(n: int) -> list[tuple]:
         out = []
         for m in range(1, n + 1):
             out.extend(trees_by_norm.get(m, []))
         return out
 
     for n in range(1, max_norm + 1):
-        acc: list[Tree] = []
+        acc: list[tuple] = []
         for v in values:
             v = int(v)
             if v > n:
                 continue
             rest = n - v
             for sub in _forests_with_norm(trees_up_to(rest), rest):
-                t = Tree(letter(v), sub)
-                if max_nodes is None or t.node_count <= max_nodes:
+                t = ((v, 0), sub)
+                if max_nodes is None or len(key_letters((t,))) <= max_nodes:
                     acc.append(t)
-        trees_by_norm[n] = _dedup(acc)
-    out: list[Forest] = []
-    for f in _forests_with_norm(trees_up_to(max_norm), max_norm, include_all_below=True):
-        if f.trees and (max_nodes is None or f.node_count <= max_nodes):
-            out.append(f)
-    out = _dedup(out)
-    out.sort(key=lambda f: (int(f.norm.re), f.node_count, fraction_sort_key(f)))
-    return out
+        trees_by_norm[n] = _dedup(acc, _fraction_tree_key)
+    out: list[tuple] = []
+    for fk in _forests_with_norm(trees_up_to(max_norm), max_norm, include_all_below=True):
+        if fk and (max_nodes is None or len(key_letters(fk)) <= max_nodes):
+            out.append(fk)
+    out.sort(key=lambda fk: (_key_norm(fk), len(key_letters(fk)), _fraction_forest_key(fk)))
+    return [_forest(fk) for fk in out]
 
 
 def forest_stream(values, max_norm: int, max_nodes: int):
     """Oracle for the key-level enumerator ``armould.words._forests``: the
-    same streamed pool of trees, built as Tree and Forest objects, yielding
-    (nodes, norm, Forest) in increasing node count."""
-    roots = [letter(v) for v in values]
-    pool: list[tuple[int, int, Tree]] = []  # (nodes, norm, tree), by node count
+    same streamed pool of trees, each built by ``tree`` as a one-tree forest
+    and joined by the ``Forest`` constructor, yielding (nodes, norm, Forest)
+    in increasing node count."""
+    pool: list[tuple[int, int, Forest]] = []  # (nodes, norm, one-tree forest), by node count
 
     def multisets(nodes: int, budget: int, start: int):
         if nodes == 0:
@@ -436,61 +460,72 @@ def forest_stream(values, max_norm: int, max_nodes: int):
 
     for nodes in range(1, max_nodes + 1):
         grown = []
-        for v, root in zip(values, roots):
+        for v in values:
             if v > max_norm:
                 continue
             for n, kids in multisets(nodes - 1, max_norm - v, 0):
-                grown.append((nodes, v + n, Tree(root, Forest(kids))))
+                grown.append((nodes, v + n, tree(v, kids)))
         pool.extend(grown)
         for n, trees in multisets(nodes, max_norm, 0):
             yield nodes, n, Forest(trees)
 
 
 def _forests_with_norm(trees_pool, norm_budget, include_all_below=False):
-    """Multisets of trees with total norm == budget (or <= budget)."""
-    pool = sorted(_dedup(list(trees_pool)), key=fraction_sort_key)
-    results: list[Forest] = []
+    """Forest keys: multisets of tree keys with total norm == budget (or <= budget)."""
+    pool = sorted(_dedup(list(trees_pool), _fraction_tree_key), key=_fraction_tree_key)
+    results: list[tuple] = []
 
     def rec(start: int, budget: int, acc: tuple):
         if include_all_below or budget == 0:
-            results.append(Forest(acc))
+            results.append(acc)
         if budget <= 0:
             return
         for i in range(start, len(pool)):
             t = pool[i]
-            n = int(t.norm.re)
+            n = _key_norm((t,))
             if n <= budget:
                 rec(i, budget - n, acc + (t,))
 
     rec(0, norm_budget, ())
     if not include_all_below:
-        results = [f for f in results if int(f.norm.re) == norm_budget]
-    return _dedup(results)
+        results = [fk for fk in results if _key_norm(fk) == norm_budget]
+    return _dedup(results, _fraction_forest_key)
 
 
-def _dedup(items):
+def _key_norm(fk: tuple) -> Fraction:
+    return sum(a.re for a in key_letters(fk))
+
+
+def _dedup(items, key):
     seen = set()
     out = []
     for x in items:
-        k = fraction_sort_key(x)
+        k = key(x)
         if k not in seen:
             seen.add(k)
             out.append(x)
     return out
 
 
+def _fraction_tree_key(tk: tuple) -> tuple:
+    (re, im), kids = tk
+    return (Fraction(re), Fraction(im)), _fraction_forest_key(kids)
+
+
+def _fraction_forest_key(fk: tuple) -> tuple:
+    return tuple(sorted(map(_fraction_tree_key, fk)))
+
+
 def fraction_sort_key(x):
-    """Oracle for ``sort_key()`` of a letter, Word, Tree or Forest: each
-    letter as its (Fraction re, Fraction im) pair, words and trees nested
-    alike, and a forest's trees sorted by this key, whatever order it holds
-    them in."""
+    """Oracle for ``sort_key()`` of a letter, Word or Forest: each letter as
+    its (Fraction re, Fraction im) pair, words and trees nested alike, and
+    the trees of every forest sorted by this key, whatever order its key
+    holds them in."""
     if isinstance(x, GaussianRational):
         return (x.re, x.im)
     if isinstance(x, Word):
         return tuple(fraction_sort_key(a) for a in x.letters)
-    if isinstance(x, Tree):
-        return (fraction_sort_key(x.root), fraction_sort_key(x.children))
-    return tuple(sorted(fraction_sort_key(t) for t in x.trees))
+    return _fraction_forest_key(x._key)
 
 
 def coarborify_contracted(family: DerivationFamily, norm_cap: int, counting: str = "merges") -> dict[Forest, DiffOperator]:
@@ -633,17 +668,17 @@ def coarborify_homogeneous(family: DerivationFamily, f: Forest) -> DiffOperator:
     c_T = (c_{S_1} ... c_{S_m}) d^m (beta_n u^{n+1}) / du^m, and
     B_F = (c_{T_1} ... c_{T_k}) d^k."""
 
-    def tree_coeff(t: Tree) -> dict:
-        n = _as_int(t.root)
-        acc = _poly_diff({n + 1: family.betas[n]}, len(t.children.trees))
-        for s in t.children.trees:
+    def tree_coeff(tk: tuple) -> dict:
+        n = _as_int(_key_letter(tk[0]))
+        acc = _poly_diff({n + 1: family.betas[n]}, len(tk[1]))
+        for s in tk[1]:
             acc = _poly_mul(acc, tree_coeff(s))
         return acc
 
     poly = {0: Fraction(1)}
-    for t in f.trees:
-        poly = _poly_mul(poly, tree_coeff(t))
-    return DiffOperator({len(f.trees): poly})
+    for tk in f._key:
+        poly = _poly_mul(poly, tree_coeff(tk))
+    return DiffOperator({len(f._key): poly})
 
 
 # ---------------------------------------------------------------------------
@@ -657,8 +692,9 @@ def support(inv: InvariantFamily) -> tuple:
 
 
 def forest_product(f1: Forest, f2: Forest) -> Forest:
-    """The forest whose trees are those of both forests."""
-    return Forest(f1.trees + f2.trees)
+    """The forest whose trees are those of both forests: one merge of their
+    two sorted keys."""
+    return _forest(tuple(heapq.merge(f1._key, f2._key)))
 
 
 def max_abs_diff(a: DiffOperator, b: DiffOperator) -> float:
@@ -726,10 +762,11 @@ def check_coseparative(family: DerivationFamily, cap: int, f: TruncatedSeries, g
         for forest_ in [EMPTY_FOREST] + armould.words.forests_of_norm(family.letters(), cap, max_nodes=cap):
             lhs = armould.operators.coarborify_homogeneous(family, forest_).apply(f * g)
             rhs = TruncatedSeries({}, f.nu)
-            trees = forest_.trees
+            trees = forest_._key
             for mask in range(1 << len(trees)):
-                left = Forest(tuple(t for i, t in enumerate(trees) if mask & (1 << i)))
-                right = Forest(tuple(t for i, t in enumerate(trees) if not mask & (1 << i)))
+                # a subsequence of a sorted key is the key of its sub-forest
+                left = _forest(tuple(t for i, t in enumerate(trees) if mask & (1 << i)))
+                right = _forest(tuple(t for i, t in enumerate(trees) if not mask & (1 << i)))
                 fl = armould.operators.coarborify_homogeneous(family, left).apply(f)
                 fr = armould.operators.coarborify_homogeneous(family, right).apply(g)
                 rhs = rhs + fl * fr

@@ -46,11 +46,8 @@ REASONS = {
     "synthesis.convergence_report": "ROADMAP item 8: the convergence map's command",
     "synthesis.SynthesizedField.max_relative_imag": "ROADMAP item 13: the reality check of the field",
     "values.GaussianRational.sort_key": "the canonical order of letters, as Word.sort_key is of words",
-    "words.Forest.decorations": "the decoration multiset of the public forest type",
-    "words.Forest.node_count": "the size of a forest; the oracles' forest enumerator and checks read it",
-    "words.Tree.node_count": "the size of a tree, summed by Forest.node_count",
-    "words.Tree.norm": "the norm of a tree, as Forest.norm is of a forest",
-    "words.forest": "builds a forest from trees, exported beside tree and word",
+    "words.Forest.node_count": "the size of a forest; the oracles' cover sum, layered solve and separativity check read it",
+    "words.forest": "builds a forest from trees and decorations, exported beside tree and word",
 }
 
 

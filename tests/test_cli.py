@@ -214,6 +214,14 @@ class TestKernelCommand:
         payload = json.loads(out)
         assert (payload["f"], payload["f_oracle"], payload["f_vs_oracle_rel"]) == ("0.0+0.0i", "0.0+0.0i", "0.0")
 
+    def test_oracle_comparison_when_k1_underflows_at_omega_one(self, capsys):
+        # the closed form's K1 argument is 2.8e100, where its continued
+        # fraction does not converge; K1 underflows to 0 there
+        rc, out = run(capsys, "kernel", "eval", "--c", "1e100", "--omega", "1", "--x", "1", "--oracle")
+        assert rc == 0
+        payload = json.loads(out)
+        assert (payload["f"], payload["f_oracle"], payload["f_vs_oracle_rel"]) == ("0.0+0.0i", "0.0+0.0i", "0.0")
+
     def test_oracle_comparison_when_only_the_oracle_is_zero(self, capsys, monkeypatch):
         import armould.cli as cli
 

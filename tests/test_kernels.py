@@ -62,6 +62,11 @@ class TestBessel:
         for w in (1e-4, 1e-6):
             assert abs(w * bessel_k1(w) - 1.0) < 1e-7
 
+    @pytest.mark.parametrize("w", [2.8284271247461904e100, 800.0, 800.0 + 3e5j])
+    def test_zero_where_k_underflows(self, w):
+        # exp(-w) is 0 there, and the continued fraction need not converge
+        assert bessel_k0(w) == 0 and bessel_k1(w) == 0
+
     def test_left_half_plane_rejected(self):
         with pytest.raises(BesselDomainError):
             bessel_k1(-1.0 + 0.5j)
@@ -188,6 +193,15 @@ class TestFEval:
     def test_divergent_domain_rejected(self):
         with pytest.raises(KernelDomainError):
             f_eval(KernelParams(1.0, 1.0), -2.0)
+
+    @pytest.mark.parametrize("om", [1.0, 2.0])
+    def test_c_zero_error_estimate_bounds_the_error(self, om):
+        # Re(x + omega) down to 0.1 against |Im x| up to 20: on the real axis
+        # exp(-(x + omega) y) turns many times within its decay length
+        p = KernelParams(0.0, om)
+        for x in (0.0, 0.6, 10.0, 2.4j, 4.6j, -3.3j, -0.5 + 1j, -0.75 + 3j, -0.75 - 3j, -0.9 + 10j, -0.9 - 10j, -0.5 + 20j):
+            v, err = f_eval(p, x)
+            assert abs(v - 1.0 / (x + om)) <= err, x
 
     def test_reality_on_real_axis(self):
         p = KernelParams(1.3, 2.0)

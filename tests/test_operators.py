@@ -131,10 +131,10 @@ class TestCoarborification:
     def test_coeff_degree_is_norm_plus_order(self):
         for f in forests_of_norm(AB, 4):
             k = coarborify_homogeneous(self.FAM, f)
-            assert set(k.terms) <= {len(f.trees)}
-            poly = k.terms.get(len(f.trees))
+            assert set(k.terms) <= {len(f.sort_key())}
+            poly = k.terms.get(len(f.sort_key()))
             if poly:
-                assert max(poly) == int(f.norm.re) + len(f.trees)
+                assert max(poly) == int(f.norm.re) + len(f.sort_key())
 
     def test_increasing_structures_cayley_count(self):
         # r positions admit r! increasing forest structures; a forest F

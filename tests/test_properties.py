@@ -28,7 +28,6 @@ from armould.words import (
     EMPTY_FOREST,
     EMPTY_WORD,
     Forest,
-    Tree,
     Word,
     contracting_shuffle,
     forests_of_norm,
@@ -68,7 +67,7 @@ def small_forests(draw, max_nodes=3, alphabet=MIXED):
     decs = [draw(st.sampled_from(alphabet)) for _ in range(n)]
 
     def build(j):
-        return Tree(decs[j], Forest(tuple(build(k) for k in range(n) if parents[k] == j)))
+        return tree(decs[j], [build(k) for k in range(n) if parents[k] == j])
 
     return Forest(tuple(build(j) for j in range(n) if parents[j] == -1))
 

@@ -1,7 +1,9 @@
 """Words, forests, shuffles and order morphisms."""
 
+import copy
 import itertools
 import math
+import pickle
 from collections import Counter
 from fractions import Fraction
 
@@ -12,10 +14,11 @@ from hypothesis import strategies as st
 import oracles
 from armould.values import GaussianRational, parse_exact
 from armould.words import (
+    EMPTY_FOREST,
     EMPTY_WORD,
     Forest,
-    Tree,
     Word,
+    _forest,
     contracting_covers,
     contracting_shuffle,
     count_forests,
@@ -164,7 +167,7 @@ class TestLinearExtensions:
     def test_extension_letters_match_decorations(self):
         for text in ["1(2,3);4", "1(1,2)", "2(1(1))", "1;1;2"]:
             f = parse_forest(text)
-            decs = f.decorations()
+            decs = Counter(oracles.key_letters(f.sort_key()))
             for w in linear_extensions(f):
                 assert w.length == f.node_count
                 assert Counter(w.letters) == decs
@@ -173,7 +176,7 @@ class TestLinearExtensions:
         # exhaustive over decorations {1,2}: every extension has length equal
         # to the node count and carries exactly the decoration multiset
         for f in forests_of_norm([letter(1), letter(2)], 5, max_nodes=5):
-            decs = f.decorations()
+            decs = Counter(oracles.key_letters(f.sort_key()))
             covers = contracting_covers(f)
             for w, mult in linear_extensions(f).items():
                 assert w.length == f.node_count
@@ -247,7 +250,7 @@ def random_forests(draw, decorations=DECORATIONS):
     decs = [draw(st.sampled_from(decorations)) for _ in range(n)]
 
     def build(j):
-        return Tree(decs[j], Forest(tuple(build(k) for k in range(n) if parents[k] == j)))
+        return tree(decs[j], [build(k) for k in range(n) if parents[k] == j])
 
     return Forest(tuple(build(j) for j in range(n) if parents[j] == -1))
 
@@ -320,9 +323,15 @@ class TestAgainstOracles:
                 count_forests([letter(1), letter(bad)], 2)
 
 
+def _trees(f: Forest) -> list[Forest]:
+    """The one-tree forests of a forest's trees, in its key's order."""
+    return [_forest((tk,)) for tk in f.sort_key()]
+
+
 class TestKeyLevelForests:
     """forests_of_norm enumerates keys and builds each Forest at the end; it
-    must list what the Forest-building stream it replaced lists."""
+    must list what a stream that builds its trees with ``tree`` and joins
+    them with ``Forest`` lists."""
 
     @pytest.mark.parametrize("max_nodes", [None, 1, 3], ids=["no-cap", "nodes1", "nodes3"])
     @pytest.mark.parametrize("values", [[1], [1, 2], [1, 3], [1, 2, 3], [2, 5]], ids=str)
@@ -337,14 +346,12 @@ class TestKeyLevelForests:
             assert [str(f) for f in got] == [str(f) for f in want]
             assert [hash(f) for f in got] == [hash(f) for f in want]
             for f in got:
-                assert Forest(f.trees) == f
-                nodes = list(f.trees)
+                assert Forest(_trees(f)) == f and hash(Forest(_trees(f))) == hash(f)
+                nodes = list(f.sort_key())
                 while nodes:
-                    t = nodes.pop()
-                    assert Tree(t.root, t.children) == t and hash(Tree(t.root, t.children)) == hash(t)
-                    assert t.root == roots[t.root.sort_key()]
-                    assert [type(x) for x in t.root.sort_key()] == [int, int]
-                    nodes += t.children.trees
+                    dec, kids = nodes.pop()
+                    assert dec in roots and [type(x) for x in dec] == [int, int]
+                    nodes += kids
 
     def test_covers_share_the_letter_of_a_merged_key(self):
         want = GaussianRational(Fraction(3, 2), Fraction(1))
@@ -357,19 +364,20 @@ class TestKeyLevelForests:
         assert type(merged[0].re) is Fraction and type(merged[0].im) is Fraction
 
 
-def _fresh(a: GaussianRational) -> GaussianRational:
-    """An equal letter that shares no object with ``a``."""
-    re, im = a.re, a.im
+def _fresh(dec: tuple) -> GaussianRational:
+    """The letter of a node's key, made of new Fractions."""
+    re, im = dec
     return GaussianRational(Fraction(re.numerator, re.denominator), Fraction(str(im)))
 
 
 def _rebuilt(f: Forest, permute) -> Forest:
-    """``f`` rebuilt from fresh letters, every tuple of trees permuted."""
+    """``f`` rebuilt by ``tree`` and ``Forest`` from fresh letters, every
+    tuple of trees permuted."""
 
-    def rebuild(t: Tree) -> Tree:
-        return Tree(_fresh(t.root), Forest(permute(tuple(rebuild(c) for c in t.children.trees))))
+    def rebuild(tk: tuple) -> Forest:
+        return tree(_fresh(tk[0]), permute(tuple(rebuild(c) for c in tk[1])))
 
-    return Forest(permute(tuple(rebuild(t) for t in f.trees)))
+    return Forest(permute(tuple(rebuild(tk) for tk in f.sort_key())))
 
 
 class TestKeys:
@@ -382,18 +390,17 @@ class TestKeys:
         g = _rebuilt(f, lambda trees: tuple(rnd.sample(trees, len(trees))))
         assert g == f
         assert g.sort_key() == f.sort_key() and hash(g) == hash(f)
-        assert [str(t) for t in g.trees] == [str(t) for t in f.trees]
-        for t, u in zip(f.trees, g.trees):
-            assert t == u and hash(t) == hash(u)
-            assert t.root == u.root and hash(t.root) == hash(u.root)
+        assert str(g) == str(f)
+        for t, u in zip(_trees(f), _trees(g)):
+            assert t == u and hash(t) == hash(u) and str(t) == str(u)
 
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(st.lists(random_forests(KEY_DECORATIONS), min_size=2, max_size=8))
     def test_forest_order_matches_fraction_key(self, forests):
         assert sorted(forests, key=Forest.sort_key) == sorted(forests, key=oracles.fraction_sort_key)
         for f in forests:
-            # the trees sit in the old canonical order
-            assert tuple(oracles.fraction_sort_key(t) for t in f.trees) == oracles.fraction_sort_key(f)
+            # the key holds its trees in the Fraction order
+            assert tuple(oracles.fraction_sort_key(t)[0] for t in _trees(f)) == oracles.fraction_sort_key(f)
         for f, g in itertools.combinations(forests, 2):
             assert (f == g) == (oracles.fraction_sort_key(f) == oracles.fraction_sort_key(g))
 
@@ -409,3 +416,48 @@ class TestKeys:
         assert letter(3).sort_key() == (3, 0) and type(letter(3).sort_key()[0]) is int
         assert letter("1/2-i").sort_key() == (Fraction(1, 2), -1)
         assert parse_forest("2(1);1").sort_key() == (((1, 0), ()), ((2, 0), (((1, 0), ()),)))
+
+
+def _built(f: Forest) -> Forest:
+    """``f`` built again by ``tree`` and ``forest`` from its key's letters."""
+
+    def build(tk: tuple) -> Forest:
+        return tree(_fresh(tk[0]), [build(c) for c in tk[1]])
+
+    return forest([build(tk) for tk in f.sort_key()])
+
+
+SMALL_FORESTS = [EMPTY_FOREST] + forests_of_norm([letter(1), letter(2)], 6)
+
+
+class TestKeyRepresentation:
+    """A forest is its canonical key: every way of making one gives the key,
+    and every number read off it matches a walk over the key in the tests."""
+
+    def _check(self, f: Forest):
+        for g in (copy.copy(f), copy.deepcopy(f), pickle.loads(pickle.dumps(f))):
+            assert type(g) is Forest and g == f and hash(g) == hash(f) and g.sort_key() == f.sort_key()
+        assert str(parse_forest(str(f))) == str(f)
+        assert parse_forest(str(f)).sort_key() == _built(f).sort_key() == f.sort_key()
+        assert forest(*_trees(f)).sort_key() == f.sort_key()
+        letters = oracles.key_letters(f.sort_key())
+        assert f.node_count == len(letters)
+        assert f.norm == sum(letters, GaussianRational(0))
+        assert f.automorphism_count() == oracles.key_automorphisms(f.sort_key())
+
+    def test_every_forest_of_norm_at_most_six(self):
+        assert len(SMALL_FORESTS) == 1 + count_forests([letter(1), letter(2)], 6)
+        for f in SMALL_FORESTS:
+            self._check(f)
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(random_forests(KEY_DECORATIONS))
+    def test_forests_over_gaussian_and_fractional_letters(self, f):
+        self._check(f)
+
+    def test_tree_and_forest_take_decorations_and_forests(self):
+        want = parse_forest("1(2,3(4));1/2+i")
+        assert forest(tree(1, [2, tree(3, [4])]), "1/2+i") == want
+        assert Forest([tree("1/2+i"), parse_forest("1(3(4),2)")]) == want
+        assert tree(5, [parse_forest("1;2")]) == parse_forest("5(2,1)")
+        assert forest() == Forest(()) == EMPTY_FOREST and str(EMPTY_FOREST) == "<empty>"
