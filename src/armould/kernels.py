@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 
 import numpy as np
 
@@ -64,17 +65,23 @@ def saddle_node_kernel(om: complex, c: float, y: np.ndarray) -> np.ndarray:
 
 
 def g_eval(p: KernelParams, y):
-    """Kernel value; y may be a complex scalar or numpy array, y != 0."""
+    """Kernel value; y may be a complex scalar or numpy array, finite and at
+    least the smallest normal float in modulus, so that 1/y is finite."""
     arr = np.asarray(y, dtype=complex)
-    if np.any(arr == 0):
-        raise KernelDomainError("kernel undefined at y = 0")
-    out = saddle_node_kernel(complex(p.omega), p.c, arr)
+    if not np.all(np.isfinite(arr) & (np.abs(arr) >= sys.float_info.min)):
+        raise KernelDomainError(f"kernel undefined at y = {y}: it needs a finite y with |y| >= {sys.float_info.min!r}")
+    # omega y or c^2 omega / y overflows only at an extreme omega or y: a real
+    # part of -inf, which exp takes to the exact 0, or a value refused below
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = saddle_node_kernel(complex(p.omega), p.c, arr)
+    if not np.all(np.isfinite(out)):
+        raise KernelDomainError(f"g is not a finite number at y = {y}: its modulus or its phase overflows")
     return complex(out) if np.isscalar(y) or getattr(y, "shape", None) == () else out
 
 
 def g_sup_bound(p: KernelParams) -> float:
     """Sup of |g| over y > 0: exp(-2 omega c) at y = c."""
-    return math.exp(-2.0 * complex(p.omega).real * p.c)
+    return math.exp(-2.0 * (p.c * complex(p.omega).real))
 
 
 def f_eval(p: KernelParams, x) -> tuple[complex, float]:
@@ -92,29 +99,35 @@ def f_eval(p: KernelParams, x) -> tuple[complex, float]:
     """
     x = complex(x)
     om = complex(p.omega)
-    if (x + om).real <= 0:
-        raise KernelDomainError(f"need Re(x + omega) > 0, got {x + om}")
+    if not (cmath.isfinite(x) and (x + om).real > 0):
+        raise KernelDomainError(f"need a finite x with Re(x + omega) > 0, got x = {x}")
     a, b = x + om, p.c * p.c * om.real
     turn = cmath.exp((-0.5j if b else -1j) * cmath.phase(a))
     a, b = a * turn, b / turn
-    with np.errstate(over="ignore"):  # b/y overflows at the first nodes of a huge c, where the integrand is 0
-        val, err = de_halfline(lambda y: np.exp(-a * y - b / y), scale=1.0 / a.real)
+    try:
+        with np.errstate(over="ignore"):  # b/y overflows at the first nodes of a huge c, where the integrand is 0
+            val, err = de_halfline(lambda y: np.exp(-a * y - b / y), scale=1.0 / a.real)
+    except ValueError:
+        raise KernelDomainError(f"x = {x} and omega = {p.omega}: the rule's nodes, scaled to 1/Re(x + omega), leave the normal floats") from None
     return val * turn, max(err, abs(val) * 5e-14)
 
 
 def f_closed_form_oracle(p: KernelParams, x) -> complex:
     """Independent closed form for the Laplace transform:
 
-        f(x) = 2 c sqrt(omega/(x+omega)) K1(2 c sqrt(omega (x+omega)))
+        f(x) = w K1(w) / (x+omega),  w = 2 c sqrt(omega) sqrt(x+omega),
 
-    evaluated through the in-house modified-Bessel routine; reduces to
-    1/(x+omega) as c -> 0 since w K1(w) -> 1.
+    which is 2 c sqrt(omega/(x+omega)) K1(w), evaluated through the in-house
+    modified-Bessel routine; near w = 0 (c = 0, or a subnormal omega) it is
+    the limit 1/(x+omega), since w K1(w) -> 1.
     """
     x = complex(x)
     om = complex(p.omega).real
     if (x + om).real <= 0:
         raise KernelDomainError(f"need Re(x + omega) > 0, got {x + om}")
-    if p.c == 0:
+    w = 2.0 * p.c * math.sqrt(om) * cmath.sqrt(x + om)
+    if abs(w) < 1e-9:  # w K1(w) = 1 + (w^2/2) log(w/2) + O(w^2) rounds to 1
         return 1.0 / (x + om)
-    arg = 2.0 * p.c * cmath.sqrt(om * (x + om))
-    return 2.0 * p.c * cmath.sqrt(om / (x + om)) * bessel_k1(arg)
+    k1 = bessel_k1(w)
+    # where K1 underflows to 0, so does f, even at a w that overflowed (inf * 0 is NaN)
+    return w * k1 / (x + om) if k1 else 0j

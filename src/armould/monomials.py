@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from typing import Sequence
 
 import numpy as np
@@ -118,8 +119,10 @@ def _decorations(w) -> tuple:
 
 def _check_z(z: complex, c: float, decorations: Sequence[complex]):
     """z as a complex number, after rejecting a negative c or one whose
-    square is not finite, a non-finite z, z = 0, a z on or near a singular
-    ray of the decorations, and a c or z too large for what the quadrature
+    square is not finite, a non-finite z, z = 0 or a |z|^2 that underflows,
+    a z on or near a singular ray of the decorations, a c > 0 too small for
+    its rays (a node below the smallest normal float, or two nodes whose
+    ratio overflows), and a c or z too large for what the quadrature
     computes: c^2 |omega| in every kernel value, and the square of y - z at
     the farthest node y of every ray."""
     if not (math.isfinite(c * c) and c >= 0):
@@ -129,13 +132,20 @@ def _check_z(z: complex, c: float, decorations: Sequence[complex]):
         raise ContourError(f"z = {z} is not finite")
     if z == 0:
         raise ContourError("z = 0 is singular")
+    if abs(z) * abs(z) < sys.float_info.min:
+        raise ContourError(f"z = {z} is too close to the singular point 0: the root factor 1/(y - z)^2 underflows")
     for om in decorations:
         if om == 0:
             raise ContourError("zero decoration")
         if not math.isfinite(c * c * abs(om)):
             raise ContourError(f"c = {c} is too large for decoration {om}: c^2 |omega| is not finite")
         # every ray tilts by less than pi/4, which bounds its window from above
-        far = (c if c > 0 else 1.0) * math.exp(_t_window(c, abs(om), math.cos(math.pi / 4))[1]) + abs(z)
+        t_lo, t_hi = _t_window(c, abs(om), math.cos(math.pi / 4))
+        # a fold divides by the nodes and takes exp of their log ratios, so a
+        # ray must stay within the normal floats and span a finite ratio
+        if c > 0 and not (c * math.exp(t_lo) >= sys.float_info.min and t_hi - t_lo < math.log(sys.float_info.max)):
+            raise ContourError(f"c = {c} is too small for decoration {om}: its ray leaves the float range; c = 0 gives the c -> 0 limit")
+        far = (c if c > 0 else 1.0) * math.exp(t_hi) + abs(z)
         if not math.isfinite(far * far):
             raise ContourError(f"c = {c} and z = {z} are too large for decoration {om}: |y - z|^2 overflows on its ray")
         # the ray arg(y) = -arg(om) is this decoration's singular ray and

@@ -9,6 +9,7 @@ Node tables are cached per rule parameters and shared read-only.
 from __future__ import annotations
 
 import math
+import sys
 from functools import lru_cache
 
 import numpy as np
@@ -61,6 +62,8 @@ def de_halfline(f, scale: float = 1.0, max_level: int = 9):
     err = math.inf
     for level in range(3, max_level + 1):
         t, w = _expsinh_nodes(level, lo, hi)
+        if not (float(t[0]) * scale >= sys.float_info.min and math.isfinite(float(t[-1]) * scale)):
+            raise ValueError(f"scale {scale} puts the rule's nodes outside the normal floats")
         ts = t * scale
         vals = f(ts)
         value = complex(np.sum(vals * w) * scale)

@@ -442,24 +442,29 @@ def linear_rh_synthesize(lambdas: tuple, a12: complex, a21: complex, c: float, r
     om21 = -om12
     z = 2.4j
     _refuse(_check_z, z, c, (om12, om21))
-    mats = {om12: np.array([[0, a12], [0, 0]], dtype=complex), om21: np.array([[0, 0], [a21, 0]], dtype=complex)}
-    # A_12 and A_21 are nilpotent matrix units, so A_{w_r} ... A_{w_1} is zero
-    # unless w alternates: per length, the one ending in omega_21, then omega_12
-    terms = []
-    for r in range(1, r_max + 1):
-        for last, other in ((om21, om12), (om12, om21)):
-            seq = ((other, last) * r)[-r:]
-            prod = np.eye(2, dtype=complex)
-            for om in seq:  # A_{w_r} ... A_{w_1}
-                prod = mats[om] @ prod
-            if prod.any():
-                terms.append((r, seq, prod))
-    layers = {r: np.zeros((2, 2), dtype=complex) for r in range(1, r_max + 1)}
-    for (r, seq, prod), (ua,) in zip(terms, paralog_batch_eval([seq for _, seq, _ in terms], [z], c)):
-        layers[r] += ((-1.0) ** r) * (ua.value * _ue_factor(sum(seq), z, c)) * prod
-    theta = np.eye(2, dtype=complex)
-    for layer in layers.values():  # in r order
-        theta += layer
+    # a term too large for a float is refused, not carried as inf or NaN
+    with np.errstate(over="raise", invalid="raise"):
+        try:
+            mats = {om12: np.array([[0, a12], [0, 0]], dtype=complex), om21: np.array([[0, 0], [a21, 0]], dtype=complex)}
+            # A_12 and A_21 are nilpotent matrix units, so A_{w_r} ... A_{w_1} is zero
+            # unless w alternates: per length, the one ending in omega_21, then omega_12
+            terms = []
+            for r in range(1, r_max + 1):
+                for last, other in ((om21, om12), (om12, om21)):
+                    seq = ((other, last) * r)[-r:]
+                    prod = np.eye(2, dtype=complex)
+                    for om in seq:  # A_{w_r} ... A_{w_1}
+                        prod = mats[om] @ prod
+                    if prod.any():
+                        terms.append((r, seq, prod))
+            layers = {r: np.zeros((2, 2), dtype=complex) for r in range(1, r_max + 1)}
+            for (r, seq, prod), (ua,) in zip(terms, paralog_batch_eval([seq for _, seq, _ in terms], [z], c)):
+                layers[r] += ((-1.0) ** r) * (ua.value * _ue_factor(sum(seq), z, c)) * prod
+            theta = np.eye(2, dtype=complex)
+            for layer in layers.values():  # in r order
+                theta += layer
+        except FloatingPointError:
+            raise SynthesisError(f"the terms overflow at a12 = {a12}, a21 = {a21}, c = {c}, r_max = {r_max}") from None
     term_norms = {r: float(np.max(np.abs(layer))) for r, layer in layers.items()}
     norms = [term_norms[r] for r in sorted(term_norms) if term_norms[r] > 0]
     decay = all(b < a for a, b in zip(norms, norms[1:])) and bool(norms)

@@ -12,19 +12,20 @@ covers counted once per surjection.  Contracting covers carry two counting
 conventions (see :func:`contracting_covers`); the choice matters as soon as
 a forest has incomparable nodes.
 
-Words and forests are immutable and build their canonical key once: a
+Words and forests are immutable and are their canonical keys alone: a
 nested tuple of the letters' ``(re, im)`` keys (integer parts as ints).  A
-word keeps its letters beside it; a forest is its key alone, the sorted
-tuple of its trees' ``(root key, children's forest key)`` pairs, and a tree
-is a one-tree forest.  Equality compares keys, ``sort_key()`` returns the
-key, and a norm, a node count, an automorphism count or a printed literal
-is one walk over the key.
+word is the tuple of its letters' keys; a forest is the sorted tuple of its
+trees' ``(root key, children's forest key)`` pairs, and a tree is a
+one-tree forest.  A letter is read back from one bounded memo on letter
+keys, shared by every word and forest root.  Equality compares keys,
+``sort_key()`` returns the key, and a norm, a node count, an automorphism
+count or a printed literal is one walk over the key.
 
 The cover recursion and the forest enumerator run on bare forest keys: a
 fiber step removes a set of root keys and sorts what is left into the
 residual key, and its fiber sum is a key too.  No Forest or
 GaussianRational is built inside them; cover words become Words and forest
-keys Forests once, at the boundary, on letters from one bounded memo.
+keys Forests once, at the boundary, each key taken as it is.
 """
 
 from __future__ import annotations
@@ -74,52 +75,51 @@ def letter(x) -> GaussianRational:
 
 
 class Word(_Keyed):
-    """Finite sequence of letters; the index set of moulds."""
+    """Finite sequence of letters; the index set of moulds.  Held as its
+    canonical key alone, the tuple of its letters' keys; a letter is read
+    from the shared memo :func:`_letter`."""
 
-    __slots__ = ("letters", "_key", "_hash")
+    __slots__ = ("_key", "_hash")
 
     def __init__(self, letters: Iterable):
-        _set(self, "letters", tuple(letter(a) for a in letters))
-        self._store_key(tuple(a._key for a in self.letters))
+        self._store_key(tuple(letter(a)._key for a in letters))
 
     def __reduce__(self):
-        # copy and pickle rebuild from the letters, since __setattr__ refuses
-        return (Word, (self.letters,))
+        # copy and pickle rebuild from the key, since __setattr__ refuses
+        return (_word, (self._key,))
 
     @property
     def length(self) -> int:
-        return len(self.letters)
+        return len(self._key)
 
     @property
     def norm(self) -> GaussianRational:
         return GaussianRational(sum(k[0] for k in self._key), sum(k[1] for k in self._key))
 
     def __len__(self):
-        return len(self.letters)
+        return len(self._key)
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return _word(self.letters[i], self._key[i])
-        return self.letters[i]
+            return _word(self._key[i])
+        return _letter(self._key[i])
 
     def __add__(self, other: "Word") -> "Word":
-        return _word(self.letters + other.letters, self._key + other._key)
+        return _word(self._key + other._key)
 
     def __iter__(self) -> Iterator[GaussianRational]:
-        return iter(self.letters)
+        return map(_letter, self._key)
 
     def __str__(self):
-        return "(" + ",".join(str(a) for a in self.letters) + ")"
+        return "(" + ",".join(map(str, self)) + ")"
 
     def __repr__(self):
         return f"Word{str(self)}"
 
 
-def _word(letters: tuple, key: tuple) -> Word:
-    """A Word on a tuple of GaussianRational letters and the tuple of their
-    keys, both taken as they are."""
+def _word(key: tuple) -> Word:
+    """The Word of a tuple of letter keys, taken as it is."""
     w = object.__new__(Word)
-    _set(w, "letters", letters)
     w._store_key(key)
     return w
 
@@ -325,13 +325,13 @@ def _covers(fk: tuple, counting: str) -> Counter:
 
 @lru_cache(maxsize=1 << 12)
 def _letter(key: tuple) -> GaussianRational:
-    """The letter of a decoration key, shared by cover words and forest roots."""
+    """The letter of a decoration key, shared by every word and forest root."""
     return GaussianRational(*key)
 
 
 def _cover_words(covers: Counter) -> Counter:
-    """Letter-key tuples as Words on the shared letters of :func:`_letter`."""
-    return Counter({_word(tuple(map(_letter, w)), w): m for w, m in covers.items()})
+    """Letter-key tuples as Words, each tuple taken as it is."""
+    return Counter({_word(w): m for w, m in covers.items()})
 
 
 def linear_extensions(f: Forest) -> Counter:
@@ -405,30 +405,28 @@ def _integer_values(letters: Sequence[GaussianRational]) -> list[int]:
 
 def words_over(alphabet: Sequence[GaussianRational], max_length: int) -> list[Word]:
     """All words (including the empty one) over the alphabet up to a length."""
-    out = [EMPTY_WORD]
-    layer = [EMPTY_WORD]
+    keys = [letter(a)._key for a in alphabet]
+    out, layer = [()], [()]
     for _ in range(max_length):
-        nxt = [w + Word((a,)) for w in layer for a in alphabet]
-        out.extend(nxt)
-        layer = nxt
-    return out
+        layer = [w + (k,) for w in layer for k in keys]
+        out += layer
+    return list(map(_word, out))
 
 
 def words_of_norm_at_most(alphabet: Sequence[GaussianRational], max_norm: int) -> list[Word]:
     """All nonempty words over positive-integer letters with norm <= max_norm."""
-    values = _integer_values(alphabet)
-    found: list[tuple[int, int, tuple]] = []  # (norm, length, letters)
+    letters = [(v, (v, 0)) for v in _integer_values(alphabet)]
+    found: list[tuple[int, int, tuple]] = []  # (norm, length, key)
 
     def rec(prefix: tuple, budget: int):
-        for v in values:
+        for v, k in letters:
             if v <= budget:
-                w = prefix + (v,)
+                w = prefix + (k,)
                 found.append((max_norm - budget + v, len(w), w))
                 rec(w, budget - v)
 
     rec((), max_norm)
-    # integer tuples sort as the words' keys do
-    return [word(*w) for _, _, w in sorted(found)]
+    return [_word(w) for _, _, w in sorted(found)]
 
 
 def forests_of_norm(letters: Sequence[GaussianRational], max_norm: int, max_nodes: int | None = None) -> list[Forest]:

@@ -111,7 +111,7 @@ def z_free_word_side(fam: DerivationFamily, nu: int, r_max: int) -> dict[Word, D
         b = op_compose_word(fam, v)
         for mask in range(1 << (r - 1)):
             cuts = [0] + [g + 1 for g in range(r - 1) if mask >> g & 1] + [r]
-            blocks = [v.letters[i:j] for i, j in zip(cuts, cuts[1:])]
+            blocks = [tuple(v)[i:j] for i, j in zip(cuts, cuts[1:])]
             u = Word(tuple(letter(sum(int(a.re) for a in blk)) for blk in blocks))
             weight = Fraction(1, math.prod(math.factorial(len(blk)) for blk in blocks))
             out.setdefault(u, []).append((weight, b))
@@ -227,7 +227,7 @@ def x_integral_r2(w: Word, z: complex, c: float, delta: float) -> complex:
     x2hat := -x (so Re x2hat < 0) this is the step-function-constrained double
     integral; the rotation keeps both Laplace factors convergent and fixes the
     branch of f2 at its cut."""
-    om1, om2 = (complex(a).real for a in w.letters)
+    om1, om2 = (complex(a).real for a in w)
     z = complex(z)
     if c <= 0 or z.real >= 0:
         raise ValueError("the r = 2 x-integral needs c > 0 and Re z < 0")
@@ -374,7 +374,7 @@ def shuffle(w1: Word, w2: Word) -> Counter:
     n = len(w1) + len(w2)
     out: Counter = Counter()
     for places in itertools.combinations(range(n), len(w1)):
-        a, b = iter(w1.letters), iter(w2.letters)
+        a, b = iter(w1), iter(w2)
         out[Word(tuple(next(a) if p in places else next(b) for p in range(n)))] += 1
     return out
 
@@ -391,7 +391,7 @@ def contracting_shuffle(w1: Word, w2: Word) -> Counter:
                 if set(im1) | set(im2) != set(range(n)):
                     continue
                 slots: list[list] = [[] for _ in range(n)]
-                for p, a in itertools.chain(zip(im1, w1.letters), zip(im2, w2.letters)):
+                for p, a in itertools.chain(zip(im1, w1), zip(im2, w2)):
                     slots[p].append(a)
                 out[Word(tuple(sum(s[1:], s[0]) for s in slots))] += 1
     return out
@@ -524,7 +524,7 @@ def fraction_sort_key(x):
     if isinstance(x, GaussianRational):
         return (x.re, x.im)
     if isinstance(x, Word):
-        return tuple(fraction_sort_key(a) for a in x.letters)
+        return tuple(fraction_sort_key(a) for a in x)
     return _fraction_forest_key(x._key)
 
 

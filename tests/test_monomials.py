@@ -369,7 +369,7 @@ class TestQuadrature:
         # sharing a tail come together, so no held fold is dropped early
         words = sorted(
             (word(*w) for r in (1, 2, 3) for w in itertools.product(_LETTERS, repeat=r)),
-            key=lambda w: (w.length, [a.re for a in reversed(w.letters)]),
+            key=lambda w: (w.length, [a.re for a in reversed(tuple(w))]),
         )
         calls = {"_ray": 0, "_cauchy_fold": 0}
         for name in calls:
@@ -385,7 +385,7 @@ class TestQuadrature:
             for z in (Z, -1.5 + 0.5j):
                 paralog_Ua_eval(w, z, C, quad=quad)
         levels = range(ContourSpec().richardson_levels)
-        letters = [tuple(int(a.re) for a in w.letters) for w in words]
+        letters = [tuple(int(a.re) for a in w) for w in words]
         rays = {(lvl, j, ls[j]) for lvl in levels for ls in letters for j in range(len(ls))}
         folds = {(lvl, j, ls[j:], ls[j - 1]) for lvl in levels for ls in letters for j in range(1, len(ls))}
         assert calls == {"_ray": len(rays), "_cauchy_fold": len(folds)}

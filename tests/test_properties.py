@@ -138,7 +138,7 @@ class TestArborification:
 
         m = Mould(rule)
         chain = tree(w[-1])
-        for x in reversed(w.letters[:-1]):
+        for x in reversed(tuple(w)[:-1]):
             chain = tree(x, [chain])
         assert arborify(m, "simple").value(Forest((chain,))) == m.value(w)
 

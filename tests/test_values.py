@@ -108,7 +108,7 @@ def test_exact_values_copy_and_pickle():
         (ContourSpec, "eps"),
         (lambda: InvariantFamily({1: 0.25}), "coefficients"),
         (lambda: SynthesisConfig(c=2.0), "nu"),
-        (lambda: word(1, 2), "letters"),
+        (lambda: word(1, 2), "_key"),
         (lambda: parse_forest("1(2);3"), "_key"),
     ],
     ids=["KernelParams", "ContourSpec", "InvariantFamily", "SynthesisConfig", "Word", "Forest"],

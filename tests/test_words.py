@@ -19,6 +19,7 @@ from armould.words import (
     Forest,
     Word,
     _forest,
+    _letter,
     contracting_covers,
     contracting_shuffle,
     count_forests,
@@ -31,6 +32,8 @@ from armould.words import (
     shuffle,
     tree,
     word,
+    words_of_norm_at_most,
+    words_over,
 )
 
 
@@ -170,7 +173,7 @@ class TestLinearExtensions:
             decs = Counter(oracles.key_letters(f.sort_key()))
             for w in linear_extensions(f):
                 assert w.length == f.node_count
-                assert Counter(w.letters) == decs
+                assert Counter(w) == decs
 
     def test_all_forests_up_to_five_nodes(self):
         # exhaustive over decorations {1,2}: every extension has length equal
@@ -180,7 +183,7 @@ class TestLinearExtensions:
             covers = contracting_covers(f)
             for w, mult in linear_extensions(f).items():
                 assert w.length == f.node_count
-                assert Counter(w.letters) == decs
+                assert Counter(w) == decs
                 assert covers[w] >= mult
 
 
@@ -461,3 +464,46 @@ class TestKeyRepresentation:
         assert Forest([tree("1/2+i"), parse_forest("1(3(4),2)")]) == want
         assert tree(5, [parse_forest("1;2")]) == parse_forest("5(2,1)")
         assert forest() == Forest(()) == EMPTY_FOREST and str(EMPTY_FOREST) == "<empty>"
+
+
+WORD_LETTERS = ["1", "2", "3/2", "1+i"]
+SMALL_WORDS = [decs for r in range(5) for decs in itertools.product(WORD_LETTERS, repeat=r)]
+
+
+class TestWordKeyRepresentation:
+    """A word is its canonical key, the tuple of its letters' keys, and its
+    letters are read from the one memo that forest roots share."""
+
+    def test_a_word_holds_its_key_alone(self):
+        assert Word.__slots__ == ("_key", "_hash")
+        w = word(1, "1+i")
+        assert not hasattr(w, "letters") and w.sort_key() == ((1, 0), (1, 1))
+
+    def test_every_word_of_length_at_most_four(self):
+        for decs in SMALL_WORDS:
+            self._check(decs)
+
+    def _check(self, decs: tuple):
+        letters = tuple(letter(d) for d in decs)
+        w = word(*decs)
+        assert Word(letters) == w == parse_word("(" + ",".join(decs) + ")")
+        for g in (copy.copy(w), copy.deepcopy(w), pickle.loads(pickle.dumps(w))):
+            assert type(g) is Word and g == w and hash(g) == hash(w) and g.sort_key() == w.sort_key()
+        assert str(parse_word(str(w))) == str(w)
+        for j in range(len(decs) + 1):
+            assert w[:j] + w[j:] == w and w[:j].length == j
+        assert len(w) == w.length == len(letters)
+        assert w.norm == sum(letters, GaussianRational(0))
+        assert tuple(w) == letters
+        # each letter is the memo's object, shared with every other word and forest root
+        assert all(a is _letter(a.sort_key()) for a in w)
+        assert all(w[i] is b for i, b in enumerate(w))
+
+    def test_enumerators_build_the_words_of_their_letters(self):
+        ab = [letter(1), letter("3/2")]
+        assert words_over(ab, 3) == [word(*p) for r in range(4) for p in itertools.product(ab, repeat=r)]
+        by_norm = words_of_norm_at_most([letter(1), letter(2)], 5)
+        assert [str(w) for w in by_norm] == [str(word(*map(int, p))) for _, _, p in sorted(
+            (sum(p), len(p), p) for r in range(1, 6) for p in itertools.product((1, 2), repeat=r) if sum(p) <= 5
+        )]
+        assert all(a is _letter(a.sort_key()) for w in by_norm for a in w)
