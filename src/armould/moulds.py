@@ -3,8 +3,8 @@
 A mould is a map from words to values; values may be exact (Fraction,
 GaussianRational), complex floats, truncated series, or anything else with
 the operations a construction asks of them.  Moulds are rule-backed with
-memoisation; table-backed moulds refuse queries beyond their cap instead of
-inventing zeros.
+memoisation (arborified moulds are not); table-backed moulds refuse queries
+beyond their cap instead of inventing zeros.
 """
 
 from __future__ import annotations
@@ -103,16 +103,9 @@ class ArMould:
 
     def __init__(self, rule: Callable[[Forest], object]):
         self._rule = rule
-        self._memo: dict[Forest, object] = {}
 
     def value(self, f: Forest):
-        try:
-            return self._memo[f]
-        except KeyError:
-            pass
-        v = self._rule(f)
-        self._memo.setdefault(f, v)
-        return v
+        return self._rule(f)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """Homogeneous derivations, comould composition, coarborification and exact
 mould-comould contraction on truncated series.
 
-Operators are finite sums c(u) d^k with polynomial coefficients, kept exact
-so decomposition and Leibniz identities can be checked with equality.
+An operator is a sparse vector {(k, d): c} of terms c u^d d^k, kept exact so
+decomposition and Leibniz identities can be checked with equality; sums,
+products and actions are each one sparse sum over its keys.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from fractions import Fraction
+from itertools import groupby
 from typing import Iterable, Mapping
 
 from .values import GaussianRational, _zero, sparse_sum
@@ -31,21 +33,17 @@ from .moulds import ArMould, Mould
 
 
 class DiffOperator:
-    """Finite sum over k of c_k(u) d^k, with exact or complex coefficients."""
+    """Finite sum of c u^d d^k, with exact or complex coefficients: the sparse
+    vector {(k, d): c} over (order, degree) keys, with no zero entry."""
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Mapping[int, UPoly] | None = None):
-        self.terms: dict[int, UPoly] = {}
-        if terms:
-            for k, poly in terms.items():
-                clean = {d: c for d, c in poly.items() if not _zero(c)}
-                if clean:
-                    self.terms[k] = clean
+    def __init__(self, terms: Mapping[tuple[int, int], object] | None = None):
+        self.terms: dict[tuple[int, int], object] = {key: c for key, c in (terms or {}).items() if not _zero(c)}
 
     @classmethod
     def identity(cls) -> "DiffOperator":
-        return cls({0: {0: Fraction(1)}})
+        return cls({(0, 0): Fraction(1)})
 
     def __add__(self, other: "DiffOperator") -> "DiffOperator":
         return _linear_combination([(1, self), (1, other)])
@@ -59,26 +57,23 @@ class DiffOperator:
     def compose(self, other: "DiffOperator") -> "DiffOperator":
         """Operator product self o other: (self o other)(f) = self(other(f)).
 
-        By Leibniz, a d^k o b d^m = sum_i C(k,i) a b^(i) d^(k-i+m), with
-        d^i u^e = e!/(e-i)! u^(e-i): one sparse sum per group (k, m, i),
-        then one over the groups."""
-        groups = []
-        for k, a in self.terms.items():
-            for m, b in other.terms.items():
-                for i in range(k + 1):
-                    order, comb = k - i + m, math.comb(k, i)
-                    bi = {e - i: c * (comb * math.perm(e, i)) for e, c in b.items() if e >= i}
-                    groups.append((1, sparse_sum((ca, {(order, d + e): c for e, c in bi.items()}) for d, ca in a.items())))
-        return _operator(sparse_sum(groups))
+        By Leibniz, u^d d^k o u^e d^m = sum_i C(k,i) e!/(e-i)! u^(d+e-i)
+        d^(k-i+m), all in one sparse sum."""
+        return DiffOperator(
+            sparse_sum(
+                (ca, {(k - i + m, d + e - i): cb * (math.comb(k, i) * math.perm(e, i)) for (m, e), cb in other.terms.items() if e >= i})
+                for (k, d), ca in self.terms.items()
+                for i in range(k + 1)
+            )
+        )
 
     def apply_u_poly(self, f: UPoly, nu: int | None = None) -> UPoly:
         """The image of a u-polynomial, cut at degree nu if one is given:
-        a d^k u^e = e!/(e-k)! a u^(e-k), all in one sparse sum."""
-        terms = []
-        for k, a in self.terms.items():
-            fk = {e - k: c * math.perm(e, k) for e, c in f.items() if e >= k}
-            terms += [(ca, {d + e: c for e, c in fk.items() if nu is None or d + e <= nu}) for d, ca in a.items()]
-        return sparse_sum(terms)
+        u^d d^k u^e = e!/(e-k)! u^(d+e-k), all in one sparse sum."""
+        return sparse_sum(
+            (ca, {d + e - k: c * math.perm(e, k) for e, c in f.items() if e >= k and (nu is None or d + e - k <= nu)})
+            for (k, d), ca in self.terms.items()
+        )
 
     def apply(self, f: TruncatedSeries) -> TruncatedSeries:
         """Act on a truncated u-series, cut at its cap."""
@@ -86,12 +81,7 @@ class DiffOperator:
 
     def truncate_u(self, nu: int) -> "DiffOperator":
         """Drop terms that cannot contribute below the u-degree cap."""
-        out = {}
-        for k, p in self.terms.items():
-            keep = {d: c for d, c in p.items() if d - k <= nu}
-            if keep:
-                out[k] = keep
-        return DiffOperator(out)
+        return DiffOperator({(k, d): c for (k, d), c in self.terms.items() if d - k <= nu})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -99,25 +89,19 @@ class DiffOperator:
     def __eq__(self, other):
         if not isinstance(other, DiffOperator):
             return NotImplemented
-        keys = set(self.terms) | set(other.terms)
-        for k in keys:
-            a, b = self.terms.get(k, {}), other.terms.get(k, {})
-            degs = set(a) | set(b)
-            if any(a.get(d, 0) != b.get(d, 0) for d in degs):
-                return False
-        return True
+        return all(self.terms.get(key, 0) == other.terms.get(key, 0) for key in self.terms.keys() | other.terms.keys())
 
-    def items(self):
-        """((order, degree), coefficient) pairs: the operator as a sparse vector."""
-        return (((k, d), c) for k, poly in self.terms.items() for d, c in poly.items())
+    def _by_order(self):
+        """(order, [(degree, coefficient), ...]) pairs, orders and degrees
+        sorted; the keys are distinct, so the sort never compares coefficients."""
+        return [(k, [(d, c) for (_, d), c in group]) for k, group in groupby(sorted(self.terms.items()), key=lambda t: t[0][0])]
 
     def dump(self) -> list:
         """JSON-friendly: list of (order, [(degree, str(coeff)), ...])."""
-        return [(k, [(d, str(self.terms[k][d])) for d in sorted(self.terms[k])]) for k in sorted(self.terms)]
+        return [(k, [(d, str(c)) for d, c in poly]) for k, poly in self._by_order()]
 
     def __repr__(self):
-        polys = {k: " + ".join(f"({c})u^{d}" for d, c in sorted(p.items())) for k, p in self.terms.items()}
-        return " + ".join(f"[{polys[k]}] d^{k}" for k in sorted(polys)) or "0"
+        return " + ".join(f"[{' + '.join(f'({c})u^{d}' for d, c in poly)}] d^{k}" for k, poly in self._by_order()) or "0"
 
 
 def restricted_norm(op: DiffOperator, nu: int) -> float:
@@ -149,7 +133,7 @@ class DerivationFamily:
         return self.betas[n]
 
     def operator(self, n: int) -> DiffOperator:
-        return DiffOperator({1: {n + 1: self.beta(n)}})
+        return DiffOperator({(1, n + 1): self.beta(n)})
 
 
 def op_compose_word(family: DerivationFamily, w: Word) -> DiffOperator:
@@ -188,7 +172,7 @@ def coarborify_homogeneous(family: DerivationFamily, f: Forest) -> DiffOperator:
         kappa = kappa * family.beta(n) * math.perm(n + 1, len(kids))
         nodes += kids
     k = len(f._key)
-    return DiffOperator({k: {int(f.norm.re) + k: kappa}})
+    return DiffOperator({(k, int(f.norm.re) + k): kappa})
 
 
 # ---------------------------------------------------------------------------
@@ -199,16 +183,7 @@ def coarborify_homogeneous(family: DerivationFamily, f: Forest) -> DiffOperator:
 def _linear_combination(terms: Iterable[tuple[object, DiffOperator]]) -> DiffOperator:
     """sum of s * op over (s, op) pairs, one sparse_sum over (order, degree)
     keys."""
-    return _operator(sparse_sum(terms))
-
-
-def _operator(vec: Mapping[tuple[int, int], object]) -> DiffOperator:
-    """The operator of a sparse vector over (order, degree) keys, the orders
-    and degrees in the vector's order."""
-    terms: dict[int, UPoly] = {}
-    for (k, d), c in vec.items():
-        terms.setdefault(k, {})[d] = c
-    return DiffOperator(terms)
+    return DiffOperator(sparse_sum((s, op.terms) for s, op in terms))
 
 
 def contract_word_sum(m: Mould, family: DerivationFamily, norm_cap: int) -> DiffOperator:

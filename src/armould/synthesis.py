@@ -80,7 +80,8 @@ class InvariantFamily:
         for n, a in coeffs.items():
             if not cmath.isfinite(a):
                 raise SynthesisError(f"A_{n} = {a} is not finite")
-            if abs(a) > h**n * (1 + 1e-12):
+            # in logarithms: an H^n too large for a float bounds every finite A_n
+            if math.log(abs(a)) > n * math.log(h) + 1e-12:
                 raise SynthesisError(f"|A_{n}| = {abs(a)} exceeds declared bound H^n = {h ** n}")
         _set(self, "coefficients", coeffs)
         _set(self, "growth_bound", growth_bound)
@@ -212,13 +213,12 @@ def _forest_rows(fam: DerivationFamily, nu: int, r_max: int) -> tuple[list[Word]
         )
     index: dict = {}
     unit = Mould(lambda w: _LinearForm({index.setdefault(w, len(index)): 1.0}))
-    composed = mould_compose(unit, builtin_mould("exp"))
+    arborified = arborify(mould_compose(unit, builtin_mould("exp")), "simple")
     rows = []
     for f in forests_of_norm(fam.letters(), nu, max_nodes=r_max):
         kernel = coarborify_homogeneous(fam, f)
         if not kernel.is_zero():
-            # one arborified per forest, so that no memo keeps every row's form
-            form = arborify(composed, "simple").value(f)
+            form = arborified.value(f)
             cols = np.fromiter(form.keys(), dtype=np.intp, count=len(form))
             coefs = np.fromiter(form.values(), dtype=float, count=len(form))
             rows.append((kernel, f.automorphism_count(), restricted_norm(kernel, nu), int(f.norm.re), cols, coefs))
@@ -331,7 +331,7 @@ def conjugate_normal_field(exp: NormalizerExpansion) -> FieldSample:
     X_c(u) = u exactly."""
     nu = exp.config.nu
     theta_inv = exp.inverse_operator()
-    euler = DiffOperator({1: {1: 1.0 + 0.0j}})
+    euler = DiffOperator({(1, 1): 1.0 + 0.0j})
 
     def field(h: TruncatedSeries) -> TruncatedSeries:
         g = theta_inv.apply(h)

@@ -92,7 +92,7 @@ def theta_word_assembly(inv: InvariantFamily, cfg: SynthesisConfig, z: complex) 
         if v.length > cfg.r_max:
             continue
         b = op_compose_word(fam, v)
-        b_abs = DiffOperator({k: {d: abs(complex(x)) for d, x in p.items()} for k, p in b.terms.items()})
+        b_abs = DiffOperator({key: abs(complex(x)) for key, x in b.terms.items()})
         for m, mag, t, s in zip(composed, magnitudes, terms, scales):
             t.append((complex(m.value(v)), b))
             s.append((float(mag.value(v)), b_abs))
@@ -145,7 +145,7 @@ def conjugate_by_products(exp: NormalizerExpansion) -> FieldSample:
     nu = exp.config.nu
     theta = exp.operator
     theta_inv = exp.inverse_operator()
-    euler = DiffOperator({1: {1: 1.0 + 0.0j}})
+    euler = DiffOperator({(1, 1): 1.0 + 0.0j})
     xc_op = theta.compose(euler).compose(theta_inv) - exp.d_operator.compose(theta_inv)
     xc_op = xc_op.truncate_u(nu)
     u_series = TruncatedSeries.u_power(1, nu, coeff=1.0 + 0.0j)
@@ -637,25 +637,38 @@ def _poly_diff(a: dict, times: int) -> dict:
     return {k: c for k, c in out.items() if not _zero(c)}
 
 
+def _polys_by_order(op: DiffOperator) -> dict:
+    """The coefficient polynomial c_k(u) of each order k of an operator."""
+    out: dict = {}
+    for (k, d), c in op.terms.items():
+        out.setdefault(k, {})[d] = c
+    return out
+
+
+def _from_polys(polys: dict) -> DiffOperator:
+    """The operator sum over k of c_k(u) d^k."""
+    return DiffOperator({(k, d): c for k, poly in polys.items() for d, c in poly.items()})
+
+
 def compose(left: DiffOperator, right: DiffOperator) -> DiffOperator:
     """Oracle for :meth:`DiffOperator.compose`: d^k (b f^(m)) = sum_i
     C(k,i) b^(i) f^(k-i+m), each b^(i) by i single derivatives and each
     group multiplied and added as polynomials."""
     out: dict = {}
-    for k, a in left.terms.items():
-        for m, b in right.terms.items():
+    for k, a in _polys_by_order(left).items():
+        for m, b in _polys_by_order(right).items():
             for i in range(k + 1):
                 poly = _poly_mul(a, {d: c * math.comb(k, i) for d, c in _poly_diff(b, i).items()})
                 if poly:
                     out[k - i + m] = _poly_add(out.get(k - i + m, {}), poly)
-    return DiffOperator(out)
+    return _from_polys(out)
 
 
 def apply_u_poly(op: DiffOperator, f: dict, nu: int | None = None) -> dict:
     """Oracle for :meth:`DiffOperator.apply_u_poly`: per order k, the
     polynomial product of c_k(u) with the k-th derivative of f."""
     out: dict = {}
-    for k, a in op.terms.items():
+    for k, a in _polys_by_order(op).items():
         for d, c in _poly_mul(a, _poly_diff(f, k)).items():
             if nu is None or d <= nu:
                 out[d] = out.get(d, 0) + c
@@ -678,7 +691,7 @@ def coarborify_homogeneous(family: DerivationFamily, f: Forest) -> DiffOperator:
     poly = {0: Fraction(1)}
     for tk in f._key:
         poly = _poly_mul(poly, tree_coeff(tk))
-    return DiffOperator({len(f._key): poly})
+    return _from_polys({len(f._key): poly})
 
 
 # ---------------------------------------------------------------------------
@@ -700,7 +713,7 @@ def forest_product(f1: Forest, f2: Forest) -> Forest:
 def max_abs_diff(a: DiffOperator, b: DiffOperator) -> float:
     """Largest coefficient difference of two operators; NaN if any
     difference is NaN."""
-    x, y = dict(a.items()), dict(b.items())
+    x, y = a.terms, b.terms
     return float(np.max([abs(complex(x.get(k, 0)) - complex(y.get(k, 0))) for k in x.keys() | y.keys()], initial=0.0))
 
 

@@ -619,6 +619,24 @@ def test_ue_factor_overflow_exits_before_any_forest_row(tmp_path, capsys, monkey
     assert "c = 100.0" in error and "z = (1.080604611736+1.682941969616j)" in error
 
 
+@pytest.mark.parametrize("invariants", ['{"A": {"2": "1/4"}, "H": 1e300}', '{"A": {"1": "1/4", "1100": "1/4"}, "H": 2}'], ids=["H-squared", "2-to-1100"])
+def test_growth_bound_beyond_float_range_is_met(tmp_path, capsys, invariants):
+    # H^n overflows a float, so it bounds every finite A_n
+    inv = tmp_path / "inv.json"
+    inv.write_text(invariants)
+    rc, out = run(capsys, "synthesize", "--invariants", str(inv), "--c", "2", "--caps", "4,4,2")
+    assert rc == 0 and json.loads(out)["failures"] == []
+
+
+def test_growth_bound_exceeded_exits_2_naming_the_invariant(tmp_path, capsys):
+    inv = tmp_path / "inv.json"
+    inv.write_text('{"A": {"1": "1/4"}, "H": 1e-300}')
+    rc = main(["synthesize", "--invariants", str(inv), "--c", "2", "--caps", "4,4,2"])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert json.loads(captured.err)["error"] == "|A_1| = 0.25 exceeds declared bound H^n = 1e-300"
+
+
 def test_growth_scan_fails_on_a_nan_column(capsys, monkeypatch):
     # a NaN monomial in the c = 0 column, which the monotonicity and fit
     # gates do not read, makes K(0) NaN and the scan exit 1

@@ -32,7 +32,7 @@ from armould.operators import (
     restricted_norm,
 )
 from armould.series import TruncatedSeries
-from armould.values import parse_exact
+from armould.values import GaussianRational, parse_exact
 from armould.words import EMPTY_WORD, contracting_covers, forests_of_norm, letter, linear_extensions, parse_forest, word
 
 AB = [letter(1), letter(2)]
@@ -117,11 +117,11 @@ class TestCoarborification:
 
     def test_chain(self):
         k = coarborify_homogeneous(self.FAM, parse_forest("1(2)"))
-        assert k == DiffOperator({1: {4: Fraction(2)}})
+        assert k == DiffOperator({(1, 4): Fraction(2)})
 
     def test_antichain(self):
         k = coarborify_homogeneous(self.FAM, parse_forest("1;2"))
-        assert k == DiffOperator({2: {5: Fraction(1)}})
+        assert k == DiffOperator({(2, 5): Fraction(1)})
 
     def test_antichain_plus_chain_reconstructs_composition(self):
         b21 = op_compose_word(self.FAM, word(1, 2))
@@ -131,10 +131,9 @@ class TestCoarborification:
     def test_coeff_degree_is_norm_plus_order(self):
         for f in forests_of_norm(AB, 4):
             k = coarborify_homogeneous(self.FAM, f)
-            assert set(k.terms) <= {len(f.sort_key())}
-            poly = k.terms.get(len(f.sort_key()))
-            if poly:
-                assert max(poly) == int(f.norm.re) + len(f.sort_key())
+            assert {order for order, _ in k.terms} <= {len(f.sort_key())}
+            if k.terms:
+                assert max(d for _, d in k.terms) == int(f.norm.re) + len(f.sort_key())
 
     def test_increasing_structures_cayley_count(self):
         # r positions admit r! increasing forest structures; a forest F
@@ -295,10 +294,8 @@ def _loop_word_sum(factors, fam, cap):
     for w in [EMPTY_WORD] + words_of_norm_at_most(fam.letters(), cap):
         s = sum((g.value(w[:i]) * h.value(w[i:]) for i in range(w.length + 1)), start=0)
         if s != 0:
-            for k, poly in op_compose_word(fam, w).terms.items():
-                acc = out.setdefault(k, {})
-                for d, c in poly.items():
-                    acc[d] = acc.get(d, 0) + c * s
+            for key, c in op_compose_word(fam, w).terms.items():
+                out[key] = out.get(key, 0) + c * s
     return DiffOperator(out)
 
 
@@ -360,11 +357,59 @@ class TestOperatorUtilities:
         assert restricted_norm(DiffOperator.identity(), 5) == pytest.approx(1.0)
 
     def test_operator_dump_shape(self):
-        op = DiffOperator({1: {2: Fraction(3)}, 2: {5: Fraction(1, 2)}})
+        op = DiffOperator({(1, 2): Fraction(3), (2, 5): Fraction(1, 2)})
         assert op.dump() == [(1, [(2, "3")]), (2, [(5, "1/2")])]
 
     def test_max_abs_diff_propagates_nan(self):
-        a = DiffOperator({0: {0: math.nan}})
-        b = DiffOperator({0: {0: 0.0}, 1: {1: 2.0}})
+        a = DiffOperator({(0, 0): math.nan})
+        b = DiffOperator({(0, 0): 0.0, (1, 1): 2.0})
         assert math.isnan(oracles.max_abs_diff(a, b))
         assert oracles.max_abs_diff(b, DiffOperator()) == 2.0
+
+
+class TestFlatOperator:
+    """An operator is its sparse vector {(order, degree): c} and nothing else."""
+
+    FAM = DerivationFamily({1: Fraction(2, 3), 2: Fraction(-1, 5)})
+
+    def _exact_and_float(self):
+        exact = op_compose_word(self.FAM, word(1, 2, 1)) + DiffOperator.identity()
+        return exact, exact.scale(0.5 + 0.25j)
+
+    def test_terms_is_the_only_slot_and_keys_are_int_pairs(self):
+        assert DiffOperator.__slots__ == ("terms",)
+        exact, inexact = self._exact_and_float()
+        ops = [exact, inexact, exact.compose(inexact), coarborify_homogeneous(self.FAM, parse_forest("1(2);1"))]
+        ops += list(coarborify_contracted(self.FAM, 3).values())
+        for op in ops:
+            assert type(op.terms) is dict and op.terms
+            assert all(type(key) is tuple and len(key) == 2 and all(type(x) is int for x in key) for key in op.terms)
+
+    def test_no_zero_entry_survives(self):
+        for op in self._exact_and_float():
+            for zero in (op - op, op.scale(0), op.scale(0.0), op.truncate_u(-10)):
+                assert zero.terms == {} and zero.is_zero() and zero == DiffOperator()
+            cut = op.truncate_u(1)
+            assert cut.terms and all(d - k <= 1 for k, d in cut.terms)
+            assert all(c != 0 for c in (op + op.scale(-1) + op).terms.values())
+        assert DiffOperator({(0, 0): 0, (1, 2): 0.0, (2, 3): Fraction(0), (3, 1): GaussianRational(0)}).terms == {}
+
+    def test_equality_across_exact_scalar_types(self):
+        ints = DiffOperator({(0, 0): 1, (2, 3): -4})
+        fractions = DiffOperator({(2, 3): Fraction(-4), (0, 0): Fraction(1)})
+        gaussians = DiffOperator({(0, 0): GaussianRational(1), (2, 3): GaussianRational(-4)})
+        assert ints == fractions == gaussians == ints
+        assert ints != DiffOperator({(0, 0): 1, (2, 3): -4, (1, 1): Fraction(1, 2)})
+        assert ints != DiffOperator({(0, 0): 1, (2, 4): -4})
+
+    def test_nan_coefficient_is_unequal_to_itself(self):
+        op = DiffOperator({(0, 0): 1.0, (1, 2): math.nan})
+        assert op != op and not op == op
+
+    def test_dump_of_a_mixed_order_operator(self):
+        op = DiffOperator({(2, 5): Fraction(-1, 3), (2, 1): 4, (0, 0): 1, (0, 2): 0, (1, 3): Fraction(3, 2), (3, 0): 0})
+        assert op.dump() == [(0, [(0, "1")]), (1, [(3, "3/2")]), (2, [(1, "4"), (5, "-1/3")])]
+        assert repr(op) == "[(1)u^0] d^0 + [(3/2)u^3] d^1 + [(4)u^1 + (-1/3)u^5] d^2"
+        inexact = DiffOperator({(1, 2): 1.5 + 0.5j, (1, 0): -2.0})
+        assert inexact.dump() == [(1, [(0, "-2.0"), (2, "(1.5+0.5j)")])]
+        assert repr(DiffOperator()) == "0"

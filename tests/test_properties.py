@@ -177,16 +177,15 @@ class TestForestMatrix:
         assert set(forest_side) == set(word_side)
         for u, terms in forest_side.items():
             got, want = _linear_combination(terms), word_side[u]
-            for k, poly in scale[u].terms.items():
-                for d, s in poly.items():
-                    diff = complex(got.terms.get(k, {}).get(d, 0)) - complex(want.terms.get(k, {}).get(d, 0))
-                    assert abs(diff) <= 1e-13 * s
+            for key, s in scale[u].terms.items():
+                diff = complex(got.terms.get(key, 0)) - complex(want.terms.get(key, 0))
+                assert abs(diff) <= 1e-13 * s
 
 
 def operators(scalars):
     """c_k(u) d^k with orders 0..3, u-degrees 0..5 and up to three of each."""
     polys = st.dictionaries(st.integers(0, 5), scalars, max_size=3)
-    return st.dictionaries(st.integers(0, 3), polys, max_size=3).map(DiffOperator)
+    return st.dictionaries(st.integers(0, 3), polys, max_size=3).map(oracles._from_polys)
 
 
 def polys(scalars):
@@ -194,7 +193,12 @@ def polys(scalars):
 
 
 def _abs(op: DiffOperator) -> DiffOperator:
-    return DiffOperator({k: {d: abs(c) for d, c in p.items()} for k, p in op.terms.items()})
+    return DiffOperator({key: abs(c) for key, c in op.terms.items()})
+
+
+def _order_zero(poly: dict) -> DiffOperator:
+    """The multiplication operator of a u-polynomial."""
+    return DiffOperator({(0, d): c for d, c in poly.items()})
 
 
 def _largest(coefficients) -> float:
@@ -219,20 +223,20 @@ class TestOperatorKernel:
     @given(operators(exact_scalars), polys(exact_scalars), st.none() | st.integers(0, 8))
     def test_exact_action(self, op, f, nu):
         got, want = op.apply_u_poly(f, nu), oracles.apply_u_poly(op, f, nu)
-        assert got == want and DiffOperator({0: got}).dump() == DiffOperator({0: want}).dump()
+        assert got == want and _order_zero(got).dump() == _order_zero(want).dump()
 
     @settings(PROPERTY, max_examples=100)
     @given(operators(float_scalars), operators(float_scalars))
     def test_float_product(self, left, right):
-        largest = _largest(c for _, c in oracles.compose(_abs(left), _abs(right)).items())
+        largest = _largest(oracles.compose(_abs(left), _abs(right)).terms.values())
         assert oracles.max_abs_diff(left.compose(right), oracles.compose(left, right)) <= 1e-15 * largest
 
     @settings(PROPERTY, max_examples=100)
     @given(operators(float_scalars), polys(float_scalars), st.none() | st.integers(0, 8))
     def test_float_action(self, op, f, nu):
         largest = _largest(oracles.apply_u_poly(_abs(op), {d: abs(c) for d, c in f.items()}, nu).values())
-        got = DiffOperator({0: op.apply_u_poly(f, nu)})
-        assert oracles.max_abs_diff(got, DiffOperator({0: oracles.apply_u_poly(op, f, nu)})) <= 1e-15 * largest
+        got = _order_zero(op.apply_u_poly(f, nu))
+        assert oracles.max_abs_diff(got, _order_zero(oracles.apply_u_poly(op, f, nu))) <= 1e-15 * largest
 
     @settings(PROPERTY, max_examples=20)
     @given(st.lists(nonzero_fractions, min_size=3, max_size=3))

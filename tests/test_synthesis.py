@@ -44,6 +44,15 @@ class TestInvariantFamily:
         with pytest.raises(SynthesisError):
             InvariantFamily({2: 9.0}, growth_bound=2.0)
 
+    @pytest.mark.parametrize("coefficients, h", [({2: 0.25}, 1e300), ({1: 0.25, 1100: 0.25}, 2.0)], ids=["H-squared", "2-to-1100"])
+    def test_growth_bound_beyond_float_range_holds(self, coefficients, h):
+        # H^n overflows a float, and then bounds every finite |A_n|
+        assert InvariantFamily(coefficients, growth_bound=h).coefficients == coefficients
+
+    def test_growth_bound_below_float_range_still_refuses(self):
+        with pytest.raises(SynthesisError, match=r"\|A_1\| = 0.25 exceeds declared bound"):
+            InvariantFamily({1: 0.25}, growth_bound=1e-300)
+
     def test_z_sample_on_cut_rejected(self):
         with pytest.raises(SynthesisError):
             SynthesisConfig(c=1.0, z_samples=(3.0,))
@@ -196,8 +205,8 @@ class TestNormalizer:
         cfg = SynthesisConfig(c=0.5, nu=4, r_max=4, z_samples=(-2.0,))
         e = build_theta(InvariantFamily({1: 100.0}, growth_bound=100.0), cfg)[0]
         assert automorphism_defect(e) <= 1e-9
-        terms = {k: dict(p) for k, p in e.operator.terms.items()}
-        terms[2][4] *= 1 + 1e-3
+        terms = dict(e.operator.terms)
+        terms[2, 4] *= 1 + 1e-3
         assert automorphism_defect(NormalizerExpansion(e.z, e.config, DiffOperator(terms), e.d_operator, e.ell, e.tail_norms)) > 1e-6
 
     def test_theta_times_inverse_is_identity(self):
@@ -225,10 +234,8 @@ class TestNormalizer:
             (e.d_operator, words.d_theta, words.d_theta_scale),
         ):
             assert set(forest_op.terms) == set(word_op.terms)
-            for k, poly in word_op.terms.items():
-                assert set(forest_op.terms[k]) == set(poly)
-                for d, x in poly.items():
-                    assert abs(complex(forest_op.terms[k][d]) - x) <= 1e-13 * scale.terms[k][d]
+            for key, x in word_op.terms.items():
+                assert abs(complex(forest_op.terms[key]) - x) <= 1e-13 * scale.terms[key]
 
     def test_exp_atom_route_matches(self):
         # composing the exp atoms reproduces the assembled operator when both
@@ -277,8 +284,8 @@ class TestField:
         def leibniz(op):
             return lambda f, g: (op.apply(f * g), op.apply(f) * g + f * op.apply(g))
 
-        assert synth._sampled_defect(7, CFG.nu, leibniz(DiffOperator({1: {2: 1.0 + 0.0j}}))) <= 1e-15
-        assert synth._sampled_defect(7, CFG.nu, leibniz(DiffOperator({2: {0: 1.0 + 0.0j}}))) > 1e-6
+        assert synth._sampled_defect(7, CFG.nu, leibniz(DiffOperator({(1, 2): 1.0 + 0.0j}))) <= 1e-15
+        assert synth._sampled_defect(7, CFG.nu, leibniz(DiffOperator({(2, 0): 1.0 + 0.0j}))) > 1e-6
 
     def test_u2_coefficient_against_fd_conjugation(self):
         # oracle: replace the analytic z-derivative with centered differences
@@ -287,7 +294,7 @@ class TestField:
         ep = build_theta(self.INV, SynthesisConfig(c=2.0, nu=6, r_max=4, z_samples=(z0 + dz,)))[0]
         em = build_theta(self.INV, SynthesisConfig(c=2.0, nu=6, r_max=4, z_samples=(z0 - dz,)))[0]
         fd = (ep.operator - em.operator).scale(1.0 / (2 * dz))
-        euler = DiffOperator({1: {1: 1.0 + 0.0j}})
+        euler = DiffOperator({(1, 1): 1.0 + 0.0j})
         theta_inv = e.inverse_operator()
         xc_fd = e.operator.compose(euler).compose(theta_inv) - fd.compose(theta_inv)
         u = TruncatedSeries.u_power(1, CFG.nu, coeff=1.0 + 0.0j)

@@ -248,6 +248,6 @@ def test_a_series_times_zero_is_the_zero_series_as_an_operator_is():
     series = TruncatedSeries({0: float("nan"), 1: 1.0}, 2)
     for product in (series * 0, 0 * series, series * 0.0):
         assert product.coeffs == {}
-    assert DiffOperator({0: {0: float("nan")}}).scale(0).is_zero()
+    assert DiffOperator({(0, 0): float("nan")}).scale(0).is_zero()
     doubled = (series * 2).coeffs
     assert doubled[0] != doubled[0] and doubled[1] == 2
