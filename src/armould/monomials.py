@@ -216,22 +216,21 @@ def _cauchy_fold(
     return out
 
 
-def _preorder(f: Forest) -> tuple[tuple, tuple]:
-    """Flat preorder node list of a forest: decorations and, per node, the
-    index of its parent (-1 for a root)."""
+def _preorder(item) -> tuple[tuple, tuple]:
+    """An item as a flat preorder node list: decorations and, per node, the
+    index of its parent (-1 for a root).  A forest is walked from its key; a
+    word, or any decoration sequence, is the chain (-1, 0, ..., r-2)."""
+    if not isinstance(item, Forest):
+        decs = _decorations(item)
+        return decs, tuple(range(-1, len(decs) - 1))
     decs: list[complex] = []
     parents: list[int] = []
-
-    def walk(tk: tuple, parent: int):
-        j = len(decs)
-        (re, im), kids = tk
+    stack = [(tk, -1) for tk in reversed(item._key)]
+    while stack:
+        ((re, im), kids), parent = stack.pop()
+        stack += [(ch, len(decs)) for ch in reversed(kids)]
         decs.append(complex(float(re), float(im)))
         parents.append(parent)
-        for ch in kids:
-            walk(ch, j)
-
-    for tk in f._key:
-        walk(tk, -1)
     return tuple(decs), tuple(parents)
 
 
@@ -284,53 +283,46 @@ class Quadrature:
         return folded
 
 
+def _node_values(j: int, decorations: Sequence[complex], parents: Sequence[int], ends: Sequence[int], quad: Quadrature, level: int):
+    """Node j's ray (y, log y_0) and its values: the ray's weighted kernel
+    values times the fold of each child's subtree onto the ray, children in
+    preorder.  A child's fold is the one quad holds under its key, or else
+    the child's own values folded by one Toeplitz fold, and then held."""
+    y, log0, vals = quad.ray(level, j, decorations[j])
+    ch = j + 1
+    while ch < ends[j]:
+        end = ends[ch]
+        key = (decorations[ch:end], tuple(q - ch for q in parents[ch + 1 : end]), j, decorations[j])
+        folded = quad.held(level, ch, key)
+        if folded is None:
+            y_ch, log_ch, vals_ch = _node_values(ch, decorations, parents, ends, quad, level)
+            folded = quad.hold(level, ch, key, _cauchy_fold(vals_ch, y_ch, log_ch, y, log0, quad.spec.step(level)))
+        vals = vals * folded
+        ch = end
+    return y, log0, vals
+
+
 def _pass(decorations: Sequence[complex], parents: Sequence[int], z: complex, quad: Quadrature, level: int) -> tuple[complex, complex]:
     """One trapezoid evaluation of the iterated integral over a preorder node
     list: a factor 1/(y_child - y_parent) per edge and 1/(y_root - z) per root.
     Returns that value and, from the same folds with 1/(y_root - z)^2 at the
-    roots, the z-derivative of a one-root integral (a word).  Nodes are folded
-    leaves first, each one's children multiplied in preorder; a word is the
-    chain (-1, 0, ..., r-2).  Every ray of a level has the same step h, so each
-    edge is one Toeplitz fold.  Rays come from quad, and so does the fold of
-    every subtree quad holds, which spares the nodes below it."""
+    roots, the z-derivative of a one-root integral (a word).  Each root's
+    values come from one recursion over its subtree (:func:`_node_values`);
+    every ray of a level has the same step h, so each edge is one Toeplitz
+    fold.  Rays come from quad, and so does the fold of every subtree quad
+    holds, which spares the nodes below it."""
     n = len(decorations)
-    h = quad.spec.step(level)
-    ends = list(range(1, n + 1))  # node j's subtree is the preorder slice j:ends[j]
-    for j in range(n - 1, -1, -1):
-        if parents[j] >= 0:
-            ends[parents[j]] = max(ends[parents[j]], ends[j])
-    children: list[list[int]] = [[] for _ in range(n)]
-    keys: list = [None] * n
-    computed = [False] * n
-    folded: dict = {}
-    for j, p in enumerate(parents):  # a parent comes before its children
-        if p < 0:
-            computed[j] = True
-        elif computed[p]:  # below a held fold no node is visited
-            children[p].append(j)
-            keys[j] = (decorations[j : ends[j]], tuple(q - j for q in parents[j + 1 : ends[j]]), p, decorations[p])
-            held = quad.held(level, j, keys[j])
-            if held is None:
-                computed[j] = True
-            else:
-                folded[j] = held
-    for j in range(n - 1, -1, -1):
-        if not computed[j]:
-            continue
-        y, log0, vals = quad.ray(level, j, decorations[j])
-        for ch in children[j]:
-            vals = vals * folded.pop(ch)
-        p = parents[j]
-        if p >= 0:
-            y_to, log_to, _ = quad.ray(level, p, decorations[p])
-            folded[j] = quad.hold(level, j, keys[j], _cauchy_fold(vals, y, log0, y_to, log_to, h))
-        else:
-            d = y - z
-            folded[j] = (complex(np.sum(vals / d)), complex(np.sum(vals / d**2)))
+    # node j's subtree is the preorder slice j:ends[j], up to the first node
+    # whose parent comes before j
+    ends = [next((k for k in range(j + 1, n) if parents[k] < j), n) for j in range(n)]
     total = dtotal = 1.0 + 0.0j
-    for j in sorted(folded):  # only the roots are left, in preorder
-        total *= folded[j][0]
-        dtotal *= folded[j][1]
+    j = 0
+    while j < n:  # the roots, in preorder
+        y, _, vals = _node_values(j, decorations, parents, ends, quad, level)
+        d = y - z
+        total *= complex(np.sum(vals / d))
+        dtotal *= complex(np.sum(vals / d**2))
+        j = ends[j]
     return total, dtotal
 
 
@@ -368,9 +360,7 @@ def paralog_Ua_eval(w, z: complex, c: float, spec: ContourSpec | None = None, qu
     each reported error dominates the observed refinement delta.  quad, a
     Quadrature for the same (c, spec), shares rays and folds with the other
     evaluations of its batch; without it the word is a batch of one."""
-    decs = _decorations(w)
-    chain = tuple(range(-1, len(decs) - 1))  # a word is the chain forest
-    (value, err), (dvalue, derr) = _monomial(decs, chain, z, c, spec, quad)
+    (value, err), (dvalue, derr) = _monomial(*_preorder(w), z, c, spec, quad)
     return MonomialValue(value, err, dvalue, derr)
 
 
@@ -415,14 +405,7 @@ def paralog_batch_eval(items: Sequence, zs: Sequence[complex], c: float, spec: C
     after the z loop of the last item in that order that can touch it, one
     with its decoration at its slot."""
     quad = Quadrature(c, spec)
-
-    def preorder(item) -> tuple:
-        if isinstance(item, Forest):
-            return _preorder(item)
-        decs = _decorations(item)
-        return decs, range(-1, len(decs) - 1)
-
-    nodes = [preorder(item) for item in items]
+    nodes = [_preorder(item) for item in items]
 
     def key(i: int):
         decs, parents = nodes[i]

@@ -9,7 +9,6 @@ products and actions are each one sparse sum over its keys.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from fractions import Fraction
 from itertools import groupby
 from typing import Iterable, Mapping
@@ -21,10 +20,11 @@ from .words import (
     EMPTY_WORD,
     Forest,
     Word,
+    _covers,
     _forest,
     _forests,
     _letter,
-    contracting_covers,
+    _word,
     forests_of_norm,
     letter,
     words_of_norm_at_most,
@@ -39,7 +39,10 @@ class DiffOperator:
     __slots__ = ("terms",)
 
     def __init__(self, terms: Mapping[tuple[int, int], object] | None = None):
-        self.terms: dict[tuple[int, int], object] = {key: c for key, c in (terms or {}).items() if not _zero(c)}
+        try:
+            self.terms: dict[tuple[int, int], object] = {(k, d): c for (k, d), c in (terms or {}).items() if not _zero(c)}
+        except (TypeError, ValueError):
+            raise TypeError(f"DiffOperator takes the flat {{(order, degree): c}} dict, not {terms!r}") from None
 
     @classmethod
     def identity(cls) -> "DiffOperator":
@@ -231,73 +234,68 @@ def coarborify_contracted(family: DerivationFamily, norm_cap: int, counting: str
 
     for every word w of norm <= cap, where mult is the contracting-cover
     multiplicity in the chosen counting.  The multiplicities do not depend on
-    the family, so the system is solved once on rational scalars
-    (:func:`_contracted_duals`) and each Bt_F = sum_w X[F, w] B_w is then
-    assembled from the words over the family's letters; B_w = 0 for every
-    other word.
+    the family, so the system is solved once on rational scalars, on forest
+    and word keys (:func:`_contracted_duals`), and each Bt_F = sum_w X[F, w] B_w
+    is then assembled from the words over the family's letters; B_w = 0 for
+    every other word.
     """
     duals = _contracted_duals(norm_cap, counting)
-    ops = {w: op_compose_word(family, w) for w in words_of_norm_at_most(family.letters(), norm_cap)}
-    return {f: _linear_combination((x, ops[w]) for w, x in row.items() if w in ops) for f, row in duals.items()}
+    ops = {w._key: op_compose_word(family, w) for w in words_of_norm_at_most(family.letters(), norm_cap)}
+    return {_forest(fk): _linear_combination((x, ops[w]) for w, x in row.items() if w in ops) for fk, row in duals.items()}
 
 
-def _contracted_duals(norm_cap: int, counting: str) -> dict[Forest, dict[Word, Fraction]]:
-    """Scalar solution X of M X = I, where M is the word x forest matrix of
-    cover multiplicities over the forests decorated by 1..cap of norm <= cap
-    and the words they cover (all words of norm <= cap: each is a linear
-    extension of its chain).
+def _contracted_duals(norm_cap: int, counting: str) -> dict[tuple, dict[tuple, Fraction]]:
+    """Scalar solution X of M X = I, keyed by forest key and word key, where
+    M is the word x forest matrix of cover multiplicities over the forests
+    decorated by 1..cap of norm <= cap and the words they cover (all words of
+    norm <= cap: each is a linear extension of its chain).
 
     A cover keeps the norm and has at most as many letters as the forest has
     nodes, so each norm layer is solved node-count-descending: the words of
     length k against the forests of k nodes, once those with more nodes are
-    known, by the minimum-norm solution x = A^T (A A^T)^{-1} b.  The
-    decomposition is not unique; M X = I is verified exactly afterwards,
-    raising ArithmeticError if the system were inconsistent.
+    known, by the minimum-norm solution x = A^T y, (A A^T) y = b.  y comes
+    from Gauss-Jordan elimination on the rows [A A^T | b], each one sparse
+    vector (A A^T under column indices, b under word keys), so that every row
+    operation is one sparse_sum.  The decomposition is not unique; M X = I is
+    verified exactly afterwards, raising ArithmeticError if the system were
+    inconsistent.
     """
-    layers: dict[int, list[tuple[int, Forest, Counter]]] = {}
+    if counting not in ("merges", "surjections"):
+        raise ValueError(f"unknown counting {counting!r}")
+    layers: dict[int, list[tuple[int, tuple, dict]]] = {}
     for nodes, norm, fk in _forests(range(1, norm_cap + 1), norm_cap, norm_cap):
-        f = _forest(fk)
-        layers.setdefault(norm, []).append((nodes, f, contracting_covers(f, counting=counting)))
-    duals: dict[Forest, dict[Word, Fraction]] = {}
+        layers.setdefault(norm, []).append((nodes, fk, _covers(fk, counting)))
+    duals: dict[tuple, dict[tuple, Fraction]] = {}
     for norm in sorted(layers):
         layer = layers[norm]
         for nodes in range(max(k for k, _, _ in layer), 0, -1):
             unknowns = [(f, cover) for k, f, cover in layer if k == nodes]
             if not unknowns:
                 continue
-            eq_words = list(dict.fromkeys(w for _, cover in unknowns for w in cover if w.length == nodes))
-            # b_w = e_w - sum over the forests with more nodes of mult(w, F) X[F]
-            known = [(f, cover) for k, f, cover in layer if k > nodes]
-            rhs = [sparse_sum([(1, {w: 1})] + [(-cover[w], duals[f]) for f, cover in known if w in cover]) for w in eq_words]
+            eq_words = list(dict.fromkeys(w for _, cover in unknowns for w in cover if len(w) == nodes))
             matrix = [[cover.get(w, 0) for _, cover in unknowns] for w in eq_words]
-            inv = _fraction_inverse([[sum(a * b for a, b in zip(ri, rj)) for rj in matrix] for ri in matrix])
-            y = [sparse_sum(zip(inv_row, rhs)) for inv_row in inv]
+            known = [(f, cover) for k, f, cover in layer if k > nodes]
+            rows = []
+            for w, ri in zip(eq_words, matrix):
+                # [A A^T | b] with b_w = e_w - sum over the forests with more nodes of mult(w, F) X[F]
+                gram = dict(enumerate(sum(a * b for a, b in zip(ri, rj)) for rj in matrix))
+                rows.append(sparse_sum([(1, gram), (1, {w: 1})] + [(-cover[w], duals[f]) for f, cover in known if w in cover]))
+            for i in range(len(rows)):
+                # A A^T is positive semidefinite, so a zero pivot has a zero column below it
+                if i not in rows[i]:
+                    raise ArithmeticError("singular cover system; rows are dependent")
+                pivot = rows[i] = sparse_sum([(Fraction(1) / rows[i][i], rows[i])])
+                rows = [row if k == i or i not in row else sparse_sum([(1, row), (-row[i], pivot)]) for k, row in enumerate(rows)]
+            y = [{w: x for w, x in row.items() if w != i} for i, row in enumerate(rows)]  # A A^T is now I
             for col, (f, _) in enumerate(unknowns):
                 duals[f] = sparse_sum((row[col], yi) for row, yi in zip(matrix, y))
     # consistency: sum_F mult(w, F) X[F] must be the unit vector at w
-    check: dict[Word, list] = {}
+    check: dict[tuple, list] = {}
     for layer in layers.values():
         for _, f, cover in layer:
             for w, mult in cover.items():
                 check.setdefault(w, []).append((mult, duals[f]))
     for w, terms in check.items():
         if sparse_sum(terms) != {w: 1}:
-            raise ArithmeticError(f"contracted coarborification inconsistent at {w}")
+            raise ArithmeticError(f"contracted coarborification inconsistent at {_word(w)}")
     return duals
-
-
-def _fraction_inverse(m: list[list[Fraction]]) -> list[list[Fraction]]:
-    n = len(m)
-    aug = [[Fraction(m[i][j]) for j in range(n)] + [Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot is None:
-            raise ArithmeticError("singular cover system; rows are dependent")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        pv = aug[col][col]
-        aug[col] = [x / pv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]

@@ -82,7 +82,7 @@ class InvariantFamily:
                 raise SynthesisError(f"A_{n} = {a} is not finite")
             # in logarithms: an H^n too large for a float bounds every finite A_n
             if math.log(abs(a)) > n * math.log(h) + 1e-12:
-                raise SynthesisError(f"|A_{n}| = {abs(a)} exceeds declared bound H^n = {h ** n}")
+                raise SynthesisError(f"|A_{n}| = {abs(a)} exceeds declared bound H^n at H = {h}, n = {n}")
         _set(self, "coefficients", coeffs)
         _set(self, "growth_bound", growth_bound)
 

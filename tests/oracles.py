@@ -9,7 +9,8 @@ that builds its trees with ``tree`` and ``Forest`` check its key-level forest
 enumerator, and the recursive key walks check the node counts, norms and
 automorphism counts that a forest reads off its key; the dense Cauchy fold
 checks the FFT-Toeplitz fold of :mod:`armould.monomials`, the same fold with
-every step in a new array checks its in-place buffers bit for bit, and the cover sum
+every step in a new array checks its in-place buffers bit for bit, the two-phase
+pass with its bookkeeping arrays checks the one-recursion pass bit for bit, and the cover sum
 of word values checks its structured forest integral, and the Laplace-side
 double integral checks its value at r = 2.  The operator-valued
 layered solve checks the scalar solve of the contracted coarborified, and
@@ -39,10 +40,10 @@ import armould.operators
 import armould.words
 from armould.bessel import bessel_k1
 from armould.monomials import CONTRACTION_UNIT, MOULD_NORMALIZATION, ContourError, ContourSpec, paralog_Ua_eval
-from armould.monomials import _hyperlog_decorations, _v_borel_rec
+from armould.monomials import Quadrature, _cauchy_fold, _hyperlog_decorations, _v_borel_rec
 from armould.moulds import ArMould, IdentityReport, Mould, builtin_mould, mould_compose, words_of_norm_at_most, words_over
 from armould.moulds import _is_exact, _scan, _violation
-from armould.operators import DerivationFamily, DiffOperator, _as_int, _fraction_inverse, _linear_combination, op_compose_word
+from armould.operators import DerivationFamily, DiffOperator, _as_int, _linear_combination, op_compose_word
 from armould.series import TruncatedSeries
 from armould.synthesis import FieldSample, InvariantFamily, NormalizerExpansion, SynthesisConfig, _sampled_defect, automorphism_defect
 from armould.values import GaussianRational, _zero, format_exact
@@ -189,6 +190,61 @@ def cauchy_fold_allocating(
     size = 1 << (n + m - 2).bit_length()
     conv = np.fft.ifft(np.fft.fft(u, size) * np.fft.fft(r, size))[n - 1 : n - 1 + m]
     return step + conv
+
+
+def pass_two_phase(decorations: Sequence[complex], parents: Sequence[int], z: complex, quad: Quadrature, level: int) -> tuple[complex, complex]:
+    """Oracle for :func:`armould.monomials._pass`, bit for bit: the same pass
+    in two phases, a preorder walk that looks up held folds and a walk back
+    that folds, with arrays of children, fold keys, computed nodes and folds.
+
+    One trapezoid evaluation of the iterated integral over a preorder node
+    list: a factor 1/(y_child - y_parent) per edge and 1/(y_root - z) per root.
+    Returns that value and, from the same folds with 1/(y_root - z)^2 at the
+    roots, the z-derivative of a one-root integral (a word).  Nodes are folded
+    leaves first, each one's children multiplied in preorder; a word is the
+    chain (-1, 0, ..., r-2).  Every ray of a level has the same step h, so each
+    edge is one Toeplitz fold.  Rays come from quad, and so does the fold of
+    every subtree quad holds, which spares the nodes below it."""
+    n = len(decorations)
+    h = quad.spec.step(level)
+    ends = list(range(1, n + 1))  # node j's subtree is the preorder slice j:ends[j]
+    for j in range(n - 1, -1, -1):
+        if parents[j] >= 0:
+            ends[parents[j]] = max(ends[parents[j]], ends[j])
+    children: list[list[int]] = [[] for _ in range(n)]
+    keys: list = [None] * n
+    computed = [False] * n
+    folded: dict = {}
+    for j, p in enumerate(parents):  # a parent comes before its children
+        if p < 0:
+            computed[j] = True
+        elif computed[p]:  # below a held fold no node is visited
+            children[p].append(j)
+            keys[j] = (decorations[j : ends[j]], tuple(q - j for q in parents[j + 1 : ends[j]]), p, decorations[p])
+            held = quad.held(level, j, keys[j])
+            if held is None:
+                computed[j] = True
+            else:
+                folded[j] = held
+    for j in range(n - 1, -1, -1):
+        if not computed[j]:
+            continue
+        y, log0, vals = quad.ray(level, j, decorations[j])
+        for ch in children[j]:
+            vals = vals * folded.pop(ch)
+        p = parents[j]
+        if p >= 0:
+            y_to, log_to, _ = quad.ray(level, p, decorations[p])
+            folded[j] = quad.hold(level, j, keys[j], _cauchy_fold(vals, y, log0, y_to, log_to, h))
+        else:
+            d = y - z
+            folded[j] = (complex(np.sum(vals / d)), complex(np.sum(vals / d**2)))
+    total = dtotal = 1.0 + 0.0j
+    for j in sorted(folded):  # only the roots are left, in preorder
+        total *= folded[j][0]
+        dtotal *= folded[j][1]
+    return total, dtotal
+
 
 
 def forest_cover_sum(f: Forest, z: complex, c: float, spec: ContourSpec | None = None) -> tuple[complex, float]:
@@ -608,6 +664,25 @@ def _min_norm_solve(matrix: list[list[Fraction]], rhs: list[DiffOperator]) -> li
                 acc = acc + y[i].scale(matrix[i][k])
         out.append(acc)
     return out
+
+
+def _fraction_inverse(m: list[list[Fraction]]) -> list[list[Fraction]]:
+    """The inverse of a square Fraction matrix by Gauss-Jordan elimination
+    with row swaps on dense rows."""
+    n = len(m)
+    aug = [[Fraction(m[i][j]) for j in range(n)] + [Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
+        if pivot is None:
+            raise ArithmeticError("singular cover system; rows are dependent")
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        pv = aug[col][col]
+        aug[col] = [x / pv for x in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col] != 0:
+                factor = aug[r][col]
+                aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
+    return [row[n:] for row in aug]
 
 
 # ---------------------------------------------------------------------------

@@ -634,7 +634,7 @@ def test_growth_bound_exceeded_exits_2_naming_the_invariant(tmp_path, capsys):
     rc = main(["synthesize", "--invariants", str(inv), "--c", "2", "--caps", "4,4,2"])
     captured = capsys.readouterr()
     assert rc == 2 and captured.out == ""
-    assert json.loads(captured.err)["error"] == "|A_1| = 0.25 exceeds declared bound H^n = 1e-300"
+    assert json.loads(captured.err)["error"] == "|A_1| = 0.25 exceeds declared bound H^n at H = 1e-300, n = 1"
 
 
 def test_growth_scan_fails_on_a_nan_column(capsys, monkeypatch):

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import cauchy_fold_allocating, cauchy_fold_dense, forest_cover_sum, hyperlog_V_borel, x_integral_r2
+from oracles import cauchy_fold_allocating, cauchy_fold_dense, forest_cover_sum, hyperlog_V_borel, pass_two_phase, x_integral_r2
 import armould.monomials as mono
 from armould.monomials import (
     CONTRACTION_UNIT,
@@ -30,7 +30,7 @@ from armould.monomials import (
 from armould.kernels import KernelParams, g_eval
 from armould.moulds import Mould, check_symmetry
 from armould.quadrature import de_halfline
-from armould.words import EMPTY_WORD, Forest, Word, forests_of_norm, letter, parse_forest, word
+from armould.words import EMPTY_WORD, Word, forests_of_norm, letter, parse_forest, word, words_over
 
 Z = -2.0
 C = 1.0
@@ -467,7 +467,7 @@ class TestQuadrature:
         paralog_batch_eval(items, zs, c)
 
         def rays(item) -> set:
-            decs = mono._preorder(item)[0] if isinstance(item, Forest) else mono._decorations(item)
+            decs = mono._preorder(item)[0]
             return {(lvl, j, om) for lvl in range(ContourSpec().richardson_levels) for j, om in enumerate(decs)}
 
         assert sorted(map(str, (item for item, _ in started))) == sorted(map(str, items))
@@ -496,6 +496,46 @@ class TestQuadrature:
                 evaluate(item, Z, 2.0, quad=quad)
             with pytest.raises(ValueError, match="quadrature"):
                 evaluate(item, Z, C, ContourSpec(eps=0.04), quad=quad)
+
+
+class TestPass:
+    """The pass is one recursion over an item's nodes; the same pass in two
+    phases with bookkeeping arrays, an oracle, agrees with it bit for bit and
+    leaves its Quadrature holding the same folds."""
+
+    ONE_TWO = [letter(1), letter(2)]
+
+    @pytest.mark.parametrize(
+        "c, items",
+        [
+            (1.0, words_over(ONE_TWO, 4)[1:] + forests_of_norm(ONE_TWO, 8, max_nodes=4)),
+            (0.0, [word(1, 2), word(2, 1, 2), parse_forest("1(2,1)"), parse_forest("2;1(1)"), parse_forest("1(2(1))")]),
+        ],
+        ids=["c1-all-up-to-4", "c0-some"],
+    )
+    def test_matches_two_phase_pass(self, monkeypatch, c, items):
+        hits = []
+        library_held = Quadrature.held
+
+        def counted(quad, level, slot, key):
+            held = library_held(quad, level, slot, key)
+            hits[-1] += held is not None
+            return held
+
+        monkeypatch.setattr(Quadrature, "held", counted)
+        results, folds = [], []
+        for evaluate in (mono._pass, pass_two_phase):
+            hits.append(0)
+            quad = Quadrature(c)
+            results.append([repr(evaluate(*mono._preorder(item), Z, quad, level)) for level in (0, 1) for item in items])
+            folds.append({at: key for at, (key, _) in quad._folds.items()})
+        assert results[0] == results[1]
+        assert folds[0] == folds[1]
+        assert hits[0] == hits[1] > 0
+
+    def test_a_word_is_its_chain_forest(self):
+        assert mono._preorder(word(1, 2, 3)) == mono._preorder(parse_forest("1(2(3))"))
+        assert mono._preorder(parse_forest("1(2,3);2")) == ((1, 2, 3, 2), (-1, 0, 0, -1))
 
 
 def paralog_mould(kind: str, normalized: bool) -> Mould:

@@ -336,13 +336,20 @@ class TestContractedCoarborified:
     def test_scalar_consistency_check_fires(self, monkeypatch):
         # a wrong multiplicity: the one-node forest 2 claims to cover (1,1),
         # which is longer than the forest, so M X = I must fail there
-        def wrong_covers(f, counting="merges"):
-            out = contracting_covers(f, counting=counting)
-            return out + Counter({word(1, 1): 1}) if f == parse_forest("2") else out
+        # on keys, since the solve reads the key Counters of the cover recursion
+        covers = operators._covers
 
-        monkeypatch.setattr(operators, "contracting_covers", wrong_covers)
-        with pytest.raises(ArithmeticError, match="inconsistent"):
+        def wrong_covers(fk, counting):
+            out = covers(fk, counting)
+            return out + Counter({word(1, 1)._key: 1}) if fk == parse_forest("2")._key else out
+
+        monkeypatch.setattr(operators, "_covers", wrong_covers)
+        with pytest.raises(ArithmeticError, match=r"inconsistent at \(1,1\)"):
             coarborify_contracted(self.FAM, 3)
+
+    def test_unknown_counting_rejected(self):
+        with pytest.raises(ValueError, match="unknown counting 'extensions'"):
+            coarborify_contracted(self.FAM, 3, counting="extensions")
 
     def test_unknown_mode_rejected_before_any_value(self):
         def rule(f):
@@ -355,6 +362,11 @@ class TestContractedCoarborified:
 class TestOperatorUtilities:
     def test_restricted_norm_of_identity(self):
         assert restricted_norm(DiffOperator.identity(), 5) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("terms", [{1: {2: Fraction(3)}}, {(1, 2, 3): Fraction(1)}], ids=["nested", "triple-key"])
+    def test_removed_nested_form_refused(self, terms):
+        with pytest.raises(TypeError, match=r"flat \{\(order, degree\): c\} dict"):
+            DiffOperator(terms)
 
     def test_operator_dump_shape(self):
         op = DiffOperator({(1, 2): Fraction(3), (2, 5): Fraction(1, 2)})

@@ -53,6 +53,11 @@ class TestInvariantFamily:
         with pytest.raises(SynthesisError, match=r"\|A_1\| = 0.25 exceeds declared bound"):
             InvariantFamily({1: 0.25}, growth_bound=1e-300)
 
+    def test_growth_bound_refusal_states_h_and_n(self):
+        # H^n underflows to 0.0 here, so the message gives H and n, not H^n
+        with pytest.raises(SynthesisError, match=r"\|A_2\| = 0.25 exceeds declared bound H\^n at H = 1e-200, n = 2$"):
+            InvariantFamily({2: 0.25}, growth_bound=1e-200)
+
     def test_z_sample_on_cut_rejected(self):
         with pytest.raises(SynthesisError):
             SynthesisConfig(c=1.0, z_samples=(3.0,))
